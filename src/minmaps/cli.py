@@ -30,7 +30,6 @@ canonical fixtures) or from an INI config file (--config, full control):
     certificate_tol = 0.0
     [flow]
     max_steps = 50000
-    cfl_factor = 0.2
     dt_max = 1e-2
     [refine]
     grids = 17, 33, 65
@@ -106,7 +105,6 @@ class ScenarioConfig:
     stop_tension: float = 1e-4
     certificate_tol: float = 0.0
     max_steps: int = 50000
-    cfl_factor: float = 0.2
     dt_max: float = 1e-2
     refine_grids: tuple[int, ...] = (17, 33, 65)
 
@@ -186,7 +184,6 @@ def _config_from_file(path: Path, kind: str, out: Path,
         stop_tension=_get(tol, "stop_tension", float, 1e-4),
         certificate_tol=_get(tol, "certificate_tol", float, 0.0),
         max_steps=_get(flow, "max_steps", int, 50000),
-        cfl_factor=_get(flow, "cfl_factor", float, 0.2),
         dt_max=_get(flow, "dt_max", float, 1e-2),
         refine_grids=refine_grids,
     )
@@ -265,14 +262,19 @@ def _fmt(value) -> str:
 
 def _write_table(path: Path, name: str, columns: Sequence[str],
                  fields: Sequence[np.ndarray]) -> None:
-    """Point table CSV, x-index outermost, schema versioned on line one."""
+    """Point table CSV, x-index outermost, schema versioned on line one.
+
+    Written one x-row at a time: the text of a whole n=257 table runs to
+    tens of megabytes, and holding it (and its encoded copy) at once made
+    the process's peak memory depend on where the allocator placed it.
+    """
     stacked = np.stack([np.asarray(f, float) for f in fields], axis=-1)
-    lines = [f"# minmaps {name} csv {CSV_VERSION}", ",".join(columns)]
     nx, ny, _ = stacked.shape
-    for i in range(nx):
-        for j in range(ny):
-            lines.append(",".join(_fmt(v) for v in stacked[i, j]))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(f"# minmaps {name} csv {CSV_VERSION}\n{','.join(columns)}\n")
+        for i in range(nx):
+            fh.write("".join(",".join(_fmt(v) for v in stacked[i, j]) + "\n"
+                             for j in range(ny)))
 
 
 def _write_summary(path: Path, kind: str, lines: Sequence[str]) -> None:
@@ -394,7 +396,6 @@ def _run_flow(cfg: ScenarioConfig) -> None:
     mf = _make_field(cfg)
     flow_cfg = FlowConfig(stop_tension=cfg.stop_tension,
                           max_steps=cfg.max_steps,
-                          cfl_factor=cfg.cfl_factor,
                           dt_max=cfg.dt_max)
     result = run_to_minimal(mf, flow_cfg)
     state = result.state

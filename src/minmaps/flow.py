@@ -13,16 +13,37 @@ differencing the induced metric a second time). The assembled derivative
 agrees with direct differencing to second order but is valid one ring
 closer to the boundary, so only the true Dirichlet ring is frozen.
 
-Explicit Euler with a CFL cap proportional to h^2 / max eig(g^-1); steps
-are rejected (and dt halved) when the image leaves the target chart or the
-tension norm jumps by more than 10x, and dt recovers by doubling after a
-run of accepted steps.
+Two steppers share one step-control loop:
+
+``step`` (used by ``run_to_minimal``) is linearly implicit. It solves
+
+    (I - dt a Lap_h) delta = dt tau(f),    f <- f + delta,
+
+per component, with Lap_h the 5-point Laplacian and a = max eig(g^-1)
+over the grid. The principal part of tau is g^{ij} d_ij f; treating the
+constant-coefficient a Lap_h implicitly and the rest of tau explicitly is
+stable without a CFL cap as long as a I dominates g^-1 everywhere, and the
+smallest such a keeps the splitting error smallest (the stabilized
+semi-implicit scheme of Smereka 2003, applied to graph mean-curvature flow
+as in Deckelnick, Dziuk & Elliott 2005). The solve is direct: a type-I
+sine transform on Dirichlet grids (the ring stays pinned, delta = 0
+there) and a real FFT on periodic grids, so the step count to a given
+tension drop does not grow with the grid.
+
+``explicit_step`` is explicit Euler with a CFL cap proportional to
+h^2 / max eig(g^-1); it is the reference the heat-flow checks compare
+against.
+
+Both reject a step (and halve dt) when the image leaves the target chart or
+the tension norm jumps by more than 10x, raise on dt underflow, and let dt
+recover by doubling after a run of accepted steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +56,8 @@ from .verifier import Certificate, area_decreasing_certificate
 
 __all__ = [
     "FlowConfig", "FlowState", "FlowResult", "MonitorRow",
-    "tension_field", "tension_pass", "make_state", "step", "run_to_minimal",
+    "tension_field", "tension_pass", "make_state", "step", "explicit_step",
+    "solve_shifted_laplacian", "run_to_minimal",
     "write_monitors_csv", "write_snapshot", "read_snapshot",
 ]
 
@@ -63,7 +85,7 @@ class MonitorRow:
 class FlowConfig:
     stop_tension: float
     max_steps: int = 50000
-    cfl_factor: float = 0.2
+    cfl_factor: float = 0.2          # explicit_step only
     dt_initial: Optional[float] = None
     dt_max: float = 1e-2
 
@@ -111,7 +133,14 @@ class TensionPass:
     min_phi: float
     min_theta: float
     max_abs_jf: float
-    cfl_dt: float              # largest stable dt for this metric
+    eig_max: float             # max eig(g^-1): the implicit step's a
+    cfl_dt: float              # largest stable explicit dt for this metric
+
+
+def _interior(grid: GridChart):
+    """Index of the points the tension stencil reaches: all but the
+    Dirichlet ring, or every point of a periodic grid."""
+    return np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
 
 
 def _tension_arrays(values: np.ndarray, st: _Static) -> TensionPass:
@@ -186,6 +215,13 @@ def _tension_arrays(values: np.ndarray, st: _Static) -> TensionPass:
     tau1 = lap1 - (c1 * f1x + c2 * f1y) + conn1
     tau2 = lap2 - (c1 * f2x + c2 * f2y) + conn2
     tau = np.stack([tau1, tau2], axis=-1)
+    interior = _interior(grid)
+    tau_in = tau[interior]
+    bad = ~np.isfinite(tau_in)
+    if bad.any():
+        raise NumericalError(
+            f"tension is not finite at {int(np.any(bad, axis=-1).sum())} "
+            "points inside the stencil's reach")
 
     # mean curvature through the harmonic-map identity: tangential part from
     # the two Christoffel contractions, normal part is tau itself
@@ -205,18 +241,20 @@ def _tension_arrays(values: np.ndarray, st: _Static) -> TensionPass:
     min_theta = float(np.nanmin(u1 + u2))
     max_jf = stencils.finite_abs_max(jf)
 
-    # CFL cap: dt <= cfl h^2 / max eig(ginv)
+    # largest eigenvalue of ginv: the implicit coefficient, and the explicit
+    # CFL cap dt <= cfl h^2 / eig_max
     tr = gi11 + gi22
     disc = np.sqrt(np.clip((gi11 - gi22) ** 2 + 4.0 * gi12 ** 2, 0.0, None))
-    eig_max = stencils.finite_abs_max(0.5 * (tr + disc))
+    eig_max = float(np.max((0.5 * (tr + disc))[interior]))
     h2 = min(grid.hx, grid.hy) ** 2
     return TensionPass(
         tau=tau,
-        norm_tau=stencils.finite_abs_max(tau),
+        norm_tau=float(np.max(np.abs(tau_in))),
         norm_H=norm_H,
         min_phi=min_phi,
         min_theta=min_theta,
         max_abs_jf=max_jf,
+        eig_max=eig_max,
         cfl_dt=h2 / eig_max,
     )
 
@@ -254,10 +292,14 @@ class FlowState:
 
 
 def make_state(initial: MapField, config: FlowConfig) -> FlowState:
-    """Evaluate the initial tension and seed the monitor series (step 0)."""
+    """Evaluate the initial tension and seed the monitor series (step 0).
+
+    dt starts at dt_initial (or dt_max when unset); the explicit stepper
+    applies its CFL cap on each step.
+    """
     st = _static_data(initial.grid, initial.source, initial.target)
     tp = _tension_arrays(initial.values, st)
-    dt = min(config.dt_max, config.cfl_factor * tp.cfl_dt)
+    dt = config.dt_max
     if config.dt_initial is not None:
         dt = min(dt, config.dt_initial)
     state = FlowState(map=initial, t=0.0, dt=dt, tension_norm=tp.norm_tau,
@@ -273,33 +315,33 @@ def _row(state: FlowState, tp: TensionPass) -> MonitorRow:
                       norm_tau=tp.norm_tau)
 
 
-def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """Advance one accepted explicit Euler step (rejections retry inside).
-
-    Dirichlet boundary values are carried over bit-identically: the update
-    adds dt * tau only where the tension stencil is defined, which excludes
-    the boundary ring. Periodic grids update every point.
-    """
+def _current(state: FlowState) -> tuple[_Static, TensionPass]:
     if state._static is None or state._last is None:
         state._static = _static_data(state.map.grid, state.map.source,
                                      state.map.target)
         state._last = _tension_arrays(state.map.values, state._static)
         state.tension_norm = state._last.norm_tau
-    st = state._static
-    tp = state._last
-    grid = state.map.grid
-    h2 = grid.h ** 2
-    tau = tp.tau
-    update_mask = np.all(np.isfinite(tau), axis=-1)
-    tau_filled = np.where(update_mask[..., None], tau, 0.0)
+    return state._static, state._last
 
-    dt = min(state.dt, config.dt_max, config.cfl_factor * tp.cfl_dt)
+
+def _advance(state: FlowState, config: FlowConfig,
+             increment: Callable[[float, np.ndarray, TensionPass], np.ndarray],
+             dt_cap: Callable[[TensionPass], float]) -> FlowState:
+    """Accept one step f <- f + increment(dt, tau, tp) on the structural
+    interior (tau is the tension there), halving dt on a chart exit or a
+    tension jump. dt is capped by dt_max and by the stepper's dt_cap."""
+    st, tp = _current(state)
+    interior = _interior(state.map.grid)
+    tau = tp.tau[interior]
+    h2 = state.map.grid.h ** 2
+    dt = min(state.dt, config.dt_max, dt_cap(tp))
     while True:
         if dt < DT_UNDERFLOW_FACTOR * h2:
             raise NumericalError(
                 f"flow stalled: dt underflow at t={state.t:.6g} "
                 f"(tension {tp.norm_tau:.3e})")
-        candidate = state.map.values + dt * tau_filled
+        candidate = state.map.values.copy()
+        candidate[interior] += increment(dt, tau, tp)
         f1, f2 = candidate[..., 0], candidate[..., 1]
         if not bool(np.all(st.target.contains(f1, f2))):
             dt *= 0.5
@@ -320,10 +362,87 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     state._last = new_tp
     state._accept_run += 1
     if state._accept_run >= RECOVERY_RUN:
-        state.dt = min(2.0 * dt, config.dt_max, config.cfl_factor * new_tp.cfl_dt)
+        state.dt = min(2.0 * dt, config.dt_max, dt_cap(new_tp))
         state._accept_run = 0
     state.monitors.append(_row(state, new_tp))
     return state
+
+
+def step(state: FlowState, config: FlowConfig) -> FlowState:
+    """Advance one accepted linearly implicit step (rejections retry inside).
+
+    Solves (I - dt a Lap_h) delta = dt tau with a = max eig(g^-1) and adds
+    delta on the structural interior, so Dirichlet boundary values are
+    carried over bit-identically. dt has no CFL cap.
+    """
+    grid = state.map.grid
+    return _advance(
+        state, config,
+        lambda dt, tau, tp: solve_shifted_laplacian(dt * tau, dt * tp.eig_max, grid),
+        lambda tp: math.inf)
+
+
+def explicit_step(state: FlowState, config: FlowConfig) -> FlowState:
+    """Advance one accepted explicit Euler step (rejections retry inside).
+
+    Adds dt * tau on the structural interior, with dt capped at
+    cfl_factor * h^2 / max eig(g^-1). Dirichlet boundary values are
+    carried over bit-identically; periodic grids update every point.
+    """
+    return _advance(
+        state, config,
+        lambda dt, tau, tp: dt * tau,
+        lambda tp: config.cfl_factor * tp.cfl_dt)
+
+
+# ------------------------------------------------------ fast implicit solve
+
+def _sine_transform(v: np.ndarray, axis: int) -> np.ndarray:
+    """Type-I discrete sine transform along one axis,
+    S_k = sum_j v_j sin(pi j k / (m + 1)) for j, k = 1..m, from the real
+    FFT of the odd extension (0, v, 0, -reversed v). Applied twice it gives
+    (m + 1) / 2 times the identity."""
+    v = np.moveaxis(v, axis, 0)
+    m = v.shape[0]
+    ext = np.zeros((2 * (m + 1),) + v.shape[1:])
+    ext[1:m + 1] = v
+    ext[m + 2:] = -v[::-1]
+    out = -0.5 * np.fft.rfft(ext, axis=0)[1:m + 1].imag
+    return np.moveaxis(out, 0, axis)
+
+
+def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
+    """Eigenvalues of the 1-D second difference -d_hh on the transform's
+    modes: 4 sin^2(theta / 2) / h^2 with theta = 2 pi k / n (periodic) or
+    pi k / (n - 1), k = 1..n-2 (Dirichlet interior)."""
+    if periodic:
+        theta = 2.0 * np.pi * np.arange(n) / n
+    else:
+        theta = np.pi * np.arange(1, n - 1) / (n - 1)
+    return 4.0 * np.sin(0.5 * theta) ** 2 / (h * h)
+
+
+def solve_shifted_laplacian(rhs: np.ndarray, coef: float,
+                            grid: GridChart) -> np.ndarray:
+    """Solve (I - coef Lap_h) u = rhs on the structural interior.
+
+    Lap_h is the 5-point Laplacian with the grid's spacings hx, hy. On a
+    Dirichlet grid rhs and u cover the interior [1:-1, 1:-1] and u is zero
+    on the ring; on a periodic grid they cover the whole grid. Trailing
+    axes of rhs are independent components.
+    """
+    lx = _symbol(grid.nx, grid.hx, grid.periodic)
+    ly = _symbol(grid.ny, grid.hy, grid.periodic)
+    if grid.periodic:
+        ly = ly[:grid.ny // 2 + 1]
+    denom = 1.0 + coef * (lx[:, None] + ly[None, :])
+    denom = denom.reshape(denom.shape + (1,) * (rhs.ndim - 2))
+    if grid.periodic:
+        spec = np.fft.rfft2(rhs, axes=(0, 1)) / denom
+        return np.fft.irfft2(spec, s=(grid.nx, grid.ny), axes=(0, 1))
+    spec = _sine_transform(_sine_transform(rhs, 0), 1) / denom
+    scale = 4.0 / ((grid.nx - 1) * (grid.ny - 1))
+    return scale * _sine_transform(_sine_transform(spec, 0), 1)
 
 
 @dataclass(frozen=True)

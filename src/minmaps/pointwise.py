@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import StencilError
 from .expressions import MapExpr
-from .linalg2 import apply2, det2, inner, spd_inv_sqrt2, sym_eig2
+from .linalg2 import apply2, det2, inner, inv2, spd_inv_sqrt2, sym_eig2
 from .surface import ConformalMetric, GridChart
 
 __all__ = [
@@ -43,6 +43,11 @@ __all__ = [
 _CONFORMAL_GAP = 1e-10
 # singular values below this count as rank loss when building the beta frame
 _RANK_FLOOR = 1e-14
+# |df alpha1| / |df alpha2| below this counts as rank loss for the beta
+# frame: the direction of df(alpha1) carries a rounding error of about
+# eps mu / lam, which grows to sqrt(eps) ~ 1.5e-8 at lam / mu = sqrt(eps),
+# so beta1 is rebuilt from beta2 well before that
+_NEAR_RANK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,11 @@ def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):
     s = sign(det df), the alpha frame g_M-orthonormal and positively
     oriented, the beta frame g_N-orthonormal with df(alpha1) = lam beta1,
     df(alpha2) = mu beta2. At conformal points (lam == mu) alpha1 points
-    along the source x-axis; rank-deficient directions are completed by
-    the positively oriented g_N-orthonormal complement.
+    along the source x-axis; where df vanishes (mu below the rank floor)
+    both frames lie along the chart axes. Near rank loss (|df alpha1| <=
+    1e-6 mu, or below the rank floor) beta1 is the g_N-orthonormal
+    complement of beta2, oriented with sign(det df) and positively when
+    det df == 0, and lam is |df alpha1|.
     """
     df = np.asarray(df, float)
     gM = np.asarray(gM, float)
@@ -155,10 +163,14 @@ def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):
     alpha1 = apply2(w, w_lo)
     alpha2 = apply2(w, w_hi)
 
-    # conformal points: deterministic chart-axis frame
+    # conformal points, and points where df vanishes to working precision
+    # (its pullback may underflow, and the eigenvectors then lose their
+    # normalisation): deterministic chart-axis frame
+    floor = _RANK_FLOOR * (1.0 + mu)
+    vanishing = mu <= floor
     gap = hi - lo
     scale = np.abs(hi) + np.abs(lo)
-    conformal = gap <= _CONFORMAL_GAP * np.where(scale > 0, scale, 1.0)
+    conformal = (gap <= _CONFORMAL_GAP * np.where(scale > 0, scale, 1.0)) | vanishing
     if np.any(conformal):
         e1 = np.zeros(shape + (2,))
         e1[..., 0] = 1.0 / np.sqrt(gM[..., 0, 0])
@@ -179,12 +191,13 @@ def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):
     t2 = apply2(df, alpha2)
     n1 = np.sqrt(np.abs(inner(gN, t1, t1)))
     n2 = np.sqrt(np.abs(inner(gN, t2, t2)))
-    floor = _RANK_FLOOR * (1.0 + mu)
     finite = np.isfinite(n2)
     ok1 = n1 > floor
     ok2 = n2 > floor
-    rank0 = ~ok2 & finite          # df vanishes entirely
-    rank1 = ~ok1 & ok2             # df has a one-dimensional image
+    rank0 = (vanishing | ~ok2) & finite    # df vanishes entirely
+    # df has a one-dimensional image to working precision; n1 measures lam
+    # to ~eps mu, where the eigenvalue route only resolves ~sqrt(eps) mu
+    rank1 = ok2 & (~ok1 | (n1 <= _NEAR_RANK * n2))
 
     with np.errstate(invalid="ignore", divide="ignore"):
         beta1 = np.where(ok1[..., None], t1 / np.where(ok1, n1, 1.0)[..., None], 0.0)
@@ -200,14 +213,18 @@ def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):
         beta1 = np.where(rank0[..., None], axis1, beta1)
         beta2 = np.where(rank0[..., None], axis2, beta2)
 
+    s = np.sign(det2(df))
     if np.any(rank1):
-        # complete beta2 to a positively oriented g_N-orthonormal pair
-        comp = np.stack([beta2[..., 1], -beta2[..., 0]], axis=-1)
+        # complete beta2 to a g_N-orthonormal pair oriented like df
+        # (positively when det df == 0): gN^-1 of the chart perpendicular;
+        # exact singular vectors are always such a pair
+        comp = apply2(inv2(gN), np.stack([beta2[..., 1], -beta2[..., 0]], axis=-1))
+        comp *= np.where(s < 0, -1.0, 1.0)[..., None]
         with np.errstate(invalid="ignore"):
             comp /= np.sqrt(np.maximum(inner(gN, comp, comp), 1e-300))[..., None]
         beta1 = np.where(rank1[..., None], comp, beta1)
+        lam = np.where(rank1, n1, lam)
 
-    s = np.sign(det2(df))
     if not np.all(finite):
         bad = (~finite)[..., None]
         alpha1 = np.where(bad, np.nan, alpha1)

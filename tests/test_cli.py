@@ -27,6 +27,19 @@ def load_csv(path, skiprows=2):
     return np.loadtxt(path, delimiter=",", skiprows=skiprows)
 
 
+# ------------------------------------------------------------------ tables
+
+def test_point_table_layout(tmp_path):
+    from minmaps.cli import _write_table
+
+    a = np.arange(6.0).reshape(2, 3) / 3.0
+    b = np.array([[np.nan, 1e-300, -0.0], [np.inf, 2.5, 1e17]])
+    _write_table(tmp_path / "t.csv", "t", ["a", "b"], [a, b])
+    lines = ["# minmaps t csv v1", "a,b"]
+    lines += [f"{a[i, j]:.17g},{b[i, j]:.17g}" for i in range(2) for j in range(3)]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 # ----------------------------------------------------------------- curvature
 
 def test_curvature_preset_poincare(tmp_path):
@@ -192,6 +205,30 @@ def test_flow_relaxes_perturbed_holomorphic_map(tmp_path):
     assert int(last[0]) == int(summary["steps"])
     assert float(last[3]) >= -1e-6  # final min_phi
     assert (out / "final_map.txt").exists()
+
+
+def test_flow_nan_sample_is_numerical_failure(tmp_path, capsys):
+    # 0 * log(0) puts one NaN sample at the origin of an affine map; the
+    # flow must fail loudly rather than report a converged zero tension
+    cfgfile = tmp_path / "flow.ini"
+    cfgfile.write_text(textwrap.dedent("""\
+        [scenario]
+        kind = flow
+        [source]
+        metric = euclidean
+        [target]
+        metric = euclidean
+        [map]
+        spec = expr:2*x + 0*log(x^2 + y^2), 0.5*y
+        [grid]
+        nx = 33
+        half_width = 1
+    """))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = main(["flow", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert "tension is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "summary.txt").exists()
 
 
 # ------------------------------------------------------------------ plumbing

@@ -1,5 +1,6 @@
-"""Tension-field evaluation and the explicit relaxation loop: step control,
-boundary pinning, stall detection, and agreement with plain heat flow."""
+"""Tension-field evaluation and the two relaxation steppers (linearly
+implicit and explicit Euler): step control, boundary pinning, stall
+detection, the fast implicit solve, and agreement with plain heat flow."""
 
 import math
 
@@ -11,6 +12,30 @@ from minmaps import (BoundaryMode, ConformalMetric, FlowConfig, GridChart,
 from minmaps.errors import ConfigError, NumericalError, StencilError
 
 EUC = ConformalMetric.euclidean()
+
+
+def heat_seed(n=32, eps=1e-3):
+    """Constant map between flat factors plus tiny sine modes on a periodic
+    grid; to O(eps^3) the tension is the 5-point Laplacian of f."""
+    grid = GridChart(0.0, 2 * math.pi, 0.0, 2 * math.pi, n, n,
+                     boundary=BoundaryMode.PERIODIC)
+    expr = MapExpr.parse(f"0.1 + {eps}*sin(x)*sin(y), -0.2 + {eps}*sin(x)*cos(y)")
+    return MapField.from_expr(grid, EUC, EUC, expr)
+
+
+def mode_amplitudes(mf):
+    X, Y = mf.grid.mesh()
+    out = []
+    for comp, mode in ((0, np.sin(X) * np.sin(Y)), (1, np.sin(X) * np.cos(Y))):
+        out.append(float(np.sum(mf.values[..., comp] * mode) / np.sum(mode * mode)))
+    return out
+
+
+def affine_with_nan():
+    mf = presets.affine_field()
+    vals = mf.values.copy()
+    vals[16, 16, 0] = np.nan
+    return mf.with_values(vals)
 
 
 def perturbed_z2(n=33, eps=0.01):
@@ -52,7 +77,23 @@ def test_tension_pass_monitors_match_pointwise_route(z2_33):
     assert tp.min_phi == pytest.approx(np.nanmin(bare.phi), abs=1e-12)
     assert tp.min_theta == pytest.approx(np.nanmin(bare.theta), abs=1e-12)
     assert tp.max_abs_jf == pytest.approx(np.nanmax(np.abs(bare.jf)), abs=1e-12)
-    assert tp.cfl_dt > 0
+    assert tp.cfl_dt == pytest.approx(z2_33.grid.h ** 2 / tp.eig_max, rel=1e-15)
+
+
+def test_nan_inside_stencil_reach_is_a_numerical_error():
+    # one NaN sample in an otherwise tension-free map must not read as
+    # machine zero: tension, run_to_minimal and both steppers all raise
+    mf = affine_with_nan()
+    with pytest.raises(NumericalError, match="not finite at 9 points"):
+        flow.tension_pass(mf)
+    with pytest.raises(NumericalError):
+        flow.run_to_minimal(mf, FlowConfig(stop_tension=1e-8))
+    cfg = FlowConfig(stop_tension=1e-8)
+    for stepper in (flow.step, flow.explicit_step):
+        state = flow.make_state(presets.affine_field(), cfg)
+        state.map = mf
+        with pytest.raises(NumericalError, match="not finite"):
+            stepper(state, cfg)
 
 
 # ------------------------------------------------------------------ stepping
@@ -79,14 +120,15 @@ def test_boundary_rows_are_pinned_bitwise():
     mf = perturbed_z2()
     before = mf.values.copy()
     cfg = FlowConfig(stop_tension=1e-8)
-    state = flow.make_state(mf, cfg)
-    for _ in range(3):
-        flow.step(state, cfg)
-    after = state.map.values
-    assert state.steps == 3
-    for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
-        assert np.array_equal(after[sl], before[sl])
-    assert not np.array_equal(after[1:-1, 1:-1], before[1:-1, 1:-1])
+    for stepper in (flow.step, flow.explicit_step):
+        state = flow.make_state(mf, cfg)
+        for _ in range(3):
+            stepper(state, cfg)
+        after = state.map.values
+        assert state.steps == 3
+        for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+            assert after[sl].tobytes() == before[sl].tobytes()
+        assert not np.array_equal(after[1:-1, 1:-1], before[1:-1, 1:-1])
 
 
 def test_monitor_series_grows_with_steps():
@@ -105,9 +147,24 @@ def test_monitor_series_grows_with_steps():
 def test_rejection_halves_dt_until_acceptable(z2_33):
     cfg = FlowConfig(stop_tension=1e-10, cfl_factor=1.0, dt_max=10.0)
     state = flow.make_state(z2_33, cfg)
-    dt0 = state.dt
+    # the explicit stepper starts from its CFL-capped dt
+    dt0 = min(state.dt, cfg.cfl_factor * state._last.cfl_dt)
     # a synthetic tension spike drives the candidate outside the disc and
     # above the tension-jump guard; the step must survive by halving dt
+    state._last.tau[16, 16, :] = 500.0
+    flow.explicit_step(state, cfg)
+    assert state.steps == 1
+    assert state.dt < dt0 / 4
+    assert state.monitors[-1].dt == state.dt
+    assert bool(np.all(np.hypot(state.map.values[..., 0],
+                                state.map.values[..., 1]) < 1.0))
+
+
+def test_implicit_rejection_halves_dt_until_acceptable(z2_33):
+    cfg = FlowConfig(stop_tension=1e-10, dt_max=10.0)
+    state = flow.make_state(z2_33, cfg)
+    dt0 = state.dt
+    assert dt0 == cfg.dt_max
     state._last.tau[16, 16, :] = 500.0
     flow.step(state, cfg)
     assert state.steps == 1
@@ -120,12 +177,14 @@ def test_rejection_halves_dt_until_acceptable(z2_33):
 def test_flow_stall_raises():
     base = presets.z_squared_field(n=33)
     cfg = FlowConfig(stop_tension=1e-10, cfl_factor=1.0)
-    state = flow.make_state(base, cfg)
     # a spike in the CURRENT values (not the update) cannot be halved away,
     # so every retry re-detects the tension jump and dt underflows
-    state.map.values[16, 16, 0] += 5e-3
-    with pytest.raises(NumericalError, match="stalled"):
-        flow.step(state, cfg)
+    for stepper in (flow.explicit_step, flow.step):
+        state = flow.make_state(base, cfg)
+        state.map = state.map.with_values(state.map.values.copy())
+        state.map.values[16, 16, 0] += 5e-3
+        with pytest.raises(NumericalError, match="stalled"):
+            stepper(state, cfg)
 
 
 def test_max_steps_bounds_work():
@@ -150,29 +209,74 @@ def test_flow_agrees_with_heat_semidiscretization():
     # tiny sine perturbations of a constant map between flat factors evolve,
     # to O(amplitude^3), by the 5-point heat stencil whose modes decay as
     # (1 - dt lambda_h)^k with lambda_h = 8 sin^2(h/2) / h^2
-    n = 32
     eps = 1e-3
-    grid = GridChart(0.0, 2 * math.pi, 0.0, 2 * math.pi, n, n,
-                     boundary=BoundaryMode.PERIODIC)
-    expr = MapExpr.parse(f"0.1 + {eps}*sin(x)*sin(y), -0.2 + {eps}*sin(x)*cos(y)")
-    mf = MapField.from_expr(grid, EUC, EUC, expr)
+    mf = heat_seed(eps=eps)
     dt = 1e-4
     cfg = FlowConfig(stop_tension=1e-9, cfl_factor=1.0,
                      dt_initial=dt, dt_max=dt)
     state = flow.make_state(mf, cfg)
     steps = 200
     for _ in range(steps):
-        flow.step(state, cfg)
+        flow.explicit_step(state, cfg)
     assert all(r.dt == dt for r in state.monitors)
     assert state.t == pytest.approx(steps * dt, rel=1e-12)
 
-    h = grid.hx
+    h = mf.grid.hx
     lam = 8.0 * math.sin(h / 2) ** 2 / h ** 2
     want = eps * (1.0 - dt * lam) ** steps
-    X, Y = grid.mesh()
-    for comp, mode in ((0, np.sin(X) * np.sin(Y)), (1, np.sin(X) * np.cos(Y))):
-        amp = float(np.sum(state.map.values[..., comp] * mode) / np.sum(mode * mode))
+    for amp in mode_amplitudes(state.map):
         assert amp == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("dt, steps", [(1e-4, 200), (0.5, 10)])
+def test_implicit_flow_matches_backward_euler_heat_decay(dt, steps):
+    # with a = max eig(g^-1) = 1 on flat factors the implicit step is
+    # backward Euler for the 5-point heat equation: modes decay as
+    # (1 + dt lambda_h)^-k, also at dt far beyond the explicit CFL cap
+    eps = 1e-3
+    mf = heat_seed(eps=eps)
+    cfg = FlowConfig(stop_tension=1e-12, dt_initial=dt, dt_max=dt)
+    state = flow.make_state(mf, cfg)
+    for _ in range(steps):
+        flow.step(state, cfg)
+    assert all(r.dt == dt for r in state.monitors)
+    assert state.t == pytest.approx(steps * dt, rel=1e-12)
+    if dt == 0.5:
+        assert dt > 12 * state._last.cfl_dt
+
+    h = mf.grid.hx
+    lam = 8.0 * math.sin(h / 2) ** 2 / h ** 2
+    want = eps * (1.0 + dt * lam) ** -steps
+    for amp in mode_amplitudes(state.map):
+        assert amp == pytest.approx(want, rel=1e-5)
+
+
+def test_implicit_step_count_does_not_grow_with_grid():
+    # criterion-7 start (z^2 plus a 0.01 sine bump), relaxed 1000x
+    counts = []
+    for n in (33, 65, 129):
+        mf = perturbed_z2(n=n)
+        tau0 = flow.tension_pass(mf).norm_tau
+        result = flow.run_to_minimal(mf, FlowConfig(stop_tension=tau0 / 1000.0))
+        assert result.converged
+        assert result.certificate.area_decreasing
+        counts.append(result.state.steps)
+    assert max(counts) <= 1.1 * min(counts)
+
+
+@pytest.mark.parametrize("boundary", [BoundaryMode.DIRICHLET, BoundaryMode.PERIODIC])
+def test_shifted_laplacian_solve_residual(boundary):
+    grid = GridChart(0.0, 1.0, 0.0, 2.5, 33, 20, boundary=boundary)
+    assert grid.hx != grid.hy
+    interior = np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
+    u = np.zeros((grid.nx, grid.ny, 2))
+    rhs = np.random.default_rng(7).standard_normal(u[interior].shape)
+    coef = 0.37
+    u[interior] = flow.solve_shifted_laplacian(rhs, coef, grid)
+    for k in range(2):
+        lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
+        residual = (u[..., k] - coef * lap)[interior] - rhs[..., k]
+        assert np.abs(residual).max() <= 1e-12
 
 
 # ------------------------------------------------------------------------ io

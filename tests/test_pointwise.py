@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minmaps import ConformalMetric, GridChart, MapExpr, MapField
@@ -91,6 +91,21 @@ def test_decomposition_negative_orientation():
     lam, mu, s, *_ = decompose(np.diag([1.0, -3.0]))
     assert s == -1.0
     assert (lam, mu) == pytest.approx((1.0, 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("d10", [5.85e-12, -5.85e-12, 0.0])
+def test_decomposition_near_rank_loss_with_tensor_target_metric(d10):
+    # lam / mu ~ 3e-12: beta1 is the g_N-complement of beta2, also for a
+    # non-conformal g_N, and (beta1, beta2) is oriented like det df
+    df = np.array([[1.0, 1.5], [d10, 0.0]])
+    gN = np.array([[2.0, 0.3], [0.3, 1.0]])
+    lam, mu, s, a1, a2, b1, b2 = decompose(df, 2.25 * EUC, gN)
+    assert float(lam) <= 1e-7 * float(mu)
+    assert b1 @ gN @ b1 == pytest.approx(1.0, abs=1e-14)
+    assert b2 @ gN @ b2 == pytest.approx(1.0, abs=1e-14)
+    assert b1 @ gN @ b2 == pytest.approx(0.0, abs=1e-14)
+    cross = b1[0] * b2[1] - b1[1] * b2[0]
+    assert math.copysign(1.0, cross) == (-1.0 if s < 0 else 1.0)
 
 
 # ------------------------------------------------------- derived quantities
@@ -186,6 +201,13 @@ rho_vals = st.floats(0.2, 5.0)
 @settings(max_examples=150, deadline=None)
 @given(matrix_entries, matrix_entries, matrix_entries, matrix_entries,
        rho_vals, rho_vals)
+# near rank loss (lam / mu ~ 3e-12) df(alpha1) has no reliable direction;
+# beta1 must still be exactly g_N-orthogonal to beta2
+@example(d00=1.0, d01=1.5, d10=5.85e-12, d11=0.0, rM=1.5, rN=1.0)
+# df vanishes and its pullback underflows to subnormals: the eigenvectors
+# are not normalised, so both frames must come from the chart axes
+@example(d00=1.2145413401636572e-161, d01=1.2145413401636572e-161,
+         d10=0.0, d11=0.0, rM=1.0, rN=1.0)
 def test_decomposition_reconstruction_property(d00, d01, d10, d11, rM, rN):
     df = np.array([[d00, d01], [d10, d11]])
     gM = rM ** 2 * np.eye(2)

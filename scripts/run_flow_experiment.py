@@ -7,21 +7,10 @@ Usage: python scripts/run_flow_experiment.py [--fixture z_squared] [--n 65]
 """
 
 import argparse
-import math
 import time
 from pathlib import Path
 
-import numpy as np
-
-from minmaps import FlowConfig, MapField, flow, presets
-
-
-def perturb(mf, eps):
-    g = mf.grid
-    X, Y = g.mesh()
-    bump = eps * (np.sin(math.pi * (X - g.x0) / (g.x1 - g.x0))
-                  * np.sin(math.pi * (Y - g.y0) / (g.y1 - g.y0)))
-    return MapField(g, mf.source, mf.target, mf.values + bump[..., None])
+from minmaps import FlowConfig, flow, presets
 
 
 def main():
@@ -37,9 +26,7 @@ def main():
                     help="write monitors.csv and final_map.txt here")
     args = ap.parse_args()
 
-    make = presets.SCENARIOS[args.fixture]
-    base = make(nx=args.n) if args.fixture == "paper_example" else make(n=args.n)
-    start = perturb(base, args.eps)
+    start = presets.sine_bump(presets.SCENARIOS[args.fixture](n=args.n), args.eps)
     tau0 = flow.tension_pass(start).norm_tau
     print(f"fixture = {args.fixture}, n = {args.n}, eps = {args.eps}")
     print(f"initial tension = {tau0:.6e}, target = {tau0 / args.reduction:.6e}")

@@ -23,11 +23,6 @@ CHECKS = (
 )
 
 
-def make_field(name, n):
-    make = presets.SCENARIOS[name]
-    return make(nx=n) if name == "paper_example" else make(n=n)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--fixture", default="z_squared",
@@ -42,7 +37,7 @@ def main():
     for name, check in CHECKS:
         quantity = check if name == "mean_curvature" \
             else (lambda mf, c=check: c(mf).norm_inf)
-        st = refinement_study(lambda n: make_field(args.fixture, n), ns, quantity)
+        st = refinement_study(presets.SCENARIOS[args.fixture], ns, quantity)
         norms = " ".join(f"{v:.6e}" for v in st.norms)
         orders = "exact" if st.exact else \
             " ".join(f"{o:.3f}" for o in st.orders)

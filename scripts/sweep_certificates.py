@@ -32,8 +32,7 @@ def main():
               f"{'max|J_f|':>10} {'decreasing':>10}  probe")
     print(header)
     for name in sorted(presets.SCENARIOS):
-        make = presets.SCENARIOS[name]
-        mf = make(nx=args.n) if name == "paper_example" else make(n=args.n)
+        mf = presets.SCENARIOS[name](n=args.n)
         hyp = HYPOTHESES[name]
         cert = area_decreasing_certificate(mf, hyp)
         probe = interior_minimum_probe(mf, "phi", hyp)

@@ -5,7 +5,7 @@ from .surface import BoundaryMode, ConformalMetric, FactorKind, GridChart, Theor
 from .expressions import MapExpr
 from .pointwise import (
     Classification, MapField, PointClass, PointwiseGeometry, PointwiseGrid,
-    classify_point, jacobians, kahler_cosines, pointwise_geometry, pointwise_grid,
+    classify_point, jacobians, kahler_cosines, pointwise_grid,
     singular_decomposition,
 )
 from .graph_geometry import (

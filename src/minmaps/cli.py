@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -59,8 +58,8 @@ from . import presets
 from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
 from .flow import FlowConfig, run_to_minimal, write_monitors_csv, write_snapshot
 from .pointwise import MapField
-from .surface import BoundaryMode, ConformalMetric, GridChart
-from .verifier import (area_decreasing_certificate, refinement_study,
+from .surface import BoundaryMode, GridChart
+from .verifier import (area_decreasing_certificate, convergence_study,
                        verify_form_laplacian, verify_gradient_identities,
                        verify_jacobian_laplacians, verify_pullback_derivative)
 
@@ -218,20 +217,6 @@ def _grid_from_config(cfg: ScenarioConfig, nx: Optional[int] = None) -> GridChar
     return GridChart(x0, x1, y0, y1, nx, ny, _boundary(cfg.boundary))
 
 
-def _apply_perturbation(mf: MapField, eps: float) -> MapField:
-    """Interior sine bump on both components; Dirichlet traces untouched."""
-    if eps == 0.0:
-        return mf
-    g = mf.grid
-    X, Y = g.mesh()
-    bump = eps * (np.sin(math.pi * (X - g.x0) / (g.x1 - g.x0))
-                  * np.sin(math.pi * (Y - g.y0) / (g.y1 - g.y0)))
-    vals = mf.values.copy()
-    vals[..., 0] += bump
-    vals[..., 1] += bump
-    return mf.with_values(vals)
-
-
 def _make_field(cfg: ScenarioConfig, n: Optional[int] = None) -> MapField:
     """Build the scenario map, from a preset fixture or from config pieces."""
     if cfg.preset is not None:
@@ -240,18 +225,13 @@ def _make_field(cfg: ScenarioConfig, n: Optional[int] = None) -> MapField:
                               f"{', '.join(sorted(presets.SCENARIOS))}")
         size = n if n is not None else cfg.grid_n
         make = presets.SCENARIOS[cfg.preset]
-        if size is None:
-            mf = make()
-        elif cfg.preset == "paper_example":
-            mf = make(nx=size)
-        else:
-            mf = make(n=size)
+        mf = make() if size is None else make(n=size)
     else:
         grid = _grid_from_config(cfg, n)
         expr = presets.parse_map_spec(cfg.map_spec)
         mf = MapField.from_expr(grid, presets.parse_metric_spec(cfg.source),
                                 presets.parse_metric_spec(cfg.target), expr)
-    return _apply_perturbation(mf, cfg.perturb)
+    return presets.sine_bump(mf, cfg.perturb)
 
 
 # ------------------------------------------------------------------ artifacts
@@ -365,12 +345,15 @@ def _run_verify(cfg: ScenarioConfig) -> None:
 
 
 def _run_refine(cfg: ScenarioConfig) -> None:
+    # one field (and one graph geometry) per grid serves all four identities
     ns = cfg.refine_grids
-    studies = {}
-    for name, check in IDENTITY_CHECKS:
-        studies[name] = refinement_study(
-            lambda n: _make_field(cfg, n), ns,
-            lambda mf, check=check: check(mf).norm_inf)
+    hs, norms = [], {name: [] for name, _ in IDENTITY_CHECKS}
+    for n in ns:
+        mf = _make_field(cfg, n)
+        hs.append(mf.grid.h)
+        for name, check in IDENTITY_CHECKS:
+            norms[name].append(check(mf).norm_inf)
+    studies = {name: convergence_study(hs, norms[name]) for name in norms}
 
     any_study = next(iter(studies.values()))
     columns = ["h"] + [name for name, _ in IDENTITY_CHECKS]

@@ -48,8 +48,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import stencils
-from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
-from .graph_geometry import _window
+from .errors import ConfigError, NumericalError, StencilError
+from .graph_geometry import _window, induced_metric_arrays
 from .pointwise import MapField
 from .surface import BoundaryMode, ConformalMetric, GridChart
 from .verifier import Certificate, area_decreasing_certificate
@@ -90,8 +90,14 @@ class FlowConfig:
     dt_max: float = 1e-2
 
     def __post_init__(self):
-        if self.stop_tension <= 0 or self.max_steps < 1:
-            raise ConfigError("stop_tension must be positive, max_steps >= 1")
+        # a NaN or infinite dt never shrinks under halving and 0 stalls at
+        # once; a NaN stop_tension would end the run unconverged at step 0
+        for name in ("stop_tension", "dt_max", "dt_initial"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive (got {value!r})")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be >= 1")
         if not 0 < self.cfl_factor <= 1:
             raise ConfigError("cfl_factor must lie in (0, 1]")
 
@@ -159,17 +165,9 @@ def _tension_arrays(values: np.ndarray, st: _Static) -> TensionPass:
     uNx = np.broadcast_to(uNx, f1.shape)
     uNy = np.broadcast_to(uNy, f1.shape)
 
-    # induced metric g = rhoM^2 I + rhoN2 * (df^T df)
-    p11 = f1x * f1x + f2x * f2x
-    p12 = f1x * f1y + f2x * f2y
-    p22 = f1y * f1y + f2y * f2y
-    g11 = st.rhoM2 + rhoN2 * p11
-    g12 = rhoN2 * p12
-    g22 = st.rhoM2 + rhoN2 * p22
-    detg = g11 * g22 - g12 * g12
-    gi11 = g22 / detg
-    gi12 = -g12 / detg
-    gi22 = g11 / detg
+    m = induced_metric_arrays(f1x, f1y, f2x, f2y, st.rhoM2, rhoN2)
+    p11, p12, p22 = m.p11, m.p12, m.p22
+    detg, gi11, gi12, gi22 = m.det, m.gi11, m.gi12, m.gi22
 
     # d_k g_ij assembled by the product rule (exact metric derivatives,
     # FD only on f): dg_kij = rhoN2 (f_ki . f_j + f_i . f_kj)

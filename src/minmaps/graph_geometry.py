@@ -26,21 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from . import stencils
 from .errors import StencilError
-from .linalg2 import det2, inv2
 from .pointwise import MapField, PointwiseGrid
 from .surface import GridChart
 
 __all__ = [
-    "GraphGrid", "ScalarFieldOnGraph", "NormalScalars",
-    "graph_grid", "induced_metric", "adapted_frame", "second_fundamental_form",
-    "mean_curvature", "normal_scalars", "sigma_perp_commutator",
-    "ambient_curvature", "ambient_curvature_term",
+    "GraphGrid", "InducedMetric", "ScalarFieldOnGraph", "NormalScalars",
+    "graph_grid", "induced_metric", "induced_metric_arrays", "adapted_frame",
+    "second_fundamental_form", "mean_curvature", "normal_scalars",
+    "sigma_perp_commutator", "ambient_curvature", "ambient_curvature_term",
     "laplace_beltrami_array", "gradient_norm_sq_array",
     "laplace_beltrami", "gradient_norm_sq",
     "pullback_form", "form_on_frame", "kahler_angle_crosscheck",
@@ -49,21 +47,20 @@ __all__ = [
 
 # ------------------------------------------------------------------ algebra
 
-def product_inner(gM: np.ndarray, gN: np.ndarray,
+def product_inner(rhoM2: np.ndarray, rhoN2: np.ndarray,
                   X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Product metric pairing of 4-vectors."""
-    m = np.einsum("...i,...ij,...j->...", X[..., :2], gM, Y[..., :2])
-    n = np.einsum("...i,...ij,...j->...", X[..., 2:], gN, Y[..., 2:])
-    return m + n
+    return (rhoM2 * (X[..., 0] * Y[..., 0] + X[..., 1] * Y[..., 1])
+            + rhoN2 * (X[..., 2] * Y[..., 2] + X[..., 3] * Y[..., 3]))
 
 
-def ambient_curvature(X, Y, Z, W, gM, gN, sigmaM, sigmaN) -> np.ndarray:
+def ambient_curvature(X, Y, Z, W, rhoM2, rhoN2, sigmaM, sigmaN) -> np.ndarray:
     """R(X, Y, Z, W) of the product of two constant-curvature factors."""
     def gm(u, v):
-        return np.einsum("...i,...ij,...j->...", u[..., :2], gM, v[..., :2])
+        return rhoM2 * (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1])
 
     def gn(u, v):
-        return np.einsum("...i,...ij,...j->...", u[..., 2:], gN, v[..., 2:])
+        return rhoN2 * (u[..., 2] * v[..., 2] + u[..., 3] * v[..., 3])
 
     GM = gm(X, Z) * gm(Y, W) - gm(X, W) * gm(Y, Z)
     GN = gn(X, Z) * gn(Y, W) - gn(X, W) * gn(Y, Z)
@@ -89,6 +86,40 @@ def _rot(v2: np.ndarray) -> np.ndarray:
     return np.stack([-v2[..., 1], v2[..., 0]], axis=-1)
 
 
+@dataclass(frozen=True)
+class InducedMetric:
+    """The graph's induced metric g = rhoM^2 I + rhoN^2 df^T df by components."""
+
+    p11: np.ndarray          # df^T df
+    p12: np.ndarray
+    p22: np.ndarray
+    g11: np.ndarray
+    g12: np.ndarray
+    g22: np.ndarray
+    det: np.ndarray
+    gi11: np.ndarray         # g^-1
+    gi12: np.ndarray
+    gi22: np.ndarray
+
+    @cached_property
+    def sqrt_det(self) -> np.ndarray:
+        return np.sqrt(self.det)
+
+
+def induced_metric_arrays(f1x, f1y, f2x, f2y, rhoM2, rhoN2) -> InducedMetric:
+    """Induced metric of the graph, its inverse and determinant, from the
+    four components of df (f1x = d f^1 / dx, ...) and the squared factors."""
+    p11 = f1x * f1x + f2x * f2x
+    p12 = f1x * f1y + f2x * f2y
+    p22 = f1y * f1y + f2y * f2y
+    g11 = rhoM2 + rhoN2 * p11
+    g12 = rhoN2 * p12
+    g22 = rhoM2 + rhoN2 * p22
+    det = g11 * g22 - g12 * g12
+    return InducedMetric(p11, p12, p22, g11, g12, g22, det,
+                         g22 / det, -g12 / det, g11 / det)
+
+
 # ---------------------------------------------------------------- grid pass
 
 @dataclass(frozen=True)
@@ -103,9 +134,7 @@ class GraphGrid:
 
     grid: GridChart
     pw: PointwiseGrid
-    g: np.ndarray            # (nx, ny, 2, 2) induced metric
-    ginv: np.ndarray
-    sqrt_det_g: np.ndarray
+    metric: InducedMetric
     frame: np.ndarray        # (nx, ny, 4, 4); frame[..., a, :] = e_{a+1}
     A: np.ndarray            # (nx, ny, 2, 2, 2): A[..., alpha, i, j]
     H: np.ndarray            # (nx, ny, 2): (H^3, H^4)
@@ -130,49 +159,52 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     pw = mapfield.pointwise
     X, Y = grid.mesh()
     f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
-    gM, gN = pw.gM, pw.gN
+    rhoM2, rhoN2 = pw.rhoM2, pw.rhoN2
     df = pw.df
-
-    pullback = np.einsum("...ai,...ab,...bj->...ij", df, gN, df)
-    g = gM + pullback
-    ginv = inv2(g)
-    sqrt_det_g = np.sqrt(det2(g))
-
+    fx = (df[..., 0, 0], df[..., 1, 0])      # d f / dx, by target component
+    fy = (df[..., 0, 1], df[..., 1, 1])
+    metric = induced_metric_arrays(fx[0], fy[0], fx[1], fy[1], rhoM2, rhoN2)
     frame = _adapted_frame_arrays(pw)
 
-    # ambient Hessian of the embedding: tangential slots are the source
-    # Christoffels, target slots are d2f + Gamma_N(df, df)
-    GammaM = mapfield.source.christoffel_tensor(X, Y)
-    GammaN = mapfield.target.christoffel_tensor(f1, f2)
-    d2f = np.empty((grid.nx, grid.ny, 2, 2, 2))  # [..., gamma, i, j]
-    for c in range(2):
-        fc = mapfield.values[..., c]
-        d2f[..., c, 0, 0] = grid.d_xx(fc)
-        d2f[..., c, 1, 1] = grid.d_yy(fc)
-        cross = grid.d_xy(fc)
-        d2f[..., c, 0, 1] = cross
-        d2f[..., c, 1, 0] = cross
-    DN = d2f + np.einsum("...gab,...ai,...bj->...gij", GammaN, df, df)
-    D = np.empty((grid.nx, grid.ny, 2, 2, 4))  # [..., i, j, component]
-    D[..., 0:2] = np.moveaxis(GammaM, -3, -1)
-    D[..., 2:4] = np.moveaxis(DN, -3, -1)
+    # ambient Hessian of the embedding D_ij, per slot pair (i, j): source
+    # components are the Christoffels Gamma_M(e_i, e_j), target components
+    # d_ij f + Gamma_N(f_i, f_j). A conformal factor with u = log rho has
+    # Gamma(a, b) = (ux s + uy m, -uy s + ux m), s = a1 b1 - a2 b2,
+    # m = a1 b2 + a2 b1
+    uMx, uMy = mapfield.source.log_rho_grad(X, Y)
+    uNx, uNy = mapfield.target.log_rho_grad(f1, f2)
+    pairs = {(0, 0): (fx, fx, grid.d_xx, (uMx, -uMy)),
+             (0, 1): (fx, fy, grid.d_xy, (uMy, uMx)),
+             (1, 1): (fy, fy, grid.d_yy, (-uMx, uMy))}
+    D = {}
+    for ij, (a, b, d2, gammaM) in pairs.items():
+        sym = a[0] * b[0] - a[1] * b[1]
+        mix = a[0] * b[1] + a[1] * b[0]
+        D[ij] = (*gammaM, d2(f1) + uNx * sym + uNy * mix,
+                 d2(f2) - uNy * sym + uNx * mix)
 
-    # normal projections in coordinate indices, then orthonormal tangent indices
-    e3, e4 = frame[..., 2, :], frame[..., 3, :]
-    Acoord = np.stack([
-        _project(D, e3, gM, gN),
-        _project(D, e4, gM, gN),
-    ], axis=-3)
-
+    # normal projections <D_ij, e_{alpha+3}> in coordinate indices, then
+    # orthonormal tangent indices through v_k = (alpha1 cl, alpha2 cm)
     cl = 1.0 / np.sqrt(1.0 + pw.lam ** 2)
     cm = 1.0 / np.sqrt(1.0 + pw.mu ** 2)
-    v = np.stack([pw.alpha1 * cl[..., None], pw.alpha2 * cm[..., None]], axis=-2)
-    A = np.einsum("...ki,...lj,...aij->...akl", v, v, Acoord)
-    A[..., 1, 0] = A[..., 0, 1]  # exact symmetry
+    v = (pw.alpha1 * cl[..., None], pw.alpha2 * cm[..., None])
+    A = np.empty(pw.lam.shape + (2, 2, 2))
+    for alpha in (0, 1):
+        e = frame[..., alpha + 2, :]
+        P = {ij: rhoM2 * (Dij[0] * e[..., 0] + Dij[1] * e[..., 1])
+             + rhoN2 * (Dij[2] * e[..., 2] + Dij[3] * e[..., 3])
+             for ij, Dij in D.items()}
+        for k, l in ((0, 0), (0, 1), (1, 1)):
+            vk, vl = v[k], v[l]
+            A[..., alpha, k, l] = (
+                vk[..., 0] * vl[..., 0] * P[(0, 0)]
+                + (vk[..., 0] * vl[..., 1] + vk[..., 1] * vl[..., 0]) * P[(0, 1)]
+                + vk[..., 1] * vl[..., 1] * P[(1, 1)])
+        A[..., alpha, 1, 0] = A[..., alpha, 0, 1]  # exact symmetry
 
     H = A[..., 0, 0] + A[..., 1, 1]  # (..., alpha)
     norm_H = np.sqrt(H[..., 0] ** 2 + H[..., 1] ** 2)
-    norm_A_sq = np.einsum("...aij->...", A ** 2)
+    norm_A_sq = np.sum(A ** 2, axis=(-3, -2, -1))
 
     sigma_perp = (-A[..., 0, 0, 0] * A[..., 1, 0, 1]
                   + A[..., 0, 0, 1] * A[..., 1, 0, 0]
@@ -181,22 +213,15 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
 
     sigmaM = mapfield.source.curvature(X, Y)
     sigmaN = mapfield.target.curvature(f1, f2)
-    rt = ambient_curvature(frame[..., 0, :], frame[..., 1, :], e3, e4,
-                           gM, gN, sigmaM, sigmaN)
+    rt = ambient_curvature(frame[..., 0, :], frame[..., 1, :],
+                           frame[..., 2, :], frame[..., 3, :],
+                           rhoM2, rhoN2, sigmaM, sigmaN)
     sigma_n = rt - sigma_perp
 
-    return GraphGrid(grid=grid, pw=pw, g=g, ginv=ginv, sqrt_det_g=sqrt_det_g,
+    return GraphGrid(grid=grid, pw=pw, metric=metric,
                      frame=frame, A=A, H=H, norm_H=norm_H, norm_A_sq=norm_A_sq,
                      sigma_perp=sigma_perp, rtilde_1234=rt, sigma_n=sigma_n,
-                     sigmaM=sigmaM, sigmaN=sigmaN,
-                     rhoM2=gM[..., 0, 0], rhoN2=gN[..., 0, 0])
-
-
-def _project(D: np.ndarray, e: np.ndarray, gM: np.ndarray, gN: np.ndarray) -> np.ndarray:
-    """<D_ij, e> under the product metric, batched over (i, j)."""
-    m = np.einsum("...ijc,...cd,...d->...ij", D[..., 0:2], gM, e[..., 0:2])
-    n = np.einsum("...ijc,...cd,...d->...ij", D[..., 2:4], gN, e[..., 2:4])
-    return m + n
+                     sigmaM=sigmaM, sigmaN=sigmaN, rhoM2=rhoM2, rhoN2=rhoN2)
 
 
 def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
@@ -249,11 +274,13 @@ def _window(mapfield: MapField, p: tuple[int, int]) -> tuple[MapField, tuple[int
 
 
 def induced_metric(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """g = g_M + df^T g_N df at grid index p."""
+    """g = rhoM^2 I + rhoN^2 df^T df at grid index p, as a 2x2 matrix."""
     sub, (ci, cj) = _window(mapfield, p)
     pw = sub.pointwise
-    g = pw.gM + np.einsum("...ai,...ab,...bj->...ij", pw.df, pw.gN, pw.df)
-    out = g[ci, cj]
+    df = pw.df[ci, cj]
+    m = induced_metric_arrays(df[0, 0], df[0, 1], df[1, 0], df[1, 1],
+                              pw.rhoM2[ci, cj], pw.rhoN2[ci, cj])
+    out = np.array([[m.g11, m.g12], [m.g12, m.g22]])
     if not np.all(np.isfinite(out)):
         raise StencilError("induced metric undefined at this point")
     return out
@@ -327,39 +354,41 @@ class ScalarFieldOnGraph:
             raise ValueError("field shape does not match the grid")
 
 
-def laplace_beltrami_array(u: np.ndarray, g: np.ndarray, grid: GridChart) -> np.ndarray:
+def laplace_beltrami_array(u: np.ndarray, metric: InducedMetric,
+                           grid: GridChart) -> np.ndarray:
     """Divergence-form Laplace-Beltrami by nested central differences.
 
     Delta u = det(g)^(-1/2) d_i( det(g)^(1/2) g^(ij) d_j u ). Each nesting
     level costs one ring of validity on Dirichlet grids.
     """
-    ginv = inv2(g)
-    sq = np.sqrt(det2(g))
+    sq = metric.sqrt_det
     ux = grid.d_x(u)
     uy = grid.d_y(u)
-    Fx = sq * (ginv[..., 0, 0] * ux + ginv[..., 0, 1] * uy)
-    Fy = sq * (ginv[..., 1, 0] * ux + ginv[..., 1, 1] * uy)
+    Fx = sq * (metric.gi11 * ux + metric.gi12 * uy)
+    Fy = sq * (metric.gi12 * ux + metric.gi22 * uy)
     return (grid.d_x(Fx) + grid.d_y(Fy)) / sq
 
 
-def gradient_norm_sq_array(u: np.ndarray, g: np.ndarray, grid: GridChart) -> np.ndarray:
+def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
+                           grid: GridChart) -> np.ndarray:
     """|grad u|^2 = g^(ij) d_i u d_j u with central differences."""
-    ginv = inv2(g)
     ux = grid.d_x(u)
     uy = grid.d_y(u)
-    return (ginv[..., 0, 0] * ux * ux + 2.0 * ginv[..., 0, 1] * ux * uy
-            + ginv[..., 1, 1] * uy * uy)
+    return (metric.gi11 * ux * ux + 2.0 * metric.gi12 * ux * uy
+            + metric.gi22 * uy * uy)
 
 
 def laplace_beltrami(field: ScalarFieldOnGraph, p: tuple[int, int]) -> float:
-    val = laplace_beltrami_array(field.values, field.graph.g, field.graph.grid)[p]
+    gg = field.graph
+    val = laplace_beltrami_array(field.values, gg.metric, gg.grid)[p]
     if not np.isfinite(val):
         raise StencilError("Laplace-Beltrami stencil leaves the grid at this point")
     return float(val)
 
 
 def gradient_norm_sq(field: ScalarFieldOnGraph, p: tuple[int, int]) -> float:
-    val = gradient_norm_sq_array(field.values, field.graph.g, field.graph.grid)[p]
+    gg = field.graph
+    val = gradient_norm_sq_array(field.values, gg.metric, gg.grid)[p]
     if not np.isfinite(val):
         raise StencilError("gradient stencil leaves the grid at this point")
     return float(val)
@@ -387,7 +416,6 @@ def kahler_angle_crosscheck(gg: GraphGrid) -> tuple[np.ndarray, np.ndarray]:
     rotN = _rot(e1[..., 2:4])
     j1e1 = np.concatenate([rotM, -rotN], axis=-1)
     j2e1 = np.concatenate([rotM, rotN], axis=-1)
-    gM, gN = gg.pw.gM, gg.pw.gN
-    phi = product_inner(gM, gN, j1e1, e2)
-    theta = product_inner(gM, gN, j2e1, e2)
+    phi = product_inner(gg.rhoM2, gg.rhoN2, j1e1, e2)
+    theta = product_inner(gg.rhoM2, gg.rhoN2, j2e1, e2)
     return phi, theta

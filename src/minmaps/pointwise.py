@@ -22,20 +22,22 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import StencilError
 from .expressions import MapExpr
-from .linalg2 import apply2, det2, inner, inv2, spd_inv_sqrt2, sym_eig2
 from .surface import ConformalMetric, GridChart
+
+if TYPE_CHECKING:
+    from .graph_geometry import GraphGrid
 
 __all__ = [
     "MapField", "PointwiseGeometry", "PointwiseGrid", "PointClass", "Classification",
     "differential", "singular_decomposition", "jacobians", "kahler_cosines",
     "jacobian_determinant", "classify_point", "classification_masks",
-    "graph_metric_singular_values", "pointwise_grid", "pointwise_geometry",
+    "graph_metric_singular_values", "pointwise_grid",
 ]
 
 # relative eigenvalue gap below which a point counts as conformal
@@ -80,15 +82,6 @@ class MapField:
         X, Y = grid.mesh()
         return cls(grid, source, target, expr(X, Y), expr=expr)
 
-    @classmethod
-    def from_callable(cls, grid: GridChart, source: ConformalMetric,
-                      target: ConformalMetric, fn: Callable) -> "MapField":
-        X, Y = grid.mesh()
-        vals = np.asarray(fn(X, Y), float)
-        if vals.shape == (2, grid.nx, grid.ny):
-            vals = np.moveaxis(vals, 0, -1)
-        return cls(grid, source, target, vals)
-
     def with_values(self, values: np.ndarray) -> "MapField":
         """Same chart data, new samples (drops the analytic formula)."""
         return MapField(self.grid, self.source, self.target, values, expr=None)
@@ -112,6 +105,12 @@ class MapField:
     def pointwise(self) -> "PointwiseGrid":
         return pointwise_grid(self)
 
+    @cached_property
+    def graph(self) -> "GraphGrid":
+        # imported here: graph_geometry imports this module
+        from .graph_geometry import graph_grid
+        return graph_grid(self)
+
 
 def differential(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
     """Order-2 central-difference Jacobian at grid index p = (i, j)."""
@@ -128,40 +127,81 @@ def differential(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
     return df
 
 
-def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):
-    """Metric-relative singular data of df.
+def sym_eig2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Eigensystem of [[a, b], [b, c]].
 
-    Parameters are (..., 2, 2) arrays (df rows indexed by target component).
+    Returns (lo, hi, v_lo, v_hi) with lo <= hi and orthonormal eigenvectors
+    of shape (..., 2); the pair (v_lo, v_hi) is positively oriented.
+    """
+    mean = 0.5 * (a + c)
+    diff = 0.5 * (a - c)
+    r = np.hypot(diff, b)
+    lo, hi = mean - r, mean + r
+    # stable eigenvector of the top eigenvalue
+    vx = np.where(diff >= 0, r + diff, b)
+    vy = np.where(diff >= 0, b, r - diff)
+    nrm = np.hypot(vx, vy)
+    tiny = nrm <= 0
+    vx = np.where(tiny, 1.0, vx / np.where(tiny, 1.0, nrm))
+    vy = np.where(tiny, 0.0, vy / np.where(tiny, 1.0, nrm))
+    v_hi = np.stack([vx, vy], axis=-1)
+    v_lo = np.stack([vy, -vx], axis=-1)  # rot(-90): det[v_lo | v_hi] = +1
+    return lo, hi, v_lo, v_hi
+
+
+def _apply(df: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """df v over leading axes, unrolled."""
+    return np.stack([df[..., 0, 0] * v[..., 0] + df[..., 0, 1] * v[..., 1],
+                     df[..., 1, 0] * v[..., 0] + df[..., 1, 1] * v[..., 1]], axis=-1)
+
+
+def _axes(inv_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart axes scaled to unit length in the metric rho^2 I."""
+    zero = np.zeros_like(inv_rho)
+    return np.stack([inv_rho, zero], -1), np.stack([zero, inv_rho], -1)
+
+
+def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray):
+    """Metric-relative singular data of df between conformal metrics.
+
+    df is (..., 2, 2) (rows indexed by target component); rhoM2 and rhoN2
+    are the squared conformal factors of the source metric at the point and
+    of the target metric at the image point, broadcast against df's leading
+    axes. With g_M = rhoM^2 I and g_N = rhoN^2 I the pullback relative to
+    g_M is S = (rhoN^2 / rhoM^2) df^T df, so lam and mu are the singular
+    values of df scaled by rhoN / rhoM and the alpha frame is the
+    eigenvector pair of df^T df scaled by 1 / rhoM.
+
     Returns (lam, mu, s, alpha1, alpha2, beta1, beta2) with lam <= mu,
     s = sign(det df), the alpha frame g_M-orthonormal and positively
     oriented, the beta frame g_N-orthonormal with df(alpha1) = lam beta1,
     df(alpha2) = mu beta2. At conformal points (lam == mu) alpha1 points
     along the source x-axis; where df vanishes (mu below the rank floor)
     both frames lie along the chart axes. Near rank loss (|df alpha1| <=
-    1e-6 mu, or below the rank floor) beta1 is the g_N-orthonormal
-    complement of beta2, oriented with sign(det df) and positively when
-    det df == 0, and lam is |df alpha1|.
+    1e-6 mu, or below the rank floor) beta1 is the 90-degree rotation of
+    beta2, oriented with sign(det df) and positively when det df == 0, and
+    lam is |df alpha1|.
     """
     df = np.asarray(df, float)
-    gM = np.asarray(gM, float)
-    gN = np.asarray(gN, float)
-    shape = np.broadcast_shapes(df.shape[:-2], gM.shape[:-2], gN.shape[:-2])
+    rhoM2 = np.asarray(rhoM2, float)
+    rhoN2 = np.asarray(rhoN2, float)
+    shape = np.broadcast_shapes(df.shape[:-2], rhoM2.shape, rhoN2.shape)
     df = np.broadcast_to(df, shape + (2, 2))
-    gM = np.broadcast_to(gM, shape + (2, 2))
-    gN = np.broadcast_to(gN, shape + (2, 2))
+    rhoM2 = np.broadcast_to(rhoM2, shape)
+    rhoN2 = np.broadcast_to(rhoN2, shape)
+    d00, d01 = df[..., 0, 0], df[..., 0, 1]
+    d10, d11 = df[..., 1, 0], df[..., 1, 1]
 
-    pullback = np.einsum("...ai,...ab,...bj->...ij", df, gN, df)
-    w = spd_inv_sqrt2(gM)
-    S = np.einsum("...ik,...kl,...lj->...ij", w, pullback, w)
-    # symmetrise against rounding so the closed-form eigensolver sees b = b
-    b_sym = 0.5 * (S[..., 0, 1] + S[..., 1, 0])
-    lo, hi, w_lo, w_hi = sym_eig2(S[..., 0, 0], b_sym, S[..., 1, 1])
-
+    k = rhoN2 / rhoM2
+    lo, hi, w_lo, w_hi = sym_eig2(k * (d00 * d00 + d10 * d10),
+                                  k * (d00 * d01 + d10 * d11),
+                                  k * (d01 * d01 + d11 * d11))
     with np.errstate(invalid="ignore"):
         lam = np.sqrt(np.clip(lo, 0.0, None))  # clip guards rounding; NaN passes through
         mu = np.sqrt(np.clip(hi, 0.0, None))
-    alpha1 = apply2(w, w_lo)
-    alpha2 = apply2(w, w_hi)
+    inv_rM = (1.0 / np.sqrt(rhoM2))[..., None]
+    alpha1 = w_lo * inv_rM
+    alpha2 = w_hi * inv_rM
 
     # conformal points, and points where df vanishes to working precision
     # (its pullback may underflow, and the eigenvectors then lose their
@@ -172,25 +212,15 @@ def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):
     scale = np.abs(hi) + np.abs(lo)
     conformal = (gap <= _CONFORMAL_GAP * np.where(scale > 0, scale, 1.0)) | vanishing
     if np.any(conformal):
-        e1 = np.zeros(shape + (2,))
-        e1[..., 0] = 1.0 / np.sqrt(gM[..., 0, 0])
-        # g_M-orthonormal completion of e1, then taken below through the
-        # common orientation fix
-        proj = inner(gM, np.stack([np.zeros(shape), np.ones(shape)], -1), e1)
-        e2 = np.stack([-proj * e1[..., 0], 1.0 - proj * e1[..., 1]], axis=-1)
-        e2 /= np.sqrt(inner(gM, e2, e2))[..., None]
+        e1, e2 = _axes(inv_rM[..., 0])
         c = conformal[..., None]
         alpha1 = np.where(c, e1, alpha1)
         alpha2 = np.where(c, e2, alpha2)
 
-    # positive chart orientation of the alpha frame
-    cross = alpha1[..., 0] * alpha2[..., 1] - alpha1[..., 1] * alpha2[..., 0]
-    alpha2 = np.where((cross < 0)[..., None], -alpha2, alpha2)
-
-    t1 = apply2(df, alpha1)
-    t2 = apply2(df, alpha2)
-    n1 = np.sqrt(np.abs(inner(gN, t1, t1)))
-    n2 = np.sqrt(np.abs(inner(gN, t2, t2)))
+    t1 = _apply(df, alpha1)
+    t2 = _apply(df, alpha2)
+    n1 = np.sqrt(rhoN2 * (t1[..., 0] ** 2 + t1[..., 1] ** 2))
+    n2 = np.sqrt(rhoN2 * (t2[..., 0] ** 2 + t2[..., 1] ** 2))
     finite = np.isfinite(n2)
     ok1 = n1 > floor
     ok2 = n2 > floor
@@ -205,23 +235,17 @@ def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):
 
     if np.any(rank0):
         # beta frame along the positively oriented target chart axes
-        axis1 = np.zeros(shape + (2,))
-        axis1[..., 0] = 1.0 / np.sqrt(gN[..., 0, 0])
-        proj = inner(gN, np.stack([np.zeros(shape), np.ones(shape)], -1), axis1)
-        axis2 = np.stack([-proj * axis1[..., 0], 1.0 - proj * axis1[..., 1]], axis=-1)
-        axis2 /= np.sqrt(inner(gN, axis2, axis2))[..., None]
+        axis1, axis2 = _axes(1.0 / np.sqrt(rhoN2))
         beta1 = np.where(rank0[..., None], axis1, beta1)
         beta2 = np.where(rank0[..., None], axis2, beta2)
 
-    s = np.sign(det2(df))
+    s = np.sign(d00 * d11 - d01 * d10)
     if np.any(rank1):
         # complete beta2 to a g_N-orthonormal pair oriented like df
-        # (positively when det df == 0): gN^-1 of the chart perpendicular;
-        # exact singular vectors are always such a pair
-        comp = apply2(inv2(gN), np.stack([beta2[..., 1], -beta2[..., 0]], axis=-1))
-        comp *= np.where(s < 0, -1.0, 1.0)[..., None]
-        with np.errstate(invalid="ignore"):
-            comp /= np.sqrt(np.maximum(inner(gN, comp, comp), 1e-300))[..., None]
+        # (positively when det df == 0): for a conformal g_N that is beta2
+        # turned by -90 degrees; exact singular vectors are always such a pair
+        sgn = np.where(s < 0, -1.0, 1.0)
+        comp = np.stack([sgn * beta2[..., 1], -sgn * beta2[..., 0]], axis=-1)
         beta1 = np.where(rank1[..., None], comp, beta1)
         lam = np.where(rank1, n1, lam)
 
@@ -371,8 +395,8 @@ class PointwiseGrid:
     jf: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
-    gM: np.ndarray       # (nx, ny, 2, 2) source metric at grid points
-    gN: np.ndarray       # (nx, ny, 2, 2) target metric at image points
+    rhoM2: np.ndarray    # squared source factor at grid points
+    rhoN2: np.ndarray    # squared target factor at image points
 
     def at(self, i: int, j: int, tol: float = 1e-9) -> PointwiseGeometry:
         return PointwiseGeometry(
@@ -388,38 +412,14 @@ class PointwiseGrid:
 def pointwise_grid(mapfield: MapField) -> PointwiseGrid:
     """Run the pointwise algebra over every grid point (vectorised)."""
     X, Y = mapfield.grid.mesh()
-    gM = mapfield.source.metric_tensor(X, Y)
-    gN = mapfield.target.metric_tensor(mapfield.values[..., 0], mapfield.values[..., 1])
+    rhoM2 = np.broadcast_to(mapfield.source.rho(X, Y) ** 2, X.shape)
+    rhoN2 = np.broadcast_to(
+        mapfield.target.rho(mapfield.values[..., 0], mapfield.values[..., 1]) ** 2, X.shape)
     df = mapfield.df_field
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, gM, gN)
+        lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, rhoM2, rhoN2)
         u1, u2 = jacobians(lam, mu, s)
         phi, theta = kahler_cosines(u1, u2)
         jf = u2 / u1
     return PointwiseGrid(mapfield.grid, df, lam, mu, s, a1, a2, b1, b2,
-                         u1, u2, jf, phi, theta, gM, gN)
-
-
-def pointwise_geometry(mapfield: MapField, p: tuple[int, int],
-                       tol: float = 1e-9) -> PointwiseGeometry:
-    """Pointwise record at grid index p (central differences for sampled maps)."""
-    i, j = p
-    if mapfield.expr is not None:
-        x, y = mapfield.grid.point(i, j)
-        df = mapfield.expr.jacobian(np.float64(x), np.float64(y))
-    else:
-        df = differential(mapfield, p)
-    x, y = mapfield.grid.point(i, j)
-    gM = mapfield.source.metric_tensor(np.float64(x), np.float64(y))
-    fx, fy = mapfield.values[i, j]
-    gN = mapfield.target.metric_tensor(np.float64(fx), np.float64(fy))
-    lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, gM, gN)
-    u1, u2 = jacobians(lam, mu, s)
-    phi, theta = kahler_cosines(u1, u2)
-    return PointwiseGeometry(
-        df=df, lam=float(lam), mu=float(mu), s=float(s),
-        alpha1=a1, alpha2=a2, beta1=b1, beta2=b2,
-        u1=float(u1), u2=float(u2), jf=float(u2 / u1),
-        phi=float(phi), theta=float(theta),
-        classification=classify_point(float(phi), float(theta), tol),
-    )
+                         u1, u2, jf, phi, theta, rhoM2, rhoN2)

@@ -11,16 +11,18 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConfigError
 from .expressions import MapExpr
 from .pointwise import MapField
-from .surface import BoundaryMode, ConformalMetric, GridChart
+from .surface import ConformalMetric, GridChart
 
 __all__ = [
     "map_preset", "parse_map_spec", "parse_metric_spec",
     "paper_example_field", "z_squared_field", "z_squared_mixed_field",
     "identity_hyperbolic_field", "constant_field", "mobius_field",
-    "affine_field", "SCENARIOS",
+    "affine_field", "sine_bump", "SCENARIOS",
 ]
 
 _RADIAL = "((exp(x) - 3*exp(-x))/2)"
@@ -109,14 +111,14 @@ def parse_metric_spec(text: str) -> ConformalMetric:
 
 # ------------------------------------------------------------- canonical maps
 
-def paper_example_field(nx: int = 65, ny: int | None = None) -> MapField:
+def paper_example_field(n: int = 65) -> MapField:
     """Minimal surface-of-revolution style map between flat charts.
 
     f(x, y) = r(x) (cos(y/2), -sin(y/2)) with r = (e^x - 3 e^-x)/2, which
     satisfies the minimal map equation between Euclidean factors. Chart
-    [-1.5, 1.5] x [-2, 2]; note the two spacings differ unless ny is tuned.
+    [-1.5, 1.5] x [-2, 2] with n points per axis, so hx = 3/4 hy.
     """
-    grid = GridChart(-1.5, 1.5, -2.0, 2.0, nx, ny if ny is not None else nx)
+    grid = GridChart(-1.5, 1.5, -2.0, 2.0, n, n)
     return MapField.from_expr(grid, ConformalMetric.euclidean(),
                               ConformalMetric.euclidean(),
                               map_preset("paper_example"))
@@ -177,6 +179,19 @@ def affine_field(a: float = 2.0, b: float = 0.0, c: float = 0.0, d: float = 0.5,
     return MapField.from_expr(grid, ConformalMetric.euclidean(),
                               ConformalMetric.euclidean(),
                               map_preset("affine", a, b, c, d))
+
+
+def sine_bump(mf: MapField, eps: float) -> MapField:
+    """Add eps sin(pi xi) sin(pi eta) to both components, with (xi, eta) the
+    chart coordinates rescaled to [0, 1]; Dirichlet traces stay untouched.
+    The result carries no analytic formula."""
+    if eps == 0.0:
+        return mf
+    g = mf.grid
+    X, Y = g.mesh()
+    bump = eps * (np.sin(math.pi * (X - g.x0) / (g.x1 - g.x0))
+                  * np.sin(math.pi * (Y - g.y0) / (g.y1 - g.y0)))
+    return mf.with_values(mf.values + bump[..., None])
 
 
 # ------------------------------------------------------------ CLI scenarios

@@ -70,9 +70,3 @@ def finite_l2(a: np.ndarray, cell_area: float) -> float:
         return 0.0
     return float(np.sqrt(np.sum(a[m] ** 2) * cell_area))
 
-
-def valid_interior(a: np.ndarray) -> np.ndarray:
-    """Boolean mask of finite entries (broadcast over trailing axes if any)."""
-    if a.ndim == 2:
-        return np.isfinite(a)
-    return np.all(np.isfinite(a), axis=tuple(range(2, a.ndim)))

@@ -7,16 +7,16 @@ factor rho > 0. With u = log(rho) the geometry is closed-form:
     Christoffels      G^1_11 = u_x   G^1_12 = u_y   G^1_22 = -u_x
                       G^2_11 = -u_y  G^2_12 = u_x   G^2_22 = u_y
 
-Built-in factors use these closed forms; custom factors (expression or
-sampled) fall back to width-3 central stencils of order 2.
+Built-in factors use these closed forms; custom expression factors fall
+back to width-3 central stencils of order 2.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,28 +47,19 @@ class ConformalMetric:
       POINCARE_DISC         rho = 2/(1-r^2), r < 1       K = -1
       HYPERBOLIC_SCALED     rho = 2/(sqrt(s)(1-r^2))     K = -s   (s = sigma > 0)
       SPHERE_STEREOGRAPHIC  rho = 2/(1+r^2)              K = +1
-      CUSTOM                rho from an expression (evaluable anywhere) or a
-                            sampled field bound to a grid (evaluable on it).
+      CUSTOM                rho from an expression of x, y.
     """
 
     kind: FactorKind
     sigma: float = 1.0
     expr: Optional[Node] = None
-    samples: Optional[np.ndarray] = None
-    sample_grid: Optional["GridChart"] = None
-    fd_step: float = 1e-5  # stencil step for expression-backed custom factors
+    fd_step: float = 1e-5  # stencil step for custom factors
 
     def __post_init__(self):
         if self.kind is FactorKind.HYPERBOLIC_SCALED and not self.sigma > 0:
             raise ConfigError("hyperbolic_scaled requires sigma > 0")
-        if self.kind is FactorKind.CUSTOM:
-            if (self.expr is None) == (self.samples is None):
-                raise ConfigError("custom factor needs exactly one of expr/samples")
-            if self.samples is not None:
-                if self.sample_grid is None:
-                    raise ConfigError("sampled factor needs its grid")
-                if not np.all(np.asarray(self.samples) > 0):
-                    raise NumericalError("sampled conformal factor must be positive")
+        if self.kind is FactorKind.CUSTOM and self.expr is None:
+            raise ConfigError("custom factor needs an expression")
 
     # -------------------------------------------------------------- queries
 
@@ -103,23 +94,10 @@ class ConformalMetric:
             return 2.0 / (math.sqrt(self.sigma) * (1.0 - x * x - y * y))
         if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
             return 2.0 / (1.0 + x * x + y * y)
-        if self.expr is not None:
-            val = evaluate(self.expr, x, y)
-            if not np.all(val > 0):
-                raise NumericalError("custom conformal factor must be positive")
-            return val
-        return self._sample_lookup(x, y)
-
-    def _sample_lookup(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        grid = self.sample_grid
-        ii = np.rint((np.asarray(x) - grid.x0) / grid.hx).astype(int)
-        jj = np.rint((np.asarray(y) - grid.y0) / grid.hy).astype(int)
-        on_node = (np.abs(grid.x0 + ii * grid.hx - x) < 1e-9 * (1 + grid.hx)) & \
-                  (np.abs(grid.y0 + jj * grid.hy - y) < 1e-9 * (1 + grid.hy)) & \
-                  (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
-        if not np.all(on_node):
-            raise ChartDomainError("sampled factor is only defined on its own grid nodes")
-        return np.asarray(self.samples)[ii, jj]
+        val = evaluate(self.expr, x, y)
+        if not np.all(val > 0):
+            raise NumericalError("custom conformal factor must be positive")
+        return val
 
     def log_rho_grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """(u_x, u_y) with u = log rho; closed form for presets."""
@@ -137,41 +115,21 @@ class ConformalMetric:
             return -2.0 * x / w, -2.0 * y / w
         return self._custom_log_grad(x, y)
 
-    def laplace_log_rho(self, x, y) -> np.ndarray:
-        """Euclidean Laplacian of u = log rho; closed form for presets."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind is FactorKind.EUCLIDEAN:
-            return np.zeros(np.broadcast(x, y).shape)
-        if self.disc_domain:
-            self.check_domain(x, y)
-            w = 1.0 - x * x - y * y
-            return 4.0 / (w * w)
-        if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
-            w = 1.0 + x * x + y * y
-            return -4.0 / (w * w)
-        return self._custom_log_laplace(x, y)
-
     # -------------------------------------------- custom factors (stencils)
 
-    def _custom_step(self) -> tuple[float, float]:
-        if self.samples is not None:
-            return self.sample_grid.hx, self.sample_grid.hy
-        return self.fd_step, self.fd_step
-
     def _custom_log_grad(self, x, y):
-        hx, hy = self._custom_step()
+        h = self.fd_step
         u = lambda a, b: np.log(self.rho(a, b))
-        ux = (u(x + hx, y) - u(x - hx, y)) / (2 * hx)
-        uy = (u(x, y + hy) - u(x, y - hy)) / (2 * hy)
+        ux = (u(x + h, y) - u(x - h, y)) / (2 * h)
+        uy = (u(x, y + h) - u(x, y - h)) / (2 * h)
         return ux, uy
 
     def _custom_log_laplace(self, x, y):
-        hx, hy = self._custom_step()
+        h = self.fd_step
         u = lambda a, b: np.log(self.rho(a, b))
         u0 = u(x, y)
-        uxx = (u(x + hx, y) - 2 * u0 + u(x - hx, y)) / (hx * hx)
-        uyy = (u(x, y + hy) - 2 * u0 + u(x, y - hy)) / (hy * hy)
+        uxx = (u(x + h, y) - 2 * u0 + u(x - h, y)) / (h * h)
+        uyy = (u(x, y + h) - 2 * u0 + u(x, y - h)) / (h * h)
         return uxx + uyy
 
     # ------------------------------------------------------------- geometry
@@ -234,10 +192,6 @@ class ConformalMetric:
     @classmethod
     def custom_expression(cls, text: str, fd_step: float = 1e-5) -> "ConformalMetric":
         return cls(FactorKind.CUSTOM, expr=parse_scalar(text), fd_step=fd_step)
-
-    @classmethod
-    def custom_sampled(cls, samples: np.ndarray, grid: "GridChart") -> "ConformalMetric":
-        return cls(FactorKind.CUSTOM, samples=np.asarray(samples, float), sample_grid=grid)
 
 
 class BoundaryMode(enum.Enum):

@@ -29,7 +29,7 @@ from . import stencils
 from .errors import ConfigError
 from .graph_geometry import (
     GraphGrid, ambient_curvature, form_on_frame, gradient_norm_sq_array,
-    graph_grid, laplace_beltrami_array,
+    laplace_beltrami_array,
 )
 from .pointwise import MapField
 from .surface import TheoremHypotheses
@@ -39,8 +39,8 @@ __all__ = [
     "Certificate", "MinimumProbe", "ProbeStatus",
     "verify_pullback_derivative", "verify_form_laplacian",
     "verify_jacobian_laplacians", "verify_gradient_identities",
-    "refinement_study", "check_hypotheses", "area_decreasing_certificate",
-    "interior_minimum_probe", "MUTATIONS",
+    "refinement_study", "convergence_study", "check_hypotheses",
+    "area_decreasing_certificate", "interior_minimum_probe", "MUTATIONS",
 ]
 
 ANGLE_MASK_FLOOR = 1e-8
@@ -116,7 +116,7 @@ def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
         e_k(u) = sum_alpha A^alpha_k1 omega(e_alpha, e2)
                          + A^alpha_k2 omega(e1, e_alpha)
     """
-    gg = graph_grid(mapfield)
+    gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
     comps: dict[str, np.ndarray] = {}
@@ -148,7 +148,7 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
         S3 = sum_{alpha,k} R(e_k, e1, e_k, e_alpha) omega(e_alpha, e2)
                          + R(e_k, e2, e_k, e_alpha) omega(e1, e_alpha)
     """
-    gg = graph_grid(mapfield)
+    gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
     E = gg.frame
@@ -157,7 +157,7 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
         w = {(a, b): form_on_frame(gg, idx, a, b)
              for a in (1, 2, 3, 4) for b in (2, 3, 4)}
         w[(1, 1)] = np.zeros_like(u)
-        lhs = -laplace_beltrami_array(u, gg.g, grid)
+        lhs = -laplace_beltrami_array(u, gg.metric, grid)
 
         S1 = np.zeros_like(u)
         for a in (3, 4):
@@ -177,9 +177,9 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
             for k in (0, 1):
                 ek = E[..., k, :]
                 r1 = ambient_curvature(ek, E[..., 0, :], ek, ea,
-                                       pw.gM, pw.gN, gg.sigmaM, gg.sigmaN)
+                                       gg.rhoM2, gg.rhoN2, gg.sigmaM, gg.sigmaN)
                 r2 = ambient_curvature(ek, E[..., 1, :], ek, ea,
-                                       pw.gM, pw.gN, gg.sigmaM, gg.sigmaN)
+                                       gg.rhoM2, gg.rhoN2, gg.sigmaM, gg.sigmaN)
                 S3 = S3 + r1 * w[(a, 2)] + r2 * w[(1, a)]
         comps[f"omega{idx}"] = lhs - (S1 + S2 + S3)
     return _make_report(IdentityKind.FORM_LAPLACIAN, gg, comps)
@@ -212,13 +212,13 @@ def verify_jacobian_laplacians(mapfield: MapField,
     A mutation deliberately corrupts one structural ingredient; the guard
     tests assert that the corrupted residual stops contracting.
     """
-    gg = graph_grid(mapfield)
+    gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
     rhs1, rhs2 = _jacobian_rhs(gg, mutation)
     comps = {
-        "u1": -laplace_beltrami_array(pw.u1, gg.g, grid) - rhs1,
-        "u2": -laplace_beltrami_array(pw.u2, gg.g, grid) - rhs2,
+        "u1": -laplace_beltrami_array(pw.u1, gg.metric, grid) - rhs1,
+        "u2": -laplace_beltrami_array(pw.u2, gg.metric, grid) - rhs2,
     }
     return _make_report(IdentityKind.JACOBIAN_LAPLACIANS, gg, comps,
                         mutation=mutation)
@@ -234,7 +234,7 @@ def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
         -Delta theta = (|A|^2 + 2 sp) theta
                        + (sigmaM (phi + theta) - sigmaN (phi - theta))(1 - theta^2)/2
     """
-    gg = graph_grid(mapfield)
+    gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
     phi, theta = pw.phi, pw.theta
@@ -246,12 +246,12 @@ def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
     mask_phi = qphi < ANGLE_MASK_FLOOR
     mask_theta = qtheta < ANGLE_MASK_FLOOR
 
-    grad_phi = 2.0 * gradient_norm_sq_array(phi, gg.g, grid) - (nA2 - 2.0 * sp) * qphi
-    grad_theta = 2.0 * gradient_norm_sq_array(theta, gg.g, grid) - (nA2 + 2.0 * sp) * qtheta
-    lap_phi = (-laplace_beltrami_array(phi, gg.g, grid)
+    grad_phi = 2.0 * gradient_norm_sq_array(phi, gg.metric, grid) - (nA2 - 2.0 * sp) * qphi
+    grad_theta = 2.0 * gradient_norm_sq_array(theta, gg.metric, grid) - (nA2 + 2.0 * sp) * qtheta
+    lap_phi = (-laplace_beltrami_array(phi, gg.metric, grid)
                - ((nA2 - 2.0 * sp) * phi
                   + 0.5 * (sM * (phi + theta) + sN * (phi - theta)) * qphi))
-    lap_theta = (-laplace_beltrami_array(theta, gg.g, grid)
+    lap_theta = (-laplace_beltrami_array(theta, gg.metric, grid)
                  - ((nA2 + 2.0 * sp) * theta
                     + 0.5 * (sM * (phi + theta) - sN * (phi - theta)) * qtheta))
 
@@ -290,17 +290,27 @@ def refinement_study(make_field: Callable[[int], MapField],
     """Measure the contraction order of a scalar diagnostic under refinement.
 
     make_field(n) must produce maps on grids whose spacing halves from one
-    n to the next (e.g. 17, 33, 65 on a fixed Dirichlet chart). Orders are
-    log2 ratios of consecutive norms; if every norm sits below the floor the
-    diagnostic is flagged exact instead.
+    n to the next (e.g. 17, 33, 65 on a fixed Dirichlet chart); the orders
+    come from `convergence_study`.
     """
-    if len(ns) < 3:
-        raise ConfigError("refinement study needs at least three grids")
     hs, norms = [], []
     for n in ns:
         mf = make_field(n)
         hs.append(mf.grid.h)
         norms.append(float(quantity(mf)))
+    return convergence_study(hs, norms, floor=floor)
+
+
+def convergence_study(hs: Sequence[float], norms: Sequence[float],
+                      *, floor: float = EXACT_FLOOR) -> ConvergenceStudy:
+    """Contraction orders of norms measured on grids of spacings hs.
+
+    The spacings must halve from one grid to the next. Orders are log2
+    ratios of consecutive norms; if every norm sits below the floor the
+    diagnostic is flagged exact instead.
+    """
+    if len(hs) < 3:
+        raise ConfigError("refinement study needs at least three grids")
     for h0, h1 in zip(hs, hs[1:]):
         if not 0.49 < h1 / h0 < 0.51:
             raise ConfigError(
@@ -459,7 +469,7 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
     """
     if field_name not in ("phi", "theta"):
         raise ConfigError("field_name must be 'phi' or 'theta'")
-    gg = graph_grid(mapfield)
+    gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
     h2 = grid.h ** 2
@@ -469,8 +479,8 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
     u = pw.phi if field_name == "phi" else pw.theta
     global_min, global_at = _argext(u, grid, True)
 
-    lap_field = laplace_beltrami_array(u, gg.g, grid)
-    grad_field = gradient_norm_sq_array(u, gg.g, grid)
+    lap_field = laplace_beltrami_array(u, gg.metric, grid)
+    grad_field = gradient_norm_sq_array(u, gg.metric, grid)
     probe_ok = np.isfinite(u) & np.isfinite(lap_field)
     lap: Optional[float] = None
     grad: Optional[float] = None

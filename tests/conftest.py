@@ -20,7 +20,7 @@ def z2_mixed_33():
 
 @pytest.fixture(scope="session")
 def paper_33():
-    return presets.paper_example_field(nx=33)
+    return presets.paper_example_field(n=33)
 
 
 @pytest.fixture(scope="session")

@@ -36,9 +36,7 @@ def report(num, label, ok, detail):
 @functools.lru_cache(maxsize=None)
 def field(name, n=None):
     make = presets.SCENARIOS[name]
-    if n is None:
-        return make()
-    return make(nx=n) if name == "paper_example" else make(n=n)
+    return make() if n is None else make(n=n)
 
 
 def test_criterion_1_minimal_fixture_mean_curvature_refines():
@@ -113,7 +111,7 @@ def test_criterion_5_pointwise_crosschecks_every_fixture():
         okf = np.all(np.isfinite(gg.frame), axis=(-2, -1))
         for a in range(4):
             for b in range(4):
-                gram = product_inner(pw.gM, pw.gN, gg.frame[..., a, :],
+                gram = product_inner(gg.rhoM2, gg.rhoN2, gg.frame[..., a, :],
                                      gg.frame[..., b, :])
                 err = np.abs(gram[okf] - (1.0 if a == b else 0.0)).max()
                 worst["gram"] = max(worst["gram"], float(err))
@@ -151,12 +149,7 @@ def test_criterion_6_mutation_guards():
 
 
 def test_criterion_7_flow_relaxes_and_matches_heat():
-    base = field("z_squared", 65)
-    g = base.grid
-    X, Y = g.mesh()
-    bump = 0.01 * np.sin(np.pi * (X - g.x0) / (g.x1 - g.x0)) \
-                * np.sin(np.pi * (Y - g.y0) / (g.y1 - g.y0))
-    start = MapField(g, base.source, base.target, base.values + bump[..., None])
+    start = presets.sine_bump(field("z_squared", 65), 0.01)
     tau0 = flow.tension_pass(start).norm_tau
     t0 = time.perf_counter()
     result = flow.run_to_minimal(

@@ -231,6 +231,43 @@ def test_flow_nan_sample_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "run" / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("section,line", [("flow", "dt_max = 0"),
+                                          ("tolerances", "stop_tension = nan")])
+def test_flow_bad_step_settings_are_config_errors(tmp_path, capsys, section, line):
+    cfgfile = tmp_path / "flow.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = poincare_disc
+        [map]
+        spec = z_squared
+        [grid]
+        nx = 17
+        half_width = {Z2_HALF!r}
+        [{section}]
+        {line}
+    """))
+    assert main(["flow", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
+# -------------------------------------------------------- work per field
+
+@pytest.mark.parametrize("command,grids", [("verify", [65]), ("refine", [17, 33, 65])])
+def test_graph_geometry_built_once_per_grid(tmp_path, monkeypatch, command, grids):
+    # all four identities share one graph_grid per field: one grid for
+    # verify, the three grids of the default ladder for refine
+    from minmaps import graph_geometry
+
+    seen = []
+    original = graph_geometry.graph_grid
+    monkeypatch.setattr(graph_geometry, "graph_grid",
+                        lambda mf: seen.append(mf.grid.nx) or original(mf))
+    assert main([command, "--preset", "z_squared", "--out", str(tmp_path)]) == 0
+    assert seen == grids
+
+
 # ------------------------------------------------------------------ plumbing
 
 def test_missing_spec_is_config_error(tmp_path, capsys):

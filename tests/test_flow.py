@@ -39,12 +39,7 @@ def affine_with_nan():
 
 
 def perturbed_z2(n=33, eps=0.01):
-    base = presets.z_squared_field(n=n)
-    g = base.grid
-    X, Y = g.mesh()
-    bump = eps * np.sin(np.pi * (X - g.x0) / (g.x1 - g.x0)) \
-               * np.sin(np.pi * (Y - g.y0) / (g.y1 - g.y0))
-    return MapField(g, base.source, base.target, base.values + bump[..., None])
+    return presets.sine_bump(presets.z_squared_field(n=n), eps)
 
 
 # ------------------------------------------------------------------- tension
@@ -55,7 +50,7 @@ def test_minimal_fixtures_have_vanishing_tension(identity_33, affine_33):
 
 
 def test_tension_refines_at_second_order_on_minimal_map():
-    norms = [flow.tension_pass(presets.paper_example_field(nx=n)).norm_tau
+    norms = [flow.tension_pass(presets.paper_example_field(n=n)).norm_tau
              for n in (17, 33, 65)]
     assert 3.4 <= norms[0] / norms[1] <= 4.6
     assert 3.4 <= norms[1] / norms[2] <= 4.6
@@ -107,6 +102,17 @@ def test_config_validation():
         FlowConfig(stop_tension=1e-6, cfl_factor=1.5)
     with pytest.raises(ConfigError):
         FlowConfig(stop_tension=1e-6, max_steps=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
+@pytest.mark.parametrize("key", ["stop_tension", "dt_max", "dt_initial"])
+def test_config_rejects_nonfinite_or_nonpositive(key, value):
+    # a NaN or infinite dt never shrinks under halving (the flow would
+    # loop forever), and a NaN stop_tension would end the run unconverged
+    # after zero steps
+    kwargs = {"stop_tension": 1e-6, key: value}
+    with pytest.raises(ConfigError, match=key):
+        FlowConfig(**kwargs)
 
 
 def test_already_minimal_map_converges_without_stepping(z2_33):

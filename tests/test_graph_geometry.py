@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from minmaps import ConformalMetric, GridChart, MapExpr, MapField, presets
+from minmaps import ConformalMetric, GridChart, MapExpr, MapField, flow, presets
 from minmaps.errors import StencilError
 from minmaps.graph_geometry import (ScalarFieldOnGraph, adapted_frame,
                                     ambient_curvature, form_on_frame,
@@ -39,7 +39,7 @@ def test_induced_metric_identity_euclidean():
 def test_induced_metric_constant_map_is_source_metric(constant_33):
     p = (5, 7)
     g = induced_metric(constant_33, p)
-    assert g == pytest.approx(constant_33.pointwise.gM[p], rel=1e-14)
+    assert g == pytest.approx(constant_33.pointwise.rhoM2[p] * np.eye(2), rel=1e-14)
 
 
 def test_induced_metric_affine():
@@ -50,7 +50,9 @@ def test_induced_metric_affine():
 def test_per_point_matches_grid_pass(z2_33):
     gg = graph_grid(z2_33)
     p = (10, 21)
-    assert induced_metric(z2_33, p) == pytest.approx(gg.g[p], rel=1e-13)
+    m = gg.metric
+    g = np.array([[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]])
+    assert induced_metric(z2_33, p) == pytest.approx(g, rel=1e-13)
     assert adapted_frame(z2_33, p) == pytest.approx(gg.frame[p], rel=1e-13)
     assert second_fundamental_form(z2_33, p) == pytest.approx(gg.A[p], rel=1e-10, abs=1e-13)
 
@@ -65,12 +67,11 @@ ALL_FIXTURES = ["z2_33", "z2_mixed_33", "paper_33", "identity_33",
 def test_frame_is_product_orthonormal(name, request):
     mf = request.getfixturevalue(name)
     gg = graph_grid(mf)
-    gM, gN = gg.pw.gM, gg.pw.gN
     ok = np.all(np.isfinite(gg.frame), axis=(-2, -1))
     assert ok.any()
     for a in range(4):
         for b in range(4):
-            got = product_inner(gM, gN, gg.frame[..., a, :], gg.frame[..., b, :])
+            got = product_inner(gg.rhoM2, gg.rhoN2, gg.frame[..., a, :], gg.frame[..., b, :])
             want = 1.0 if a == b else 0.0
             assert np.abs(got[ok] - want).max() <= 1e-12
 
@@ -82,6 +83,42 @@ def test_frame_positively_oriented_across_sign_change(paper_33):
     assert float(gg.pw.jf.min()) < 0 < float(gg.pw.jf.max())
     dets = np.linalg.det(gg.frame)
     assert dets.min() > 0
+
+
+# ------------------------------------------------ conformal kernel vs tensors
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["bumped_z2"])
+def test_conformal_kernel_matches_tensor_oracle(name, request):
+    # the rho^2 kernel against the general (..., 2, 2) metric-tensor route it
+    # replaced; the bumped map has no formula, so its df and A carry a NaN ring
+    from tensor_oracle import tensor_graph
+
+    if name == "bumped_z2":
+        mf = presets.sine_bump(presets.z_squared_field(n=33), 0.01)
+    else:
+        mf = request.getfixturevalue(name)
+    gg, ref = mf.graph, tensor_graph(mf)
+    pw = gg.pw
+    for got, want in ((pw.lam, ref.lam), (pw.mu, ref.mu),
+                      (pw.alpha1, ref.alpha1), (pw.alpha2, ref.alpha2),
+                      (pw.beta1, ref.beta1), (pw.beta2, ref.beta2),
+                      (gg.frame, ref.frame), (gg.A, ref.A),
+                      (gg.rtilde_1234, ref.rtilde_1234)):
+        ok = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), ok)
+        assert ok.any()
+        err = np.abs(got[ok] - want[ok]) / np.maximum(1.0, np.abs(want[ok]))
+        assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_graph_and_tension_routes_agree_on_mean_curvature(n):
+    # |H| from the second fundamental form against the flow's harmonic-map
+    # route; both build g^-1 through induced_metric_arrays
+    mf = presets.sine_bump(presets.z_squared_field(n=n), 0.01)
+    want = flow.tension_pass(mf).norm_H
+    assert want > 0.1
+    assert mf.graph.max_norm_H == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------- second fundamental form
@@ -103,7 +140,7 @@ def test_A_symmetric(z2_65):
 def test_mean_curvature_of_minimal_map_refines_at_order_two():
     vals = []
     for n in (17, 33):
-        gg = graph_grid(presets.paper_example_field(nx=n))
+        gg = graph_grid(presets.paper_example_field(n=n))
         vals.append(gg.max_norm_H)
     assert 3.4 <= vals[0] / vals[1] <= 4.6
 
@@ -156,12 +193,12 @@ def test_normal_scalars_point_api(z2_33):
 
 def test_ambient_curvature_convention():
     e = np.eye(4)
-    gM = gN = np.eye(2)
+    rhoM2 = rhoN2 = 1.0
     # sectional curvature of each factor plane; mixed planes are flat
-    assert float(ambient_curvature(e[0], e[1], e[0], e[1], gM, gN, 3.0, 5.0)) == 3.0
-    assert float(ambient_curvature(e[2], e[3], e[2], e[3], gM, gN, 3.0, 5.0)) == 5.0
-    assert float(ambient_curvature(e[0], e[2], e[0], e[2], gM, gN, 3.0, 5.0)) == 0.0
-    assert float(ambient_curvature(e[0], e[1], e[2], e[3], gM, gN, 0.0, 0.0)) == 0.0
+    assert float(ambient_curvature(e[0], e[1], e[0], e[1], rhoM2, rhoN2, 3.0, 5.0)) == 3.0
+    assert float(ambient_curvature(e[2], e[3], e[2], e[3], rhoM2, rhoN2, 3.0, 5.0)) == 5.0
+    assert float(ambient_curvature(e[0], e[2], e[0], e[2], rhoM2, rhoN2, 3.0, 5.0)) == 0.0
+    assert float(ambient_curvature(e[0], e[1], e[2], e[3], rhoM2, rhoN2, 0.0, 0.0)) == 0.0
 
 
 def test_ambient_term_flat_product_is_zero(paper_33, affine_33):
@@ -241,7 +278,7 @@ def test_laplace_beltrami_against_symbolic_oracle():
 
     lap_err, grad_err = [], []
     for n, idx in ((33, 20), (65, 40)):
-        mf = presets.paper_example_field(nx=n)
+        mf = presets.paper_example_field(n=n)
         assert mf.grid.point(idx, idx) == (0.375, 0.5)
         gg = graph_grid(mf)
         X, Y = mf.grid.mesh()

@@ -15,11 +15,8 @@ from minmaps.pointwise import (PointClass, classify_point, differential,
                                jacobian_determinant, jacobians,
                                kahler_cosines, singular_decomposition)
 
-EUC = np.eye(2)
-
-
-def decompose(df, gM=EUC, gN=EUC):
-    return singular_decomposition(np.asarray(df, float), gM, gN)
+def decompose(df, rhoM2=1.0, rhoN2=1.0):
+    return singular_decomposition(np.asarray(df, float), rhoM2, rhoN2)
 
 
 # ------------------------------------------------------------- differential
@@ -46,7 +43,7 @@ def test_differential_spec_map_at_origin():
     exact = np.diag([2.0, 0.5])
     errs = []
     for nx in (65, 129):
-        mf = paper_example_field(nx=nx)
+        mf = paper_example_field(n=nx)
         i, j = mf.grid.nx // 2, mf.grid.ny // 2
         assert mf.grid.point(i, j) == (0.0, 0.0)
         errs.append(np.abs(differential(mf, (i, j)) - exact).max())
@@ -95,11 +92,11 @@ def test_decomposition_negative_orientation():
 
 @pytest.mark.parametrize("d10", [5.85e-12, -5.85e-12, 0.0])
 def test_decomposition_near_rank_loss_with_tensor_target_metric(d10):
-    # lam / mu ~ 3e-12: beta1 is the g_N-complement of beta2, also for a
-    # non-conformal g_N, and (beta1, beta2) is oriented like det df
+    # lam / mu ~ 3e-12: beta1 is the g_N-complement of beta2, also when
+    # rho_N != 1, and (beta1, beta2) is oriented like det df
     df = np.array([[1.0, 1.5], [d10, 0.0]])
-    gN = np.array([[2.0, 0.3], [0.3, 1.0]])
-    lam, mu, s, a1, a2, b1, b2 = decompose(df, 2.25 * EUC, gN)
+    gN = 1.7 * np.eye(2)
+    lam, mu, s, a1, a2, b1, b2 = decompose(df, 2.25, 1.7)
     assert float(lam) <= 1e-7 * float(mu)
     assert b1 @ gN @ b1 == pytest.approx(1.0, abs=1e-14)
     assert b2 @ gN @ b2 == pytest.approx(1.0, abs=1e-14)
@@ -212,7 +209,7 @@ def test_decomposition_reconstruction_property(d00, d01, d10, d11, rM, rN):
     df = np.array([[d00, d01], [d10, d11]])
     gM = rM ** 2 * np.eye(2)
     gN = rN ** 2 * np.eye(2)
-    lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, gM, gN)
+    lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, rM ** 2, rN ** 2)
     lam, mu, s = float(lam), float(mu), float(s)
     assert 0.0 <= lam <= mu
 

@@ -23,7 +23,7 @@ ALL_IDENTITIES = (verify_pullback_derivative, verify_form_laplacian,
 @functools.lru_cache(maxsize=None)
 def cached_field(name, n):
     if name == "paper":
-        return presets.paper_example_field(nx=n)
+        return presets.paper_example_field(n=n)
     if name == "z2":
         return presets.z_squared_field(n=n)
     if name == "z2_mixed":
@@ -205,13 +205,8 @@ def test_probe_z_squared_passes(z2_65):
 
 
 def test_probe_refuses_non_minimal_input(z2_65):
-    from minmaps import MapField
     g = z2_65.grid
-    X, Y = g.mesh()
-    bump = 0.05 * np.sin(np.pi * (X - g.x0) / (g.x1 - g.x0)) \
-               * np.sin(np.pi * (Y - g.y0) / (g.y1 - g.y0))
-    vals = z2_65.values + bump[..., None]
-    perturbed = MapField(g, z2_65.source, z2_65.target, vals)
+    perturbed = presets.sine_bump(z2_65, 0.05)
     probe = interior_minimum_probe(perturbed, "phi", HYP_POINCARE)
     assert probe.status is ProbeStatus.REFUSED_NOT_MINIMAL
     assert probe.minimality_defect > 10 * g.h ** 2

@@ -49,6 +49,7 @@ import numpy as np
 
 from . import stencils
 from .errors import ConfigError, NumericalError, StencilError
+from .floatfmt import format_block
 from .graph_geometry import _window, induced_metric_arrays
 from .pointwise import MapField
 from .surface import BoundaryMode, ConformalMetric, GridChart
@@ -64,6 +65,10 @@ __all__ = [
 DT_UNDERFLOW_FACTOR = 1e-15
 REJECT_TENSION_FACTOR = 10.0
 RECOVERY_RUN = 20
+
+# grid points formatted per write: the writer's scratch memory is about
+# 120 bytes per value, so blocks this size stay below the flow's own peak
+_SNAPSHOT_POINTS = 1 << 12
 
 MONITOR_COLUMNS = ("step", "t", "dt", "min_phi", "min_theta",
                    "max_abs_jf", "norm_H", "norm_tau")
@@ -471,8 +476,8 @@ def write_monitors_csv(state: FlowState, path: str) -> None:
         lines.append(f"{r.step},{r.t:.17g},{r.dt:.17g},{r.min_phi:.17g},"
                      f"{r.min_theta:.17g},{r.max_abs_jf:.17g},"
                      f"{r.norm_H:.17g},{r.norm_tau:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def write_snapshot(mapfield: MapField, path: str) -> None:
@@ -482,13 +487,12 @@ def write_snapshot(mapfield: MapField, path: str) -> None:
     if abs(grid.hx - grid.hy) > 1e-15 * max(grid.hx, grid.hy):
         raise ConfigError("snapshot format stores a single spacing; "
                           "grid must have hx == hy")
-    lines = [f"{grid.nx} {grid.ny} {grid.hx:.17g} {grid.x0:.17g} {grid.y0:.17g}"]
-    vals = mapfield.values
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            lines.append(f"{vals[i, j, 0]:.17g} {vals[i, j, 1]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    points = mapfield.values.reshape(-1, 2)
+    with open(path, "wb") as fh:
+        fh.write(f"{grid.nx} {grid.ny} {grid.hx:.17g} {grid.x0:.17g} "
+                 f"{grid.y0:.17g}\n".encode())
+        for i in range(0, len(points), _SNAPSHOT_POINTS):
+            fh.write(format_block(points[i:i + _SNAPSHOT_POINTS], " "))
 
 
 def read_snapshot(path: str, source: ConformalMetric,

@@ -40,6 +40,30 @@ def test_point_table_layout(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("preset", ["z_squared", "paper_example"])
+def test_point_tables_match_per_value_writer(tmp_path, monkeypatch, preset, n):
+    from minmaps import cli
+    from text_oracle import table_bytes
+
+    assert n % cli._TABLE_ROWS, "the table must end inside a write block"
+    expected = {}
+    write_table = cli._write_table
+
+    def spy(path, name, columns, fields):
+        expected[path.name] = table_bytes(name, columns, fields)
+        write_table(path, name, columns, fields)
+
+    monkeypatch.setattr(cli, "_write_table", spy)
+    for kind in ("analyze", "verify"):
+        assert main([kind, "--preset", preset, "--grid", str(n),
+                     "--out", str(tmp_path)]) == 0
+    assert sorted(expected) == ["analysis.csv", "verify.csv"]
+    assert b",nan," in expected["verify.csv"]       # the residuals' NaN ring
+    for name, want in expected.items():
+        assert (tmp_path / name).read_bytes() == want
+
+
 # ----------------------------------------------------------------- curvature
 
 def test_curvature_preset_poincare(tmp_path):

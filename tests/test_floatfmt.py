@@ -1,0 +1,94 @@
+"""The vectorised %.17g writer must give the per-value writer's bytes."""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from minmaps import floatfmt
+from minmaps.floatfmt import format_block
+from text_oracle import format_rows
+
+
+def from_bits(bits):
+    return np.array([bits], np.uint64).view(np.float64)[0]
+
+
+NEG_NAN = from_bits(0xFFF8000000000001)
+MAX = np.finfo(np.float64).max
+TENS = np.array([float(f"1e{k}") for k in range(-300, 301)])
+
+values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2 ** 64 - 1).map(from_bits),
+    st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 8.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, NEG_NAN, 5e-324, MAX,
+                     1e16, 1e17, 99999999999999999.0, 1e20, 0.1, 1 / 3]),
+)
+blocks = arrays(np.float64,
+                array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                elements=values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks, st.sampled_from([",", " "]))
+@example(np.array([[1e16, 1e17, 99999999999999999.0, 1e20]]), ",")
+@example(np.array([[0.1, 1 / 3], [NEG_NAN, 5e-324], [MAX, -MAX]]), ",")
+@example(np.array([[0.0, -0.0, np.inf, -np.inf, np.nan]]), " ")
+@example(np.array([[5e-324, 2.2250738585072014e-308, 1e-300, 1e300]]), ",")
+@example(np.empty((0, 3)), ",")
+@example(np.empty((2, 0)), ",")
+def test_block_matches_per_value_writer(block, sep):
+    assert format_block(block, sep) == format_rows(block, sep)
+
+
+def pinned_values():
+    """Powers of ten with both neighbours, 5*10^k, k/8 ties, odd multiples
+    of powers of two (m * 2^-24 for odd m <= 15 is a tie at 17 digits) and
+    the words."""
+    words = [1e16, 1e17, 99999999999999999.0, 1e20, 0.1, 1 / 3, NEG_NAN,
+             np.nan, np.inf, 0.0, 5e-324, 2.2250738585072014e-308, MAX]
+    twos = np.ldexp(np.arange(1.0, 16.0, 2.0)[:, None], np.arange(-1074, 1020))
+    flat = np.concatenate([TENS, np.nextafter(TENS, 0.0),
+                           np.nextafter(TENS, np.inf), 5.0 * TENS,
+                           np.arange(-4000, 4001) / 8.0, twos.ravel(), words])
+    return np.concatenate([flat, -flat])
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 7])
+def test_pinned_adversarial_values(ncols):
+    flat = pinned_values()
+    block = np.concatenate([flat, np.zeros(-flat.size % ncols)])
+    block = block.reshape(-1, ncols)
+    assert format_block(block) == format_rows(block)
+
+
+def test_exact_ties_round_half_even_on_the_fast_path():
+    # 10 * (1e15 + k/4) ends in .5 for odd k, and 10^1 is a double, so the
+    # fast path must settle these ties itself
+    ties = 1e15 + np.arange(1, 4001, 2) * 0.25
+    _, _, ok = floatfmt._decimal(ties)
+    assert ok.all()
+    assert format_block(ties[:, None]) == format_rows(ties[:, None])
+
+
+def test_ties_under_an_inexact_scale_go_to_python():
+    # 2^-25 = 2.98023223876953125e-8 and 3 * 2^-24 = 1.78813934326171875e-7
+    # have 18 digits ending in 5, and neither 10^24 nor 10^23 is a double:
+    # the product cannot prove these ties
+    ties = np.array([[2.0 ** -25], [3 * 2.0 ** -24]])
+    _, _, ok = floatfmt._decimal(ties.ravel())
+    assert not ok.any()
+    assert format_block(ties) == b"2.9802322387695312e-08\n1.7881393432617188e-07\n"
+
+
+def test_power_table_is_built_on_first_use():
+    code = ("import minmaps, minmaps.floatfmt as f; "
+            "assert f._pow10.cache_info().currsize == 0; "
+            "f.format_block([[1.5]]); "
+            "assert f._pow10.cache_info().currsize == 1")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -313,6 +313,20 @@ def test_snapshot_round_trip(tmp_path, z2_33):
     assert back.grid.x0 == z2_33.grid.x0
 
 
+def test_snapshot_matches_per_value_writer(tmp_path):
+    from text_oracle import snapshot_bytes
+
+    # 129 x 129 points span many write blocks, the last one partial; the
+    # noise fills all 17 digits
+    mf = presets.z_squared_field(n=129)
+    assert mf.grid.nx * mf.grid.ny > flow._SNAPSHOT_POINTS
+    noise = np.random.default_rng(7).standard_normal(mf.values.shape)
+    mf = MapField(mf.grid, mf.source, mf.target, mf.values + 1e-3 * noise)
+    path = tmp_path / "map.txt"
+    flow.write_snapshot(mf, str(path))
+    assert path.read_bytes() == snapshot_bytes(mf)
+
+
 def test_snapshot_requires_square_spacing(tmp_path, paper_33):
     with pytest.raises(ConfigError):
         flow.write_snapshot(paper_33, str(tmp_path / "nope.txt"))

@@ -4,7 +4,7 @@ from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
 from .surface import BoundaryMode, ConformalMetric, FactorKind, GridChart, TheoremHypotheses
 from .expressions import MapExpr
 from .pointwise import (
-    Classification, MapField, PointClass, PointwiseGeometry, PointwiseGrid,
+    Classification, MapField, PointClass, PointwiseGrid,
     classify_point, jacobians, kahler_cosines, pointwise_grid,
     singular_decomposition,
 )

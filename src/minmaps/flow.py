@@ -48,9 +48,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import stencils
-from .errors import ConfigError, NumericalError, StencilError
+from .errors import ConfigError, NumericalError
 from .floatfmt import format_block
-from .graph_geometry import _window, induced_metric_arrays
+from .graph_geometry import _finite, induced_metric_arrays
 from .pointwise import MapField
 from .surface import BoundaryMode, ConformalMetric, GridChart
 from .verifier import Certificate, area_decreasing_certificate
@@ -91,15 +91,14 @@ class FlowConfig:
     stop_tension: float
     max_steps: int = 50000
     cfl_factor: float = 0.2          # explicit_step only
-    dt_initial: Optional[float] = None
     dt_max: float = 1e-2
 
     def __post_init__(self):
         # a NaN or infinite dt never shrinks under halving and 0 stalls at
         # once; a NaN stop_tension would end the run unconverged at step 0
-        for name in ("stop_tension", "dt_max", "dt_initial"):
+        for name in ("stop_tension", "dt_max"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive (got {value!r})")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
@@ -269,12 +268,8 @@ def tension_pass(mapfield: MapField) -> TensionPass:
 
 
 def tension_field(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """Tension 2-vector at grid index p."""
-    sub, (ci, cj) = _window(mapfield, p)
-    tau = tension_pass(sub).tau[ci, cj]
-    if not np.all(np.isfinite(tau)):
-        raise StencilError("tension stencil leaves the grid at this point")
-    return tau
+    """Tension 2-vector at grid index p, read from the whole-grid pass."""
+    return _finite(tension_pass(mapfield).tau[p], "tension")
 
 
 # ------------------------------------------------------------------ stepping
@@ -297,16 +292,13 @@ class FlowState:
 def make_state(initial: MapField, config: FlowConfig) -> FlowState:
     """Evaluate the initial tension and seed the monitor series (step 0).
 
-    dt starts at dt_initial (or dt_max when unset); the explicit stepper
-    applies its CFL cap on each step.
+    dt starts at dt_max; the explicit stepper applies its CFL cap on each
+    step.
     """
     st = _static_data(initial.grid, initial.source, initial.target)
     tp = _tension_arrays(initial.values, st)
-    dt = config.dt_max
-    if config.dt_initial is not None:
-        dt = min(dt, config.dt_initial)
-    state = FlowState(map=initial, t=0.0, dt=dt, tension_norm=tp.norm_tau,
-                      _static=st, _last=tp)
+    state = FlowState(map=initial, t=0.0, dt=config.dt_max,
+                      tension_norm=tp.norm_tau, _static=st, _last=tp)
     state.monitors.append(_row(state, tp))
     return state
 

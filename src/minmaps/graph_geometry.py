@@ -250,72 +250,45 @@ def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
 
 
 # ------------------------------------------------------------ per-point ops
+#
+# Point queries index the field's one cached graph pass, so they return the
+# grid values bit for bit; where a stencil leaves the grid the value is NaN
+# and the query raises StencilError.
 
-def _window(mapfield: MapField, p: tuple[int, int]) -> tuple[MapField, tuple[int, int]]:
-    """5x5 sub-map centred as close to p as the grid allows."""
-    i, j = p
-    grid = mapfield.grid
-    if grid.periodic:
-        ii = (np.arange(i - 2, i + 3)) % grid.nx
-        jj = (np.arange(j - 2, j + 3)) % grid.ny
-        vals = mapfield.values[np.ix_(ii, jj)]
-        sub = GridChart(grid.x0 + (i - 2) * grid.hx, grid.x0 + (i + 2) * grid.hx,
-                        grid.y0 + (j - 2) * grid.hy, grid.y0 + (j + 2) * grid.hy, 5, 5)
-        # domain checks do not apply to the synthetic wrapped window
-        return MapField(sub, mapfield.source, mapfield.target, vals,
-                        expr=mapfield.expr), (2, 2)
-    i0 = min(max(i - 2, 0), grid.nx - 5)
-    j0 = min(max(j - 2, 0), grid.ny - 5)
-    sub = GridChart(grid.x0 + i0 * grid.hx, grid.x0 + (i0 + 4) * grid.hx,
-                    grid.y0 + j0 * grid.hy, grid.y0 + (j0 + 4) * grid.hy, 5, 5)
-    vals = mapfield.values[i0:i0 + 5, j0:j0 + 5]
-    return MapField(sub, mapfield.source, mapfield.target, vals,
-                    expr=mapfield.expr), (i - i0, j - j0)
+def _finite(value, what: str) -> np.ndarray:
+    """A copy of value; StencilError where it is not finite."""
+    out = np.array(value, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise StencilError(f"{what} undefined at this point")
+    return out
 
 
 def induced_metric(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
     """g = rhoM^2 I + rhoN^2 df^T df at grid index p, as a 2x2 matrix."""
-    sub, (ci, cj) = _window(mapfield, p)
-    pw = sub.pointwise
-    df = pw.df[ci, cj]
-    m = induced_metric_arrays(df[0, 0], df[0, 1], df[1, 0], df[1, 1],
-                              pw.rhoM2[ci, cj], pw.rhoN2[ci, cj])
-    out = np.array([[m.g11, m.g12], [m.g12, m.g22]])
-    if not np.all(np.isfinite(out)):
-        raise StencilError("induced metric undefined at this point")
-    return out
+    m = mapfield.graph.metric
+    return _finite([[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]], "induced metric")
 
 
 def adapted_frame(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
     """Orthonormal frame rows (e1, e2, e3, e4) at grid index p."""
-    sub, (ci, cj) = _window(mapfield, p)
-    E = _adapted_frame_arrays(sub.pointwise)[ci, cj]
-    if not np.all(np.isfinite(E)):
-        raise StencilError("adapted frame undefined at this point")
-    return E
+    return _finite(mapfield.graph.frame[p], "adapted frame")
 
 
 def second_fundamental_form(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
     """A[alpha, i, j] in the orthonormal frame at grid index p."""
-    sub, (ci, cj) = _window(mapfield, p)
-    A = graph_grid(sub).A[ci, cj]
-    if not np.all(np.isfinite(A)):
-        raise StencilError("second fundamental form undefined at this point")
-    return A
+    return _finite(mapfield.graph.A[p], "second fundamental form")
 
 
 def mean_curvature(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
     """(H^3, H^4) = traces of A at grid index p."""
-    A = second_fundamental_form(mapfield, p)
-    return A[:, 0, 0] + A[:, 1, 1]
+    return _finite(mapfield.graph.H[p], "mean curvature")
 
 
 def normal_scalars(mapfield: MapField, p: tuple[int, int]) -> NormalScalars:
     """|A|^2 and the normal curvature commutator scalar sigma_perp."""
-    A = second_fundamental_form(mapfield, p)
-    sp = (-A[0, 0, 0] * A[1, 0, 1] + A[0, 0, 1] * A[1, 0, 0]
-          - A[0, 0, 1] * A[1, 1, 1] + A[0, 1, 1] * A[1, 0, 1])
-    return NormalScalars(norm_A_sq=float(np.sum(A ** 2)), sigma_perp=float(sp))
+    gg = mapfield.graph
+    nA2, sp = _finite([gg.norm_A_sq[p], gg.sigma_perp[p]], "normal scalars")
+    return NormalScalars(norm_A_sq=float(nA2), sigma_perp=float(sp))
 
 
 def sigma_perp_commutator(A: np.ndarray) -> np.ndarray:
@@ -332,12 +305,7 @@ def sigma_perp_commutator(A: np.ndarray) -> np.ndarray:
 
 def ambient_curvature_term(mapfield: MapField, p: tuple[int, int]) -> float:
     """R(e1, e2, e3, e4) of the product metric at grid index p."""
-    sub, (ci, cj) = _window(mapfield, p)
-    gg = graph_grid(sub)
-    val = gg.rtilde_1234[ci, cj]
-    if not np.isfinite(val):
-        raise StencilError("ambient curvature term undefined at this point")
-    return float(val)
+    return float(_finite(mapfield.graph.rtilde_1234[p], "ambient curvature term"))
 
 
 # ------------------------------------------------- scalar fields on a graph
@@ -380,18 +348,14 @@ def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
 
 def laplace_beltrami(field: ScalarFieldOnGraph, p: tuple[int, int]) -> float:
     gg = field.graph
-    val = laplace_beltrami_array(field.values, gg.metric, gg.grid)[p]
-    if not np.isfinite(val):
-        raise StencilError("Laplace-Beltrami stencil leaves the grid at this point")
-    return float(val)
+    return float(_finite(laplace_beltrami_array(field.values, gg.metric, gg.grid)[p],
+                         "Laplace-Beltrami"))
 
 
 def gradient_norm_sq(field: ScalarFieldOnGraph, p: tuple[int, int]) -> float:
     gg = field.graph
-    val = gradient_norm_sq_array(field.values, gg.metric, gg.grid)[p]
-    if not np.isfinite(val):
-        raise StencilError("gradient stencil leaves the grid at this point")
-    return float(val)
+    return float(_finite(gradient_norm_sq_array(field.values, gg.metric, gg.grid)[p],
+                         "gradient norm"))
 
 
 # --------------------------------------------------------------- form checks

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from .graph_geometry import GraphGrid
 
 __all__ = [
-    "MapField", "PointwiseGeometry", "PointwiseGrid", "PointClass", "Classification",
+    "MapField", "PointwiseGrid", "PointClass", "Classification",
     "differential", "singular_decomposition", "jacobians", "kahler_cosines",
     "jacobian_determinant", "classify_point", "classification_masks",
     "graph_metric_singular_values", "pointwise_grid",
@@ -358,26 +358,6 @@ def classification_masks(phi: np.ndarray, theta: np.ndarray,
 
 
 @dataclass(frozen=True)
-class PointwiseGeometry:
-    """Full pointwise record at one grid point."""
-
-    df: np.ndarray
-    lam: float
-    mu: float
-    s: float
-    alpha1: np.ndarray
-    alpha2: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
-    u1: float
-    u2: float
-    jf: float
-    phi: float
-    theta: float
-    classification: Classification
-
-
-@dataclass(frozen=True)
 class PointwiseGrid:
     """Vectorised pointwise geometry over a whole grid (NaN outside validity)."""
 
@@ -397,16 +377,6 @@ class PointwiseGrid:
     theta: np.ndarray
     rhoM2: np.ndarray    # squared source factor at grid points
     rhoN2: np.ndarray    # squared target factor at image points
-
-    def at(self, i: int, j: int, tol: float = 1e-9) -> PointwiseGeometry:
-        return PointwiseGeometry(
-            df=self.df[i, j], lam=float(self.lam[i, j]), mu=float(self.mu[i, j]),
-            s=float(self.s[i, j]), alpha1=self.alpha1[i, j], alpha2=self.alpha2[i, j],
-            beta1=self.beta1[i, j], beta2=self.beta2[i, j], u1=float(self.u1[i, j]),
-            u2=float(self.u2[i, j]), jf=float(self.jf[i, j]), phi=float(self.phi[i, j]),
-            theta=float(self.theta[i, j]),
-            classification=classify_point(float(self.phi[i, j]), float(self.theta[i, j]), tol),
-        )
 
 
 def pointwise_grid(mapfield: MapField) -> PointwiseGrid:

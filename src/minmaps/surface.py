@@ -7,8 +7,9 @@ factor rho > 0. With u = log(rho) the geometry is closed-form:
     Christoffels      G^1_11 = u_x   G^1_12 = u_y   G^1_22 = -u_x
                       G^2_11 = -u_y  G^2_12 = u_x   G^2_22 = u_y
 
-Built-in factors use these closed forms; custom expression factors fall
-back to width-3 central stencils of order 2.
+Built-in factors use these closed forms; custom expression factors
+differentiate log rho symbolically, so their curvature and Christoffels are
+exact too.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
-from .expressions import Node, evaluate, parse_scalar
+from .expressions import BinOp, Call, Node, diff, evaluate, parse_scalar
 
 __all__ = [
     "FactorKind", "ConformalMetric", "GridChart", "TheoremHypotheses",
@@ -53,7 +55,6 @@ class ConformalMetric:
     kind: FactorKind
     sigma: float = 1.0
     expr: Optional[Node] = None
-    fd_step: float = 1e-5  # stencil step for custom factors
 
     def __post_init__(self):
         if self.kind is FactorKind.HYPERBOLIC_SCALED and not self.sigma > 0:
@@ -113,24 +114,16 @@ class ConformalMetric:
         if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
             w = 1.0 + x * x + y * y
             return -2.0 * x / w, -2.0 * y / w
-        return self._custom_log_grad(x, y)
+        self.rho(x, y)  # positivity check
+        ux, uy, _ = self._log_rho_derivatives
+        return evaluate(ux, x, y), evaluate(uy, x, y)
 
-    # -------------------------------------------- custom factors (stencils)
-
-    def _custom_log_grad(self, x, y):
-        h = self.fd_step
-        u = lambda a, b: np.log(self.rho(a, b))
-        ux = (u(x + h, y) - u(x - h, y)) / (2 * h)
-        uy = (u(x, y + h) - u(x, y - h)) / (2 * h)
-        return ux, uy
-
-    def _custom_log_laplace(self, x, y):
-        h = self.fd_step
-        u = lambda a, b: np.log(self.rho(a, b))
-        u0 = u(x, y)
-        uxx = (u(x + h, y) - 2 * u0 + u(x - h, y)) / (h * h)
-        uyy = (u(x, y + h) - 2 * u0 + u(x, y - h)) / (h * h)
-        return uxx + uyy
+    @cached_property
+    def _log_rho_derivatives(self) -> tuple[Node, Node, Node]:
+        """Symbolic u_x, u_y and u_xx + u_yy of u = log rho (custom factors)."""
+        u = Call("log", self.expr)
+        ux, uy = diff(u, "x"), diff(u, "y")
+        return ux, uy, BinOp("+", diff(ux, "x"), diff(uy, "y"))
 
     # ------------------------------------------------------------- geometry
 
@@ -147,7 +140,7 @@ class ConformalMetric:
         if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
             return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape)
         r = self.rho(x, y)
-        return -self._custom_log_laplace(np.asarray(x, float), np.asarray(y, float)) / (r * r)
+        return -evaluate(self._log_rho_derivatives[2], x, y) / (r * r)
 
     def metric_tensor(self, x, y) -> np.ndarray:
         """g = rho^2 I with shape (..., 2, 2)."""
@@ -190,8 +183,8 @@ class ConformalMetric:
         return cls(FactorKind.SPHERE_STEREOGRAPHIC)
 
     @classmethod
-    def custom_expression(cls, text: str, fd_step: float = 1e-5) -> "ConformalMetric":
-        return cls(FactorKind.CUSTOM, expr=parse_scalar(text), fd_step=fd_step)
+    def custom_expression(cls, text: str) -> "ConformalMetric":
+        return cls(FactorKind.CUSTOM, expr=parse_scalar(text))
 
 
 class BoundaryMode(enum.Enum):

@@ -152,10 +152,17 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
     pw = gg.pw
     grid = mapfield.grid
     E = gg.frame
+    # R(e_k, e_i, e_k, e_alpha) does not depend on the form and vanishes
+    # for k == i, so S3 needs R(e1, e2, e1, e_alpha) and R(e2, e1, e2, e_alpha)
+    R = {(k, a): ambient_curvature(E[..., k, :], E[..., 1 - k, :], E[..., k, :],
+                                   E[..., a - 1, :], gg.rhoM2, gg.rhoN2,
+                                   gg.sigmaM, gg.sigmaN)
+         for a in (3, 4) for k in (0, 1)}
     comps: dict[str, np.ndarray] = {}
     for idx, u in ((1, pw.u1), (2, pw.u2)):
+        # S1-S3 read every omega(e_a, e_b) except (e2, e3) and (e2, e4)
         w = {(a, b): form_on_frame(gg, idx, a, b)
-             for a in (1, 2, 3, 4) for b in (2, 3, 4)}
+             for a in (1, 2, 3, 4) for b in (2, 3, 4) if a != 2 or b == 2}
         w[(1, 1)] = np.zeros_like(u)
         lhs = -laplace_beltrami_array(u, gg.metric, grid)
 
@@ -173,14 +180,8 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
                     S2 = S2 - 2.0 * gg.A[..., a - 3, k, 0] * gg.A[..., b - 3, k, 1] * w[(a, b)]
         S3 = np.zeros_like(u)
         for a in (3, 4):
-            ea = E[..., a - 1, :]
-            for k in (0, 1):
-                ek = E[..., k, :]
-                r1 = ambient_curvature(ek, E[..., 0, :], ek, ea,
-                                       gg.rhoM2, gg.rhoN2, gg.sigmaM, gg.sigmaN)
-                r2 = ambient_curvature(ek, E[..., 1, :], ek, ea,
-                                       gg.rhoM2, gg.rhoN2, gg.sigmaM, gg.sigmaN)
-                S3 = S3 + r1 * w[(a, 2)] + r2 * w[(1, a)]
+            S3 = S3 + R[(0, a)] * w[(1, a)]
+            S3 = S3 + R[(1, a)] * w[(a, 2)]
         comps[f"omega{idx}"] = lhs - (S1 + S2 + S3)
     return _make_report(IdentityKind.FORM_LAPLACIAN, gg, comps)
 

@@ -168,7 +168,7 @@ def test_criterion_7_flow_relaxes_and_matches_heat():
     euc = ConformalMetric.euclidean()
     mf = MapField.from_expr(grid, euc, euc, MapExpr.parse(
         f"0.1 + {eps}*sin(x)*sin(y), -0.2 + {eps}*sin(x)*cos(y)"))
-    cfg = FlowConfig(stop_tension=1e-9, cfl_factor=1.0, dt_initial=dt, dt_max=dt)
+    cfg = FlowConfig(stop_tension=1e-9, cfl_factor=1.0, dt_max=dt)
     state = flow.make_state(mf, cfg)
     for _ in range(steps):
         flow.explicit_step(state, cfg)

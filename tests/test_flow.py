@@ -58,7 +58,7 @@ def test_tension_refines_at_second_order_on_minimal_map():
 
 def test_tension_point_api(z2_33):
     tp = flow.tension_pass(z2_33)
-    assert flow.tension_field(z2_33, (16, 16)) == pytest.approx(tp.tau[16, 16], rel=1e-12)
+    assert flow.tension_field(z2_33, (16, 16)).tobytes() == tp.tau[16, 16].tobytes()
     with pytest.raises(StencilError):
         flow.tension_field(z2_33, (0, 5))
 
@@ -105,7 +105,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
-@pytest.mark.parametrize("key", ["stop_tension", "dt_max", "dt_initial"])
+@pytest.mark.parametrize("key", ["stop_tension", "dt_max"])
 def test_config_rejects_nonfinite_or_nonpositive(key, value):
     # a NaN or infinite dt never shrinks under halving (the flow would
     # loop forever), and a NaN stop_tension would end the run unconverged
@@ -218,8 +218,7 @@ def test_flow_agrees_with_heat_semidiscretization():
     eps = 1e-3
     mf = heat_seed(eps=eps)
     dt = 1e-4
-    cfg = FlowConfig(stop_tension=1e-9, cfl_factor=1.0,
-                     dt_initial=dt, dt_max=dt)
+    cfg = FlowConfig(stop_tension=1e-9, cfl_factor=1.0, dt_max=dt)
     state = flow.make_state(mf, cfg)
     steps = 200
     for _ in range(steps):
@@ -241,7 +240,7 @@ def test_implicit_flow_matches_backward_euler_heat_decay(dt, steps):
     # (1 + dt lambda_h)^-k, also at dt far beyond the explicit CFL cap
     eps = 1e-3
     mf = heat_seed(eps=eps)
-    cfg = FlowConfig(stop_tension=1e-12, dt_initial=dt, dt_max=dt)
+    cfg = FlowConfig(stop_tension=1e-12, dt_max=dt)
     state = flow.make_state(mf, cfg)
     for _ in range(steps):
         flow.step(state, cfg)

@@ -2,14 +2,17 @@
 fundamental form, curvature scalars, and Laplace-Beltrami operators."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from minmaps import ConformalMetric, GridChart, MapExpr, MapField, flow, presets
+from minmaps import (BoundaryMode, ConformalMetric, GridChart, MapExpr, MapField,
+                     flow, presets)
 from minmaps.errors import StencilError
 from minmaps.graph_geometry import (ScalarFieldOnGraph, adapted_frame,
-                                    ambient_curvature, form_on_frame,
+                                    ambient_curvature, ambient_curvature_term,
+                                    form_on_frame,
                                     gradient_norm_sq, graph_grid,
                                     induced_metric, kahler_angle_crosscheck,
                                     laplace_beltrami, mean_curvature,
@@ -52,9 +55,61 @@ def test_per_point_matches_grid_pass(z2_33):
     p = (10, 21)
     m = gg.metric
     g = np.array([[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]])
-    assert induced_metric(z2_33, p) == pytest.approx(g, rel=1e-13)
-    assert adapted_frame(z2_33, p) == pytest.approx(gg.frame[p], rel=1e-13)
-    assert second_fundamental_form(z2_33, p) == pytest.approx(gg.A[p], rel=1e-10, abs=1e-13)
+    assert induced_metric(z2_33, p).tobytes() == g.tobytes()
+    assert adapted_frame(z2_33, p).tobytes() == gg.frame[p].tobytes()
+    assert second_fundamental_form(z2_33, p).tobytes() == gg.A[p].tobytes()
+
+
+def check_point_queries(mf, points):
+    """Every point query returns the cached grid value bit for bit, or raises
+    StencilError where that value is not finite; returns the finite count."""
+    gg = mf.graph
+    m = gg.metric
+    tau = flow.tension_pass(mf).tau
+    cases = [
+        (induced_metric,
+         lambda p: [[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]]),
+        (adapted_frame, lambda p: gg.frame[p]),
+        (second_fundamental_form, lambda p: gg.A[p]),
+        (mean_curvature, lambda p: gg.H[p]),
+        (lambda mf, p: astuple(normal_scalars(mf, p)),
+         lambda p: [gg.norm_A_sq[p], gg.sigma_perp[p]]),
+        (ambient_curvature_term, lambda p: gg.rtilde_1234[p]),
+        (flow.tension_field, lambda p: tau[p]),
+    ]
+    finite = 0
+    for query, cached in cases:
+        for p in points:
+            want = np.array(cached(p), dtype=float)
+            if np.all(np.isfinite(want)):
+                got = np.array(query(mf, p), dtype=float)
+                assert got.tobytes() == want.tobytes(), (query, p)
+                finite += 1
+            else:
+                with pytest.raises(StencilError):
+                    query(mf, p)
+    return finite
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_point_queries_read_the_cached_grids(z2_33, analytic):
+    mf = z2_33 if analytic else MapField(z2_33.grid, z2_33.source,
+                                         z2_33.target, z2_33.values)
+    # the Dirichlet ring, the first rings inside it and the interior
+    edge = (0, 1, 2, 10, 16, 30, 31, 32)
+    points = [(i, j) for i in edge for j in edge]
+    assert check_point_queries(mf, points) > 0
+
+
+def test_periodic_disc_queries_stay_in_the_chart():
+    # at the corner of a periodic chart a wrapped neighbourhood would leave
+    # the disc, but the grid pass itself is finite everywhere
+    grid = GridChart(-0.65, 0.65, -0.65, 0.65, 16, 16, BoundaryMode.PERIODIC)
+    disc = ConformalMetric.poincare_disc()
+    mf = MapField.from_expr(grid, disc, disc, MapExpr.parse(
+        "0.1*sin(pi*(x+0.65)/0.65), 0.1*sin(pi*(y+0.65)/0.65)"))
+    points = [(0, 0), (0, 15), (15, 15), (7, 3)]
+    assert check_point_queries(mf, points) == 7 * len(points)
 
 
 # -------------------------------------------------------------- frame checks
@@ -185,8 +240,8 @@ def test_normal_scalars_point_api(z2_33):
     gg = graph_grid(z2_33)
     p = (12, 9)
     ns = normal_scalars(z2_33, p)
-    assert ns.norm_A_sq == pytest.approx(float(gg.norm_A_sq[p]), rel=1e-10)
-    assert ns.sigma_perp == pytest.approx(float(gg.sigma_perp[p]), rel=1e-10, abs=1e-15)
+    assert ns.norm_A_sq == float(gg.norm_A_sq[p])
+    assert ns.sigma_perp == float(gg.sigma_perp[p])
 
 
 # ---------------------------------------------------------- ambient curvature

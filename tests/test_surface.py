@@ -91,18 +91,19 @@ def test_poincare_outside_disc_raises():
         ConformalMetric.poincare_disc().rho(np.array(0.8), np.array(0.8))
 
 
-def test_custom_factor_curvature_converges_second_order():
-    # FD curvature of an expression factor vs the sympy value; halving the
-    # stencil step must shrink the error by ~4x
-    text = "exp(0.3*sin(x)*cos(y))"
-    rho_expr = sp.exp(sp.Rational(3, 10) * sp.sin(X) * sp.cos(Y))
-    p = (0.3, -0.4)
-    exact = oracle_curvature(rho_expr, *p)
-    errs = []
-    for step in (1e-2, 5e-3):
-        metric = ConformalMetric.custom_expression(text, fd_step=step)
-        errs.append(abs(gauss_curvature(metric, p) - exact))
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
+def test_custom_factor_geometry_is_exact():
+    # expression factors differentiate log rho symbolically, so curvature and
+    # Christoffels agree with the sympy oracle to rounding
+    cases = [("exp(0.3*sin(x)*cos(y))",
+              sp.exp(sp.Rational(3, 10) * sp.sin(X) * sp.cos(Y))),
+             ("2/(1-x^2-y^2)", 2 / (1 - X ** 2 - Y ** 2))]
+    for text, rho_expr in cases:
+        metric = ConformalMetric.custom_expression(text)
+        for p in POINTS:
+            assert abs(gauss_curvature(metric, p)
+                       - oracle_curvature(rho_expr, *p)) <= 1e-12
+            assert np.abs(christoffels(metric, p)
+                          - oracle_christoffels(rho_expr, *p)).max() <= 1e-12
 
 
 def test_custom_factor_must_be_positive():

@@ -27,7 +27,7 @@ def main():
     args = ap.parse_args()
 
     start = presets.sine_bump(presets.SCENARIOS[args.fixture](n=args.n), args.eps)
-    tau0 = flow.tension_pass(start).norm_tau
+    tau0 = start.tension.norm_tau  # cached: run_to_minimal reuses it
     print(f"fixture = {args.fixture}, n = {args.n}, eps = {args.eps}")
     print(f"initial tension = {tau0:.6e}, target = {tau0 / args.reduction:.6e}")
 

@@ -13,6 +13,11 @@ differencing the induced metric a second time). The assembled derivative
 agrees with direct differencing to second order but is valid one ring
 closer to the boundary, so only the true Dirichlet ring is frozen.
 
+The tension pass is cached on the map (`MapField.tension`) and reads the
+field's factor samples. A step's candidate shares the current map's source
+samples, so a step samples only the target factor, at the candidate's
+image; the flow state holds no cache of its own.
+
 Two steppers share one step-control loop:
 
 ``step`` (used by ``run_to_minimal``) is linearly implicit. It solves
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -109,31 +114,6 @@ class FlowConfig:
 # ----------------------------------------------------------- tension kernel
 
 @dataclass(frozen=True)
-class _Static:
-    """Grid-fixed data shared by every flow step."""
-
-    grid: GridChart
-    source: ConformalMetric
-    target: ConformalMetric
-    rhoM2: np.ndarray
-    uMx: np.ndarray      # gradient of log rhoM
-    uMy: np.ndarray
-    dgMx: np.ndarray     # d_x (rhoM^2), d_y (rhoM^2)
-    dgMy: np.ndarray
-
-
-def _static_data(grid: GridChart, source: ConformalMetric,
-                 target: ConformalMetric) -> _Static:
-    X, Y = grid.mesh()
-    rhoM2 = np.broadcast_to(source.rho(X, Y) ** 2, X.shape).copy()
-    ux, uy = source.log_rho_grad(X, Y)
-    ux = np.broadcast_to(ux, X.shape)
-    uy = np.broadcast_to(uy, X.shape)
-    return _Static(grid, source, target, rhoM2, ux, uy,
-                   2.0 * rhoM2 * ux, 2.0 * rhoM2 * uy)
-
-
-@dataclass(frozen=True)
 class TensionPass:
     """One evaluation of the tension field plus cheap per-step monitors."""
 
@@ -153,37 +133,40 @@ def _interior(grid: GridChart):
     return np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
 
 
-def _tension_arrays(values: np.ndarray, st: _Static) -> TensionPass:
+def tension_pass(mapfield: MapField) -> TensionPass:
+    """Evaluate the tension field of a map over its whole grid (cached as
+    `mapfield.tension`, which the point query and both steppers read)."""
     # unrolled 2x2 component arithmetic throughout: the trailing dimensions
     # are tiny, so generic tensor contractions spend their time on overhead
-    grid = st.grid
-    f1, f2 = values[..., 0], values[..., 1]
+    grid = mapfield.grid
+    f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
 
     f1x, f1y = grid.d_x(f1), grid.d_y(f1)
     f2x, f2y = grid.d_x(f2), grid.d_y(f2)
     f1xx, f1yy, f1xy = grid.d_xx(f1), grid.d_yy(f1), grid.d_xy(f1)
     f2xx, f2yy, f2xy = grid.d_xx(f2), grid.d_yy(f2), grid.d_xy(f2)
 
-    rhoN2 = np.broadcast_to(st.target.rho(f1, f2) ** 2, f1.shape)
-    uNx, uNy = st.target.log_rho_grad(f1, f2)
-    uNx = np.broadcast_to(uNx, f1.shape)
-    uNy = np.broadcast_to(uNy, f1.shape)
+    rhoM2 = mapfield.source_samples.rho2
+    uMx, uMy = mapfield.source_samples.log_rho_grad
+    rhoN2 = mapfield.target_samples.rho2
+    uNx, uNy = mapfield.target_samples.log_rho_grad
 
-    m = induced_metric_arrays(f1x, f1y, f2x, f2y, st.rhoM2, rhoN2)
+    m = induced_metric_arrays(f1x, f1y, f2x, f2y, rhoM2, rhoN2)
     p11, p12, p22 = m.p11, m.p12, m.p22
     detg, gi11, gi12, gi22 = m.det, m.gi11, m.gi12, m.gi22
 
     # d_k g_ij assembled by the product rule (exact metric derivatives,
     # FD only on f): dg_kij = rhoN2 (f_ki . f_j + f_i . f_kj)
     #                       + d_k(rhoN2 o f) p_ij + d_k(rhoM^2) delta_ij
+    dgMx, dgMy = 2.0 * rhoM2 * uMx, 2.0 * rhoM2 * uMy
     drx = 2.0 * rhoN2 * (uNx * f1x + uNy * f2x)
     dry = 2.0 * rhoN2 * (uNx * f1y + uNy * f2y)
-    dgx11 = 2.0 * rhoN2 * (f1xx * f1x + f2xx * f2x) + drx * p11 + st.dgMx
+    dgx11 = 2.0 * rhoN2 * (f1xx * f1x + f2xx * f2x) + drx * p11 + dgMx
     dgx12 = rhoN2 * (f1xx * f1y + f2xx * f2y + f1x * f1xy + f2x * f2xy) + drx * p12
-    dgx22 = 2.0 * rhoN2 * (f1xy * f1y + f2xy * f2y) + drx * p22 + st.dgMx
-    dgy11 = 2.0 * rhoN2 * (f1xy * f1x + f2xy * f2x) + dry * p11 + st.dgMy
+    dgx22 = 2.0 * rhoN2 * (f1xy * f1y + f2xy * f2y) + drx * p22 + dgMx
+    dgy11 = 2.0 * rhoN2 * (f1xy * f1x + f2xy * f2x) + dry * p11 + dgMy
     dgy12 = rhoN2 * (f1xy * f1y + f2xy * f2y + f1x * f1yy + f2x * f2yy) + dry * p12
-    dgy22 = 2.0 * rhoN2 * (f1yy * f1y + f2yy * f2y) + dry * p22 + st.dgMy
+    dgy22 = 2.0 * rhoN2 * (f1yy * f1y + f2yy * f2y) + dry * p22 + dgMy
 
     # br_l_ij = d_i g_jl + d_j g_il - d_l g_ij, then Gamma^k = ginv^kl br_l / 2
     brx11 = dgx11
@@ -227,15 +210,15 @@ def _tension_arrays(values: np.ndarray, st: _Static) -> TensionPass:
 
     # mean curvature through the harmonic-map identity: tangential part from
     # the two Christoffel contractions, normal part is tau itself
-    hM1 = st.uMx * (gi11 - gi22) + 2.0 * st.uMy * gi12 - c1
-    hM2 = -st.uMy * (gi11 - gi22) + 2.0 * st.uMx * gi12 - c2
-    normH2 = (st.rhoM2 * (hM1 * hM1 + hM2 * hM2)
+    hM1 = uMx * (gi11 - gi22) + 2.0 * uMy * gi12 - c1
+    hM2 = -uMy * (gi11 - gi22) + 2.0 * uMx * gi12 - c2
+    normH2 = (rhoM2 * (hM1 * hM1 + hM2 * hM2)
               + rhoN2 * (tau1 * tau1 + tau2 * tau2))
     norm_H = float(np.sqrt(stencils.finite_abs_max(normH2)))
 
     # area monitors via determinant ratios (no eigensolve):
     # u1 = sqrt(det gM / det g), u2 = det df sqrt(det gN / det g)
-    u1 = np.sqrt(st.rhoM2 ** 2 / detg)
+    u1 = np.sqrt(rhoM2 ** 2 / detg)
     u2 = (f1x * f2y - f1y * f2x) * np.sqrt(rhoN2 ** 2 / detg)
     with np.errstate(invalid="ignore", divide="ignore"):
         jf = u2 / u1
@@ -261,32 +244,29 @@ def _tension_arrays(values: np.ndarray, st: _Static) -> TensionPass:
     )
 
 
-def tension_pass(mapfield: MapField) -> TensionPass:
-    """Evaluate the tension field of a map over its whole grid."""
-    st = _static_data(mapfield.grid, mapfield.source, mapfield.target)
-    return _tension_arrays(mapfield.values, st)
-
-
 def tension_field(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """Tension 2-vector at grid index p, read from the whole-grid pass."""
-    return _finite(tension_pass(mapfield).tau[p], "tension")
+    """Tension 2-vector at grid index p, read from the field's cached pass."""
+    return _finite(mapfield.tension.tau[p], "tension")
 
 
 # ------------------------------------------------------------------ stepping
 
 @dataclass
 class FlowState:
-    """Mutable flow state; owned and advanced exclusively by the stepper."""
+    """Mutable flow state: the current map, step control and monitors. It
+    caches nothing: the tension is the map's cached pass, so a caller may
+    assign `map` and the next step is driven by the new map's tension."""
 
     map: MapField
     t: float
     dt: float
-    tension_norm: float
     steps: int = 0
     monitors: list[MonitorRow] = field(default_factory=list)
-    _static: Optional[_Static] = None
-    _last: Optional[TensionPass] = None
     _accept_run: int = 0
+
+    @property
+    def tension_norm(self) -> float:
+        return self.map.tension.norm_tau
 
 
 def make_state(initial: MapField, config: FlowConfig) -> FlowState:
@@ -295,11 +275,8 @@ def make_state(initial: MapField, config: FlowConfig) -> FlowState:
     dt starts at dt_max; the explicit stepper applies its CFL cap on each
     step.
     """
-    st = _static_data(initial.grid, initial.source, initial.target)
-    tp = _tension_arrays(initial.values, st)
-    state = FlowState(map=initial, t=0.0, dt=config.dt_max,
-                      tension_norm=tp.norm_tau, _static=st, _last=tp)
-    state.monitors.append(_row(state, tp))
+    state = FlowState(map=initial, t=0.0, dt=config.dt_max)
+    state.monitors.append(_row(state, initial.tension))
     return state
 
 
@@ -310,51 +287,37 @@ def _row(state: FlowState, tp: TensionPass) -> MonitorRow:
                       norm_tau=tp.norm_tau)
 
 
-def _current(state: FlowState) -> tuple[_Static, TensionPass]:
-    if state._static is None or state._last is None:
-        state._static = _static_data(state.map.grid, state.map.source,
-                                     state.map.target)
-        state._last = _tension_arrays(state.map.values, state._static)
-        state.tension_norm = state._last.norm_tau
-    return state._static, state._last
-
-
 def _advance(state: FlowState, config: FlowConfig,
              increment: Callable[[float, np.ndarray, TensionPass], np.ndarray],
              dt_cap: Callable[[TensionPass], float]) -> FlowState:
     """Accept one step f <- f + increment(dt, tau, tp) on the structural
     interior (tau is the tension there), halving dt on a chart exit or a
     tension jump. dt is capped by dt_max and by the stepper's dt_cap."""
-    st, tp = _current(state)
-    interior = _interior(state.map.grid)
+    current = state.map
+    tp = current.tension
+    interior = _interior(current.grid)
     tau = tp.tau[interior]
-    h2 = state.map.grid.h ** 2
+    h2 = current.grid.h ** 2
     dt = min(state.dt, config.dt_max, dt_cap(tp))
     while True:
         if dt < DT_UNDERFLOW_FACTOR * h2:
             raise NumericalError(
                 f"flow stalled: dt underflow at t={state.t:.6g} "
                 f"(tension {tp.norm_tau:.3e})")
-        candidate = state.map.values.copy()
+        candidate = current.values.copy()
         candidate[interior] += increment(dt, tau, tp)
-        f1, f2 = candidate[..., 0], candidate[..., 1]
-        if not bool(np.all(st.target.contains(f1, f2))):
-            dt *= 0.5
-            state._accept_run = 0
-            continue
-        new_tp = _tension_arrays(candidate, st)
-        if new_tp.norm_tau > REJECT_TENSION_FACTOR * max(tp.norm_tau, config.stop_tension):
-            dt *= 0.5
-            state._accept_run = 0
-            continue
-        break
+        if np.all(current.target.contains(candidate[..., 0], candidate[..., 1])):
+            new_map = current.with_values(candidate)
+            new_tp = new_map.tension
+            if new_tp.norm_tau <= REJECT_TENSION_FACTOR * max(tp.norm_tau, config.stop_tension):
+                break
+        dt *= 0.5
+        state._accept_run = 0
 
-    state.map = state.map.with_values(candidate)
+    state.map = new_map
     state.t += dt
     state.dt = dt
     state.steps += 1
-    state.tension_norm = new_tp.norm_tau
-    state._last = new_tp
     state._accept_run += 1
     if state._accept_run >= RECOVERY_RUN:
         state.dt = min(2.0 * dt, config.dt_max, dt_cap(new_tp))

@@ -157,9 +157,8 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     """Assemble the full graph geometry of a map over its grid."""
     grid = mapfield.grid
     pw = mapfield.pointwise
-    X, Y = grid.mesh()
     f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
-    rhoM2, rhoN2 = pw.rhoM2, pw.rhoN2
+    rhoM2, rhoN2 = mapfield.source_samples.rho2, mapfield.target_samples.rho2
     df = pw.df
     fx = (df[..., 0, 0], df[..., 1, 0])      # d f / dx, by target component
     fy = (df[..., 0, 1], df[..., 1, 1])
@@ -171,8 +170,8 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     # d_ij f + Gamma_N(f_i, f_j). A conformal factor with u = log rho has
     # Gamma(a, b) = (ux s + uy m, -uy s + ux m), s = a1 b1 - a2 b2,
     # m = a1 b2 + a2 b1
-    uMx, uMy = mapfield.source.log_rho_grad(X, Y)
-    uNx, uNy = mapfield.target.log_rho_grad(f1, f2)
+    uMx, uMy = mapfield.source_samples.log_rho_grad
+    uNx, uNy = mapfield.target_samples.log_rho_grad
     pairs = {(0, 0): (fx, fx, grid.d_xx, (uMx, -uMy)),
              (0, 1): (fx, fy, grid.d_xy, (uMy, uMx)),
              (1, 1): (fy, fy, grid.d_yy, (-uMx, uMy))}
@@ -211,8 +210,8 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
                   - A[..., 0, 0, 1] * A[..., 1, 1, 1]
                   + A[..., 0, 1, 1] * A[..., 1, 0, 1])
 
-    sigmaM = mapfield.source.curvature(X, Y)
-    sigmaN = mapfield.target.curvature(f1, f2)
+    sigmaM = mapfield.source_samples.curvature
+    sigmaN = mapfield.target_samples.curvature
     rt = ambient_curvature(frame[..., 0, :], frame[..., 1, :],
                            frame[..., 2, :], frame[..., 3, :],
                            rhoM2, rhoN2, sigmaM, sigmaN)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -31,10 +31,11 @@ from .expressions import MapExpr
 from .surface import ConformalMetric, GridChart
 
 if TYPE_CHECKING:
+    from .flow import TensionPass
     from .graph_geometry import GraphGrid
 
 __all__ = [
-    "MapField", "PointwiseGrid", "PointClass", "Classification",
+    "FactorSamples", "MapField", "PointwiseGrid", "PointClass", "Classification",
     "differential", "singular_decomposition", "jacobians", "kahler_cosines",
     "jacobian_determinant", "classify_point", "classification_masks",
     "graph_metric_singular_values", "pointwise_grid",
@@ -52,13 +53,40 @@ _RANK_FLOOR = 1e-14
 _NEAR_RANK = 1e-6
 
 
+@dataclass(eq=False)
+class FactorSamples:
+    """A conformal factor's rho^2, grad log rho and curvature, each sampled
+    on first use and kept; `points` remakes the points (no mesh is kept)."""
+
+    metric: ConformalMetric
+    points: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+    @cached_property
+    def rho2(self) -> np.ndarray:
+        x, y = self.points()
+        return np.broadcast_to(self.metric.rho(x, y) ** 2, x.shape)
+
+    @cached_property
+    def log_rho_grad(self) -> tuple[np.ndarray, np.ndarray]:
+        x, y = self.points()
+        ux, uy = self.metric.log_rho_grad(x, y)
+        return np.broadcast_to(ux, x.shape), np.broadcast_to(uy, x.shape)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        x, y = self.points()
+        return np.broadcast_to(self.metric.curvature(x, y), x.shape)
+
+
 @dataclass(frozen=True)
 class MapField:
     """A map sampled on a grid, with optional analytic chart formula.
 
-    `values[i, j]` is f(x_i, y_j) in target chart coordinates. When `expr`
-    is present the Jacobian field is exact; otherwise it comes from central
-    differences and is only defined one ring inside a Dirichlet grid.
+    `values[i, j]` is f(x_i, y_j) in target chart coordinates, kept as a
+    read-only view. When `expr` is present the Jacobian field is exact;
+    otherwise it comes from central differences and is only defined one
+    ring inside a Dirichlet grid. The factor samples (source at the grid,
+    target at the image) and the passes reading them are cached on use.
     """
 
     grid: GridChart
@@ -68,12 +96,12 @@ class MapField:
     expr: Optional[MapExpr] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, float)
+        v = np.asarray(self.values, float).view()
         if v.shape != (self.grid.nx, self.grid.ny, 2):
             raise ValueError(f"values shape {v.shape} != {(self.grid.nx, self.grid.ny, 2)}")
-        X, Y = self.grid.mesh()
-        self.source.check_domain(X, Y, what="grid")
+        self.source.check_domain(*self.grid.mesh(), what="grid")
         self.target.check_domain(v[..., 0], v[..., 1], what="map image")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -83,8 +111,20 @@ class MapField:
         return cls(grid, source, target, expr(X, Y), expr=expr)
 
     def with_values(self, values: np.ndarray) -> "MapField":
-        """Same chart data, new samples (drops the analytic formula)."""
-        return MapField(self.grid, self.source, self.target, values, expr=None)
+        """Same chart data, new map values (drops the analytic formula);
+        the new field shares this one's source samples."""
+        out = MapField(self.grid, self.source, self.target, values, expr=None)
+        object.__setattr__(out, "source_samples", self.source_samples)
+        return out
+
+    @cached_property
+    def source_samples(self) -> FactorSamples:
+        return FactorSamples(self.source, self.grid.mesh)
+
+    @cached_property
+    def target_samples(self) -> FactorSamples:
+        # binds the array, not self: no reference cycle delays freeing
+        return FactorSamples(self.target, lambda v=self.values: (v[..., 0], v[..., 1]))
 
     @cached_property
     def df_field(self) -> np.ndarray:
@@ -107,9 +147,14 @@ class MapField:
 
     @cached_property
     def graph(self) -> "GraphGrid":
-        # imported here: graph_geometry imports this module
+        # imported here: graph_geometry and flow import this module
         from .graph_geometry import graph_grid
         return graph_grid(self)
+
+    @cached_property
+    def tension(self) -> "TensionPass":
+        from .flow import tension_pass
+        return tension_pass(self)
 
 
 def differential(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
@@ -375,21 +420,16 @@ class PointwiseGrid:
     jf: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
-    rhoM2: np.ndarray    # squared source factor at grid points
-    rhoN2: np.ndarray    # squared target factor at image points
 
 
 def pointwise_grid(mapfield: MapField) -> PointwiseGrid:
     """Run the pointwise algebra over every grid point (vectorised)."""
-    X, Y = mapfield.grid.mesh()
-    rhoM2 = np.broadcast_to(mapfield.source.rho(X, Y) ** 2, X.shape)
-    rhoN2 = np.broadcast_to(
-        mapfield.target.rho(mapfield.values[..., 0], mapfield.values[..., 1]) ** 2, X.shape)
     df = mapfield.df_field
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, rhoM2, rhoN2)
+        lam, mu, s, a1, a2, b1, b2 = singular_decomposition(
+            df, mapfield.source_samples.rho2, mapfield.target_samples.rho2)
         u1, u2 = jacobians(lam, mu, s)
         phi, theta = kahler_cosines(u1, u2)
         jf = u2 / u1
     return PointwiseGrid(mapfield.grid, df, lam, mu, s, a1, a2, b1, b2,
-                         u1, u2, jf, phi, theta, rhoM2, rhoN2)
+                         u1, u2, jf, phi, theta)

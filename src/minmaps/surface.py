@@ -128,17 +128,15 @@ class ConformalMetric:
     # ------------------------------------------------------------- geometry
 
     def curvature(self, x, y) -> np.ndarray:
-        """Gauss curvature K = -rho^(-2) Laplace(log rho)."""
-        if self.kind is FactorKind.EUCLIDEAN:
-            return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        if self.kind is FactorKind.POINCARE_DISC:
-            self.check_domain(x, y)
-            return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, -1.0)
-        if self.kind is FactorKind.HYPERBOLIC_SCALED:
-            self.check_domain(x, y)
-            return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, -self.sigma)
-        if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
-            return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+        """Gauss curvature K = -rho^(-2) Laplace(log rho). A preset's constant
+        K comes as a read-only broadcast, which stores a single value."""
+        constant = {FactorKind.EUCLIDEAN: 0.0, FactorKind.POINCARE_DISC: -1.0,
+                    FactorKind.HYPERBOLIC_SCALED: -self.sigma,
+                    FactorKind.SPHERE_STEREOGRAPHIC: 1.0}.get(self.kind)
+        if constant is not None:
+            if self.disc_domain:
+                self.check_domain(x, y)
+            return np.broadcast_to(constant, np.broadcast(np.asarray(x), np.asarray(y)).shape)
         r = self.rho(x, y)
         return -evaluate(self._log_rho_derivatives[2], x, y) / (r * r)
 

@@ -343,11 +343,8 @@ class HypothesisCheck:
 def check_hypotheses(mapfield: MapField, hyp: TheoremHypotheses,
                      *, slack: float = 1e-12) -> HypothesisCheck:
     """Check the curvature pinching: sigmaM >= -sigma, -beta <= sigmaN <= -sigma."""
-    X, Y = mapfield.grid.mesh()
-    sM = np.broadcast_to(mapfield.source.curvature(X, Y), X.shape)
-    f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
-    sN = np.broadcast_to(mapfield.target.curvature(f1, f2), X.shape)
-    lo_M = float(np.min(sM))
+    lo_M = float(np.min(mapfield.source_samples.curvature))
+    sN = mapfield.target_samples.curvature
     lo_N, hi_N = float(np.min(sN)), float(np.max(sN))
     ok = (lo_M >= -hyp.sigma - slack
           and hi_N <= -hyp.sigma + slack

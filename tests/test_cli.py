@@ -133,6 +133,20 @@ def test_analyze_grid_override(tmp_path):
     assert load_csv(tmp_path / "analysis.csv").shape == (81, 10)
 
 
+def test_analyze_samples_no_log_rho_gradient(tmp_path, monkeypatch):
+    # the pointwise pass and the certificate read rho^2 only; the gradient
+    # and curvature samples stay unevaluated
+    from minmaps import ConformalMetric
+
+    called = []
+    for name in ("log_rho_grad", "curvature"):
+        monkeypatch.setattr(ConformalMetric, name,
+                            lambda self, x, y, _name=name: called.append(_name))
+    assert main(["analyze", "--preset", "z_squared", "--grid", "17",
+                 "--out", str(tmp_path)]) == 0
+    assert called == []
+
+
 def test_analyze_preset_and_expr_config_agree_bytewise(tmp_path):
     a = tmp_path / "preset"
     b = tmp_path / "config"

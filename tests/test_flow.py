@@ -63,6 +63,21 @@ def test_tension_point_api(z2_33):
         flow.tension_field(z2_33, (0, 5))
 
 
+def test_tension_queries_share_one_pass(monkeypatch):
+    # every interior query reads the field's one cached pass
+    mf = presets.z_squared_field(n=33)
+    real = flow.tension_pass
+    calls = []
+    monkeypatch.setattr(flow, "tension_pass",
+                        lambda m: calls.append(m) or real(m))
+    points = [(i, j) for i in range(1, 32) for j in range(1, 32)]
+    answers = [flow.tension_field(mf, p) for p in points]
+    assert len(points) == 961 and calls == [mf]
+    tau = real(mf).tau
+    for p, got in zip(points, answers):
+        assert got.tobytes() == tau[p].tobytes()
+
+
 def test_tension_pass_monitors_match_pointwise_route(z2_33):
     # monitor extrema come from determinant ratios over the points the flow
     # can see (finite-difference interior); they must agree with the eigen
@@ -150,14 +165,15 @@ def test_monitor_series_grows_with_steps():
     assert all(r.dt > 0 for r in state.monitors)
 
 
-def test_rejection_halves_dt_until_acceptable(z2_33):
+def test_rejection_halves_dt_until_acceptable():
     cfg = FlowConfig(stop_tension=1e-10, cfl_factor=1.0, dt_max=10.0)
-    state = flow.make_state(z2_33, cfg)
+    # a private field: the spike below is written into its cached pass
+    state = flow.make_state(presets.z_squared_field(n=33), cfg)
     # the explicit stepper starts from its CFL-capped dt
-    dt0 = min(state.dt, cfg.cfl_factor * state._last.cfl_dt)
+    dt0 = min(state.dt, cfg.cfl_factor * state.map.tension.cfl_dt)
     # a synthetic tension spike drives the candidate outside the disc and
     # above the tension-jump guard; the step must survive by halving dt
-    state._last.tau[16, 16, :] = 500.0
+    state.map.tension.tau[16, 16, :] = 500.0
     flow.explicit_step(state, cfg)
     assert state.steps == 1
     assert state.dt < dt0 / 4
@@ -166,12 +182,12 @@ def test_rejection_halves_dt_until_acceptable(z2_33):
                                 state.map.values[..., 1]) < 1.0))
 
 
-def test_implicit_rejection_halves_dt_until_acceptable(z2_33):
+def test_implicit_rejection_halves_dt_until_acceptable():
     cfg = FlowConfig(stop_tension=1e-10, dt_max=10.0)
-    state = flow.make_state(z2_33, cfg)
+    state = flow.make_state(presets.z_squared_field(n=33), cfg)
     dt0 = state.dt
     assert dt0 == cfg.dt_max
-    state._last.tau[16, 16, :] = 500.0
+    state.map.tension.tau[16, 16, :] = 500.0
     flow.step(state, cfg)
     assert state.steps == 1
     assert state.dt < dt0 / 4
@@ -180,16 +196,53 @@ def test_implicit_rejection_halves_dt_until_acceptable(z2_33):
                                 state.map.values[..., 1]) < 1.0))
 
 
+def test_assigned_map_drives_the_next_step():
+    # the state keeps no tension of its own: after `state.map = b` a step
+    # is byte for byte the step of a fresh state made from b
+    cfg = FlowConfig(stop_tension=1e-10)
+    for stepper in (flow.step, flow.explicit_step):
+        b = perturbed_z2(eps=-0.01)
+        fresh = flow.make_state(b, cfg)
+        stepper(fresh, cfg)
+        state = flow.make_state(perturbed_z2(eps=0.01), cfg)
+        state.map = b
+        stepper(state, cfg)
+        assert state.map.values.tobytes() == fresh.map.values.tobytes()
+        assert state.tension_norm < flow.tension_pass(b).norm_tau
+    # a map on another grid steps as well
+    state = flow.make_state(perturbed_z2(), cfg)
+    state.map = perturbed_z2(n=17)
+    for stepper in (flow.step, flow.explicit_step):
+        stepper(state, cfg)
+    assert state.steps == 2 and state.map.grid.nx == 17
+
+
+def test_flow_samples_the_source_factor_once(monkeypatch):
+    # each step's candidate shares the source samples of the current map,
+    # and the closing certificate reads them too
+    mf = perturbed_z2()
+    X, _ = mf.grid.mesh()
+    sampled = []
+    for name in ("rho", "log_rho_grad", "curvature"):
+        def spy(self, x, y, _real=getattr(ConformalMetric, name), _name=name):
+            if np.array_equal(x, X):
+                sampled.append(_name)
+            return _real(self, x, y)
+        monkeypatch.setattr(ConformalMetric, name, spy)
+    result = flow.run_to_minimal(mf, FlowConfig(stop_tension=1e-30, max_steps=5))
+    assert result.state.steps == 5
+    assert sorted(sampled) == ["log_rho_grad", "rho"]
+
+
 def test_flow_stall_raises():
-    base = presets.z_squared_field(n=33)
     cfg = FlowConfig(stop_tension=1e-10, cfl_factor=1.0)
-    # a spike in the CURRENT values (not the update) cannot be halved away,
-    # so every retry re-detects the tension jump and dt underflows
+    # an infinite tension in the CURRENT pass (not the update) cannot be
+    # halved away: every retry leaves the chart, so dt underflows
     for stepper in (flow.explicit_step, flow.step):
-        state = flow.make_state(base, cfg)
-        state.map = state.map.with_values(state.map.values.copy())
-        state.map.values[16, 16, 0] += 5e-3
-        with pytest.raises(NumericalError, match="stalled"):
+        state = flow.make_state(presets.z_squared_field(n=33), cfg)
+        state.map.tension.tau[16, 16, 0] = np.inf
+        with pytest.raises(NumericalError, match="stalled"), \
+                np.errstate(invalid="ignore"):
             stepper(state, cfg)
 
 
@@ -247,7 +300,7 @@ def test_implicit_flow_matches_backward_euler_heat_decay(dt, steps):
     assert all(r.dt == dt for r in state.monitors)
     assert state.t == pytest.approx(steps * dt, rel=1e-12)
     if dt == 0.5:
-        assert dt > 12 * state._last.cfl_dt
+        assert dt > 12 * state.map.tension.cfl_dt
 
     h = mf.grid.hx
     lam = 8.0 * math.sin(h / 2) ** 2 / h ** 2

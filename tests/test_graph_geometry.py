@@ -42,7 +42,7 @@ def test_induced_metric_identity_euclidean():
 def test_induced_metric_constant_map_is_source_metric(constant_33):
     p = (5, 7)
     g = induced_metric(constant_33, p)
-    assert g == pytest.approx(constant_33.pointwise.rhoM2[p] * np.eye(2), rel=1e-14)
+    assert g == pytest.approx(constant_33.source_samples.rho2[p] * np.eye(2), rel=1e-14)
 
 
 def test_induced_metric_affine():

@@ -28,6 +28,18 @@ def euclidean_field(expr_text, n=9, half=1.0):
                               MapExpr.parse(expr_text))
 
 
+def test_map_field_values_are_read_only():
+    # the cached pointwise, graph and tension passes read `values`, so
+    # writing into it must fail, also on a field made by with_values
+    mf = euclidean_field("x + y, x*y")
+    with pytest.raises(ValueError, match="read-only"):
+        mf.values[4, 4, 0] = 1.0
+    moved = mf.with_values(mf.values + 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        moved.values[..., 1] *= 2.0
+    assert moved.source_samples is mf.source_samples
+
+
 def test_differential_identity_and_affine_exact():
     mf = euclidean_field("x, y")
     assert differential(mf, (4, 4)) == pytest.approx(np.eye(2), abs=1e-15)

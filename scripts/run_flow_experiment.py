@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Relax a sine-perturbed fixture back to a minimal graph and report the
-tension history plus the final area-decreasing certificate.
+solver's history (step length, guard rejections, Anderson depth, tension)
+plus the final area-decreasing certificate.
 
 Usage: python scripts/run_flow_experiment.py [--fixture z_squared] [--n 65]
        [--eps 0.01] [--reduction 1000] [--out DIR]
@@ -42,14 +43,16 @@ def main():
     rows = state.monitors
     picks = sorted({0, len(rows) - 1,
                     *(min(len(rows) - 1, 2 ** k) for k in range(30))})
-    print(f"{'step':>7} {'t':>12} {'dt':>10} {'tension':>12} {'min_phi':>9}")
+    print(f"{'step':>7} {'length':>10} {'rejected':>8} {'depth':>5} "
+          f"{'tension':>12} {'min_phi':>9}")
     for k in picks:
         r = rows[k]
-        print(f"{r.step:>7} {r.t:>12.5e} {r.dt:>10.3e} "
-              f"{r.norm_tau:>12.5e} {r.min_phi:>9.5f}")
+        print(f"{r.step:>7} {r.dt:>10.3e} {r.chart_exits + r.tension_jumps:>8} "
+              f"{r.depth:>5} {r.norm_tau:>12.5e} {r.min_phi:>9.5f}")
 
     c = result.certificate
-    print(f"converged = {result.converged} in {state.steps} steps, {wall:.1f}s")
+    print(f"converged = {result.converged} in {state.steps} steps, {wall:.2f}s, "
+          f"{state.rejections} rejections")
     print(f"certificate: min_phi = {c.min_phi:.6f}, min_theta = {c.min_theta:.6f}, "
           f"max|J_f| = {c.max_abs_jf:.6f}, area_decreasing = {c.area_decreasing}")
 

@@ -30,7 +30,6 @@ canonical fixtures) or from an INI config file (--config, full control):
     certificate_tol = 0.0
     [flow]
     max_steps = 50000
-    dt_max = 1e-2
     [refine]
     grids = 17, 33, 65
 
@@ -59,7 +58,8 @@ import numpy as np
 from . import presets
 from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
 from .floatfmt import format_block
-from .flow import FlowConfig, run_to_minimal, write_monitors_csv, write_snapshot
+from .flow import (MONITOR_COLUMNS, FlowConfig, run_to_minimal, write_monitors_csv,
+                   write_snapshot)
 from .pointwise import MapField
 from .surface import BoundaryMode, GridChart
 from .verifier import (area_decreasing_certificate, convergence_study,
@@ -108,7 +108,6 @@ class ScenarioConfig:
     stop_tension: float = 1e-4
     certificate_tol: float = 0.0
     max_steps: int = 50000
-    dt_max: float = 1e-2
     refine_grids: tuple[int, ...] = (17, 33, 65)
 
 
@@ -187,7 +186,6 @@ def _config_from_file(path: Path, kind: str, out: Path,
         stop_tension=_get(tol, "stop_tension", float, 1e-4),
         certificate_tol=_get(tol, "certificate_tol", float, 0.0),
         max_steps=_get(flow, "max_steps", int, 50000),
-        dt_max=_get(flow, "dt_max", float, 1e-2),
         refine_grids=refine_grids,
     )
 
@@ -383,15 +381,14 @@ def _run_refine(cfg: ScenarioConfig) -> None:
 def _run_flow(cfg: ScenarioConfig) -> None:
     mf = _make_field(cfg)
     flow_cfg = FlowConfig(stop_tension=cfg.stop_tension,
-                          max_steps=cfg.max_steps,
-                          dt_max=cfg.dt_max)
+                          max_steps=cfg.max_steps)
     result = run_to_minimal(mf, flow_cfg)
     state = result.state
     write_monitors_csv(state, cfg.out / "monitors.csv")
     lines = [
         f"converged = {str(result.converged).lower()}",
         f"steps = {state.steps}",
-        f"t = {_fmt(state.t)}",
+        f"rejections = {state.rejections}",
         f"norm_tau = {_fmt(state.tension_norm)}",
         f"stop_tension = {_fmt(cfg.stop_tension)}",
     ]
@@ -431,8 +428,8 @@ _COLUMN_DOCS = {
                "identity component (pullback.u1_e1 ... gradients.lap_theta); "
                "masked or boundary points hold nan"),
     "refine": "refine.csv columns: h, pullback, form_laplacian, jacobians, gradients",
-    "flow": ("monitors.csv columns: step, t, dt, min_phi, min_theta, "
-             "max_abs_jf, norm_H, norm_tau; final_map.txt holds the last "
+    "flow": ("monitors.csv columns: " + ", ".join(MONITOR_COLUMNS) + "; "
+             "final_map.txt holds the last "
              "snapshot (header nx ny h x0 y0, then f1 f2 per point)"),
 }
 

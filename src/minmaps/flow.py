@@ -1,9 +1,9 @@
-"""Tension-field flow that deforms a map toward a minimal graph.
+"""Tension-field solver that relaxes a map to a minimal graph.
 
 The unknown stays a map f: the update direction is the tension field of f
-computed with respect to the evolving graph metric g = gM + f*gN, which
-vanishes exactly when the graph is minimal. Compared with flowing the
-embedding by its mean curvature vector this differs only by tangential
+computed with respect to the graph metric g = gM + f*gN, which vanishes
+exactly when the graph is minimal. Compared with moving the embedding by
+its mean curvature vector this differs only by tangential
 reparametrization, so the stationary points agree while the discretization
 keeps a fixed chart.
 
@@ -16,44 +16,51 @@ closer to the boundary, so only the true Dirichlet ring is frozen.
 The tension pass is cached on the map (`MapField.tension`) and reads the
 field's factor samples. A step's candidate shares the current map's source
 samples, so a step samples only the target factor, at the candidate's
-image; the flow state holds no cache of its own.
+image.
 
-Two steppers share one step-control loop:
+``step`` (iterated by ``run_to_minimal``) is one iteration of a
+Laplacian-preconditioned fixed-point solver for tau(f) = 0:
 
-``step`` (used by ``run_to_minimal``) is linearly implicit. It solves
-
-    (I - dt a Lap_h) delta = dt tau(f),    f <- f + delta,
+    delta = (-a Lap_h)^-1 tau(f),    f <- f + delta,
 
 per component, with Lap_h the 5-point Laplacian and a = max eig(g^-1)
-over the grid. The principal part of tau is g^{ij} d_ij f; treating the
-constant-coefficient a Lap_h implicitly and the rest of tau explicitly is
-stable without a CFL cap as long as a I dominates g^-1 everywhere, and the
-smallest such a keeps the splitting error smallest (the stabilized
-semi-implicit scheme of Smereka 2003, applied to graph mean-curvature flow
-as in Deckelnick, Dziuk & Elliott 2005). The solve is direct: a type-I
-sine transform on Dirichlet grids (the ring stays pinned, delta = 0
-there) and a real FFT on periodic grids, so the step count to a given
-tension drop does not grow with the grid.
+over the grid. It is the dt -> inf limit of the linearly implicit step
+(I - dt a Lap_h) delta = dt tau, which treats the constant-coefficient
+majorant a Lap_h of the principal part g^{ij} d_ij f implicitly (the
+stabilized splitting of Smereka 2003, applied to graph mean-curvature flow
+as in Deckelnick, Dziuk & Elliott 2005). Every caller wants the minimal
+map, not a time-accurate path, so the limit drops dt altogether. The solve
+is direct: a type-I sine transform on Dirichlet grids (the ring stays
+pinned, delta = 0 there) and a real FFT on periodic grids, where Lap_h
+annihilates constants and the mean mode takes the bounded step
+mean(tau) / (a lambda_1), lambda_1 the smallest non-zero symbol. The
+iteration count to a given tension drop does not grow with the grid.
 
-``explicit_step`` is explicit Euler with a CFL cap proportional to
-h^2 / max eig(g^-1); it is the reference the heat-flow checks compare
-against.
+Type-II Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni, SIAM J.
+Numer. Anal. 49, 2011) accelerates the iteration where g^-1 is far from
+isotropic and a over-damps the weaker directions. Its secant history
+belongs to the map it ends at: once a caller assigns `state.map`, the
+next step is plain.
 
-Both reject a step (and halve dt) when the image leaves the target chart or
-the tension norm jumps by more than 10x, raise on dt underflow, and let dt
-recover by doubling after a run of accepted steps.
+``explicit_step`` is explicit Euler with dt = min(dt_max, cfl_factor h^2 /
+max eig(g^-1)); it is the heat-flow reference the checks compare against.
+
+Both reject a candidate whose image leaves the target chart or whose
+tension norm jumps by more than 10x. ``step`` then clears the history and
+retries a plain step at half the length, ``explicit_step`` halves dt; an
+underflow of either raises NumericalError ("flow stalled").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import stencils
-from .errors import ConfigError, NumericalError
+from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import format_block
 from .graph_geometry import _finite, induced_metric_arrays
 from .pointwise import MapField
@@ -67,28 +74,36 @@ __all__ = [
     "write_monitors_csv", "write_snapshot", "read_snapshot",
 ]
 
-DT_UNDERFLOW_FACTOR = 1e-15
+# secant pairs the solver mixes into a step
+ANDERSON_DEPTH = 5
+# a secant whose residual difference is this close, relative to its norm,
+# to the span of newer ones adds only rounding to the mixed step
+_SECANT_RANK_TOL = 1e-8
 REJECT_TENSION_FACTOR = 10.0
-RECOVERY_RUN = 20
+# a step halved below this fraction of its first length means a stall
+LENGTH_UNDERFLOW = 1e-15
 
 # grid points formatted per write: the writer's scratch memory is about
 # 120 bytes per value, so blocks this size stay below the flow's own peak
 _SNAPSHOT_POINTS = 1 << 12
 
-MONITOR_COLUMNS = ("step", "t", "dt", "min_phi", "min_theta",
-                   "max_abs_jf", "norm_H", "norm_tau")
+MONITOR_COLUMNS = ("step", "length", "depth", "min_phi", "min_theta",
+                   "max_abs_jf", "norm_H", "norm_tau", "chart_exits",
+                   "tension_jumps")
 
 
 @dataclass(frozen=True)
 class MonitorRow:
     step: int
-    t: float
-    dt: float
+    dt: float                  # accepted step length
+    depth: int                 # secant pairs mixed into the step
     min_phi: float
     min_theta: float
     max_abs_jf: float
     norm_H: float
     norm_tau: float
+    chart_exits: int           # rejected candidates, by guard
+    tension_jumps: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,7 @@ class FlowConfig:
     stop_tension: float
     max_steps: int = 50000
     cfl_factor: float = 0.2          # explicit_step only
-    dt_max: float = 1e-2
+    dt_max: float = 1.0              # explicit_step's cap besides the CFL bound
 
     def __post_init__(self):
         # a NaN or infinite dt never shrinks under halving and 0 stalls at
@@ -123,7 +138,7 @@ class TensionPass:
     min_phi: float
     min_theta: float
     max_abs_jf: float
-    eig_max: float             # max eig(g^-1): the implicit step's a
+    eig_max: float             # max eig(g^-1): the solver's a
     cfl_dt: float              # largest stable explicit dt for this metric
 
 
@@ -167,6 +182,10 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     dgy11 = 2.0 * rhoN2 * (f1xy * f1x + f2xy * f2x) + dry * p11 + dgMy
     dgy12 = rhoN2 * (f1xy * f1y + f2xy * f2y + f1x * f1yy + f2x * f2yy) + dry * p12
     dgy22 = 2.0 * rhoN2 * (f1yy * f1y + f2yy * f2y) + dry * p22 + dgMy
+    # the pass holds dozens of grid arrays at once; each `del` drops dead
+    # ones, so a candidate's pass stays lean while the solver's secant
+    # history is live
+    del m, p11, p12, p22, dgMx, dgMy, drx, dry
 
     # br_l_ij = d_i g_jl + d_j g_il - d_l g_ij, then Gamma^k = ginv^kl br_l / 2
     brx11 = dgx11
@@ -186,6 +205,9 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     # the tangential mean curvature component
     c1 = gi11 * G1_11 + 2.0 * gi12 * G1_12 + gi22 * G1_22
     c2 = gi11 * G2_11 + 2.0 * gi12 * G2_12 + gi22 * G2_22
+    del (dgx11, dgx12, dgx22, dgy11, dgy12, dgy22,
+         brx11, brx12, brx22, bry11, bry12, bry22,
+         G1_11, G1_12, G1_22, G2_11, G2_12, G2_22)
 
     # target connection term: q_ab = g^{ij} df^a_i df^b_j against the
     # conformal Christoffels of the image metric
@@ -199,6 +221,7 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     lap2 = gi11 * f2xx + 2.0 * gi12 * f2xy + gi22 * f2yy
     tau1 = lap1 - (c1 * f1x + c2 * f1y) + conn1
     tau2 = lap2 - (c1 * f2x + c2 * f2y) + conn2
+    del f1xx, f1yy, f1xy, f2xx, f2yy, f2xy, q11, q12, q22, conn1, conn2, lap1, lap2
     tau = np.stack([tau1, tau2], axis=-1)
     interior = _interior(grid)
     tau_in = tau[interior]
@@ -226,7 +249,7 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     min_theta = float(np.nanmin(u1 + u2))
     max_jf = stencils.finite_abs_max(jf)
 
-    # largest eigenvalue of ginv: the implicit coefficient, and the explicit
+    # largest eigenvalue of ginv: the solver's coefficient, and the explicit
     # CFL cap dt <= cfl h^2 / eig_max
     tr = gi11 + gi22
     disc = np.sqrt(np.clip((gi11 - gi22) ** 2 + 4.0 * gi12 ** 2, 0.0, None))
@@ -252,108 +275,189 @@ def tension_field(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
 # ------------------------------------------------------------------ stepping
 
 @dataclass
+class _Secants:
+    """Anderson history of the solver, ending at `map`: the increments dx
+    of the last steps and the differences dr of their preconditioned
+    tensions. The last step's dr waits for the next r, so it is one short;
+    `r` is the preconditioned tension the last step started from."""
+
+    map: MapField
+    r: np.ndarray              # flat, like the increments
+    dxs: list[np.ndarray]
+    drs: list[np.ndarray]
+
+
+@dataclass
 class FlowState:
-    """Mutable flow state: the current map, step control and monitors. It
-    caches nothing: the tension is the map's cached pass, so a caller may
-    assign `map` and the next step is driven by the new map's tension."""
+    """Mutable flow state: the current map, the solver's secant history and
+    the monitors. The tension is the map's cached pass and the history is
+    tied to the map it ends at, so a caller may assign `map`: the next step
+    is then exactly a fresh state's first step from that map.
+
+    `dt` is the last accepted step length (dt_max before any step); `t` is
+    the time `explicit_step` has covered and stays 0 under `step`.
+    """
 
     map: MapField
     t: float
     dt: float
     steps: int = 0
     monitors: list[MonitorRow] = field(default_factory=list)
-    _accept_run: int = 0
+    _secants: Optional[_Secants] = field(default=None, repr=False)
 
     @property
     def tension_norm(self) -> float:
         return self.map.tension.norm_tau
 
+    @property
+    def rejections(self) -> int:
+        """Candidates the guards rejected over all steps."""
+        return sum(r.chart_exits + r.tension_jumps for r in self.monitors)
+
 
 def make_state(initial: MapField, config: FlowConfig) -> FlowState:
-    """Evaluate the initial tension and seed the monitor series (step 0).
-
-    dt starts at dt_max; the explicit stepper applies its CFL cap on each
-    step.
-    """
+    """Evaluate the initial tension and seed the monitor series (step 0)."""
     state = FlowState(map=initial, t=0.0, dt=config.dt_max)
-    state.monitors.append(_row(state, initial.tension))
+    state.monitors.append(_row(state, 0, 0, 0))
     return state
 
 
-def _row(state: FlowState, tp: TensionPass) -> MonitorRow:
-    return MonitorRow(step=state.steps, t=state.t, dt=state.dt,
+def _row(state: FlowState, depth: int, exits: int, jumps: int) -> MonitorRow:
+    tp = state.map.tension
+    return MonitorRow(step=state.steps, dt=state.dt, depth=depth,
                       min_phi=tp.min_phi, min_theta=tp.min_theta,
                       max_abs_jf=tp.max_abs_jf, norm_H=tp.norm_H,
-                      norm_tau=tp.norm_tau)
+                      norm_tau=tp.norm_tau, chart_exits=exits,
+                      tension_jumps=jumps)
 
 
-def _advance(state: FlowState, config: FlowConfig,
-             increment: Callable[[float, np.ndarray, TensionPass], np.ndarray],
-             dt_cap: Callable[[TensionPass], float]) -> FlowState:
-    """Accept one step f <- f + increment(dt, tau, tp) on the structural
-    interior (tau is the tension there), halving dt on a chart exit or a
-    tension jump. dt is capped by dt_max and by the stepper's dt_cap."""
+def _guarded(state: FlowState, config: FlowConfig,
+             propose: Callable[[float, bool], np.ndarray],
+             length: float) -> tuple[int, int]:
+    """Accept the first candidate f + propose(length, retry) on the
+    structural interior whose image stays in the target chart and whose
+    tension norm grows at most 10x, halving length after each rejection;
+    `retry` is true after the first. Records the accepted step and returns
+    its (chart exits, tension jumps)."""
     current = state.map
-    tp = current.tension
+    limit = REJECT_TENSION_FACTOR * max(current.tension.norm_tau, config.stop_tension)
     interior = _interior(current.grid)
-    tau = tp.tau[interior]
-    h2 = current.grid.h ** 2
-    dt = min(state.dt, config.dt_max, dt_cap(tp))
-    while True:
-        if dt < DT_UNDERFLOW_FACTOR * h2:
-            raise NumericalError(
-                f"flow stalled: dt underflow at t={state.t:.6g} "
-                f"(tension {tp.norm_tau:.3e})")
+    floor = LENGTH_UNDERFLOW * length
+    exits = jumps = 0
+    while length >= floor:
         candidate = current.values.copy()
-        candidate[interior] += increment(dt, tau, tp)
-        if np.all(current.target.contains(candidate[..., 0], candidate[..., 1])):
+        candidate[interior] += propose(length, exits + jumps > 0)
+        try:
             new_map = current.with_values(candidate)
-            new_tp = new_map.tension
-            if new_tp.norm_tau <= REJECT_TENSION_FACTOR * max(tp.norm_tau, config.stop_tension):
-                break
-        dt *= 0.5
-        state._accept_run = 0
+        except ChartDomainError:
+            exits += 1
+        else:
+            if new_map.tension.norm_tau <= limit:
+                state.map = new_map
+                state.dt = length
+                state.steps += 1
+                return exits, jumps
+            jumps += 1
+        length *= 0.5
+    raise NumericalError(
+        f"flow stalled: step length underflow after {exits} chart exits and "
+        f"{jumps} tension jumps (tension {current.tension.norm_tau:.3e})")
 
-    state.map = new_map
-    state.t += dt
-    state.dt = dt
-    state.steps += 1
-    state._accept_run += 1
-    if state._accept_run >= RECOVERY_RUN:
-        state.dt = min(2.0 * dt, config.dt_max, dt_cap(new_tp))
-        state._accept_run = 0
-    state.monitors.append(_row(state, new_tp))
-    return state
+
+def _anderson(r: np.ndarray, dxs: list[np.ndarray],
+              drs: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Type-II Anderson update with mixing parameter 1, r - (dX + dR) gamma
+    with gamma the least-squares solution of dR gamma = r, and the number
+    of secant pairs it mixes. gamma comes from a modified Gram-Schmidt QR
+    of dR, newest pair first; a pair whose dr lies within _SECANT_RANK_TOL
+    of the span of newer ones is left out. Plain dot products in place of
+    a LAPACK least-squares call keep its workspace out of the flow's peak
+    memory (about 1 MB at n=65)."""
+    qs, rcols, used = [], [], []
+    for j in reversed(range(len(drs))):
+        v = drs[j].copy()
+        col = []
+        for q in qs:
+            col.append(float(q @ v))
+            v -= col[-1] * q
+        norm = math.sqrt(float(v @ v))
+        if norm <= _SECANT_RANK_TOL * math.sqrt(float(drs[j] @ drs[j])):
+            continue
+        qs.append(v / norm)
+        rcols.append(col + [norm])
+        used.append(j)
+    # back substitution: R gamma = Q^T r, rcols[i][k] = R[k, i]
+    gamma = [float(q @ r) for q in qs]
+    for k in reversed(range(len(qs))):
+        for i in range(k + 1, len(qs)):
+            gamma[k] -= rcols[i][k] * gamma[i]
+        gamma[k] /= rcols[k][k]
+    out = r.copy()
+    for g, j in zip(gamma, used):
+        out -= g * (dxs[j] + drs[j])
+    return out, len(used)
+
+
+def _take_secants(state: FlowState, r: np.ndarray):
+    """Take the state's secant history, completed by the current r, as
+    (dxs, drs) lists of at most ANDERSON_DEPTH pairs; both are empty
+    unless the history ends at the current map. The state holds none
+    while a step runs, so the pairs that fall out of the window are freed
+    before the candidate's pass."""
+    sec, state._secants = state._secants, None
+    if sec is None or sec.map is not state.map:
+        return [], []
+    keep = max(0, len(sec.dxs) - ANDERSON_DEPTH)
+    return sec.dxs[keep:], (sec.drs + [r - sec.r])[keep:]
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """Advance one accepted linearly implicit step (rejections retry inside).
+    """Advance one accepted solver iteration (rejections retry inside).
 
-    Solves (I - dt a Lap_h) delta = dt tau with a = max eig(g^-1) and adds
-    delta on the structural interior, so Dirichlet boundary values are
-    carried over bit-identically. dt has no CFL cap.
+    r = (-a Lap_h)^-1 tau with a = max eig(g^-1) is added on the structural
+    interior, so Dirichlet boundary values are carried over bit-identically.
+    With secant pairs from earlier steps of this map the first candidate is
+    Anderson-mixed; a guard hit clears the history and retries a plain step
+    at half the length.
     """
-    grid = state.map.grid
-    return _advance(
-        state, config,
-        lambda dt, tau, tp: solve_shifted_laplacian(dt * tau, dt * tp.eig_max, grid),
-        lambda tp: math.inf)
+    current = state.map
+    tp = current.tension
+    interior = _interior(current.grid)
+    shape = current.values[interior].shape
+    r = solve_shifted_laplacian(tp.tau[interior], tp.eig_max, current.grid,
+                                shift=0.0).reshape(-1)
+    dxs, drs = _take_secants(state, r)
+    # a full plain step is r itself
+    mixed, depth = _anderson(r, dxs, drs) if dxs else (r, 0)
+
+    def propose(length, retry):
+        return (length * r if retry else mixed).reshape(shape)
+
+    exits, jumps = _guarded(state, config, propose, 1.0)
+    rejected = exits + jumps > 0
+    if not rejected:
+        state._secants = _Secants(state.map, r, dxs + [mixed], drs)
+    state.monitors.append(_row(state, 0 if rejected else depth, exits, jumps))
+    return state
 
 
 def explicit_step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one accepted explicit Euler step (rejections retry inside).
 
-    Adds dt * tau on the structural interior, with dt capped at
-    cfl_factor * h^2 / max eig(g^-1). Dirichlet boundary values are
+    Adds dt * tau on the structural interior, with dt = min(dt_max,
+    cfl_factor * h^2 / max eig(g^-1)). Dirichlet boundary values are
     carried over bit-identically; periodic grids update every point.
     """
-    return _advance(
-        state, config,
-        lambda dt, tau, tp: dt * tau,
-        lambda tp: config.cfl_factor * tp.cfl_dt)
+    tp = state.map.tension
+    tau = tp.tau[_interior(state.map.grid)]
+    exits, jumps = _guarded(state, config, lambda dt, retry: dt * tau,
+                            min(config.dt_max, config.cfl_factor * tp.cfl_dt))
+    state.t += state.dt
+    state.monitors.append(_row(state, 0, exits, jumps))
+    return state
 
 
-# ------------------------------------------------------ fast implicit solve
+# ------------------------------------------------------- fast Laplacian solve
 
 def _sine_transform(v: np.ndarray, axis: int) -> np.ndarray:
     """Type-I discrete sine transform along one axis,
@@ -380,9 +484,15 @@ def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
     return 4.0 * np.sin(0.5 * theta) ** 2 / (h * h)
 
 
-def solve_shifted_laplacian(rhs: np.ndarray, coef: float,
-                            grid: GridChart) -> np.ndarray:
-    """Solve (I - coef Lap_h) u = rhs on the structural interior.
+def solve_shifted_laplacian(rhs: np.ndarray, coef: float, grid: GridChart,
+                            shift: float = 1.0) -> np.ndarray:
+    """Solve (shift I - coef Lap_h) u = rhs on the structural interior.
+
+    shift = 1 is one linearly implicit step with dt folded into coef and
+    rhs; shift = 0, its dt -> inf limit, is the solver's preconditioner. On
+    a periodic grid Lap_h annihilates constants, so with shift = 0 the mean
+    mode is divided by coef lambda_1 instead, lambda_1 the smallest
+    non-zero symbol.
 
     Lap_h is the 5-point Laplacian with the grid's spacings hx, hy. On a
     Dirichlet grid rhs and u cover the interior [1:-1, 1:-1] and u is zero
@@ -393,7 +503,9 @@ def solve_shifted_laplacian(rhs: np.ndarray, coef: float,
     ly = _symbol(grid.ny, grid.hy, grid.periodic)
     if grid.periodic:
         ly = ly[:grid.ny // 2 + 1]
-    denom = 1.0 + coef * (lx[:, None] + ly[None, :])
+    denom = shift + coef * (lx[:, None] + ly[None, :])
+    if grid.periodic and shift == 0.0:
+        denom[0, 0] = coef * min(lx[1], ly[1])
     denom = denom.reshape(denom.shape + (1,) * (rhs.ndim - 2))
     if grid.periodic:
         spec = np.fft.rfft2(rhs, axes=(0, 1)) / denom
@@ -412,10 +524,15 @@ class FlowResult:
 
 def run_to_minimal(initial: MapField, config: FlowConfig,
                    hypotheses=None) -> FlowResult:
-    """Flow until the tension drops below stop_tension (or max_steps)."""
+    """Iterate `step` until the tension drops below stop_tension (or
+    max_steps), then certify the final map. A stall raises NumericalError;
+    `converged` is true only when the tension reached stop_tension. The
+    returned state drops the secant history, which is scratch memory of
+    the solver, so stepping it further starts with a plain step."""
     state = make_state(initial, config)
     while state.tension_norm > config.stop_tension and state.steps < config.max_steps:
         step(state, config)
+    state._secants = None
     cert = area_decreasing_certificate(state.map, hypotheses)
     return FlowResult(state=state, certificate=cert,
                       converged=state.tension_norm <= config.stop_tension)
@@ -424,13 +541,29 @@ def run_to_minimal(initial: MapField, config: FlowConfig,
 # ---------------------------------------------------------------------- io
 
 def write_monitors_csv(state: FlowState, path: str) -> None:
-    """Monitor time series, one row per accepted step (plus the seed row)."""
-    lines = ["# minmaps flow monitors v1"]
-    lines.append(",".join(MONITOR_COLUMNS))
+    """Monitor series: the header line `# minmaps flow monitors v2`, the
+    column names, then one row for the starting map (step 0) and one per
+    accepted step. Columns:
+
+      step           accepted steps so far
+      length         the step's length: 1 for a full solver step, halved
+                     per rejection; dt for explicit_step. Row 0, the
+                     starting map, holds dt_max (default 1)
+      depth          secant pairs Anderson-mixed into the step (0: plain)
+      min_phi        min over the grid of phi = u1 - u2
+      min_theta      min over the grid of theta = u1 + u2
+      max_abs_jf     sup |J_f|
+      norm_H         sup |H|, the graph's mean curvature
+      norm_tau       sup |tau| on the structural interior
+      chart_exits    candidates rejected because the image left the chart
+      tension_jumps  candidates rejected because norm_tau grew over 10x
+    """
+    lines = ["# minmaps flow monitors v2", ",".join(MONITOR_COLUMNS)]
     for r in state.monitors:
-        lines.append(f"{r.step},{r.t:.17g},{r.dt:.17g},{r.min_phi:.17g},"
+        lines.append(f"{r.step},{r.dt:.17g},{r.depth},{r.min_phi:.17g},"
                      f"{r.min_theta:.17g},{r.max_abs_jf:.17g},"
-                     f"{r.norm_H:.17g},{r.norm_tau:.17g}")
+                     f"{r.norm_H:.17g},{r.norm_tau:.17g},"
+                     f"{r.chart_exits},{r.tension_jumps}")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
 

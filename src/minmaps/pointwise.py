@@ -83,7 +83,7 @@ class MapField:
     """A map sampled on a grid, with optional analytic chart formula.
 
     `values[i, j]` is f(x_i, y_j) in target chart coordinates, kept as a
-    read-only view. When `expr` is present the Jacobian field is exact;
+    read-only private copy. When `expr` is present the Jacobian field is exact;
     otherwise it comes from central differences and is only defined one
     ring inside a Dirichlet grid. The factor samples (source at the grid,
     target at the image) and the passes reading them are cached on use.
@@ -96,10 +96,16 @@ class MapField:
     expr: Optional[MapExpr] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, float).view()
+        self._own(self.values, check_source=True)
+
+    def _own(self, values: np.ndarray, check_source: bool) -> None:
+        # a private copy: the caller's array cannot change under the
+        # cached passes
+        v = np.array(values, float)
         if v.shape != (self.grid.nx, self.grid.ny, 2):
             raise ValueError(f"values shape {v.shape} != {(self.grid.nx, self.grid.ny, 2)}")
-        self.source.check_domain(*self.grid.mesh(), what="grid")
+        if check_source:
+            self.source.check_domain(*self.grid.mesh(), what="grid")
         self.target.check_domain(v[..., 0], v[..., 1], what="map image")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -111,10 +117,15 @@ class MapField:
         return cls(grid, source, target, expr(X, Y), expr=expr)
 
     def with_values(self, values: np.ndarray) -> "MapField":
-        """Same chart data, new map values (drops the analytic formula);
-        the new field shares this one's source samples."""
-        out = MapField(self.grid, self.source, self.target, values, expr=None)
-        object.__setattr__(out, "source_samples", self.source_samples)
+        """Same chart data, new map values (drops the analytic formula).
+        The new field shares this one's source samples, and only its image
+        is checked: grid and source were checked when this field was made."""
+        out = object.__new__(MapField)
+        for name, value in (("grid", self.grid), ("source", self.source),
+                            ("target", self.target), ("expr", None),
+                            ("source_samples", self.source_samples)):
+            object.__setattr__(out, name, value)
+        out._own(values, check_source=False)
         return out
 
     @cached_property

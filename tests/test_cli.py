@@ -238,11 +238,39 @@ def test_flow_relaxes_perturbed_holomorphic_map(tmp_path):
     assert summary["snapshot"] == "final_map.txt"
     assert summary["certificate.area_decreasing"] == "true"
     rows = (out / "monitors.csv").read_text().splitlines()
-    assert rows[0] == "# minmaps flow monitors v1"
+    assert rows[0] == "# minmaps flow monitors v2"
     last = rows[-1].split(",")
     assert int(last[0]) == int(summary["steps"])
     assert float(last[3]) >= -1e-6  # final min_phi
     assert (out / "final_map.txt").exists()
+
+
+def test_flow_summary_counts_rejections(tmp_path):
+    # summary.txt gives the guard rejections, monitors.csv their reasons
+    cfgfile = tmp_path / "flow.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = poincare_disc
+        [map]
+        spec = z_squared
+        perturb = 0.01
+        [grid]
+        nx = 17
+        half_width = {Z2_HALF!r}
+        [tolerances]
+        stop_tension = 1e-6
+    """))
+    out = tmp_path / "run"
+    assert main(["flow", "--config", str(cfgfile), "--out", str(out)]) == 0
+    summary = read_summary(out / "summary.txt")
+    assert "t" not in summary
+    rows = [line.split(",") for line in
+            (out / "monitors.csv").read_text().splitlines()[1:]]
+    assert rows[0][-2:] == ["chart_exits", "tension_jumps"]
+    assert int(summary["rejections"]) == sum(int(r[8]) + int(r[9]) for r in rows[1:])
+    assert len(rows) == 2 + int(summary["steps"])
 
 
 def test_flow_nan_sample_is_numerical_failure(tmp_path, capsys):
@@ -269,8 +297,7 @@ def test_flow_nan_sample_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "run" / "summary.txt").exists()
 
 
-@pytest.mark.parametrize("section,line", [("flow", "dt_max = 0"),
-                                          ("tolerances", "stop_tension = nan")])
+@pytest.mark.parametrize("section,line", [("tolerances", "stop_tension = nan")])
 def test_flow_bad_step_settings_are_config_errors(tmp_path, capsys, section, line):
     cfgfile = tmp_path / "flow.ini"
     cfgfile.write_text(textwrap.dedent(f"""\

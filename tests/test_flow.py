@@ -1,6 +1,7 @@
-"""Tension-field evaluation and the two relaxation steppers (linearly
-implicit and explicit Euler): step control, boundary pinning, stall
-detection, the fast implicit solve, and agreement with plain heat flow."""
+"""Tension-field evaluation and the two steppers (the preconditioned,
+Anderson-mixed solver and explicit Euler): guards, secant history, boundary
+pinning, stall detection, the fast Laplacian solve, and agreement with
+plain heat flow."""
 
 import math
 
@@ -14,20 +15,33 @@ from minmaps.errors import ConfigError, NumericalError, StencilError
 EUC = ConformalMetric.euclidean()
 
 
-def heat_seed(n=32, eps=1e-3):
-    """Constant map between flat factors plus tiny sine modes on a periodic
-    grid; to O(eps^3) the tension is the 5-point Laplacian of f."""
-    grid = GridChart(0.0, 2 * math.pi, 0.0, 2 * math.pi, n, n,
-                     boundary=BoundaryMode.PERIODIC)
-    expr = MapExpr.parse(f"0.1 + {eps}*sin(x)*sin(y), -0.2 + {eps}*sin(x)*cos(y)")
+def heat_seed(n=32, eps=1e-3, boundary=BoundaryMode.PERIODIC):
+    """Constant map (0.1, -0.2) between flat factors plus tiny sine modes,
+    which are eigenvectors of the 5-point Laplacian; to O(eps^3) the
+    tension is the 5-point Laplacian of f. On a Dirichlet grid over
+    [0, pi]^2 the modes vanish on the ring."""
+    if boundary is BoundaryMode.PERIODIC:
+        grid = GridChart(0.0, 2 * math.pi, 0.0, 2 * math.pi, n, n, boundary=boundary)
+    else:
+        grid = GridChart(0.0, math.pi, 0.0, math.pi, n + 1, n + 1, boundary=boundary)
+    m1, m2 = heat_modes(boundary)
+    expr = MapExpr.parse(f"0.1 + {eps}*{m1}, -0.2 + {eps}*{m2}")
     return MapField.from_expr(grid, EUC, EUC, expr)
 
 
-def mode_amplitudes(mf):
+def heat_modes(boundary=BoundaryMode.PERIODIC):
+    if boundary is BoundaryMode.PERIODIC:
+        return "sin(x)*sin(y)", "sin(x)*cos(y)"
+    return "sin(x)*sin(y)", "sin(2*x)*sin(y)"
+
+
+def mode_amplitudes(mf, boundary=BoundaryMode.PERIODIC):
     X, Y = mf.grid.mesh()
     out = []
-    for comp, mode in ((0, np.sin(X) * np.sin(Y)), (1, np.sin(X) * np.cos(Y))):
-        out.append(float(np.sum(mf.values[..., comp] * mode) / np.sum(mode * mode)))
+    for comp, (base, mode) in enumerate(zip((0.1, -0.2), heat_modes(boundary))):
+        mode = MapExpr.parse(f"{mode}, 0")(X, Y)[..., 0]
+        out.append(float(np.sum((mf.values[..., comp] - base) * mode)
+                         / np.sum(mode * mode)))
     return out
 
 
@@ -182,18 +196,31 @@ def test_rejection_halves_dt_until_acceptable():
                                 state.map.values[..., 1]) < 1.0))
 
 
-def test_implicit_rejection_halves_dt_until_acceptable():
-    cfg = FlowConfig(stop_tension=1e-10, dt_max=10.0)
-    state = flow.make_state(presets.z_squared_field(n=33), cfg)
-    dt0 = state.dt
-    assert dt0 == cfg.dt_max
-    state.map.tension.tau[16, 16, :] = 500.0
+def test_guard_clears_history_and_halves_length():
+    cfg = FlowConfig(stop_tension=1e-10)
+    state = flow.make_state(perturbed_z2(), cfg)
     flow.step(state, cfg)
-    assert state.steps == 1
-    assert state.dt < dt0 / 4
-    assert state.monitors[-1].dt == state.dt
+    flow.step(state, cfg)
+    assert state.monitors[-1].depth == 1
+    # a synthetic tension spike in the current pass drives the candidates
+    # out of the disc and above the tension-jump guard; the step survives
+    # as a plain step at a halved length
+    state.map.tension.tau[16, 16, :] = 1e4
+    flow.step(state, cfg)
+    row = state.monitors[-1]
+    assert state.steps == 3
+    assert row.dt == state.dt < 1 / 4
+    assert row.depth == 0
+    assert row.chart_exits > 0 and row.tension_jumps > 0
+    assert state.rejections == row.chart_exits + row.tension_jumps
+    assert math.log2(1 / row.dt) == state.rejections
     assert bool(np.all(np.hypot(state.map.values[..., 0],
                                 state.map.values[..., 1]) < 1.0))
+    # the history restarts: a plain step, then one secant pair
+    flow.step(state, cfg)
+    flow.step(state, cfg)
+    assert [r.depth for r in state.monitors[-2:]] == [0, 1]
+    assert [r.dt for r in state.monitors[-2:]] == [1.0, 1.0]
 
 
 def test_assigned_map_drives_the_next_step():
@@ -215,6 +242,74 @@ def test_assigned_map_drives_the_next_step():
     for stepper in (flow.step, flow.explicit_step):
         stepper(state, cfg)
     assert state.steps == 2 and state.map.grid.nx == 17
+
+
+def test_assigned_map_restarts_the_secant_history():
+    # the history belongs to the map it was built from: after two steps
+    # from a, assigning b gives the bytes of a fresh state's steps from b
+    cfg = FlowConfig(stop_tension=1e-10)
+    b = perturbed_z2(eps=-0.01)
+    fresh = flow.make_state(b, cfg)
+    state = flow.make_state(perturbed_z2(eps=0.01), cfg)
+    flow.step(state, cfg)
+    flow.step(state, cfg)
+    assert state.monitors[-1].depth == 1
+    state.map = b
+    for _ in range(3):
+        flow.step(fresh, cfg)
+        flow.step(state, cfg)
+        assert state.map.values.tobytes() == fresh.map.values.tobytes()
+    assert [r.depth for r in state.monitors[-3:]] == [0, 1, 2]
+
+
+def test_anderson_update_matches_least_squares():
+    # r - (dX + dR) gamma with gamma = argmin |r - dR gamma|, checked
+    # against LAPACK; a pair whose dr repeats a newer one is left out
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal(200)
+    dxs = [rng.standard_normal(200) for _ in range(4)]
+    drs = [rng.standard_normal(200) for _ in range(4)]
+    out, depth = flow._anderson(r, dxs, drs)
+    DX, DR = np.stack(dxs, axis=1), np.stack(drs, axis=1)
+    gamma = np.linalg.lstsq(DR, r, rcond=None)[0]
+    assert depth == 4
+    assert np.abs(out - (r - (DX + DR) @ gamma)).max() <= 1e-12
+    out, depth = flow._anderson(r, [dxs[0], dxs[1]], [2.0 * drs[1], drs[1]])
+    gamma = (drs[1] @ r) / (drs[1] @ drs[1])
+    assert depth == 1
+    assert np.abs(out - (r - gamma * (dxs[1] + drs[1]))).max() <= 1e-12
+
+
+def test_anderson_halves_the_iterations_on_an_anisotropic_map(monkeypatch):
+    # hyperbolic(0.5) over a stretched image: g^-1 is far from isotropic,
+    # so a = max eig(g^-1) over-damps the plain iteration
+    grid = GridChart(-0.4, 0.4, -0.4, 0.4, 33, 33)
+    mf = MapField.from_expr(grid, ConformalMetric.poincare_disc(),
+                            ConformalMetric.hyperbolic(0.5),
+                            MapExpr.parse("0.5*x + 0.3*y^2, 0.3*y - 0.2*x*y"))
+    cfg = FlowConfig(stop_tension=mf.tension.norm_tau / 1e6, max_steps=200)
+    mixed = flow.run_to_minimal(mf, cfg)
+    assert max(r.depth for r in mixed.state.monitors) == flow.ANDERSON_DEPTH
+    monkeypatch.setattr(flow, "ANDERSON_DEPTH", 0)
+    plain = flow.run_to_minimal(mf, cfg)
+    assert mixed.converged and plain.converged
+    assert all(r.depth == 0 for r in plain.state.monitors)
+    assert mixed.state.rejections == plain.state.rejections == 0
+    assert 2 * mixed.state.steps < plain.state.steps
+
+
+def test_stop_below_roundoff_never_reads_converged():
+    # the tension cannot reach 1e-300 in double precision: the run either
+    # ends unconverged at max_steps or raises, never reads converged
+    cfg = FlowConfig(stop_tension=1e-300, max_steps=60)
+    try:
+        result = flow.run_to_minimal(perturbed_z2(), cfg)
+    except NumericalError as exc:
+        assert "stalled" in str(exc)
+    else:
+        assert not result.converged
+        assert result.state.steps == 60
+        assert 0 < result.state.tension_norm < 1e-8
 
 
 def test_flow_samples_the_source_factor_once(monkeypatch):
@@ -286,27 +381,24 @@ def test_flow_agrees_with_heat_semidiscretization():
         assert amp == pytest.approx(want, rel=1e-5)
 
 
-@pytest.mark.parametrize("dt, steps", [(1e-4, 200), (0.5, 10)])
-def test_implicit_flow_matches_backward_euler_heat_decay(dt, steps):
-    # with a = max eig(g^-1) = 1 on flat factors the implicit step is
-    # backward Euler for the 5-point heat equation: modes decay as
-    # (1 + dt lambda_h)^-k, also at dt far beyond the explicit CFL cap
+@pytest.mark.parametrize("boundary", [BoundaryMode.DIRICHLET, BoundaryMode.PERIODIC])
+def test_plain_iteration_removes_heat_modes(boundary):
+    # on flat factors a = 1 and tau = Lap_h f + O(eps^3), so one plain
+    # iteration f + (-Lap_h)^-1 tau removes the sine modes to O(eps^3);
+    # the periodic mean mode carries no tension and stays put
     eps = 1e-3
-    mf = heat_seed(eps=eps)
-    cfg = FlowConfig(stop_tension=1e-12, dt_max=dt)
+    mf = heat_seed(eps=eps, boundary=boundary)
+    cfg = FlowConfig(stop_tension=1e-30)
     state = flow.make_state(mf, cfg)
-    for _ in range(steps):
-        flow.step(state, cfg)
-    assert all(r.dt == dt for r in state.monitors)
-    assert state.t == pytest.approx(steps * dt, rel=1e-12)
-    if dt == 0.5:
-        assert dt > 12 * state.map.tension.cfl_dt
-
-    h = mf.grid.hx
-    lam = 8.0 * math.sin(h / 2) ** 2 / h ** 2
-    want = eps * (1.0 + dt * lam) ** -steps
-    for amp in mode_amplitudes(state.map):
-        assert amp == pytest.approx(want, rel=1e-5)
+    flow.step(state, cfg)
+    row = state.monitors[-1]
+    assert (row.dt, row.depth, row.chart_exits, row.tension_jumps) == (1.0, 0, 0, 0)
+    assert mf.tension.eig_max == 1.0
+    for amp in mode_amplitudes(state.map, boundary):
+        assert abs(amp) <= 2 * eps ** 3
+    base = np.array([0.1, -0.2])
+    assert np.abs(state.map.values - base).max() <= 2 * eps ** 3
+    assert state.tension_norm <= 1e-5 * mf.tension.norm_tau
 
 
 def test_implicit_step_count_does_not_grow_with_grid():
@@ -337,6 +429,32 @@ def test_shifted_laplacian_solve_residual(boundary):
         assert np.abs(residual).max() <= 1e-12
 
 
+@pytest.mark.parametrize("boundary", [BoundaryMode.DIRICHLET, BoundaryMode.PERIODIC])
+def test_preconditioner_is_the_infinite_dt_limit(boundary):
+    # shift = 0 solves -coef Lap_h u = rhs; on a periodic grid, where
+    # Lap_h annihilates constants, the mean mode gets mean / (coef lambda_1)
+    grid = GridChart(0.0, 1.0, 0.0, 2.5, 33, 20, boundary=boundary)
+    interior = np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
+    u = np.zeros((grid.nx, grid.ny, 2))
+    rhs = np.random.default_rng(7).standard_normal(u[interior].shape)
+    coef = 0.37
+    u[interior] = flow.solve_shifted_laplacian(rhs, coef, grid, shift=0.0)
+    mean = rhs.mean(axis=(0, 1))
+    if grid.periodic:
+        lam1 = min(4 * math.sin(math.pi / n) ** 2 / h ** 2
+                   for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
+        assert u.mean(axis=(0, 1)) == pytest.approx(mean / (coef * lam1), rel=1e-10)
+        rhs = rhs - mean
+    for k in range(2):
+        lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
+        assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-11
+    # the finite-dt solve approaches it as dt grows
+    if not grid.periodic:
+        dt = 1e8
+        far = flow.solve_shifted_laplacian(dt * rhs, dt * coef, grid)
+        assert np.abs(far - u[interior]).max() <= 1e-6 * np.abs(u).max()
+
+
 # ------------------------------------------------------------------------ io
 
 def test_monitors_csv_format(tmp_path):
@@ -347,12 +465,16 @@ def test_monitors_csv_format(tmp_path):
     out = tmp_path / "monitors.csv"
     flow.write_monitors_csv(state, str(out))
     lines = out.read_text().splitlines()
-    assert lines[0] == "# minmaps flow monitors v1"
-    assert lines[1] == "step,t,dt,min_phi,min_theta,max_abs_jf,norm_H,norm_tau"
+    assert lines[0] == "# minmaps flow monitors v2"
+    assert lines[1] == ("step,length,depth,min_phi,min_theta,max_abs_jf,"
+                        "norm_H,norm_tau,chart_exits,tension_jumps")
     assert len(lines) == 2 + len(state.monitors)
     first = lines[2].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.0
-    assert float(lines[3].split(",")[7]) == state.monitors[1].norm_tau
+    assert first[0] == "0" and float(first[1]) == cfg.dt_max
+    second = lines[3].split(",")
+    assert second[:3] == ["1", "1", "0"] and second[8:] == ["0", "0"]
+    assert float(second[3]) == state.monitors[1].min_phi
+    assert float(second[7]) == state.monitors[1].norm_tau
 
 
 def test_snapshot_round_trip(tmp_path, z2_33):

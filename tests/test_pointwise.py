@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minmaps import ConformalMetric, GridChart, MapExpr, MapField
-from minmaps.errors import StencilError
+from minmaps import ConformalMetric, GridChart, MapExpr, MapField, flow, presets
+from minmaps.errors import ChartDomainError, StencilError
 from minmaps.pointwise import (PointClass, classify_point, differential,
                                graph_metric_singular_values,
                                jacobian_determinant, jacobians,
@@ -38,6 +38,39 @@ def test_map_field_values_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         moved.values[..., 1] *= 2.0
     assert moved.source_samples is mf.source_samples
+
+
+@pytest.mark.parametrize("make", ["with_values", "constructor"])
+def test_map_field_keeps_a_private_copy(make):
+    # the caller's array cannot change a field, or the passes it cached
+    mf = presets.sine_bump(presets.z_squared_field(n=33), 0.01)
+    raw = np.array(mf.values)
+    m2 = mf.with_values(raw) if make == "with_values" else \
+        MapField(mf.grid, mf.source, mf.target, raw)
+    cached = m2.tension.norm_tau
+    raw[5:10, 5:10] += 1e-3
+    assert m2.values.tobytes() == mf.values.tobytes()
+    assert cached == flow.tension_pass(mf).norm_tau
+    assert flow.tension_pass(m2).norm_tau == cached
+
+
+def test_with_values_checks_only_the_image(monkeypatch):
+    # grid and source are inherited and were checked when the parent was
+    # made: a with_values field evaluates the source domain zero times
+    mf = presets.z_squared_field(n=33)
+    checked = []
+    real = ConformalMetric.check_domain
+    monkeypatch.setattr(ConformalMetric, "check_domain",
+                        lambda self, x, y, what="point":
+                        checked.append(what) or real(self, x, y, what))
+    moved = mf.with_values(mf.values * 0.5)
+    assert checked == ["map image"]
+    assert moved.source is mf.source and moved.grid is mf.grid
+    with pytest.raises(ChartDomainError, match="map image"):
+        mf.with_values(mf.values * 3.0)
+    checked.clear()
+    MapField(mf.grid, mf.source, mf.target, mf.values)
+    assert checked == ["grid", "map image"]
 
 
 def test_differential_identity_and_affine_exact():

@@ -70,15 +70,16 @@ from .verifier import Certificate, area_decreasing_certificate
 __all__ = [
     "FlowConfig", "FlowState", "FlowResult", "MonitorRow",
     "tension_field", "tension_pass", "make_state", "step", "explicit_step",
-    "solve_shifted_laplacian", "run_to_minimal",
+    "solve_laplacian", "run_to_minimal",
     "write_monitors_csv", "write_snapshot", "read_snapshot",
 ]
 
 # secant pairs the solver mixes into a step
 ANDERSON_DEPTH = 5
-# a secant whose residual difference is this close, relative to its norm,
-# to the span of newer ones adds only rounding to the mixed step
-_SECANT_RANK_TOL = 1e-8
+# Tikhonov weight of the mixing coefficients, relative to the trace of the
+# secants' Gram matrix: directions of dR weaker than this add only
+# rounding to the mixed step
+_SECANT_RIDGE = 1e-8
 REJECT_TENSION_FACTOR = 10.0
 # a step halved below this fraction of its first length means a stall
 LENGTH_UNDERFLOW = 1e-15
@@ -366,36 +367,23 @@ def _guarded(state: FlowState, config: FlowConfig,
 
 def _anderson(r: np.ndarray, dxs: list[np.ndarray],
               drs: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Type-II Anderson update with mixing parameter 1, r - (dX + dR) gamma
-    with gamma the least-squares solution of dR gamma = r, and the number
-    of secant pairs it mixes. gamma comes from a modified Gram-Schmidt QR
-    of dR, newest pair first; a pair whose dr lies within _SECANT_RANK_TOL
-    of the span of newer ones is left out. Plain dot products in place of
-    a LAPACK least-squares call keep its workspace out of the flow's peak
-    memory (about 1 MB at n=65)."""
-    qs, rcols, used = [], [], []
-    for j in reversed(range(len(drs))):
-        v = drs[j].copy()
-        col = []
-        for q in qs:
-            col.append(float(q @ v))
-            v -= col[-1] * q
-        norm = math.sqrt(float(v @ v))
-        if norm <= _SECANT_RANK_TOL * math.sqrt(float(drs[j] @ drs[j])):
-            continue
-        qs.append(v / norm)
-        rcols.append(col + [norm])
-        used.append(j)
-    # back substitution: R gamma = Q^T r, rcols[i][k] = R[k, i]
-    gamma = [float(q @ r) for q in qs]
-    for k in reversed(range(len(qs))):
-        for i in range(k + 1, len(qs)):
-            gamma[k] -= rcols[i][k] * gamma[i]
-        gamma[k] /= rcols[k][k]
+    """Type-II Anderson update with mixing parameter 1, r - (dX + dR) gamma,
+    and the number of secant pairs it mixes. gamma minimises
+    |r - dR gamma|^2 + ridge |gamma|^2 through the k x k normal equations,
+    whose Gram matrix comes from dot products; the ridge keeps gamma bounded
+    where the dr are (nearly) dependent, and the system regular when every
+    dr is zero. It is a linear solve, not a least-squares or eigenvalue
+    call: the first such LAPACK call adds about 1 MB to the flow's peak
+    memory, a solve about 0.25 MB."""
+    # einsum, not a BLAS dot: its summation order does not change with the
+    # BLAS thread count, and neither do the bytes of the solver's output
+    gram = np.array([[np.einsum("i,i", a, b) for b in drs] for a in drs])
+    gram += (_SECANT_RIDGE * gram.trace() + np.finfo(float).tiny) * np.eye(len(drs))
+    gamma = np.linalg.solve(gram, np.array([np.einsum("i,i", d, r) for d in drs]))
     out = r.copy()
-    for g, j in zip(gamma, used):
-        out -= g * (dxs[j] + drs[j])
-    return out, len(used)
+    for g, dx, dr in zip(gamma, dxs, drs):
+        out -= g * (dx + dr)
+    return out, len(drs)
 
 
 def _take_secants(state: FlowState, r: np.ndarray):
@@ -424,8 +412,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     tp = current.tension
     interior = _interior(current.grid)
     shape = current.values[interior].shape
-    r = solve_shifted_laplacian(tp.tau[interior], tp.eig_max, current.grid,
-                                shift=0.0).reshape(-1)
+    r = solve_laplacian(tp.tau[interior], tp.eig_max, current.grid).reshape(-1)
     dxs, drs = _take_secants(state, r)
     # a full plain step is r itself
     mixed, depth = _anderson(r, dxs, drs) if dxs else (r, 0)
@@ -484,15 +471,11 @@ def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
     return 4.0 * np.sin(0.5 * theta) ** 2 / (h * h)
 
 
-def solve_shifted_laplacian(rhs: np.ndarray, coef: float, grid: GridChart,
-                            shift: float = 1.0) -> np.ndarray:
-    """Solve (shift I - coef Lap_h) u = rhs on the structural interior.
-
-    shift = 1 is one linearly implicit step with dt folded into coef and
-    rhs; shift = 0, its dt -> inf limit, is the solver's preconditioner. On
-    a periodic grid Lap_h annihilates constants, so with shift = 0 the mean
-    mode is divided by coef lambda_1 instead, lambda_1 the smallest
-    non-zero symbol.
+def solve_laplacian(rhs: np.ndarray, coef: float, grid: GridChart) -> np.ndarray:
+    """Solve -coef Lap_h u = rhs on the structural interior: the solver's
+    preconditioner. On a periodic grid Lap_h annihilates constants, so the
+    mean mode is divided by coef lambda_1 instead, lambda_1 the smallest
+    non-zero symbol; every other mode is solved exactly.
 
     Lap_h is the 5-point Laplacian with the grid's spacings hx, hy. On a
     Dirichlet grid rhs and u cover the interior [1:-1, 1:-1] and u is zero
@@ -503,8 +486,8 @@ def solve_shifted_laplacian(rhs: np.ndarray, coef: float, grid: GridChart,
     ly = _symbol(grid.ny, grid.hy, grid.periodic)
     if grid.periodic:
         ly = ly[:grid.ny // 2 + 1]
-    denom = shift + coef * (lx[:, None] + ly[None, :])
-    if grid.periodic and shift == 0.0:
+    denom = coef * (lx[:, None] + ly[None, :])
+    if grid.periodic:
         denom[0, 0] = coef * min(lx[1], ly[1])
     denom = denom.reshape(denom.shape + (1,) * (rhs.ndim - 2))
     if grid.periodic:

@@ -20,7 +20,7 @@ its orientation from df. All functions broadcast over leading axes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -121,10 +121,11 @@ class MapField:
         The new field shares this one's source samples, and only its image
         is checked: grid and source were checked when this field was made."""
         out = object.__new__(MapField)
-        for name, value in (("grid", self.grid), ("source", self.source),
-                            ("target", self.target), ("expr", None),
-                            ("source_samples", self.source_samples)):
-            object.__setattr__(out, name, value)
+        for f in fields(MapField):
+            if f.name != "values":
+                object.__setattr__(out, f.name, None if f.name == "expr"
+                                   else getattr(self, f.name))
+        object.__setattr__(out, "source_samples", self.source_samples)
         out._own(values, check_source=False)
         return out
 

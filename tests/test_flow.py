@@ -4,6 +4,9 @@ pinning, stall detection, the fast Laplacian solve, and agreement with
 plain heat flow."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -263,21 +266,49 @@ def test_assigned_map_restarts_the_secant_history():
 
 
 def test_anderson_update_matches_least_squares():
-    # r - (dX + dR) gamma with gamma = argmin |r - dR gamma|, checked
-    # against LAPACK; a pair whose dr repeats a newer one is left out
+    # r - (dX + dR) gamma with gamma = argmin |r - dR gamma|^2 + ridge |gamma|^2,
+    # checked against LAPACK least squares on the stacked system
     rng = np.random.default_rng(3)
     r = rng.standard_normal(200)
     dxs = [rng.standard_normal(200) for _ in range(4)]
     drs = [rng.standard_normal(200) for _ in range(4)]
+
     out, depth = flow._anderson(r, dxs, drs)
     DX, DR = np.stack(dxs, axis=1), np.stack(drs, axis=1)
-    gamma = np.linalg.lstsq(DR, r, rcond=None)[0]
+    ridge = flow._SECANT_RIDGE * np.sum(DR * DR)
+    gamma = np.linalg.lstsq(np.vstack([DR, math.sqrt(ridge) * np.eye(4)]),
+                            np.concatenate([r, np.zeros(4)]), rcond=None)[0]
     assert depth == 4
     assert np.abs(out - (r - (DX + DR) @ gamma)).max() <= 1e-12
-    out, depth = flow._anderson(r, [dxs[0], dxs[1]], [2.0 * drs[1], drs[1]])
-    gamma = (drs[1] @ r) / (drs[1] @ drs[1])
-    assert depth == 1
-    assert np.abs(out - (r - gamma * (dxs[1] + drs[1]))).max() <= 1e-12
+    # dependent secants stay bounded and mix as one direction: the update
+    # is the minimum-norm least-squares one up to the ridge
+    dxs, drs = [dxs[0], dxs[1]], [2.0 * drs[1], drs[1]]
+    out, depth = flow._anderson(r, dxs, drs)
+    DX, DR = np.stack(dxs, axis=1), np.stack(drs, axis=1)
+    gamma = np.linalg.lstsq(DR, r, rcond=1e-8)[0]
+    assert np.abs(out - (r - (DX + DR) @ gamma)).max() <= 1e-6
+    # secants that moved nothing mix nothing
+    zeros = [np.zeros(200), np.zeros(200)]
+    out, depth = flow._anderson(r, zeros, zeros)
+    assert out.tobytes() == r.tobytes()
+
+
+def test_anderson_bytes_do_not_depend_on_blas_threads():
+    # a threaded BLAS dot sums long vectors in an order that depends on its
+    # thread count; the mixed step must not
+    code = ("import hashlib, numpy as np; from minmaps import flow; "
+            "rng = np.random.default_rng(5); "
+            "v = [rng.standard_normal(130050) for _ in range(5)]; "
+            "out = flow._anderson(v[0], v[1:3], v[3:5])[0]; "
+            "print(hashlib.sha256(out.tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_anderson_halves_the_iterations_on_an_anisotropic_map(monkeypatch):
@@ -416,43 +447,25 @@ def test_implicit_step_count_does_not_grow_with_grid():
 
 @pytest.mark.parametrize("boundary", [BoundaryMode.DIRICHLET, BoundaryMode.PERIODIC])
 def test_shifted_laplacian_solve_residual(boundary):
+    # the preconditioner solves -coef Lap_h u = rhs; on a periodic grid,
+    # where Lap_h annihilates constants, the operator is shifted on the mean
+    # mode, which gets mean / (coef lambda_1)
     grid = GridChart(0.0, 1.0, 0.0, 2.5, 33, 20, boundary=boundary)
     assert grid.hx != grid.hy
     interior = np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
     u = np.zeros((grid.nx, grid.ny, 2))
     rhs = np.random.default_rng(7).standard_normal(u[interior].shape)
     coef = 0.37
-    u[interior] = flow.solve_shifted_laplacian(rhs, coef, grid)
-    for k in range(2):
-        lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
-        residual = (u[..., k] - coef * lap)[interior] - rhs[..., k]
-        assert np.abs(residual).max() <= 1e-12
-
-
-@pytest.mark.parametrize("boundary", [BoundaryMode.DIRICHLET, BoundaryMode.PERIODIC])
-def test_preconditioner_is_the_infinite_dt_limit(boundary):
-    # shift = 0 solves -coef Lap_h u = rhs; on a periodic grid, where
-    # Lap_h annihilates constants, the mean mode gets mean / (coef lambda_1)
-    grid = GridChart(0.0, 1.0, 0.0, 2.5, 33, 20, boundary=boundary)
-    interior = np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
-    u = np.zeros((grid.nx, grid.ny, 2))
-    rhs = np.random.default_rng(7).standard_normal(u[interior].shape)
-    coef = 0.37
-    u[interior] = flow.solve_shifted_laplacian(rhs, coef, grid, shift=0.0)
-    mean = rhs.mean(axis=(0, 1))
+    u[interior] = flow.solve_laplacian(rhs, coef, grid)
     if grid.periodic:
+        mean = rhs.mean(axis=(0, 1))
         lam1 = min(4 * math.sin(math.pi / n) ** 2 / h ** 2
                    for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
         assert u.mean(axis=(0, 1)) == pytest.approx(mean / (coef * lam1), rel=1e-10)
         rhs = rhs - mean
     for k in range(2):
         lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
-        assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-11
-    # the finite-dt solve approaches it as dt grows
-    if not grid.periodic:
-        dt = 1e8
-        far = flow.solve_shifted_laplacian(dt * rhs, dt * coef, grid)
-        assert np.abs(far - u[interior]).max() <= 1e-6 * np.abs(u).max()
+        assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-12
 
 
 # ------------------------------------------------------------------------ io

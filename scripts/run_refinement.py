@@ -8,7 +8,6 @@ Usage: python scripts/run_refinement.py [--fixture z_squared] [--grids 17,33,65]
 import argparse
 
 from minmaps import presets
-from minmaps.graph_geometry import graph_grid
 from minmaps.verifier import (refinement_study, verify_form_laplacian,
                               verify_gradient_identities,
                               verify_jacobian_laplacians,
@@ -19,7 +18,7 @@ CHECKS = (
     ("form_laplacian", verify_form_laplacian),
     ("jacobians", verify_jacobian_laplacians),
     ("gradients", verify_gradient_identities),
-    ("mean_curvature", lambda mf: graph_grid(mf).max_norm_H),
+    ("mean_curvature", lambda mf: mf.graph.max_norm_H),
 )
 
 

@@ -1,18 +1,13 @@
 """Numerical verification engine for the graph geometry of maps between surfaces."""
 
-from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
+from .errors import ChartDomainError, ConfigError, NumericalError
 from .surface import BoundaryMode, ConformalMetric, FactorKind, GridChart, TheoremHypotheses
 from .expressions import MapExpr
 from .pointwise import (
-    Classification, MapField, PointClass, PointwiseGrid,
-    classify_point, jacobians, kahler_cosines, pointwise_grid,
+    MapField, PointwiseGrid, jacobians, kahler_cosines, pointwise_grid,
     singular_decomposition,
 )
-from .graph_geometry import (
-    GraphGrid, ScalarFieldOnGraph, adapted_frame, ambient_curvature, graph_grid,
-    induced_metric, kahler_angle_crosscheck, laplace_beltrami, mean_curvature,
-    normal_scalars, second_fundamental_form,
-)
+from .graph_geometry import GraphGrid, ambient_curvature, graph_grid, kahler_angle_crosscheck
 from .verifier import (
     Certificate, ConvergenceStudy, HypothesisCheck, MinimumProbe, ProbeStatus,
     ResidualReport, area_decreasing_certificate, check_hypotheses,
@@ -22,8 +17,7 @@ from .verifier import (
 )
 from .flow import (
     FlowConfig, FlowResult, FlowState, MonitorRow, make_state, read_snapshot,
-    run_to_minimal, step, tension_field, tension_pass, write_monitors_csv,
-    write_snapshot,
+    run_to_minimal, step, tension_pass, write_monitors_csv, write_snapshot,
 )
 from .presets import SCENARIOS, map_preset, parse_map_spec, parse_metric_spec
 

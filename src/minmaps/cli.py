@@ -19,7 +19,7 @@ canonical fixtures) or from an INI config file (--config, full control):
     metric = poincare_disc
     [map]
     spec = z_squared           ; preset | preset:p1,p2,... | expr:F1, F2
-    perturb = 0.01             ; optional interior sine bump, both components
+    perturb = 0.01             ; optional finite interior sine bump, both components
     [grid]
     nx = 65
     ny = 65                    ; defaults to nx
@@ -27,7 +27,7 @@ canonical fixtures) or from an INI config file (--config, full control):
     boundary = dirichlet       ; dirichlet | periodic
     [tolerances]
     stop_tension = 1e-4
-    certificate_tol = 0.0
+    certificate_tol = 0.0      ; finite, >= 0
     [flow]
     max_steps = 50000
     [refine]
@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import presets
-from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
+from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import format_block
 from .flow import (MONITOR_COLUMNS, FlowConfig, run_to_minimal, write_monitors_csv,
                    write_snapshot)
@@ -165,6 +165,13 @@ def _config_from_file(path: Path, kind: str, out: Path,
             raise ConfigError("config needs [map] spec = ...")
 
     tol = sec.get("tolerances")
+    perturb = _get(map_sec, "perturb", float, 0.0)
+    if not np.isfinite(perturb):
+        raise ConfigError(f"[map] perturb must be finite, got {perturb!r}")
+    certificate_tol = _get(tol, "certificate_tol", float, 0.0)
+    if not (np.isfinite(certificate_tol) and certificate_tol >= 0):
+        raise ConfigError("[tolerances] certificate_tol must be finite and "
+                          f"non-negative, got {certificate_tol!r}")
     flow = sec.get("flow")
     refine = sec.get("refine")
     grids = _get(refine, "grids", str, "17, 33, 65")
@@ -180,11 +187,11 @@ def _config_from_file(path: Path, kind: str, out: Path,
         source=source["metric"],
         target=target["metric"] if target is not None else None,
         map_spec=map_sec["spec"] if map_sec is not None else None,
-        perturb=_get(map_sec, "perturb", float, 0.0),
+        perturb=perturb,
         nx=nx, ny=ny, domain=domain,
         boundary=_get(grid, "boundary", str, "dirichlet"),
         stop_tension=_get(tol, "stop_tension", float, 1e-4),
-        certificate_tol=_get(tol, "certificate_tol", float, 0.0),
+        certificate_tol=certificate_tol,
         max_steps=_get(flow, "max_steps", int, 50000),
         refine_grids=refine_grids,
     )
@@ -492,7 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ChartDomainError as exc:
         print(f"minmaps: chart domain violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (NumericalError, StencilError) as exc:
+    except NumericalError as exc:
         print(f"minmaps: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

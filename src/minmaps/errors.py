@@ -1,12 +1,16 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes, so scenario code should raise
-the most specific class that applies.
+The CLI maps these onto process exit codes: ConfigError exits 2,
+ChartDomainError 3 and NumericalError 4. Scenario code should raise the
+most specific class that applies.
 """
+
+__all__ = ["ConfigError", "ChartDomainError", "NumericalError"]
 
 
 class ConfigError(ValueError):
-    """Malformed scenario configuration (bad key, bad value, bad expression)."""
+    """Malformed scenario configuration (bad key, bad value, bad expression,
+    a grid too small for the stencils)."""
 
 
 class ChartDomainError(ValueError):
@@ -15,7 +19,3 @@ class ChartDomainError(ValueError):
 
 class NumericalError(RuntimeError):
     """Numerical failure: non-SPD metric, time-step underflow, diverging flow."""
-
-
-class StencilError(ValueError):
-    """A finite-difference stencil does not fit inside the grid."""

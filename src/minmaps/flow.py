@@ -62,14 +62,14 @@ import numpy as np
 from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import format_block
-from .graph_geometry import _finite, induced_metric_arrays
+from .graph_geometry import induced_metric_arrays
 from .pointwise import MapField
 from .surface import BoundaryMode, ConformalMetric, GridChart
 from .verifier import Certificate, area_decreasing_certificate
 
 __all__ = [
     "FlowConfig", "FlowState", "FlowResult", "MonitorRow",
-    "tension_field", "tension_pass", "make_state", "step", "explicit_step",
+    "tension_pass", "make_state", "step", "explicit_step",
     "solve_laplacian", "run_to_minimal",
     "write_monitors_csv", "write_snapshot", "read_snapshot",
 ]
@@ -151,7 +151,7 @@ def _interior(grid: GridChart):
 
 def tension_pass(mapfield: MapField) -> TensionPass:
     """Evaluate the tension field of a map over its whole grid (cached as
-    `mapfield.tension`, which the point query and both steppers read)."""
+    `mapfield.tension`, which both steppers read)."""
     # unrolled 2x2 component arithmetic throughout: the trailing dimensions
     # are tiny, so generic tensor contractions spend their time on overhead
     grid = mapfield.grid
@@ -266,11 +266,6 @@ def tension_pass(mapfield: MapField) -> TensionPass:
         eig_max=eig_max,
         cfl_dt=h2 / eig_max,
     )
-
-
-def tension_field(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """Tension 2-vector at grid index p, read from the field's cached pass."""
-    return _finite(mapfield.tension.tau[p], "tension")
 
 
 # ------------------------------------------------------------------ stepping

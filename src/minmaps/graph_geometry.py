@@ -30,17 +30,13 @@ from functools import cached_property
 import numpy as np
 
 from . import stencils
-from .errors import StencilError
 from .pointwise import MapField, PointwiseGrid
 from .surface import GridChart
 
 __all__ = [
-    "GraphGrid", "InducedMetric", "ScalarFieldOnGraph", "NormalScalars",
-    "graph_grid", "induced_metric", "induced_metric_arrays", "adapted_frame",
-    "second_fundamental_form", "mean_curvature", "normal_scalars",
-    "sigma_perp_commutator", "ambient_curvature", "ambient_curvature_term",
+    "GraphGrid", "InducedMetric", "graph_grid", "induced_metric_arrays",
+    "sigma_perp_commutator", "ambient_curvature",
     "laplace_beltrami_array", "gradient_norm_sq_array",
-    "laplace_beltrami", "gradient_norm_sq",
     "pullback_form", "form_on_frame", "kahler_angle_crosscheck",
 ]
 
@@ -121,12 +117,6 @@ def induced_metric_arrays(f1x, f1y, f2x, f2y, rhoM2, rhoN2) -> InducedMetric:
 
 
 # ---------------------------------------------------------------- grid pass
-
-@dataclass(frozen=True)
-class NormalScalars:
-    norm_A_sq: float
-    sigma_perp: float
-
 
 @dataclass(frozen=True)
 class GraphGrid:
@@ -248,78 +238,7 @@ def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
     return E
 
 
-# ------------------------------------------------------------ per-point ops
-#
-# Point queries index the field's one cached graph pass, so they return the
-# grid values bit for bit; where a stencil leaves the grid the value is NaN
-# and the query raises StencilError.
-
-def _finite(value, what: str) -> np.ndarray:
-    """A copy of value; StencilError where it is not finite."""
-    out = np.array(value, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise StencilError(f"{what} undefined at this point")
-    return out
-
-
-def induced_metric(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """g = rhoM^2 I + rhoN^2 df^T df at grid index p, as a 2x2 matrix."""
-    m = mapfield.graph.metric
-    return _finite([[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]], "induced metric")
-
-
-def adapted_frame(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """Orthonormal frame rows (e1, e2, e3, e4) at grid index p."""
-    return _finite(mapfield.graph.frame[p], "adapted frame")
-
-
-def second_fundamental_form(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """A[alpha, i, j] in the orthonormal frame at grid index p."""
-    return _finite(mapfield.graph.A[p], "second fundamental form")
-
-
-def mean_curvature(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """(H^3, H^4) = traces of A at grid index p."""
-    return _finite(mapfield.graph.H[p], "mean curvature")
-
-
-def normal_scalars(mapfield: MapField, p: tuple[int, int]) -> NormalScalars:
-    """|A|^2 and the normal curvature commutator scalar sigma_perp."""
-    gg = mapfield.graph
-    nA2, sp = _finite([gg.norm_A_sq[p], gg.sigma_perp[p]], "normal scalars")
-    return NormalScalars(norm_A_sq=float(nA2), sigma_perp=float(sp))
-
-
-def sigma_perp_commutator(A: np.ndarray) -> np.ndarray:
-    """sigma_perp via the explicit matrix commutator pairing <[A3, A4] e1, e2>.
-
-    Independent route used to cross-check the four-term formula; the pairing
-    reads off the (2, 1) entry of A3 A4 - A4 A3 in the orthonormal frame.
-    """
-    A3 = A[..., 0, :, :]
-    A4 = A[..., 1, :, :]
-    comm = A3 @ A4 - A4 @ A3
-    return comm[..., 1, 0]
-
-
-def ambient_curvature_term(mapfield: MapField, p: tuple[int, int]) -> float:
-    """R(e1, e2, e3, e4) of the product metric at grid index p."""
-    return float(_finite(mapfield.graph.rtilde_1234[p], "ambient curvature term"))
-
-
-# ------------------------------------------------- scalar fields on a graph
-
-@dataclass(frozen=True)
-class ScalarFieldOnGraph:
-    """Grid samples of a scalar on the graph, tied to its geometry."""
-
-    values: np.ndarray
-    graph: GraphGrid
-
-    def __post_init__(self):
-        if self.values.shape != (self.graph.grid.nx, self.graph.grid.ny):
-            raise ValueError("field shape does not match the grid")
-
+# --------------------------------------------------------- scalar operators
 
 def laplace_beltrami_array(u: np.ndarray, metric: InducedMetric,
                            grid: GridChart) -> np.ndarray:
@@ -345,19 +264,19 @@ def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
             + metric.gi22 * uy * uy)
 
 
-def laplace_beltrami(field: ScalarFieldOnGraph, p: tuple[int, int]) -> float:
-    gg = field.graph
-    return float(_finite(laplace_beltrami_array(field.values, gg.metric, gg.grid)[p],
-                         "Laplace-Beltrami"))
+# ---------------------------------------------------------- cross-checks
 
+def sigma_perp_commutator(A: np.ndarray) -> np.ndarray:
+    """sigma_perp via the explicit matrix commutator pairing <[A3, A4] e1, e2>.
 
-def gradient_norm_sq(field: ScalarFieldOnGraph, p: tuple[int, int]) -> float:
-    gg = field.graph
-    return float(_finite(gradient_norm_sq_array(field.values, gg.metric, gg.grid)[p],
-                         "gradient norm"))
+    Independent route used to cross-check the four-term formula; the pairing
+    reads off the (2, 1) entry of A3 A4 - A4 A3 in the orthonormal frame.
+    """
+    A3 = A[..., 0, :, :]
+    A4 = A[..., 1, :, :]
+    comm = A3 @ A4 - A4 @ A3
+    return comm[..., 1, 0]
 
-
-# --------------------------------------------------------------- form checks
 
 def form_on_frame(gg: GraphGrid, which: int, a: int, b: int) -> np.ndarray:
     """omega_which(e_a, e_b) over the grid, frame indices in 1..4."""

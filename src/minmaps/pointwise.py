@@ -19,14 +19,12 @@ its orientation from df. All functions broadcast over leading axes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import StencilError
 from .expressions import MapExpr
 from .surface import ConformalMetric, GridChart
 
@@ -35,9 +33,9 @@ if TYPE_CHECKING:
     from .graph_geometry import GraphGrid
 
 __all__ = [
-    "FactorSamples", "MapField", "PointwiseGrid", "PointClass", "Classification",
-    "differential", "singular_decomposition", "jacobians", "kahler_cosines",
-    "jacobian_determinant", "classify_point", "classification_masks",
+    "FactorSamples", "MapField", "PointwiseGrid",
+    "singular_decomposition", "jacobians", "kahler_cosines",
+    "jacobian_determinant", "classification_masks",
     "graph_metric_singular_values", "pointwise_grid",
 ]
 
@@ -167,21 +165,6 @@ class MapField:
     def tension(self) -> "TensionPass":
         from .flow import tension_pass
         return tension_pass(self)
-
-
-def differential(mapfield: MapField, p: tuple[int, int]) -> np.ndarray:
-    """Order-2 central-difference Jacobian at grid index p = (i, j)."""
-    i, j = p
-    g = mapfield.grid
-    f = mapfield.values
-    if not g.periodic and not (1 <= i <= g.nx - 2 and 1 <= j <= g.ny - 2):
-        raise StencilError("central stencil leaves the Dirichlet grid at this point")
-    ip, im = (i + 1) % g.nx, (i - 1) % g.nx
-    jp, jm = (j + 1) % g.ny, (j - 1) % g.ny
-    df = np.empty((2, 2))
-    df[:, 0] = (f[ip, j] - f[im, j]) / (2.0 * g.hx)
-    df[:, 1] = (f[i, jp] - f[i, jm]) / (2.0 * g.hy)
-    return df
 
 
 def sym_eig2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -345,62 +328,15 @@ def graph_metric_singular_values(lam: np.ndarray, mu: np.ndarray):
     return lam / np.sqrt(1.0 + lam * lam), mu / np.sqrt(1.0 + mu * mu)
 
 
-class PointClass(enum.Enum):
-    COMPLEX = "complex"
-    ANTI_COMPLEX = "anti_complex"
-    LAGRANGIAN_1 = "lagrangian_1"
-    LAGRANGIAN_2 = "lagrangian_2"
-    GENERIC = "generic"
-
-
-@dataclass(frozen=True)
-class Classification:
-    primary: PointClass
-    labels: tuple[PointClass, ...]
-    triggers: tuple[tuple[PointClass, str], ...]  # (label, "J1"/"J2")
-
-
-def classify_point(phi: float, theta: float, tol: float = 1e-9) -> Classification:
-    """Special-point classification from the two Kaehler angle cosines.
-
-    phi is the cosine attached to the difference structure J1, theta to the
-    sum structure J2. A point can match several labels (the identity map is
-    Lagrangian for J1 and complex for J2 at once); `primary` is the first
-    match in the order complex, anti-complex, Lagrangian1, Lagrangian2.
-    """
-    labels: list[PointClass] = []
-    triggers: list[tuple[PointClass, str]] = []
-    if abs(phi - 1.0) <= tol:
-        labels.append(PointClass.COMPLEX)
-        triggers.append((PointClass.COMPLEX, "J1"))
-    if abs(theta - 1.0) <= tol:
-        if PointClass.COMPLEX not in labels:
-            labels.append(PointClass.COMPLEX)
-        triggers.append((PointClass.COMPLEX, "J2"))
-    if phi <= -1.0 + tol:
-        labels.append(PointClass.ANTI_COMPLEX)
-        triggers.append((PointClass.ANTI_COMPLEX, "J1"))
-    if theta <= -1.0 + tol:
-        if PointClass.ANTI_COMPLEX not in labels:
-            labels.append(PointClass.ANTI_COMPLEX)
-        triggers.append((PointClass.ANTI_COMPLEX, "J2"))
-    if abs(phi) <= tol:
-        labels.append(PointClass.LAGRANGIAN_1)
-        triggers.append((PointClass.LAGRANGIAN_1, "J1"))
-    if abs(theta) <= tol:
-        labels.append(PointClass.LAGRANGIAN_2)
-        triggers.append((PointClass.LAGRANGIAN_2, "J2"))
-    if not labels:
-        return Classification(PointClass.GENERIC, (PointClass.GENERIC,), ())
-    order = [PointClass.COMPLEX, PointClass.ANTI_COMPLEX,
-             PointClass.LAGRANGIAN_1, PointClass.LAGRANGIAN_2]
-    primary = next(c for c in order if c in labels)
-    return Classification(primary, tuple(labels), tuple(triggers))
-
-
 def classification_masks(phi: np.ndarray, theta: np.ndarray,
                          tol: float = 1e-9) -> dict[str, np.ndarray]:
-    """Vectorised label masks over a grid of angle cosines."""
+    """Special-point label masks over a grid of the two Kaehler angle cosines.
+
+    phi is the cosine attached to the difference structure J1, theta to the
+    sum structure J2. A point can carry several labels (the identity map is
+    Lagrangian for J1 and complex for J2 at once); "generic" marks the
+    points that carry none.
+    """
     phi = np.asarray(phi, float)
     theta = np.asarray(theta, float)
     masks = {

@@ -23,12 +23,12 @@ from typing import Optional
 import numpy as np
 
 from . import stencils
-from .errors import ChartDomainError, ConfigError, NumericalError, StencilError
+from .errors import ChartDomainError, ConfigError, NumericalError
 from .expressions import BinOp, Call, Node, diff, evaluate, parse_scalar
 
 __all__ = [
-    "FactorKind", "ConformalMetric", "GridChart", "TheoremHypotheses",
-    "gauss_curvature", "christoffels",
+    "FactorKind", "ConformalMetric", "BoundaryMode", "GridChart",
+    "TheoremHypotheses",
 ]
 
 
@@ -209,9 +209,9 @@ class GridChart:
 
     def __post_init__(self):
         if self.nx < 5 or self.ny < 5:
-            raise StencilError("grids need nx, ny >= 5 so width-5 nested stencils fit")
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ConfigError("empty grid extent")
+            raise ConfigError("grids need nx, ny >= 5 so width-5 nested stencils fit")
+        if not (0 < self.x1 - self.x0 < math.inf and 0 < self.y1 - self.y0 < math.inf):
+            raise ConfigError("grid extent must be finite and non-empty")
 
     @property
     def periodic(self) -> bool:
@@ -285,17 +285,3 @@ class TheoremHypotheses:
             raise ConfigError("hypotheses require sigma > 0")
         if not self.beta >= self.sigma:
             raise ConfigError("hypotheses require beta >= sigma")
-
-
-def gauss_curvature(metric: ConformalMetric, p: tuple[float, float]) -> float:
-    """Gauss curvature at a chart point (closed form for presets)."""
-    x, y = p
-    metric.check_domain(np.asarray(x), np.asarray(y))
-    return float(metric.curvature(np.asarray(x, float), np.asarray(y, float)))
-
-
-def christoffels(metric: ConformalMetric, p: tuple[float, float]) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] at a chart point."""
-    x, y = p
-    metric.check_domain(np.asarray(x), np.asarray(y))
-    return metric.christoffel_tensor(np.asarray(x, float), np.asarray(y, float))

@@ -317,6 +317,48 @@ def test_flow_bad_step_settings_are_config_errors(tmp_path, capsys, section, lin
     assert "must be finite and positive" in capsys.readouterr().err
 
 
+PAPER_EUC = ("verify", "euclidean", "paper_example")
+WIDE_DISC = ("analyze", "poincare_disc", "expr:1.5*x, 1.5*y")
+
+
+@pytest.mark.parametrize("scenario,setting,message", [
+    # a NaN bump made every sample NaN, and all four norms read 0
+    (PAPER_EUC, {"perturb": "nan"}, "[map] perturb must be finite"),
+    (PAPER_EUC, {"nx": "3"}, "grids need nx, ny >= 5"),
+    # an infinite width made every grid point NaN, and all four norms read 0
+    (PAPER_EUC, {"half_width": "inf"}, "grid extent must be finite and non-empty"),
+    # an infinite tolerance certified a map with min phi = -0.86
+    (WIDE_DISC, {"certificate_tol": "inf"},
+     "[tolerances] certificate_tol must be finite and non-negative"),
+    (WIDE_DISC, {"certificate_tol": "-0.1"},
+     "[tolerances] certificate_tol must be finite and non-negative"),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, scenario,
+                                             setting, message):
+    command, metric, spec = scenario
+    value = {"perturb": "0", "nx": "17", "half_width": "0.4",
+             "certificate_tol": "0", **setting}
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = {metric}
+        [target]
+        metric = {metric}
+        [map]
+        spec = {spec}
+        perturb = {value["perturb"]}
+        [grid]
+        nx = {value["nx"]}
+        half_width = {value["half_width"]}
+        [tolerances]
+        certificate_tol = {value["certificate_tol"]}
+    """))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
 # -------------------------------------------------------- work per field
 
 @pytest.mark.parametrize("command,grids", [("verify", [65]), ("refine", [17, 33, 65])])
@@ -375,10 +417,10 @@ def test_unknown_metric_spec(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_tiny_grid_is_numerical_failure(tmp_path, capsys):
+def test_tiny_grid_is_config_error(tmp_path, capsys):
     assert main(["analyze", "--preset", "z_squared", "--grid", "3",
-                 "--out", str(tmp_path)]) == 4
-    assert "numerical failure" in capsys.readouterr().err
+                 "--out", str(tmp_path)]) == 2
+    assert "config error: grids need nx, ny >= 5" in capsys.readouterr().err
 
 
 def test_unknown_preset_rejected_by_argparse(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 
 from minmaps import (BoundaryMode, ConformalMetric, FlowConfig, GridChart,
                      MapExpr, MapField, TheoremHypotheses, flow, presets)
-from minmaps.errors import ConfigError, NumericalError, StencilError
+from minmaps.errors import ConfigError, NumericalError
 
 EUC = ConformalMetric.euclidean()
 
@@ -73,22 +73,15 @@ def test_tension_refines_at_second_order_on_minimal_map():
     assert 3.4 <= norms[1] / norms[2] <= 4.6
 
 
-def test_tension_point_api(z2_33):
-    tp = flow.tension_pass(z2_33)
-    assert flow.tension_field(z2_33, (16, 16)).tobytes() == tp.tau[16, 16].tobytes()
-    with pytest.raises(StencilError):
-        flow.tension_field(z2_33, (0, 5))
-
-
 def test_tension_queries_share_one_pass(monkeypatch):
-    # every interior query reads the field's one cached pass
+    # every interior read goes through the field's one cached pass
     mf = presets.z_squared_field(n=33)
     real = flow.tension_pass
     calls = []
     monkeypatch.setattr(flow, "tension_pass",
                         lambda m: calls.append(m) or real(m))
     points = [(i, j) for i in range(1, 32) for j in range(1, 32)]
-    answers = [flow.tension_field(mf, p) for p in points]
+    answers = [mf.tension.tau[p] for p in points]
     assert len(points) == 961 and calls == [mf]
     tau = real(mf).tau
     for p, got in zip(points, answers):

@@ -1,23 +1,15 @@
 """Graph-embedding geometry: induced metric, adapted frame, second
 fundamental form, curvature scalars, and Laplace-Beltrami operators."""
 
-import math
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
 from minmaps import (BoundaryMode, ConformalMetric, GridChart, MapExpr, MapField,
                      flow, presets)
-from minmaps.errors import StencilError
-from minmaps.graph_geometry import (ScalarFieldOnGraph, adapted_frame,
-                                    ambient_curvature, ambient_curvature_term,
-                                    form_on_frame,
-                                    gradient_norm_sq, graph_grid,
-                                    induced_metric, kahler_angle_crosscheck,
-                                    laplace_beltrami, mean_curvature,
-                                    normal_scalars, product_inner,
-                                    second_fundamental_form,
+from minmaps.graph_geometry import (ambient_curvature, form_on_frame,
+                                    gradient_norm_sq_array, graph_grid,
+                                    kahler_angle_crosscheck,
+                                    laplace_beltrami_array, product_inner,
                                     sigma_perp_commutator)
 
 EUC = ConformalMetric.euclidean()
@@ -32,73 +24,28 @@ def interior_mask(arr):
     return np.isfinite(arr if arr.ndim == 2 else arr.reshape(arr.shape[:2] + (-1,)).sum(-1))
 
 
+def metric_at(mf, p):
+    """The induced metric g at grid index p, as a 2x2 matrix."""
+    m = mf.graph.metric
+    return np.array([[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]])
+
+
 # ------------------------------------------------------------ induced metric
 
 def test_induced_metric_identity_euclidean():
     mf = euclidean_map("x, y")
-    assert induced_metric(mf, (4, 4)) == pytest.approx(2.0 * np.eye(2), abs=1e-14)
+    assert metric_at(mf, (4, 4)) == pytest.approx(2.0 * np.eye(2), abs=1e-14)
 
 
 def test_induced_metric_constant_map_is_source_metric(constant_33):
     p = (5, 7)
-    g = induced_metric(constant_33, p)
+    g = metric_at(constant_33, p)
     assert g == pytest.approx(constant_33.source_samples.rho2[p] * np.eye(2), rel=1e-14)
 
 
 def test_induced_metric_affine():
     mf = euclidean_map("2*x, 3*y")
-    assert induced_metric(mf, (4, 4)) == pytest.approx(np.diag([5.0, 10.0]), abs=1e-13)
-
-
-def test_per_point_matches_grid_pass(z2_33):
-    gg = graph_grid(z2_33)
-    p = (10, 21)
-    m = gg.metric
-    g = np.array([[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]])
-    assert induced_metric(z2_33, p).tobytes() == g.tobytes()
-    assert adapted_frame(z2_33, p).tobytes() == gg.frame[p].tobytes()
-    assert second_fundamental_form(z2_33, p).tobytes() == gg.A[p].tobytes()
-
-
-def check_point_queries(mf, points):
-    """Every point query returns the cached grid value bit for bit, or raises
-    StencilError where that value is not finite; returns the finite count."""
-    gg = mf.graph
-    m = gg.metric
-    tau = flow.tension_pass(mf).tau
-    cases = [
-        (induced_metric,
-         lambda p: [[m.g11[p], m.g12[p]], [m.g12[p], m.g22[p]]]),
-        (adapted_frame, lambda p: gg.frame[p]),
-        (second_fundamental_form, lambda p: gg.A[p]),
-        (mean_curvature, lambda p: gg.H[p]),
-        (lambda mf, p: astuple(normal_scalars(mf, p)),
-         lambda p: [gg.norm_A_sq[p], gg.sigma_perp[p]]),
-        (ambient_curvature_term, lambda p: gg.rtilde_1234[p]),
-        (flow.tension_field, lambda p: tau[p]),
-    ]
-    finite = 0
-    for query, cached in cases:
-        for p in points:
-            want = np.array(cached(p), dtype=float)
-            if np.all(np.isfinite(want)):
-                got = np.array(query(mf, p), dtype=float)
-                assert got.tobytes() == want.tobytes(), (query, p)
-                finite += 1
-            else:
-                with pytest.raises(StencilError):
-                    query(mf, p)
-    return finite
-
-
-@pytest.mark.parametrize("analytic", [True, False])
-def test_point_queries_read_the_cached_grids(z2_33, analytic):
-    mf = z2_33 if analytic else MapField(z2_33.grid, z2_33.source,
-                                         z2_33.target, z2_33.values)
-    # the Dirichlet ring, the first rings inside it and the interior
-    edge = (0, 1, 2, 10, 16, 30, 31, 32)
-    points = [(i, j) for i in edge for j in edge]
-    assert check_point_queries(mf, points) > 0
+    assert metric_at(mf, (4, 4)) == pytest.approx(np.diag([5.0, 10.0]), abs=1e-13)
 
 
 def test_periodic_disc_queries_stay_in_the_chart():
@@ -108,8 +55,11 @@ def test_periodic_disc_queries_stay_in_the_chart():
     disc = ConformalMetric.poincare_disc()
     mf = MapField.from_expr(grid, disc, disc, MapExpr.parse(
         "0.1*sin(pi*(x+0.65)/0.65), 0.1*sin(pi*(y+0.65)/0.65)"))
-    points = [(0, 0), (0, 15), (15, 15), (7, 3)]
-    assert check_point_queries(mf, points) == 7 * len(points)
+    gg = mf.graph
+    for field in (gg.metric.g11, gg.metric.g12, gg.metric.g22, gg.frame,
+                  gg.A, gg.H, gg.norm_A_sq, gg.sigma_perp, gg.rtilde_1234,
+                  mf.tension.tau):
+        assert np.all(np.isfinite(field))
 
 
 # -------------------------------------------------------------- frame checks
@@ -201,11 +151,13 @@ def test_mean_curvature_of_minimal_map_refines_at_order_two():
 
 
 def test_mean_curvature_point_api(paper_33):
-    H = mean_curvature(paper_33, (16, 16))
+    # a point reads the cached grid, which holds NaN where a stencil does
+    # not reach (the Dirichlet ring of the second derivatives)
+    gg = paper_33.graph
+    H = gg.H[16, 16]
     assert H.shape == (2,)
     assert np.abs(H).max() < 1e-3
-    with pytest.raises(StencilError):
-        second_fundamental_form(paper_33, (0, 3))
+    assert np.all(np.isnan(gg.A[0, 3]))
 
 
 def test_normal_scalars_worked_example():
@@ -236,14 +188,6 @@ def test_norm_A_sq_dominates_twice_sigma_perp(z2_65, paper_33):
         assert slack.min() >= -1e-12
 
 
-def test_normal_scalars_point_api(z2_33):
-    gg = graph_grid(z2_33)
-    p = (12, 9)
-    ns = normal_scalars(z2_33, p)
-    assert ns.norm_A_sq == float(gg.norm_A_sq[p])
-    assert ns.sigma_perp == float(gg.sigma_perp[p])
-
-
 # ---------------------------------------------------------- ambient curvature
 
 def test_ambient_curvature_convention():
@@ -267,12 +211,7 @@ def test_ambient_term_identity_fixture_closed_form(identity_33):
     gg = graph_grid(identity_33)
     ok = np.isfinite(gg.rtilde_1234)
     assert np.abs(gg.rtilde_1234[ok] + 1.0).max() <= 1e-12
-    assert ambient_curvature_value(identity_33, (7, 7)) == pytest.approx(-1.0, abs=1e-12)
-
-
-def ambient_curvature_value(mf, p):
-    from minmaps.graph_geometry import ambient_curvature_term
-    return ambient_curvature_term(mf, p)
+    assert identity_33.graph.rtilde_1234[7, 7] == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -289,26 +228,25 @@ def test_ambient_term_product_formula(name, request):
 
 def test_laplace_beltrami_exact_cases():
     mf = euclidean_map("x, y")  # g = 2 I
-    gg = graph_grid(mf)
-    X, Y = mf.grid.mesh()
-    const = ScalarFieldOnGraph(np.full_like(X, 3.7), gg)
-    assert laplace_beltrami(const, (4, 4)) == pytest.approx(0.0, abs=1e-13)
-    quad = ScalarFieldOnGraph(X ** 2 + Y ** 2, gg)
-    assert laplace_beltrami(quad, (4, 4)) == pytest.approx(2.0, rel=1e-12)
-    lin = ScalarFieldOnGraph(X.copy(), gg)
-    assert gradient_norm_sq(lin, (4, 4)) == pytest.approx(0.5, rel=1e-13)
+    g, grid = mf.graph.metric, mf.grid
+    X, Y = grid.mesh()
+    const = laplace_beltrami_array(np.full_like(X, 3.7), g, grid)
+    assert const[4, 4] == pytest.approx(0.0, abs=1e-13)
+    quad = laplace_beltrami_array(X ** 2 + Y ** 2, g, grid)
+    assert quad[4, 4] == pytest.approx(2.0, rel=1e-12)
+    lin = gradient_norm_sq_array(X.copy(), g, grid)
+    assert lin[4, 4] == pytest.approx(0.5, rel=1e-13)
 
 
 def test_gradient_norm_sq_anisotropic():
     mf = euclidean_map("2*x, 3*y")  # g = diag(5, 10)
-    gg = graph_grid(mf)
-    X, Y = mf.grid.mesh()
-    f = ScalarFieldOnGraph(X + Y, gg)
-    assert gradient_norm_sq(f, (4, 4)) == pytest.approx(1 / 5 + 1 / 10, rel=1e-12)
-    with pytest.raises(StencilError):
-        gradient_norm_sq(f, (0, 4))
-    with pytest.raises(StencilError):
-        laplace_beltrami(f, (1, 4))
+    g, grid = mf.graph.metric, mf.grid
+    X, Y = grid.mesh()
+    grad = gradient_norm_sq_array(X + Y, g, grid)
+    assert grad[4, 4] == pytest.approx(1 / 5 + 1 / 10, rel=1e-12)
+    # one stencil level loses the Dirichlet ring, two nested levels two rings
+    assert np.isnan(grad[0, 4])
+    assert np.isnan(laplace_beltrami_array(X + Y, g, grid)[1, 4])
 
 
 def test_laplace_beltrami_against_symbolic_oracle():
@@ -335,11 +273,11 @@ def test_laplace_beltrami_against_symbolic_oracle():
     for n, idx in ((33, 20), (65, 40)):
         mf = presets.paper_example_field(n=n)
         assert mf.grid.point(idx, idx) == (0.375, 0.5)
-        gg = graph_grid(mf)
-        X, Y = mf.grid.mesh()
-        f = ScalarFieldOnGraph(np.sin(X) * np.cos(Y), gg)
-        lap_err.append(abs(laplace_beltrami(f, (idx, idx)) - lap_want))
-        grad_err.append(abs(gradient_norm_sq(f, (idx, idx)) - grad_want))
+        g, grid = graph_grid(mf).metric, mf.grid
+        X, Y = grid.mesh()
+        u = np.sin(X) * np.cos(Y)
+        lap_err.append(abs(laplace_beltrami_array(u, g, grid)[idx, idx] - lap_want))
+        grad_err.append(abs(gradient_norm_sq_array(u, g, grid)[idx, idx] - grad_want))
     assert lap_err[1] < 2e-3
     assert 3.3 <= lap_err[0] / lap_err[1] <= 4.7
     assert 3.3 <= grad_err[0] / grad_err[1] <= 4.7
@@ -381,7 +319,7 @@ def test_kahler_angle_crosscheck_fixtures(name, request):
 
 def test_fd_only_map_needs_interior_points(z2_33):
     bare = MapField(z2_33.grid, z2_33.source, z2_33.target, z2_33.values)
-    with pytest.raises(StencilError):
-        induced_metric(bare, (0, 5))
-    g = induced_metric(bare, (5, 5))
-    assert g == pytest.approx(induced_metric(z2_33, (5, 5)), rel=1e-6)
+    # on the ring x = x0 only g22 (from d f / dy) is defined
+    assert np.array_equal(np.isnan(metric_at(bare, (0, 5))), [[True, True], [True, False]])
+    g = metric_at(bare, (5, 5))
+    assert g == pytest.approx(metric_at(z2_33, (5, 5)), rel=1e-6)

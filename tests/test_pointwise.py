@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minmaps import ConformalMetric, GridChart, MapExpr, MapField, flow, presets
-from minmaps.errors import ChartDomainError, StencilError
-from minmaps.pointwise import (PointClass, classify_point, differential,
+from minmaps.errors import ChartDomainError
+from minmaps.pointwise import (classification_masks,
                                graph_metric_singular_values,
                                jacobian_determinant, jacobians,
                                kahler_cosines, singular_decomposition)
@@ -26,6 +26,12 @@ def euclidean_field(expr_text, n=9, half=1.0):
     return MapField.from_expr(grid, ConformalMetric.euclidean(),
                               ConformalMetric.euclidean(),
                               MapExpr.parse(expr_text))
+
+
+def fd_differential(mf):
+    """df_field of the same samples without the formula: order-2 central
+    differences, NaN on the Dirichlet ring."""
+    return MapField(mf.grid, mf.source, mf.target, mf.values).df_field
 
 
 def test_map_field_values_are_read_only():
@@ -74,11 +80,13 @@ def test_with_values_checks_only_the_image(monkeypatch):
 
 
 def test_differential_identity_and_affine_exact():
-    mf = euclidean_field("x, y")
-    assert differential(mf, (4, 4)) == pytest.approx(np.eye(2), abs=1e-15)
-    mf = euclidean_field("2*x, 3*y", half=0.5)
+    df = fd_differential(euclidean_field("x, y"))
+    assert df[4, 4] == pytest.approx(np.eye(2), abs=1e-15)
+    # on the ring x = x0 the central x-stencil leaves the Dirichlet grid
+    assert np.all(np.isnan(df[0, 4, :, 0])) and np.all(np.isfinite(df[0, 4, :, 1]))
+    df = fd_differential(euclidean_field("2*x, 3*y", half=0.5))
     # central differences are exact on affine maps
-    assert differential(mf, (2, 6)) == pytest.approx(np.diag([2.0, 3.0]), abs=1e-13)
+    assert df[2, 6] == pytest.approx(np.diag([2.0, 3.0]), abs=1e-13)
 
 
 def test_differential_spec_map_at_origin():
@@ -91,15 +99,9 @@ def test_differential_spec_map_at_origin():
         mf = paper_example_field(n=nx)
         i, j = mf.grid.nx // 2, mf.grid.ny // 2
         assert mf.grid.point(i, j) == (0.0, 0.0)
-        errs.append(np.abs(differential(mf, (i, j)) - exact).max())
+        errs.append(np.abs(fd_differential(mf)[i, j] - exact).max())
     assert errs[0] < 1.5e-3
     assert 3.5 <= errs[0] / errs[1] <= 4.5
-
-
-def test_differential_boundary_stencil_raises():
-    mf = euclidean_field("x, y")
-    with pytest.raises(StencilError):
-        differential(mf, (0, 4))
 
 
 # -------------------------------------------------- singular decomposition
@@ -190,14 +192,16 @@ def test_spec_map_jacobian_range():
 
 
 def test_classify_point_cases():
-    c = classify_point(0.0, 1.0)
-    assert c.primary is PointClass.COMPLEX
-    assert PointClass.LAGRANGIAN_1 in c.labels
-    assert (PointClass.COMPLEX, "J2") in c.triggers
-    assert classify_point(1.0, 1.0).primary is PointClass.COMPLEX
-    assert classify_point(0.3, 0.5).primary is PointClass.GENERIC
-    assert classify_point(-1.0, 0.2).primary is PointClass.ANTI_COMPLEX
-    assert classify_point(0.4, 0.0).primary is PointClass.LAGRANGIAN_2
+    # (phi, theta) -> the labels the point carries
+    cases = [((0.0, 1.0), {"complex", "lagrangian_1"}),
+             ((1.0, 1.0), {"complex"}),
+             ((0.3, 0.5), {"generic"}),
+             ((-1.0, 0.2), {"anti_complex"}),
+             ((0.4, 0.0), {"lagrangian_2"})]
+    phi, theta = np.array([pt for pt, _ in cases]).T
+    masks = classification_masks(phi, theta)
+    for k, (_, labels) in enumerate(cases):
+        assert {name for name, m in masks.items() if m[k]} == labels
 
 
 def test_graph_metric_singular_values():

@@ -12,8 +12,8 @@ import pytest
 import sympy as sp
 
 from minmaps import ConformalMetric, GridChart, TheoremHypotheses
-from minmaps.errors import ChartDomainError, ConfigError, StencilError
-from minmaps.surface import BoundaryMode, christoffels, gauss_curvature
+from minmaps.errors import ChartDomainError, ConfigError
+from minmaps.surface import BoundaryMode
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -46,47 +46,47 @@ PRESETS = [
                          ids=["euclidean", "poincare", "hyperbolic2", "sphere"])
 @pytest.mark.parametrize("p", POINTS)
 def test_curvature_matches_symbolic_oracle(metric, rho_expr, p):
-    assert gauss_curvature(metric, p) == pytest.approx(
+    assert float(metric.curvature(*p)) == pytest.approx(
         oracle_curvature(rho_expr, *p), abs=1e-10)
 
 
 def test_curvature_preset_values():
-    assert gauss_curvature(ConformalMetric.euclidean(), (0.7, -0.3)) == 0.0
-    assert gauss_curvature(ConformalMetric.poincare_disc(), (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert gauss_curvature(ConformalMetric.sphere(), (0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert float(ConformalMetric.euclidean().curvature(0.7, -0.3)) == 0.0
+    assert float(ConformalMetric.poincare_disc().curvature(0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+    assert float(ConformalMetric.sphere().curvature(0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0])
 def test_hyperbolic_scaled_curvature_is_constant(sigma):
     metric = ConformalMetric.hyperbolic(sigma)
     for p in POINTS:
-        assert gauss_curvature(metric, p) == pytest.approx(-sigma, abs=1e-10)
+        assert float(metric.curvature(*p)) == pytest.approx(-sigma, abs=1e-10)
 
 
 @pytest.mark.parametrize("metric,rho_expr", PRESETS,
                          ids=["euclidean", "poincare", "hyperbolic2", "sphere"])
 @pytest.mark.parametrize("p", POINTS)
 def test_christoffels_match_symbolic_oracle(metric, rho_expr, p):
-    got = christoffels(metric, p)
+    got = metric.christoffel_tensor(*p)
     want = oracle_christoffels(rho_expr, *p)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_christoffels_euclidean_zero_and_poincare_center():
-    assert np.all(christoffels(ConformalMetric.euclidean(), (0.4, -0.1)) == 0.0)
-    assert np.all(christoffels(ConformalMetric.poincare_disc(), (0.0, 0.0)) == 0.0)
+    assert np.all(ConformalMetric.euclidean().christoffel_tensor(0.4, -0.1) == 0.0)
+    assert np.all(ConformalMetric.poincare_disc().christoffel_tensor(0.0, 0.0) == 0.0)
 
 
 def test_christoffel_symmetry_exact():
     for metric, _ in PRESETS:
         for p in POINTS:
-            g = christoffels(metric, p)
+            g = metric.christoffel_tensor(*p)
             assert np.array_equal(g[:, 0, 1], g[:, 1, 0])
 
 
 def test_poincare_outside_disc_raises():
     with pytest.raises(ChartDomainError):
-        gauss_curvature(ConformalMetric.poincare_disc(), (1.2, 0.0))
+        ConformalMetric.poincare_disc().curvature(1.2, 0.0)
     with pytest.raises(ChartDomainError):
         ConformalMetric.poincare_disc().rho(np.array(0.8), np.array(0.8))
 
@@ -100,9 +100,9 @@ def test_custom_factor_geometry_is_exact():
     for text, rho_expr in cases:
         metric = ConformalMetric.custom_expression(text)
         for p in POINTS:
-            assert abs(gauss_curvature(metric, p)
+            assert abs(float(metric.curvature(*p))
                        - oracle_curvature(rho_expr, *p)) <= 1e-12
-            assert np.abs(christoffels(metric, p)
+            assert np.abs(metric.christoffel_tensor(*p)
                           - oracle_christoffels(rho_expr, *p)).max() <= 1e-12
 
 
@@ -113,7 +113,7 @@ def test_custom_factor_must_be_positive():
 
 
 def test_grid_requires_five_points():
-    with pytest.raises(StencilError):
+    with pytest.raises(ConfigError):
         GridChart(0.0, 1.0, 0.0, 1.0, 4, 9)
 
 

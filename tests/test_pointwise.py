@@ -82,8 +82,6 @@ def test_with_values_checks_only_the_image(monkeypatch):
 def test_differential_identity_and_affine_exact():
     df = fd_differential(euclidean_field("x, y"))
     assert df[4, 4] == pytest.approx(np.eye(2), abs=1e-15)
-    # on the ring x = x0 the central x-stencil leaves the Dirichlet grid
-    assert np.all(np.isnan(df[0, 4, :, 0])) and np.all(np.isfinite(df[0, 4, :, 1]))
     df = fd_differential(euclidean_field("2*x, 3*y", half=0.5))
     # central differences are exact on affine maps
     assert df[2, 6] == pytest.approx(np.diag([2.0, 3.0]), abs=1e-13)
@@ -102,6 +100,16 @@ def test_differential_spec_map_at_origin():
         errs.append(np.abs(fd_differential(mf)[i, j] - exact).max())
     assert errs[0] < 1.5e-3
     assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+def test_differential_boundary_stencil_raises():
+    # on the ring x = x0 the central x-stencil leaves the Dirichlet grid:
+    # the x-column of df is NaN there, the y-column is still computed
+    df = fd_differential(euclidean_field("x, y"))
+    assert np.all(np.isnan(df[0, 4, :, 0])) and np.all(np.isfinite(df[0, 4, :, 1]))
+    assert np.all(np.isnan(df[-1, 4, :, 0]))
+    assert np.all(np.isnan(df[4, 0, :, 1])) and np.all(np.isfinite(df[4, 0, :, 0]))
+    assert np.all(np.isfinite(df[1:-1, 1:-1]))
 
 
 # -------------------------------------------------- singular decomposition

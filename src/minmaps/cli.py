@@ -389,7 +389,7 @@ def _run_flow(cfg: ScenarioConfig) -> None:
     mf = _make_field(cfg)
     flow_cfg = FlowConfig(stop_tension=cfg.stop_tension,
                           max_steps=cfg.max_steps)
-    result = run_to_minimal(mf, flow_cfg)
+    result = run_to_minimal(mf, flow_cfg, tol=cfg.certificate_tol)
     state = result.state
     write_monitors_csv(state, cfg.out / "monitors.csv")
     lines = [

@@ -18,4 +18,4 @@ class ChartDomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure: non-SPD metric, time-step underflow, diverging flow."""
+    """Numerical failure: non-SPD metric, step-length underflow, diverging flow."""

@@ -42,20 +42,17 @@ isotropic and a over-damps the weaker directions. Its secant history
 belongs to the map it ends at: once a caller assigns `state.map`, the
 next step is plain.
 
-``explicit_step`` is explicit Euler with dt = min(dt_max, cfl_factor h^2 /
-max eig(g^-1)); it is the heat-flow reference the checks compare against.
-
-Both reject a candidate whose image leaves the target chart or whose
+A guard rejects a candidate whose image leaves the target chart or whose
 tension norm jumps by more than 10x. ``step`` then clears the history and
-retries a plain step at half the length, ``explicit_step`` halves dt; an
-underflow of either raises NumericalError ("flow stalled").
+retries a plain step at half the length; a length underflow raises
+NumericalError ("flow stalled").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,8 +66,7 @@ from .verifier import Certificate, area_decreasing_certificate
 
 __all__ = [
     "FlowConfig", "FlowState", "FlowResult", "MonitorRow",
-    "tension_pass", "make_state", "step", "explicit_step",
-    "solve_laplacian", "run_to_minimal",
+    "tension_pass", "make_state", "step", "solve_laplacian", "run_to_minimal",
     "write_monitors_csv", "write_snapshot", "read_snapshot",
 ]
 
@@ -81,7 +77,7 @@ ANDERSON_DEPTH = 5
 # rounding to the mixed step
 _SECANT_RIDGE = 1e-8
 REJECT_TENSION_FACTOR = 10.0
-# a step halved below this fraction of its first length means a stall
+# a step halved below this length (a full step is 1) means a stall
 LENGTH_UNDERFLOW = 1e-15
 
 # grid points formatted per write: the writer's scratch memory is about
@@ -111,20 +107,14 @@ class MonitorRow:
 class FlowConfig:
     stop_tension: float
     max_steps: int = 50000
-    cfl_factor: float = 0.2          # explicit_step only
-    dt_max: float = 1.0              # explicit_step's cap besides the CFL bound
 
     def __post_init__(self):
-        # a NaN or infinite dt never shrinks under halving and 0 stalls at
-        # once; a NaN stop_tension would end the run unconverged at step 0
-        for name in ("stop_tension", "dt_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive (got {value!r})")
+        # a NaN stop_tension would end the run unconverged at step 0
+        if not (math.isfinite(self.stop_tension) and self.stop_tension > 0):
+            raise ConfigError("stop_tension must be finite and positive "
+                              f"(got {self.stop_tension!r})")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
-        if not 0 < self.cfl_factor <= 1:
-            raise ConfigError("cfl_factor must lie in (0, 1]")
 
 
 # ----------------------------------------------------------- tension kernel
@@ -140,7 +130,6 @@ class TensionPass:
     min_theta: float
     max_abs_jf: float
     eig_max: float             # max eig(g^-1): the solver's a
-    cfl_dt: float              # largest stable explicit dt for this metric
 
 
 def _interior(grid: GridChart):
@@ -151,7 +140,7 @@ def _interior(grid: GridChart):
 
 def tension_pass(mapfield: MapField) -> TensionPass:
     """Evaluate the tension field of a map over its whole grid (cached as
-    `mapfield.tension`, which both steppers read)."""
+    `mapfield.tension`, which `step` reads)."""
     # unrolled 2x2 component arithmetic throughout: the trailing dimensions
     # are tiny, so generic tensor contractions spend their time on overhead
     grid = mapfield.grid
@@ -250,12 +239,10 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     min_theta = float(np.nanmin(u1 + u2))
     max_jf = stencils.finite_abs_max(jf)
 
-    # largest eigenvalue of ginv: the solver's coefficient, and the explicit
-    # CFL cap dt <= cfl h^2 / eig_max
+    # largest eigenvalue of ginv: the solver's coefficient
     tr = gi11 + gi22
     disc = np.sqrt(np.clip((gi11 - gi22) ** 2 + 4.0 * gi12 ** 2, 0.0, None))
     eig_max = float(np.max((0.5 * (tr + disc))[interior]))
-    h2 = min(grid.hx, grid.hy) ** 2
     return TensionPass(
         tau=tau,
         norm_tau=float(np.max(np.abs(tau_in))),
@@ -264,7 +251,6 @@ def tension_pass(mapfield: MapField) -> TensionPass:
         min_theta=min_theta,
         max_abs_jf=max_jf,
         eig_max=eig_max,
-        cfl_dt=h2 / eig_max,
     )
 
 
@@ -290,12 +276,10 @@ class FlowState:
     tied to the map it ends at, so a caller may assign `map`: the next step
     is then exactly a fresh state's first step from that map.
 
-    `dt` is the last accepted step length (dt_max before any step); `t` is
-    the time `explicit_step` has covered and stays 0 under `step`.
+    `dt` is the last accepted step length (1 before any step).
     """
 
     map: MapField
-    t: float
     dt: float
     steps: int = 0
     monitors: list[MonitorRow] = field(default_factory=list)
@@ -313,7 +297,7 @@ class FlowState:
 
 def make_state(initial: MapField, config: FlowConfig) -> FlowState:
     """Evaluate the initial tension and seed the monitor series (step 0)."""
-    state = FlowState(map=initial, t=0.0, dt=config.dt_max)
+    state = FlowState(map=initial, dt=1.0)
     state.monitors.append(_row(state, 0, 0, 0))
     return state
 
@@ -325,39 +309,6 @@ def _row(state: FlowState, depth: int, exits: int, jumps: int) -> MonitorRow:
                       max_abs_jf=tp.max_abs_jf, norm_H=tp.norm_H,
                       norm_tau=tp.norm_tau, chart_exits=exits,
                       tension_jumps=jumps)
-
-
-def _guarded(state: FlowState, config: FlowConfig,
-             propose: Callable[[float, bool], np.ndarray],
-             length: float) -> tuple[int, int]:
-    """Accept the first candidate f + propose(length, retry) on the
-    structural interior whose image stays in the target chart and whose
-    tension norm grows at most 10x, halving length after each rejection;
-    `retry` is true after the first. Records the accepted step and returns
-    its (chart exits, tension jumps)."""
-    current = state.map
-    limit = REJECT_TENSION_FACTOR * max(current.tension.norm_tau, config.stop_tension)
-    interior = _interior(current.grid)
-    floor = LENGTH_UNDERFLOW * length
-    exits = jumps = 0
-    while length >= floor:
-        candidate = current.values.copy()
-        candidate[interior] += propose(length, exits + jumps > 0)
-        try:
-            new_map = current.with_values(candidate)
-        except ChartDomainError:
-            exits += 1
-        else:
-            if new_map.tension.norm_tau <= limit:
-                state.map = new_map
-                state.dt = length
-                state.steps += 1
-                return exits, jumps
-            jumps += 1
-        length *= 0.5
-    raise NumericalError(
-        f"flow stalled: step length underflow after {exits} chart exits and "
-        f"{jumps} tension jumps (tension {current.tension.norm_tau:.3e})")
 
 
 def _anderson(r: np.ndarray, dxs: list[np.ndarray],
@@ -400,8 +351,10 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     r = (-a Lap_h)^-1 tau with a = max eig(g^-1) is added on the structural
     interior, so Dirichlet boundary values are carried over bit-identically.
     With secant pairs from earlier steps of this map the first candidate is
-    Anderson-mixed; a guard hit clears the history and retries a plain step
-    at half the length.
+    Anderson-mixed. A candidate is accepted when its image stays in the
+    target chart and its tension norm grows at most 10x; each rejection
+    halves the length and retries the plain step length * r, and after a
+    rejection the next step is plain again.
     """
     current = state.map
     tp = current.tension
@@ -412,30 +365,34 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     # a full plain step is r itself
     mixed, depth = _anderson(r, dxs, drs) if dxs else (r, 0)
 
-    def propose(length, retry):
-        return (length * r if retry else mixed).reshape(shape)
+    limit = REJECT_TENSION_FACTOR * max(tp.norm_tau, config.stop_tension)
+    length, update = 1.0, mixed
+    exits = jumps = 0
+    while True:
+        candidate = current.values.copy()
+        candidate[interior] += update.reshape(shape)
+        try:
+            new_map = current.with_values(candidate)
+        except ChartDomainError:
+            exits += 1
+        else:
+            if new_map.tension.norm_tau <= limit:
+                break
+            jumps += 1
+        length *= 0.5
+        if length < LENGTH_UNDERFLOW:
+            raise NumericalError(
+                f"flow stalled: step length underflow after {exits} chart "
+                f"exits and {jumps} tension jumps (tension {tp.norm_tau:.3e})")
+        update = length * r
 
-    exits, jumps = _guarded(state, config, propose, 1.0)
-    rejected = exits + jumps > 0
-    if not rejected:
-        state._secants = _Secants(state.map, r, dxs + [mixed], drs)
-    state.monitors.append(_row(state, 0 if rejected else depth, exits, jumps))
-    return state
-
-
-def explicit_step(state: FlowState, config: FlowConfig) -> FlowState:
-    """Advance one accepted explicit Euler step (rejections retry inside).
-
-    Adds dt * tau on the structural interior, with dt = min(dt_max,
-    cfl_factor * h^2 / max eig(g^-1)). Dirichlet boundary values are
-    carried over bit-identically; periodic grids update every point.
-    """
-    tp = state.map.tension
-    tau = tp.tau[_interior(state.map.grid)]
-    exits, jumps = _guarded(state, config, lambda dt, retry: dt * tau,
-                            min(config.dt_max, config.cfl_factor * tp.cfl_dt))
-    state.t += state.dt
-    state.monitors.append(_row(state, 0, exits, jumps))
+    state.map, state.dt = new_map, length
+    state.steps += 1
+    if exits + jumps:
+        depth = 0
+    else:
+        state._secants = _Secants(new_map, r, dxs + [mixed], drs)
+    state.monitors.append(_row(state, depth, exits, jumps))
     return state
 
 
@@ -501,17 +458,18 @@ class FlowResult:
 
 
 def run_to_minimal(initial: MapField, config: FlowConfig,
-                   hypotheses=None) -> FlowResult:
+                   hypotheses=None, *, tol: float = 0.0) -> FlowResult:
     """Iterate `step` until the tension drops below stop_tension (or
-    max_steps), then certify the final map. A stall raises NumericalError;
-    `converged` is true only when the tension reached stop_tension. The
-    returned state drops the secant history, which is scratch memory of
-    the solver, so stepping it further starts with a plain step."""
+    max_steps), then certify the final map with tolerance `tol`. A stall
+    raises NumericalError; `converged` is true only when the tension
+    reached stop_tension. The returned state drops the secant history,
+    which is scratch memory of the solver, so stepping it further starts
+    with a plain step."""
     state = make_state(initial, config)
     while state.tension_norm > config.stop_tension and state.steps < config.max_steps:
         step(state, config)
     state._secants = None
-    cert = area_decreasing_certificate(state.map, hypotheses)
+    cert = area_decreasing_certificate(state.map, hypotheses, tol=tol)
     return FlowResult(state=state, certificate=cert,
                       converged=state.tension_norm <= config.stop_tension)
 
@@ -525,8 +483,7 @@ def write_monitors_csv(state: FlowState, path: str) -> None:
 
       step           accepted steps so far
       length         the step's length: 1 for a full solver step, halved
-                     per rejection; dt for explicit_step. Row 0, the
-                     starting map, holds dt_max (default 1)
+                     per rejection. Row 0, the starting map, holds 1
       depth          secant pairs Anderson-mixed into the step (0: plain)
       min_phi        min over the grid of phi = u1 - u2
       min_theta      min over the grid of theta = u1 + u2
@@ -569,15 +526,18 @@ def read_snapshot(path: str, source: ConformalMetric,
         tokens = fh.read().split()
     if len(tokens) < 5:
         raise ConfigError(f"snapshot {path!r} is truncated")
-    nx, ny = int(tokens[0]), int(tokens[1])
-    h, x0, y0 = float(tokens[2]), float(tokens[3]), float(tokens[4])
-    body = tokens[5:]
-    if len(body) != 2 * nx * ny:
-        raise ConfigError(f"snapshot {path!r} has {len(body)} values, "
+    try:
+        nx, ny = int(tokens[0]), int(tokens[1])
+        h, x0, y0 = float(tokens[2]), float(tokens[3]), float(tokens[4])
+        vals = np.array(tokens[5:], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"snapshot {path!r} is malformed: {exc}") from None
+    if vals.size != 2 * nx * ny:
+        raise ConfigError(f"snapshot {path!r} has {vals.size} values, "
                           f"expected {2 * nx * ny}")
-    vals = np.array(body, dtype=float).reshape(nx, ny, 2)
     mode = boundary if boundary is not None else BoundaryMode.DIRICHLET
     span_x = (nx - 1) * h if mode == BoundaryMode.DIRICHLET else nx * h
     span_y = (ny - 1) * h if mode == BoundaryMode.DIRICHLET else ny * h
+    # the chart rejects sizes below 5 before the values are shaped
     grid = GridChart(x0, x0 + span_x, y0, y0 + span_y, nx, ny, boundary=mode)
-    return MapField(grid, source, target, vals)
+    return MapField(grid, source, target, vals.reshape(nx, ny, 2))

@@ -132,7 +132,6 @@ class GraphGrid:
     norm_A_sq: np.ndarray
     sigma_perp: np.ndarray
     rtilde_1234: np.ndarray
-    sigma_n: np.ndarray
     sigmaM: np.ndarray       # source curvature at grid points
     sigmaN: np.ndarray       # target curvature at image points
     rhoM2: np.ndarray
@@ -205,11 +204,10 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     rt = ambient_curvature(frame[..., 0, :], frame[..., 1, :],
                            frame[..., 2, :], frame[..., 3, :],
                            rhoM2, rhoN2, sigmaM, sigmaN)
-    sigma_n = rt - sigma_perp
 
     return GraphGrid(grid=grid, pw=pw, metric=metric,
                      frame=frame, A=A, H=H, norm_H=norm_H, norm_A_sq=norm_A_sq,
-                     sigma_perp=sigma_perp, rtilde_1234=rt, sigma_n=sigma_n,
+                     sigma_perp=sigma_perp, rtilde_1234=rt,
                      sigmaM=sigmaM, sigmaN=sigmaN, rhoM2=rhoM2, rhoN2=rhoN2)
 
 

@@ -35,7 +35,7 @@ from .pointwise import MapField
 from .surface import TheoremHypotheses
 
 __all__ = [
-    "IdentityKind", "ResidualReport", "ConvergenceStudy", "HypothesisCheck",
+    "ResidualReport", "ConvergenceStudy", "HypothesisCheck",
     "Certificate", "MinimumProbe", "ProbeStatus",
     "verify_pullback_derivative", "verify_form_laplacian",
     "verify_jacobian_laplacians", "verify_gradient_identities",
@@ -50,16 +50,8 @@ MINIMALITY_FACTOR = 10.0
 MUTATIONS = (None, "flip_sigma_perp", "swap_curvatures")
 
 
-class IdentityKind(enum.Enum):
-    PULLBACK_DERIVATIVE = "pullback_derivative"
-    FORM_LAPLACIAN = "form_laplacian"
-    JACOBIAN_LAPLACIANS = "jacobian_laplacians"
-    GRADIENT_IDENTITIES = "gradient_identities"
-
-
 @dataclass(frozen=True)
 class ResidualReport:
-    identity: IdentityKind
     components: dict[str, np.ndarray]
     residual_field: np.ndarray
     norm_inf: float
@@ -78,8 +70,7 @@ def _nan_pointwise_max(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.where(all_nan, np.nan, out)
 
 
-def _make_report(kind: IdentityKind, gg: GraphGrid,
-                 components: dict[str, np.ndarray],
+def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],
                  masked_points: int = 0,
                  mutation: Optional[str] = None) -> ResidualReport:
     grid = gg.grid
@@ -92,7 +83,6 @@ def _make_report(kind: IdentityKind, gg: GraphGrid,
             RuntimeWarning, stacklevel=3)
     residual = _nan_pointwise_max(list(components.values()))
     return ResidualReport(
-        identity=kind,
         components=components,
         residual_field=residual,
         norm_inf=stencils.finite_abs_max(residual),
@@ -132,7 +122,7 @@ def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
                 rhs = rhs + gg.A[..., a - 3, k - 1, 0] * w_a2[a]
                 rhs = rhs + gg.A[..., a - 3, k - 1, 1] * w_1a[a]
             comps[f"u{idx}_e{k}"] = lhs - rhs
-    return _make_report(IdentityKind.PULLBACK_DERIVATIVE, gg, comps)
+    return _make_report(gg, comps)
 
 
 def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
@@ -183,7 +173,7 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
             S3 = S3 + R[(0, a)] * w[(1, a)]
             S3 = S3 + R[(1, a)] * w[(a, 2)]
         comps[f"omega{idx}"] = lhs - (S1 + S2 + S3)
-    return _make_report(IdentityKind.FORM_LAPLACIAN, gg, comps)
+    return _make_report(gg, comps)
 
 
 def _jacobian_rhs(gg: GraphGrid, mutation: Optional[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +211,7 @@ def verify_jacobian_laplacians(mapfield: MapField,
         "u1": -laplace_beltrami_array(pw.u1, gg.metric, grid) - rhs1,
         "u2": -laplace_beltrami_array(pw.u2, gg.metric, grid) - rhs2,
     }
-    return _make_report(IdentityKind.JACOBIAN_LAPLACIANS, gg, comps,
-                        mutation=mutation)
+    return _make_report(gg, comps, mutation=mutation)
 
 
 def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
@@ -264,8 +253,7 @@ def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
     }
     masked = int(np.sum(mask_phi & np.isfinite(phi))
                  + np.sum(mask_theta & np.isfinite(theta)))
-    return _make_report(IdentityKind.GRADIENT_IDENTITIES, gg, comps,
-                        masked_points=masked)
+    return _make_report(gg, comps, masked_points=masked)
 
 
 # -------------------------------------------------------- refinement studies

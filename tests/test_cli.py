@@ -273,6 +273,32 @@ def test_flow_summary_counts_rejections(tmp_path):
     assert len(rows) == 2 + int(summary["steps"])
 
 
+def test_flow_certificate_honours_certificate_tol(tmp_path):
+    # flow and analyze of one config certify with the same tolerance
+    cfgfile = tmp_path / "flow.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = poincare_disc
+        [map]
+        spec = z_squared
+        perturb = 0.01
+        [grid]
+        nx = 17
+        half_width = {Z2_HALF!r}
+        [tolerances]
+        stop_tension = 1e-6
+        certificate_tol = 0.5
+    """))
+    tols = []
+    for command in ("flow", "analyze"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+        tols.append(read_summary(out / "summary.txt")["certificate.tol"])
+    assert tols == ["0.5", "0.5"]
+
+
 def test_flow_nan_sample_is_numerical_failure(tmp_path, capsys):
     # 0 * log(0) puts one NaN sample at the origin of an affine map; the
     # flow must fail loudly rather than report a converged zero tension

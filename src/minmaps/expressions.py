@@ -345,10 +345,7 @@ class MapExpr:
 
     def jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """df with shape (..., 2, 2); df[..., a, i] = d f^a / d x^i."""
-        rows = []
-        for comp in (self.f1, self.f2):
-            rows.append(np.stack([
-                evaluate(diff(comp, "x"), x, y),
-                evaluate(diff(comp, "y"), x, y),
-            ], axis=-1))
-        return np.stack(rows, axis=-2)
+        # component-major storage: each [..., a, i] is a contiguous plane
+        df = np.array([[evaluate(diff(comp, v), x, y) for v in ("x", "y")]
+                       for comp in (self.f1, self.f2)])
+        return np.moveaxis(df, (0, 1), (-2, -1))

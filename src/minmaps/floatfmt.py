@@ -136,14 +136,21 @@ def _quads() -> tuple[np.ndarray, np.ndarray]:
     return text.view(np.uint32).ravel(), zeros
 
 
+def _divmod(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.divmod by a scalar has no fast integer loop; // has
+    q = a // k
+    return q, a - q * k
+
+
 def _digits(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ASCII digits (n, 17) of 17-digit integers, and how many digits remain
     once trailing zeros are dropped."""
     text, zeros = _quads()
-    top, low = (part.astype(np.uint32) for part in np.divmod(D, 10 ** 8))
-    g3, g4 = np.divmod(low, np.uint32(10 ** 4))
-    rest, g2 = np.divmod(top, np.uint32(10 ** 4))
-    d0, g1 = np.divmod(rest, np.uint32(10 ** 4))  # d0 is one digit, 1 ... 9
+    # intp groups: gathers with an intp index skip a cast per lookup
+    top, low = _divmod(D.astype(np.intp, copy=False), 10 ** 8)
+    g3, g4 = _divmod(low, 10 ** 4)
+    rest, g2 = _divmod(top, 10 ** 4)
+    d0, g1 = _divmod(rest, 10 ** 4)            # d0 is one digit, 1 ... 9
     out = np.empty((D.size, 5), np.uint32)     # "000d" then four quads
     for j, g in enumerate((d0, g1, g2, g3, g4)):
         out[:, j] = text[g]

@@ -17,6 +17,12 @@ width-3 central stencils, so discrete mean curvature of a minimal fixture
 vanishes at order h^2; first derivatives use the analytic Jacobian when the
 map carries one.
 
+The frame (nx, ny, 4, 4), A (nx, ny, 2, 2, 2) and H (nx, ny, 2) follow the
+storage rule of `pointwise`: point-major shapes over component-major
+memory, so every component read is a contiguous plane. Reductions over
+component axes are written out (see |A|^2), because np.sum's order depends
+on the memory layout.
+
 The ambient curvature operator of the product of constant-curvature factors
 uses the sign convention R(X, Y, Z, W) = sigma * (<X,Z><Y,W> - <X,W><Y,Z>)
 applied factor-wise, which makes R(e1, e2, e1, e2) the sectional curvature.
@@ -30,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import stencils
-from .pointwise import MapField, PointwiseGrid
+from .pointwise import MapField, PointwiseGrid, _empty_planes
 from .surface import GridChart
 
 __all__ = [
@@ -176,7 +182,7 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     cl = 1.0 / np.sqrt(1.0 + pw.lam ** 2)
     cm = 1.0 / np.sqrt(1.0 + pw.mu ** 2)
     v = (pw.alpha1 * cl[..., None], pw.alpha2 * cm[..., None])
-    A = np.empty(pw.lam.shape + (2, 2, 2))
+    A = _empty_planes(pw.lam.shape, (2, 2, 2))
     for alpha in (0, 1):
         e = frame[..., alpha + 2, :]
         P = {ij: rhoM2 * (Dij[0] * e[..., 0] + Dij[1] * e[..., 1])
@@ -192,7 +198,10 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
 
     H = A[..., 0, 0] + A[..., 1, 1]  # (..., alpha)
     norm_H = np.sqrt(H[..., 0] ** 2 + H[..., 1] ** 2)
-    norm_A_sq = np.sum(A ** 2, axis=(-3, -2, -1))
+    # np.sum's pairwise order over the 8 components of a point-major A,
+    # written out: summing planes in another order moves the last bit
+    q = [A[..., a, k, l] ** 2 for a in (0, 1) for k in (0, 1) for l in (0, 1)]
+    norm_A_sq = ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]))
 
     sigma_perp = (-A[..., 0, 0, 0] * A[..., 1, 0, 1]
                   + A[..., 0, 0, 1] * A[..., 1, 0, 0]
@@ -224,7 +233,7 @@ def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
     cm = 1.0 / np.sqrt(1.0 + pw.mu ** 2)
     sgn = np.where(pw.s < 0, -1.0, 1.0)
     shape = pw.lam.shape
-    E = np.empty(shape + (4, 4))
+    E = _empty_planes(shape, (4, 4))
     E[..., 0, 0:2] = pw.alpha1 * cl[..., None]
     E[..., 0, 2:4] = pw.beta1 * (pw.lam * cl)[..., None]
     E[..., 1, 0:2] = pw.alpha2 * cm[..., None]

@@ -15,6 +15,12 @@ are functions of (lambda, mu, s) with s = sign(det df):
 Conventions: (alpha1, alpha2) is positively oriented in the source chart, so
 the area form of the source evaluates to +1 on it; the beta frame inherits
 its orientation from df. All functions broadcast over leading axes.
+
+Storage: per-point vectors and tensors keep their (nx, ny, ...) shape and
+index meaning, but are stored component-major, so each [..., a, b] is a
+contiguous (nx, ny) plane. Build vectors with `_planes` and allocate
+fields with `_empty_planes`, never with np.stack(..., axis=-1) or
+np.empty(shape + comps), and spell out reductions over component axes.
 """
 
 from __future__ import annotations
@@ -144,7 +150,7 @@ class MapField:
             return self.expr.jacobian(X, Y)
         g = self.grid
         f1, f2 = self.values[..., 0], self.values[..., 1]
-        df = np.empty((g.nx, g.ny, 2, 2))
+        df = _empty_planes((g.nx, g.ny), (2, 2))
         df[..., 0, 0] = g.d_x(f1)
         df[..., 0, 1] = g.d_y(f1)
         df[..., 1, 0] = g.d_x(f2)
@@ -167,6 +173,18 @@ class MapField:
         return tension_pass(self)
 
 
+def _planes(*comps: np.ndarray) -> np.ndarray:
+    """The vector (..., len(comps)) of the component arrays, stored
+    component-major: each [..., i] is a contiguous plane."""
+    return np.moveaxis(np.stack(comps), 0, -1)
+
+
+def _empty_planes(shape: tuple, comps: tuple) -> np.ndarray:
+    """An uninitialised (*shape, *comps) field stored component-major."""
+    k = len(comps)
+    return np.moveaxis(np.empty(comps + shape), range(k), range(-k, 0))
+
+
 def sym_eig2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Eigensystem of [[a, b], [b, c]].
 
@@ -184,21 +202,21 @@ def sym_eig2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     tiny = nrm <= 0
     vx = np.where(tiny, 1.0, vx / np.where(tiny, 1.0, nrm))
     vy = np.where(tiny, 0.0, vy / np.where(tiny, 1.0, nrm))
-    v_hi = np.stack([vx, vy], axis=-1)
-    v_lo = np.stack([vy, -vx], axis=-1)  # rot(-90): det[v_lo | v_hi] = +1
+    v_hi = _planes(vx, vy)
+    v_lo = _planes(vy, -vx)  # rot(-90): det[v_lo | v_hi] = +1
     return lo, hi, v_lo, v_hi
 
 
 def _apply(df: np.ndarray, v: np.ndarray) -> np.ndarray:
     """df v over leading axes, unrolled."""
-    return np.stack([df[..., 0, 0] * v[..., 0] + df[..., 0, 1] * v[..., 1],
-                     df[..., 1, 0] * v[..., 0] + df[..., 1, 1] * v[..., 1]], axis=-1)
+    return _planes(df[..., 0, 0] * v[..., 0] + df[..., 0, 1] * v[..., 1],
+                   df[..., 1, 0] * v[..., 0] + df[..., 1, 1] * v[..., 1])
 
 
 def _axes(inv_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chart axes scaled to unit length in the metric rho^2 I."""
     zero = np.zeros_like(inv_rho)
-    return np.stack([inv_rho, zero], -1), np.stack([zero, inv_rho], -1)
+    return _planes(inv_rho, zero), _planes(zero, inv_rho)
 
 
 def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray):
@@ -285,7 +303,7 @@ def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray)
         # (positively when det df == 0): for a conformal g_N that is beta2
         # turned by -90 degrees; exact singular vectors are always such a pair
         sgn = np.where(s < 0, -1.0, 1.0)
-        comp = np.stack([sgn * beta2[..., 1], -sgn * beta2[..., 0]], axis=-1)
+        comp = _planes(sgn * beta2[..., 1], -sgn * beta2[..., 0])
         beta1 = np.where(rank1[..., None], comp, beta1)
         lam = np.where(rank1, n1, lam)
 

@@ -19,6 +19,7 @@ is pure cancellation noise.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -63,11 +64,9 @@ class ResidualReport:
 
 
 def _nan_pointwise_max(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    stacked = np.abs(np.stack(arrays, axis=0))
-    filled = np.where(np.isnan(stacked), -np.inf, stacked)
-    out = filled.max(axis=0)
-    all_nan = np.isnan(stacked).all(axis=0)
-    return np.where(all_nan, np.nan, out)
+    """Pointwise max of |a| over the arrays, skipping NaN; NaN where every
+    array is NaN."""
+    return functools.reduce(np.fmax, (np.abs(a) for a in arrays))
 
 
 def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],

@@ -41,12 +41,30 @@ def test_point_table_layout(tmp_path):
 
 
 @pytest.mark.parametrize("n", [33, 65])
-@pytest.mark.parametrize("preset", ["z_squared", "paper_example"])
+@pytest.mark.parametrize("preset", ["z_squared", "paper_example", "bumped_z_squared"])
 def test_point_tables_match_per_value_writer(tmp_path, monkeypatch, preset, n):
+    # the bumped map has no formula: its df comes from finite differences,
+    # the path of every flow output, snapshot and perturbed start
     from minmaps import cli
     from text_oracle import table_bytes
 
     assert n % cli._TABLE_ROWS, "the table must end inside a write block"
+    source = ["--preset", preset, "--grid", str(n)]
+    if preset == "bumped_z_squared":
+        cfgfile = tmp_path / "bumped.ini"
+        cfgfile.write_text(textwrap.dedent(f"""\
+            [source]
+            metric = poincare_disc
+            [target]
+            metric = poincare_disc
+            [map]
+            spec = z_squared
+            perturb = 0.01
+            [grid]
+            nx = {n}
+            half_width = {Z2_HALF!r}
+        """))
+        source = ["--config", str(cfgfile)]
     expected = {}
     write_table = cli._write_table
 
@@ -56,8 +74,7 @@ def test_point_tables_match_per_value_writer(tmp_path, monkeypatch, preset, n):
 
     monkeypatch.setattr(cli, "_write_table", spy)
     for kind in ("analyze", "verify"):
-        assert main([kind, "--preset", preset, "--grid", str(n),
-                     "--out", str(tmp_path)]) == 0
+        assert main([kind, *source, "--out", str(tmp_path)]) == 0
     assert sorted(expected) == ["analysis.csv", "verify.csv"]
     assert b",nan," in expected["verify.csv"]       # the residuals' NaN ring
     for name, want in expected.items():

@@ -323,3 +323,55 @@ def test_fd_only_map_needs_interior_points(z2_33):
     assert np.array_equal(np.isnan(metric_at(bare, (0, 5))), [[True, True], [True, False]])
     g = metric_at(bare, (5, 5))
     assert g == pytest.approx(metric_at(z2_33, (5, 5)), rel=1e-6)
+
+
+# ---------------------------------------------------------- storage layout
+
+def layout_field(case):
+    """One field per branch of singular_decomposition."""
+    if case == "conformal":
+        return presets.z_squared_field(n=17)
+    if case == "rank0":
+        return presets.constant_field(n=17)
+    if case == "rank1":          # det df = 2y: rank one on the middle row
+        return euclidean_map("x, x + y*y", n=17)
+    # no formula: df from finite differences, NaN on the Dirichlet ring
+    return presets.sine_bump(presets.z_squared_field(n=17), 0.01)
+
+
+@pytest.mark.parametrize("case", ["conformal", "rank0", "rank1", "grid_only"])
+def test_vector_and_tensor_fields_are_stored_as_planes(case):
+    # every [..., a, b] component is a contiguous (nx, ny) plane, and each
+    # field keeps its point-major shape and index meaning
+    mf = layout_field(case)
+    pw, gg = mf.pointwise, mf.graph
+    if case == "conformal":
+        assert np.array_equal(pw.lam, pw.mu)
+    elif case == "rank0":
+        assert np.all(pw.mu == 0.0)
+    elif case == "rank1":
+        assert np.all(pw.lam[:, 8] == 0.0) and np.all(pw.mu[:, 8] > 0.0)
+    else:
+        assert mf.expr is None and np.isnan(pw.lam[0]).all()
+    nx, ny = mf.grid.nx, mf.grid.ny
+    fields = {"df": (pw.df, (2, 2)), "alpha1": (pw.alpha1, (2,)),
+              "alpha2": (pw.alpha2, (2,)), "beta1": (pw.beta1, (2,)),
+              "beta2": (pw.beta2, (2,)), "frame": (gg.frame, (4, 4)),
+              "A": (gg.A, (2, 2, 2)), "H": (gg.H, (2,))}
+    for name, (arr, comps) in fields.items():
+        assert arr.shape == (nx, ny) + comps, name
+        for idx in np.ndindex(comps):
+            assert arr[(...,) + idx].flags.c_contiguous, (name, idx)
+
+
+@pytest.mark.parametrize("case", ["z_squared", "paper_example", "grid_only"])
+def test_norm_A_sq_sums_in_numpys_order(case):
+    # |A|^2 is summed plane by plane in the order np.sum takes over the
+    # eight contiguous components of a point-major A, bit for bit
+    if case == "grid_only":
+        mf = presets.sine_bump(presets.z_squared_field(n=65), 0.01)
+    else:
+        mf = presets.SCENARIOS[case](n=65)
+    gg = mf.graph
+    want = np.sum(np.ascontiguousarray(gg.A) ** 2, axis=(-3, -2, -1))
+    assert gg.norm_A_sq.tobytes() == want.tobytes()

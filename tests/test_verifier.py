@@ -9,9 +9,10 @@ import pytest
 from minmaps import TheoremHypotheses, presets
 from minmaps.errors import ConfigError
 from minmaps.verifier import (MUTATIONS, Certificate, ProbeStatus,
-                              _probe_decision, area_decreasing_certificate,
-                              check_hypotheses, interior_minimum_probe,
-                              refinement_study, verify_form_laplacian,
+                              _nan_pointwise_max, _probe_decision,
+                              area_decreasing_certificate, check_hypotheses,
+                              interior_minimum_probe, refinement_study,
+                              verify_form_laplacian,
                               verify_gradient_identities,
                               verify_jacobian_laplacians,
                               verify_pullback_derivative)
@@ -54,6 +55,31 @@ def test_gradient_identities_mask_conformal_points(identity_33):
     assert report.masked_points == 33 * 33
     assert set(report.components) == {"grad_phi", "grad_theta",
                                       "lap_phi", "lap_theta"}
+
+
+def stacked_nan_max(arrays):
+    """The stack-based pointwise max of |a| that _nan_pointwise_max replaced."""
+    stacked = np.abs(np.stack(arrays, axis=0))
+    out = np.where(np.isnan(stacked), -np.inf, stacked).max(axis=0)
+    return np.where(np.isnan(stacked).all(axis=0), np.nan, out)
+
+
+# the bumped map is not minimal; only the residual fields matter here
+@pytest.mark.filterwarnings("ignore:map is not numerically minimal")
+@pytest.mark.parametrize("name", ["z_squared", "paper_example", "grid_only"])
+def test_nan_pointwise_max_matches_stacked_formula(name):
+    if name == "grid_only":
+        mf = presets.sine_bump(presets.z_squared_field(n=33), 0.01)
+    else:
+        mf = presets.SCENARIOS[name](n=33)
+    comps = list(verify_gradient_identities(mf).components.values())
+    signed_zeros = np.where(np.arange(comps[0].size).reshape(comps[0].shape) % 2,
+                            -0.0, 0.0)
+    comps += [np.full_like(comps[0], np.nan), signed_zeros]
+    for arrays in (comps, comps[-2:], comps[-1:]):
+        got = _nan_pointwise_max(arrays)
+        assert got.tobytes() == stacked_nan_max(arrays).tobytes()
+    assert np.isnan(_nan_pointwise_max(comps[-2:-1])).all()
 
 
 # --------------------------------------------------------- refinement orders

@@ -6,6 +6,7 @@ Usage: python scripts/run_refinement.py [--fixture z_squared] [--grids 17,33,65]
 """
 
 import argparse
+import functools
 
 from minmaps import presets
 from minmaps.verifier import (refinement_study, verify_form_laplacian,
@@ -31,12 +32,15 @@ def main():
     args = ap.parse_args()
     ns = tuple(int(tok) for tok in args.grids.split(","))
 
+    # one field per grid serves every quantity: its passes are cached on it
+    make_field = functools.cache(presets.SCENARIOS[args.fixture])
+
     print(f"fixture = {args.fixture}, grids = {ns}")
     print(f"{'quantity':<16} {'norms':<42} orders")
     for name, check in CHECKS:
         quantity = check if name == "mean_curvature" \
             else (lambda mf, c=check: c(mf).norm_inf)
-        st = refinement_study(presets.SCENARIOS[args.fixture], ns, quantity)
+        st = refinement_study(make_field, ns, quantity)
         norms = " ".join(f"{v:.6e}" for v in st.norms)
         orders = "exact" if st.exact else \
             " ".join(f"{o:.3f}" for o in st.orders)

@@ -10,8 +10,10 @@ import argparse
 from minmaps import TheoremHypotheses, presets
 from minmaps.verifier import area_decreasing_certificate, interior_minimum_probe
 
-# pinching constants under which each fixture's factors qualify; flat or
-# expanding charts carry None and are probed without a hypothesis gate
+# pinching constants handed to each fixture's certificate and probe. The
+# flat fixtures (paper_example, affine) get (1, 1) too and fail its pinching
+# check, so a negative minimum there is reported inconclusive, never a
+# violation
 HYPOTHESES = {
     "z_squared": TheoremHypotheses(1.0, 1.0),
     "z_squared_mixed": TheoremHypotheses(1.0, 2.0),

@@ -9,7 +9,9 @@ Five subcommands share one plumbing layer:
   flow       tension-field flow toward a minimal graph, with monitors
 
 Scenarios come either from a named preset (--preset, quick runs on the
-canonical fixtures) or from an INI config file (--config, full control):
+canonical fixtures) or from an INI config file (--config, full control). A
+preset is shorthand for config pieces: its row of presets.SCENARIO_SPECS
+(for curvature, a metric spec on a square chart), so both take one path:
 
     [scenario]
     kind = flow                ; optional, must match the subcommand
@@ -36,8 +38,8 @@ canonical fixtures) or from an INI config file (--config, full control):
 No environment variables affect numerics; identical configs produce
 byte-identical CSVs (fixed column order, %.17g floats, versioned schema
 in a leading comment line, "\n" line ends on every platform). Point
-tables are formatted by a vectorised, byte-exact %.17g writer
-(``floatfmt.format_block``) and streamed a few x-rows at a time.
+tables are formatted by a vectorised, byte-exact %.17g writer and streamed
+in fixed-size blocks (``floatfmt.write_table``).
 
 Exit codes: 0 success, 2 config error, 3 chart-domain violation,
 4 numerical failure.
@@ -47,9 +49,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import presets
 from .errors import ChartDomainError, ConfigError, NumericalError
-from .floatfmt import format_block
+from .floatfmt import write_table
 from .flow import (MONITOR_COLUMNS, FlowConfig, run_to_minimal, write_monitors_csv,
                    write_snapshot)
 from .pointwise import MapField
@@ -73,7 +75,6 @@ EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
 CSV_VERSION = "v1"
-_TABLE_ROWS = 8              # x-rows formatted per write
 
 IDENTITY_CHECKS = (
     ("pullback", verify_pullback_derivative),
@@ -89,14 +90,12 @@ CURVATURE_COLUMNS = ("x", "y", "K")
 
 # ------------------------------------------------------------- configuration
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a scenario run needs, resolved from CLI flags + INI file."""
 
     kind: str
     out: Path
-    preset: Optional[str] = None        # fixture name (metric spec for curvature)
-    grid_n: Optional[int] = None        # --grid override
     source: Optional[str] = None
     target: Optional[str] = None
     map_spec: Optional[str] = None
@@ -120,8 +119,7 @@ def _get(section, key, cast, default):
         raise ConfigError(f"bad value for {key}: {section[key]!r}") from exc
 
 
-def _config_from_file(path: Path, kind: str, out: Path,
-                      grid_n: Optional[int]) -> ScenarioConfig:
+def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
@@ -142,8 +140,6 @@ def _config_from_file(path: Path, kind: str, out: Path,
         raise ConfigError("config needs a [grid] section")
     nx = _get(grid, "nx", int, 65)
     ny = _get(grid, "ny", int, nx)
-    if grid_n is not None:
-        nx = ny = grid_n
     if "half_width" in grid:
         w = _get(grid, "half_width", float, None)
         domain = (-w, w, -w, w)
@@ -183,7 +179,6 @@ def _config_from_file(path: Path, kind: str, out: Path,
     return ScenarioConfig(
         kind=kind,
         out=out,
-        grid_n=grid_n,
         source=source["metric"],
         target=target["metric"] if target is not None else None,
         map_spec=map_sec["spec"] if map_sec is not None else None,
@@ -227,87 +222,57 @@ def _grid_from_config(cfg: ScenarioConfig, nx: Optional[int] = None) -> GridChar
 
 
 def _make_field(cfg: ScenarioConfig, n: Optional[int] = None) -> MapField:
-    """Build the scenario map, from a preset fixture or from config pieces."""
-    if cfg.preset is not None:
-        if cfg.preset not in presets.SCENARIOS:
-            raise ConfigError(f"unknown preset {cfg.preset!r}; choose from "
-                              f"{', '.join(sorted(presets.SCENARIOS))}")
-        size = n if n is not None else cfg.grid_n
-        make = presets.SCENARIOS[cfg.preset]
-        mf = make() if size is None else make(n=size)
-    else:
-        grid = _grid_from_config(cfg, n)
-        expr = presets.parse_map_spec(cfg.map_spec)
-        mf = MapField.from_expr(grid, presets.parse_metric_spec(cfg.source),
-                                presets.parse_metric_spec(cfg.target), expr)
+    """Build the scenario map from its config pieces, optionally at nx = n."""
+    mf = presets.scenario_field(cfg.source, cfg.target, cfg.map_spec,
+                                _grid_from_config(cfg, n))
     return presets.sine_bump(mf, cfg.perturb)
 
 
 # ------------------------------------------------------------------ artifacts
 
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
+def _text(value) -> str:
+    """A value as text: true/false, %.17g floats, space-joined tuples, str."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return " ".join(_text(v) for v in value)
+    return str(value)
 
 
 def _write_table(path: Path, name: str, columns: Sequence[str],
                  fields: Sequence[np.ndarray]) -> None:
-    """Point table CSV, x-index outermost, schema versioned on line one.
-
-    Streamed in blocks of _TABLE_ROWS x-rows, and the fields are
-    stacked per block, so neither the text of a whole n=257 table (tens of
-    megabytes) nor a stacked copy of its fields is ever held at once.
-    """
-    fields = [np.asarray(f, float) for f in fields]
-    with path.open("wb") as fh:
-        fh.write(f"# minmaps {name} csv {CSV_VERSION}\n"
-                 f"{','.join(columns)}\n".encode())
-        for i in range(0, fields[0].shape[0], _TABLE_ROWS):
-            block = np.stack([f[i:i + _TABLE_ROWS] for f in fields],
-                             axis=-1)
-            fh.write(format_block(block.reshape(-1, len(fields))))
+    """Point table CSV, x-index outermost, schema versioned on line one."""
+    write_table(path, f"# minmaps {name} csv {CSV_VERSION}\n"
+                      f"{','.join(columns)}\n", fields)
 
 
-def _write_summary(path: Path, kind: str, lines: Sequence[str]) -> None:
-    path.write_bytes(("\n".join([f"# minmaps summary {CSV_VERSION}",
-                                 f"scenario = {kind}", *lines]) + "\n").encode())
+def _write_summary(path: Path, kind: str, items) -> None:
+    """summary.txt: one ``key = value`` line per (key, value) pair."""
+    lines = [f"# minmaps summary {CSV_VERSION}", f"scenario = {kind}",
+             *(f"{key} = {_text(value)}" for key, value in items)]
+    path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
-def _certificate_lines(cert) -> list[str]:
-    out = [
-        f"certificate.min_phi = {_fmt(cert.min_phi)}",
-        f"certificate.min_phi_at = {_fmt(cert.min_phi_at[0])} {_fmt(cert.min_phi_at[1])}",
-        f"certificate.min_theta = {_fmt(cert.min_theta)}",
-        f"certificate.min_theta_at = {_fmt(cert.min_theta_at[0])} {_fmt(cert.min_theta_at[1])}",
-        f"certificate.max_abs_jf = {_fmt(cert.max_abs_jf)}",
-        f"certificate.max_abs_jf_at = {_fmt(cert.max_abs_jf_at[0])} {_fmt(cert.max_abs_jf_at[1])}",
-        f"certificate.tol = {_fmt(cert.tol)}",
-        f"certificate.area_decreasing = {str(cert.area_decreasing).lower()}",
-    ]
-    if cert.hypothesis_ok is not None:
-        out.append(f"certificate.hypothesis_ok = {str(cert.hypothesis_ok).lower()}")
-    return out
+def _certificate_items(cert) -> list[tuple[str, object]]:
+    return [(f"certificate.{f.name}", getattr(cert, f.name))
+            for f in dataclasses.fields(cert)
+            if getattr(cert, f.name) is not None]
 
 
 # ------------------------------------------------------------------ scenarios
 
 def _run_curvature(cfg: ScenarioConfig) -> None:
-    if cfg.preset is not None:
-        metric = presets.parse_metric_spec(cfg.preset)
-        n = cfg.grid_n if cfg.grid_n is not None else 65
-        w = 0.7 if metric.disc_domain else 1.0
-        grid = GridChart(-w, w, -w, w, n, n)
-    else:
-        metric = presets.parse_metric_spec(cfg.source)
-        grid = _grid_from_config(cfg)
+    metric = presets.parse_metric_spec(cfg.source)
+    grid = _grid_from_config(cfg)
     X, Y = grid.mesh()
     metric.check_domain(X, Y, what="grid")
     K = np.broadcast_to(metric.curvature(X, Y), X.shape)
     _write_table(cfg.out / "curvature.csv", "curvature", CURVATURE_COLUMNS,
                  [X, Y, K])
     _write_summary(cfg.out / "summary.txt", "curvature", [
-        f"metric = {cfg.preset or cfg.source}",
-        f"K.min = {_fmt(np.nanmin(K))}",
-        f"K.max = {_fmt(np.nanmax(K))}",
+        ("metric", cfg.source), ("K.min", np.nanmin(K)), ("K.max", np.nanmax(K)),
     ])
 
 
@@ -320,9 +285,8 @@ def _run_analyze(cfg: ScenarioConfig) -> None:
                   pw.jf, pw.phi, pw.theta])
     cert = area_decreasing_certificate(mf, tol=cfg.certificate_tol)
     _write_summary(cfg.out / "summary.txt", "analyze", [
-        f"grid = {mf.grid.nx}x{mf.grid.ny}",
-        f"h = {_fmt(mf.grid.h)}",
-        *_certificate_lines(cert),
+        ("grid", f"{mf.grid.nx}x{mf.grid.ny}"), ("h", mf.grid.h),
+        *_certificate_items(cert),
     ])
 
 
@@ -331,27 +295,25 @@ def _run_verify(cfg: ScenarioConfig) -> None:
     X, Y = mf.grid.mesh()
     columns = ["x", "y"]
     fields = [X, Y]
-    lines = [f"grid = {mf.grid.nx}x{mf.grid.ny}", f"h = {_fmt(mf.grid.h)}"]
+    items = [("grid", f"{mf.grid.nx}x{mf.grid.ny}"), ("h", mf.grid.h)]
     notes = []
     for name, check in IDENTITY_CHECKS:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = check(mf)
         for w in caught:
-            notes.append(f"warning = {name}: {w.message}")
+            notes.append(("warning", f"{name}: {w.message}"))
         for comp, residual in report.components.items():
             columns.append(f"{name}.{comp}")
             fields.append(residual)
-        lines += [
-            f"{name}.norm_inf = {_fmt(report.norm_inf)}",
-            f"{name}.norm_l2 = {_fmt(report.norm_l2)}",
-            f"{name}.masked_points = {report.masked_points}",
-        ]
+        items += [(f"{name}.norm_inf", report.norm_inf),
+                  (f"{name}.norm_l2", report.norm_l2),
+                  (f"{name}.masked_points", report.masked_points)]
         defect = report.minimality_defect
-    lines.append(f"minimality_defect = {_fmt(defect)}")
+    items.append(("minimality_defect", defect))
     _write_table(cfg.out / "verify.csv", "verify", columns, fields)
     _write_summary(cfg.out / "summary.txt", "verify",
-                   lines + sorted(set(notes)))
+                   items + sorted(set(notes)))
 
 
 def _run_refine(cfg: ScenarioConfig) -> None:
@@ -369,20 +331,18 @@ def _run_refine(cfg: ScenarioConfig) -> None:
     columns = ["h"] + [name for name, _ in IDENTITY_CHECKS]
     rows = [f"# minmaps refine csv {CSV_VERSION}", ",".join(columns)]
     for k, h in enumerate(any_study.hs):
-        rows.append(",".join([_fmt(h)] + [_fmt(studies[name].norms[k])
-                                          for name, _ in IDENTITY_CHECKS]))
+        rows.append(",".join([_text(h)] + [_text(studies[name].norms[k])
+                                           for name, _ in IDENTITY_CHECKS]))
     (cfg.out / "refine.csv").write_bytes(("\n".join(rows) + "\n").encode())
 
-    lines = [f"grids = {' '.join(str(n) for n in ns)}"]
+    items = [("grids", ns)]
     for name, _ in IDENTITY_CHECKS:
         st = studies[name]
-        lines += [
-            f"{name}.orders = {' '.join(f'{o:.6g}' for o in st.orders)}",
-            f"{name}.estimated_order = {st.estimated_order:.6g}",
-            f"{name}.exact = {str(st.exact).lower()}",
-            f"{name}.second_order = {str(st.second_order).lower()}",
-        ]
-    _write_summary(cfg.out / "summary.txt", "refine", lines)
+        items += [(f"{name}.orders", " ".join(f"{o:.6g}" for o in st.orders)),
+                  (f"{name}.estimated_order", f"{st.estimated_order:.6g}"),
+                  (f"{name}.exact", st.exact),
+                  (f"{name}.second_order", st.second_order)]
+    _write_summary(cfg.out / "summary.txt", "refine", items)
 
 
 def _run_flow(cfg: ScenarioConfig) -> None:
@@ -392,20 +352,16 @@ def _run_flow(cfg: ScenarioConfig) -> None:
     result = run_to_minimal(mf, flow_cfg, tol=cfg.certificate_tol)
     state = result.state
     write_monitors_csv(state, cfg.out / "monitors.csv")
-    lines = [
-        f"converged = {str(result.converged).lower()}",
-        f"steps = {state.steps}",
-        f"rejections = {state.rejections}",
-        f"norm_tau = {_fmt(state.tension_norm)}",
-        f"stop_tension = {_fmt(cfg.stop_tension)}",
-    ]
+    items = [("converged", result.converged), ("steps", state.steps),
+             ("rejections", state.rejections), ("norm_tau", state.tension_norm),
+             ("stop_tension", cfg.stop_tension)]
     try:
         write_snapshot(state.map, cfg.out / "final_map.txt")
-        lines.append("snapshot = final_map.txt")
+        items.append(("snapshot", "final_map.txt"))
     except ConfigError:
-        lines.append("snapshot = skipped (grid spacing not square)")
-    lines += _certificate_lines(result.certificate)
-    _write_summary(cfg.out / "summary.txt", "flow", lines)
+        items.append(("snapshot", "skipped (grid spacing not square)"))
+    items += _certificate_items(result.certificate)
+    _write_summary(cfg.out / "summary.txt", "flow", items)
 
 
 _RUNNERS = {
@@ -482,11 +438,23 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is not None and args.preset is not None:
         raise ConfigError("--config and --preset are mutually exclusive")
     if args.config is not None:
-        return _config_from_file(args.config, args.command, args.out, args.grid)
-    if args.preset is not None:
-        return ScenarioConfig(kind=args.command, out=args.out,
-                              preset=args.preset, grid_n=args.grid)
-    raise ConfigError("either --config or --preset is required")
+        cfg = _config_from_file(args.config, args.command, args.out)
+    elif args.preset is None:
+        raise ConfigError("either --config or --preset is required")
+    else:
+        if args.command == "curvature":
+            # a metric spec, tabulated on a square inside its disc if it has one
+            w = 0.7 if presets.parse_metric_spec(args.preset).disc_domain else 1.0
+            row = (args.preset, None, None, (-w, w, -w, w), 65)
+        else:
+            row = presets.SCENARIO_SPECS[args.preset]
+        source, target, spec, domain, n = row
+        cfg = ScenarioConfig(kind=args.command, out=args.out, source=source,
+                             target=target, map_spec=spec, nx=n, ny=n,
+                             domain=domain)
+    if args.grid is not None:
+        cfg = dataclasses.replace(cfg, nx=args.grid, ny=args.grid)
+    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

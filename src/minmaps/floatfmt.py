@@ -39,7 +39,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["format_block"]
+__all__ = ["format_block", "write_table"]
 
 _WIDTH = 24               # longest %.17g text: -2.2250738585072014e-308
 _MAX_EXP = 280            # fast path for 10^-280 <= |v| < 10^280
@@ -49,6 +49,8 @@ _SPLIT = 134217729.0      # 2^27 + 1, Dekker's splitter for doubles
 _TIE_MARGIN = 2.0 ** -30  # product error is below 1e-14; far inside this
 _E16, _E17 = 1e16, 1e17
 _UNUSED = 99              # keep threshold no digit count reaches
+# values per write_table block: format_block needs ~120 bytes of scratch each
+_BLOCK_VALUES = 1 << 15
 
 
 @functools.cache
@@ -276,3 +278,16 @@ def format_block(block, sep: str = ",") -> bytes:
     ends[:, -1] = ord("\n")
     keep[:, _WIDTH] = True
     return buf[keep].tobytes()
+
+
+def write_table(path, head: str, columns, sep: str = ",") -> None:
+    """Write ``head``, then one line per point of the columns (each
+    flattened in C order) joined by ``sep``. Streamed in blocks of about
+    _BLOCK_VALUES values: no whole table's text or stacked copy is held."""
+    flat = [np.reshape(np.asarray(c, np.float64), -1) for c in columns]
+    rows = max(1, _BLOCK_VALUES // len(flat))
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        for i in range(0, flat[0].size, rows):
+            fh.write(format_block(np.stack([c[i:i + rows] for c in flat],
+                                           axis=-1), sep))

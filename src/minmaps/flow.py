@@ -58,7 +58,7 @@ import numpy as np
 
 from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError
-from .floatfmt import format_block
+from .floatfmt import write_table
 from .graph_geometry import induced_metric_arrays
 from .pointwise import MapField
 from .surface import BoundaryMode, ConformalMetric, GridChart
@@ -79,10 +79,6 @@ _SECANT_RIDGE = 1e-8
 REJECT_TENSION_FACTOR = 10.0
 # a step halved below this length (a full step is 1) means a stall
 LENGTH_UNDERFLOW = 1e-15
-
-# grid points formatted per write: the writer's scratch memory is about
-# 120 bytes per value, so blocks this size stay below the flow's own peak
-_SNAPSHOT_POINTS = 1 << 12
 
 MONITOR_COLUMNS = ("step", "length", "depth", "min_phi", "min_theta",
                    "max_abs_jf", "norm_H", "norm_tau", "chart_exits",
@@ -510,12 +506,9 @@ def write_snapshot(mapfield: MapField, path: str) -> None:
     if abs(grid.hx - grid.hy) > 1e-15 * max(grid.hx, grid.hy):
         raise ConfigError("snapshot format stores a single spacing; "
                           "grid must have hx == hy")
-    points = mapfield.values.reshape(-1, 2)
-    with open(path, "wb") as fh:
-        fh.write(f"{grid.nx} {grid.ny} {grid.hx:.17g} {grid.x0:.17g} "
-                 f"{grid.y0:.17g}\n".encode())
-        for i in range(0, len(points), _SNAPSHOT_POINTS):
-            fh.write(format_block(points[i:i + _SNAPSHOT_POINTS], " "))
+    write_table(path, f"{grid.nx} {grid.ny} {grid.hx:.17g} {grid.x0:.17g} "
+                      f"{grid.y0:.17g}\n",
+                np.moveaxis(mapfield.values, -1, 0), sep=" ")
 
 
 def read_snapshot(path: str, source: ConformalMetric,

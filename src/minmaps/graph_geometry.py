@@ -178,10 +178,9 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
                  d2(f2) - uNy * sym + uNx * mix)
 
     # normal projections <D_ij, e_{alpha+3}> in coordinate indices, then
-    # orthonormal tangent indices through v_k = (alpha1 cl, alpha2 cm)
-    cl = 1.0 / np.sqrt(1.0 + pw.lam ** 2)
-    cm = 1.0 / np.sqrt(1.0 + pw.mu ** 2)
-    v = (pw.alpha1 * cl[..., None], pw.alpha2 * cm[..., None])
+    # orthonormal tangent indices through v_k = (alpha1 cl, alpha2 cm), the
+    # source rows of e1 and e2
+    v = (frame[..., 0, 0:2], frame[..., 1, 0:2])
     A = _empty_planes(pw.lam.shape, (2, 2, 2))
     for alpha in (0, 1):
         e = frame[..., alpha + 2, :]

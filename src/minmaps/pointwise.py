@@ -396,6 +396,6 @@ def pointwise_grid(mapfield: MapField) -> PointwiseGrid:
             df, mapfield.source_samples.rho2, mapfield.target_samples.rho2)
         u1, u2 = jacobians(lam, mu, s)
         phi, theta = kahler_cosines(u1, u2)
-        jf = u2 / u1
+        jf = jacobian_determinant(u1, u2)
     return PointwiseGrid(mapfield.grid, df, lam, mu, s, a1, a2, b1, b2,
                          u1, u2, jf, phi, theta)

@@ -9,7 +9,7 @@ use ``expr:f1, f2``.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ __all__ = [
     "map_preset", "parse_map_spec", "parse_metric_spec",
     "paper_example_field", "z_squared_field", "z_squared_mixed_field",
     "identity_hyperbolic_field", "constant_field", "mobius_field",
-    "affine_field", "sine_bump", "SCENARIOS",
+    "affine_field", "sine_bump", "scenario_field", "SCENARIO_SPECS", "SCENARIOS",
 ]
 
 _RADIAL = "((exp(x) - 3*exp(-x))/2)"
@@ -111,74 +111,72 @@ def parse_metric_spec(text: str) -> ConformalMetric:
 
 # ------------------------------------------------------------- canonical maps
 
-def paper_example_field(n: int = 65) -> MapField:
-    """Minimal surface-of-revolution style map between flat charts.
-
-    f(x, y) = r(x) (cos(y/2), -sin(y/2)) with r = (e^x - 3 e^-x)/2, which
-    satisfies the minimal map equation between Euclidean factors. Chart
-    [-1.5, 1.5] x [-2, 2] with n points per axis, so hx = 3/4 hy.
-    """
-    grid = GridChart(-1.5, 1.5, -2.0, 2.0, n, n)
-    return MapField.from_expr(grid, ConformalMetric.euclidean(),
-                              ConformalMetric.euclidean(),
-                              map_preset("paper_example"))
+def scenario_field(source: str, target: str, spec: str,
+                   grid: GridChart) -> MapField:
+    """The map ``spec`` from metric ``source`` to metric ``target`` on grid."""
+    return MapField.from_expr(grid, parse_metric_spec(source),
+                              parse_metric_spec(target), parse_map_spec(spec))
 
 
-_Z2_HALF_WIDTH = 0.6 / math.sqrt(2.0)
+_W = 0.6 / math.sqrt(2.0)    # |z| <= 0.6 on this square: z^2 stays in the disc
+_Z2 = (-_W, _W, -_W, _W)
+
+SCENARIO_SPECS = {
+    # name: (source, target, map spec, chart (x0, x1, y0, y1), default n)
+    "paper_example": ("euclidean", "euclidean", "paper_example",
+                      (-1.5, 1.5, -2.0, 2.0), 65),
+    "z_squared": ("poincare_disc", "poincare_disc", "z_squared", _Z2, 65),
+    "z_squared_mixed": ("poincare_disc", "hyperbolic:2", "z_squared", _Z2, 65),
+    "identity_hyperbolic": ("hyperbolic:2", "hyperbolic:2", "identity",
+                            (-0.45, 0.45, -0.45, 0.45), 33),
+    "constant": ("poincare_disc", "poincare_disc", "constant:0.15,-0.2",
+                 (-0.5, 0.5, -0.5, 0.5), 33),
+    "mobius": ("poincare_disc", "poincare_disc", "mobius:0.3", (-0.5, 0.5, -0.5, 0.5), 33),
+    "affine": ("euclidean", "euclidean", "affine:2,0,0,0.5", (-1.0, 1.0, -1.0, 1.0), 33),
+}
 
 
-def z_squared_field(n: int = 65, half_width: float = _Z2_HALF_WIDTH) -> MapField:
-    """z -> z^2 between Poincare discs; holomorphic, hence minimal.
-
-    The default square chart keeps |z| <= 0.6 so the image stays well
-    inside the target disc.
-    """
-    grid = GridChart(-half_width, half_width, -half_width, half_width, n, n)
-    return MapField.from_expr(grid, ConformalMetric.poincare_disc(),
-                              ConformalMetric.poincare_disc(),
-                              map_preset("z_squared"))
+def _preset(name: str, n: Optional[int], spec: Optional[str] = None) -> MapField:
+    source, target, default_spec, chart, default_n = SCENARIO_SPECS[name]
+    size = default_n if n is None else n
+    return scenario_field(source, target, spec or default_spec,
+                          GridChart(*chart, size, size))
 
 
-def z_squared_mixed_field(n: int = 65, half_width: float = _Z2_HALF_WIDTH) -> MapField:
+def paper_example_field(n: Optional[int] = None) -> MapField:
+    """r(x) (cos(y/2), -sin(y/2)), r = (e^x - 3 e^-x)/2: minimal, flat charts."""
+    return _preset("paper_example", n)
+
+
+def z_squared_field(n: Optional[int] = None) -> MapField:
+    """z -> z^2 between Poincare discs; holomorphic, hence minimal."""
+    return _preset("z_squared", n)
+
+
+def z_squared_mixed_field(n: Optional[int] = None) -> MapField:
     """z -> z^2 from the Poincare disc into a curvature -2 disc."""
-    grid = GridChart(-half_width, half_width, -half_width, half_width, n, n)
-    return MapField.from_expr(grid, ConformalMetric.poincare_disc(),
-                              ConformalMetric.hyperbolic(2.0),
-                              map_preset("z_squared"))
+    return _preset("z_squared_mixed", n)
 
 
-def identity_hyperbolic_field(n: int = 33, sigma: float = 2.0,
-                              half_width: float = 0.45) -> MapField:
-    """Identity between two copies of the same rescaled hyperbolic disc."""
-    grid = GridChart(-half_width, half_width, -half_width, half_width, n, n)
-    metric = ConformalMetric.hyperbolic(sigma)
-    return MapField.from_expr(grid, metric, metric, map_preset("identity"))
+def identity_hyperbolic_field(n: Optional[int] = None) -> MapField:
+    """Identity between two copies of the curvature -2 disc."""
+    return _preset("identity_hyperbolic", n)
 
 
-def constant_field(n: int = 33, value: tuple[float, float] = (0.15, -0.2),
-                   half_width: float = 0.5) -> MapField:
+def constant_field(n: Optional[int] = None) -> MapField:
     """Constant map between Poincare discs; totally geodesic fibre point."""
-    grid = GridChart(-half_width, half_width, -half_width, half_width, n, n)
-    return MapField.from_expr(grid, ConformalMetric.poincare_disc(),
-                              ConformalMetric.poincare_disc(),
-                              map_preset("constant", *value))
+    return _preset("constant", n)
 
 
-def mobius_field(a: float = 0.3, n: int = 33, half_width: float = 0.5) -> MapField:
-    """Disc automorphism z -> (z - a)/(1 - a z); a hyperbolic isometry."""
-    grid = GridChart(-half_width, half_width, -half_width, half_width, n, n)
-    return MapField.from_expr(grid, ConformalMetric.poincare_disc(),
-                              ConformalMetric.poincare_disc(),
-                              map_preset("mobius", a))
+def mobius_field(n: Optional[int] = None) -> MapField:
+    """Disc automorphism z -> (z - a)/(1 - a z), a = 0.3; a hyperbolic isometry."""
+    return _preset("mobius", n)
 
 
 def affine_field(a: float = 2.0, b: float = 0.0, c: float = 0.0, d: float = 0.5,
-                 n: int = 33, half_width: float = 1.0) -> MapField:
+                 n: Optional[int] = None) -> MapField:
     """Linear map between Euclidean charts; constant singular data."""
-    grid = GridChart(-half_width, half_width, -half_width, half_width, n, n)
-    return MapField.from_expr(grid, ConformalMetric.euclidean(),
-                              ConformalMetric.euclidean(),
-                              map_preset("affine", a, b, c, d))
+    return _preset("affine", n, f"affine:{a},{b},{c},{d}")
 
 
 def sine_bump(mf: MapField, eps: float) -> MapField:

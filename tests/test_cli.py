@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from minmaps import presets
 from minmaps.cli import main
 
 Z2_HALF = 0.6 / math.sqrt(2.0)
@@ -45,10 +46,9 @@ def test_point_table_layout(tmp_path):
 def test_point_tables_match_per_value_writer(tmp_path, monkeypatch, preset, n):
     # the bumped map has no formula: its df comes from finite differences,
     # the path of every flow output, snapshot and perturbed start
-    from minmaps import cli
+    from minmaps import cli, floatfmt
     from text_oracle import table_bytes
 
-    assert n % cli._TABLE_ROWS, "the table must end inside a write block"
     source = ["--preset", preset, "--grid", str(n)]
     if preset == "bumped_z_squared":
         cfgfile = tmp_path / "bumped.ini"
@@ -65,11 +65,12 @@ def test_point_tables_match_per_value_writer(tmp_path, monkeypatch, preset, n):
             half_width = {Z2_HALF!r}
         """))
         source = ["--config", str(cfgfile)]
-    expected = {}
+    expected, blocks = {}, {}
     write_table = cli._write_table
 
     def spy(path, name, columns, fields):
         expected[path.name] = table_bytes(name, columns, fields)
+        blocks[path.name] = divmod(n * n, floatfmt._BLOCK_VALUES // len(columns))
         write_table(path, name, columns, fields)
 
     monkeypatch.setattr(cli, "_write_table", spy)
@@ -77,6 +78,8 @@ def test_point_tables_match_per_value_writer(tmp_path, monkeypatch, preset, n):
         assert main([kind, *source, "--out", str(tmp_path)]) == 0
     assert sorted(expected) == ["analysis.csv", "verify.csv"]
     assert b",nan," in expected["verify.csv"]       # the residuals' NaN ring
+    if n == 65:     # whole write blocks, then a last one that ends inside
+        assert all(full >= 1 and rest for full, rest in blocks.values())
     for name, want in expected.items():
         assert (tmp_path / name).read_bytes() == want
 
@@ -183,6 +186,44 @@ def test_analyze_preset_and_expr_config_agree_bytewise(tmp_path):
     """))
     assert main(["analyze", "--config", str(cfgfile), "--out", str(b)]) == 0
     assert (a / "analysis.csv").read_bytes() == (b / "analysis.csv").read_bytes()
+
+
+def _spec_config(path, kind, source, target, spec, chart, n):
+    x0, x1, y0, y1 = chart
+    lines = ["[source]", f"metric = {source}"]
+    if kind != "curvature":
+        lines += ["[target]", f"metric = {target}", "[map]", f"spec = {spec}"]
+    lines += ["[grid]", f"nx = {n}", f"x0 = {x0!r}", f"x1 = {x1!r}",
+              f"y0 = {y0!r}", f"y1 = {y1!r}"]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["analyze", "verify", "refine"])
+@pytest.mark.parametrize("name", sorted(presets.SCENARIO_SPECS))
+def test_preset_and_its_config_agree_bytewise(tmp_path, kind, name):
+    # --preset NAME is shorthand for its SCENARIO_SPECS row, at its default n
+    cfgfile = _spec_config(tmp_path / "scenario.ini", kind,
+                           *presets.SCENARIO_SPECS[name])
+    a, b = tmp_path / "preset", tmp_path / "config"
+    assert main([kind, "--preset", name, "--out", str(a)]) == 0
+    assert main([kind, "--config", str(cfgfile), "--out", str(b)]) == 0
+    files = sorted(p.name for p in a.iterdir())
+    assert files == sorted(p.name for p in b.iterdir()) and len(files) == 2
+    for file in files:
+        assert (a / file).read_bytes() == (b / file).read_bytes()
+
+
+def test_curvature_preset_and_its_config_agree_bytewise(tmp_path):
+    # a curvature preset is a metric on +-0.7 (disc charts) at n = 65
+    cfgfile = _spec_config(tmp_path / "scenario.ini", "curvature",
+                           "poincare_disc", None, None,
+                           (-0.7, 0.7, -0.7, 0.7), 65)
+    a, b = tmp_path / "preset", tmp_path / "config"
+    assert main(["curvature", "--preset", "poincare_disc", "--out", str(a)]) == 0
+    assert main(["curvature", "--config", str(cfgfile), "--out", str(b)]) == 0
+    for file in ("curvature.csv", "summary.txt"):
+        assert (a / file).read_bytes() == (b / file).read_bytes()
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from minmaps import floatfmt
-from minmaps.floatfmt import format_block
+from minmaps.floatfmt import format_block, write_table
 from text_oracle import format_rows
 
 
@@ -92,3 +92,24 @@ def test_power_table_is_built_on_first_use():
             "f.format_block([[1.5]]); "
             "assert f._pow10.cache_info().currsize == 1")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+@pytest.mark.parametrize("ncols, shape, sep, ends_inside", [
+    (4, (128, 128), ",", False),        # two whole blocks of 8192 rows
+    (3, (65, 400), ",", True),          # two whole blocks, then 4156 rows
+    (1, (1 << 15 | 7,), ",", True),     # a single column
+    (2, (129, 129), " ", True),         # the snapshot layout
+], ids=["block_multiple", "mid_block", "one_column", "space_separated"])
+def test_write_table_matches_per_value_writer(tmp_path, ncols, shape, sep,
+                                              ends_inside):
+    # every column is flattened in C order, one line per point
+    rng = np.random.default_rng(ncols)
+    columns = rng.standard_normal((ncols, *shape)) \
+        * 10.0 ** rng.integers(-8, 8, (ncols, *shape))
+    columns[0].flat[::97] = np.nan
+    full, rest = divmod(columns[0].size, floatfmt._BLOCK_VALUES // ncols)
+    assert full >= 1 and bool(rest) == ends_inside
+    path = tmp_path / "table.txt"
+    write_table(path, "head line\n", columns, sep)
+    want = format_rows(columns.reshape(ncols, -1).T, sep)
+    assert path.read_bytes() == b"head line\n" + want

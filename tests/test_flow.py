@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from minmaps import (BoundaryMode, ConformalMetric, FlowConfig, GridChart,
-                     MapExpr, MapField, TheoremHypotheses, flow, presets)
+                     MapExpr, MapField, TheoremHypotheses, floatfmt, flow,
+                     presets)
 from minmaps.errors import ConfigError, NumericalError
 
 EUC = ConformalMetric.euclidean()
@@ -463,10 +464,11 @@ def test_snapshot_round_trip(tmp_path, z2_33):
 def test_snapshot_matches_per_value_writer(tmp_path):
     from text_oracle import snapshot_bytes
 
-    # 129 x 129 points span many write blocks, the last one partial; the
+    # 129 x 129 points span several write blocks, the last one partial; the
     # noise fills all 17 digits
     mf = presets.z_squared_field(n=129)
-    assert mf.grid.nx * mf.grid.ny > flow._SNAPSHOT_POINTS
+    full, rest = divmod(mf.grid.nx * mf.grid.ny, floatfmt._BLOCK_VALUES // 2)
+    assert full >= 1 and rest
     noise = np.random.default_rng(7).standard_normal(mf.values.shape)
     mf = MapField(mf.grid, mf.source, mf.target, mf.values + 1e-3 * noise)
     path = tmp_path / "map.txt"

@@ -290,6 +290,14 @@ def _run_analyze(cfg: ScenarioConfig) -> None:
     ])
 
 
+def _checked(check, mf):
+    """check(mf) and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = check(mf)
+    return report, [str(w.message) for w in caught]
+
+
 def _run_verify(cfg: ScenarioConfig) -> None:
     mf = _make_field(cfg)
     X, Y = mf.grid.mesh()
@@ -298,11 +306,8 @@ def _run_verify(cfg: ScenarioConfig) -> None:
     items = [("grid", f"{mf.grid.nx}x{mf.grid.ny}"), ("h", mf.grid.h)]
     notes = []
     for name, check in IDENTITY_CHECKS:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = check(mf)
-        for w in caught:
-            notes.append(("warning", f"{name}: {w.message}"))
+        report, messages = _checked(check, mf)
+        notes += [("warning", f"{name}: {m}") for m in messages]
         for comp, residual in report.components.items():
             columns.append(f"{name}.{comp}")
             fields.append(residual)
@@ -320,11 +325,14 @@ def _run_refine(cfg: ScenarioConfig) -> None:
     # one field (and one graph geometry) per grid serves all four identities
     ns = cfg.refine_grids
     hs, norms = [], {name: [] for name, _ in IDENTITY_CHECKS}
+    notes = set()                       # (n, message): one line per grid
     for n in ns:
         mf = _make_field(cfg, n)
         hs.append(mf.grid.h)
         for name, check in IDENTITY_CHECKS:
-            norms[name].append(check(mf).norm_inf)
+            report, messages = _checked(check, mf)
+            norms[name].append(report.norm_inf)
+            notes.update((n, m) for m in messages)
     studies = {name: convergence_study(hs, norms[name]) for name in norms}
 
     any_study = next(iter(studies.values()))
@@ -342,6 +350,7 @@ def _run_refine(cfg: ScenarioConfig) -> None:
                   (f"{name}.estimated_order", f"{st.estimated_order:.6g}"),
                   (f"{name}.exact", st.exact),
                   (f"{name}.second_order", st.second_order)]
+    items += [("warning", f"n={n}: {m}") for n, m in sorted(notes)]
     _write_summary(cfg.out / "summary.txt", "refine", items)
 
 

@@ -17,8 +17,10 @@ printf floating point conversion", OOPSLA 2019), instead of one bignum
   10^(16-X) (the table is exact to about 2^-106, built once from Python
   integers on first use);
 * that product is rounded half to even to a 17-digit integer. Where
-  10^(16-X) is itself a double the product is exact, so exact ties round
-  as ``%.17g`` rounds them.
+  10^(16-X) is itself a double (-6 <= X <= 16) the product is exact, so
+  exact ties round as ``%.17g`` rounds them. Values are sorted by their
+  estimated X first, so the values of one such group share one Dekker
+  product by a constant, with no table lookup and no tie test.
 
 Everything the argument does not cover goes to Python's own ``%.17g``:
 values within 2^-30 of a rounding tie where 10^(16-X) is inexact,
@@ -28,9 +30,10 @@ words; a nan prints ``nan`` whatever its sign bit.
 
 The text is laid out in an ``(m*c, W + 1)`` byte buffer, one row per value
 and one separator byte at the end. Values sharing a decimal exponent share
-a layout, so each exponent group is filled with whole-row writes; a keep
-mask then drops the unused bytes (the sign of positive values, trailing
-zeros of the fraction) in one compaction.
+a layout, so each exponent group is filled with whole-row writes. Unused
+bytes (the sign of positive values, trailing zeros of the fraction, the
+padding) are 0 in that buffer, and one compaction drops the zero bytes: no
+byte of ASCII text is 0.
 """
 
 from __future__ import annotations
@@ -79,6 +82,27 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return big, x - big
 
 
+def _exact_product(x: np.ndarray, h: float,
+                   out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = fl(x * h) and q = x * h - p exactly (Dekker), for one double h.
+
+    out holds five rows of x.size: p, q and the scratch of the split, so a
+    product allocates no array of its own.
+    """
+    p, q, x1, x2, t = out
+    h1, h2 = _split(h)
+    np.multiply(x, h, out=p)
+    np.multiply(x, _SPLIT, out=x1)       # x1, x2 = _split(x), in place
+    np.subtract(x1, x, out=x2)
+    np.subtract(x1, x2, out=x1)
+    np.subtract(x, x1, out=x2)
+    np.multiply(x1, h1, out=q)           # ((x1*h1 - p) + x1*h2 + x2*h1) + x2*h2
+    q -= p
+    for y, c in ((x1, h2), (x2, h1), (x2, h2)):
+        q += np.multiply(y, c, out=t)
+    return p, q
+
+
 def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10^s as an unevaluated sum p + q with p = fl(a * 10^s)."""
     hi, lo = _pow10()
@@ -91,6 +115,14 @@ def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, err + a * l
 
 
+def _off(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the exact product p + q lies below 1e16 and where at or above
+    1e17: it lies in [1e16, 1e17) iff X = floor(log10 a)."""
+    low = (p < _E16) | ((p == _E16) & (q < 0.0))
+    high = (p > _E17) | ((p == _E17) & (q >= 0.0))
+    return low, high
+
+
 def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """17 rounded digits D and exponent X with a ~= D * 10^(X-16).
 
@@ -101,9 +133,7 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p, q = _scaled(a, 16 - X)
     ok = np.ones(a.size, bool)
     for _ in range(3):
-        # the exact product lies in [1e16, 1e17) iff X = floor(log10 a)
-        low = (p < _E16) | ((p == _E16) & (q < 0.0))
-        high = (p > _E17) | ((p == _E17) & (q >= 0.0))
+        low, high = _off(p, q)
         fix = np.flatnonzero(low | high)
         if fix.size == 0:
             break
@@ -170,12 +200,13 @@ def _layout(X: int) -> tuple[np.ndarray, tuple, np.ndarray]:
 
     Byte 0 holds the sign and the last byte the separator. Each run
     (dst, src, length) copies digits src ... src+length-1 to bytes dst ...;
-    row k of the keep masks is the mask of a value with k significant
-    digits once trailing zeros are dropped.
+    row k of the keep masks (uint8, 1 = kept) is the mask of a value with k
+    significant digits once trailing zeros are dropped. The sign byte is
+    kept; the caller zeroes it for positive values.
     """
     text = np.full(_WIDTH + 1, ord(" "), np.uint8)
     need = np.full(_WIDTH + 1, _UNUSED, np.int64)   # kept iff digits > need
-    need[_WIDTH] = -1
+    need[[0, _WIDTH]] = -1
     text[0] = ord("-")
     k = np.arange(17)
     if 0 <= X < 17:                               # ddd.ddd
@@ -200,7 +231,7 @@ def _layout(X: int) -> tuple[np.ndarray, tuple, np.ndarray]:
         need[19:19 + tail.size] = -1
     bounds = [0, *(np.flatnonzero(np.diff(pos) > 1) + 1).tolist(), 17]
     runs = tuple((int(pos[a]), a, b - a) for a, b in zip(bounds, bounds[1:]))
-    keep = np.arange(18)[:, None] > need
+    keep = (np.arange(18)[:, None] > need).astype(np.uint8)
     for arr in (text, keep):
         arr.flags.writeable = False
     return text, runs, keep
@@ -212,30 +243,76 @@ def _rows(arr: np.ndarray) -> np.ndarray:
     return arr.view(np.dtype((np.void, arr.shape[1] * arr.itemsize))).ravel()
 
 
-def _text_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       np.ndarray]:
-    """Text rows of the values of a that _decimal proves, in exponent order.
+def _groups(X: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the runs of equal values of a sorted X."""
+    if X.size == 0:
+        return []
+    values = np.arange(X[0], X[-1] + 2, dtype=X.dtype)
+    edges = np.searchsorted(X, values).tolist()
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
-    Returns (rows, text, kept, ok): text[i] and its keep mask kept[i] (sign
-    byte not yet set) belong to a[rows[i]]; ok marks the values proved.
+
+def _sorted_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray, np.ndarray]:
+    """(order, D, X, ok): _decimal of a[order], order sorting a by X.
+
+    Values are grouped by their estimated X first. A group whose scale
+    10^(16-X) is a double takes one exact product by that constant; the
+    values it places outside [1e16, 1e17), and groups at an inexact scale,
+    go through _decimal.
     """
-    D, X, ok = _decimal(a)
-    rows = np.flatnonzero(ok)
-    rows = rows[np.argsort(X[rows].astype(np.int16), kind="stable")]  # radix
-    X = X[rows]
-    digits, ndig = _digits(D[rows])
+    X = np.floor(np.log10(a)).astype(np.int16)
+    order = np.argsort(X, kind="stable")                     # radix
+    a, X = a[order], X[order]
+    D = np.empty(a.size, np.int64)
+    # one scratch for every group's product: temporaries sized by group
+    # would leave the heap fragmented and the process's resident set larger
+    scratch = np.empty((5, a.size))
+    redo = [np.empty(0, np.intp)]
+    for lo, hi in _groups(X):
+        s = 16 - int(X[lo])
+        if not 0 <= s <= 22:
+            redo.append(np.arange(lo, hi))
+            continue
+        p, q = _exact_product(a[lo:hi], float(10 ** s), scratch[:, lo:hi])
+        low, high = _off(p, q)
+        # p + q is exact and p an even integer, so rint settles ties half to
+        # even. No D here carries to 10^17: below 10^(X+1) the nearest
+        # double's product is at least 8 under 1e17
+        D[lo:hi] = p.astype(np.int64) + np.rint(q).astype(np.int64)
+        redo.append(lo + np.flatnonzero(low | high))
+    redo = np.concatenate(redo)
+    ok = np.ones(a.size, bool)
+    D[redo], fixed, ok[redo] = _decimal(a[redo])
+    if (fixed != X[redo]).any():          # an exponent moved: sort again
+        X[redo] = fixed
+        resort = np.argsort(X, kind="stable")
+        order, D, X, ok = order[resort], D[resort], X[resort], ok[resort]
+    return order, D, X, ok
+
+
+def _text_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Text rows of the values of a that the product proves.
+
+    Returns (rows, text, slow): text[i] is the text of a[rows[i]] with its
+    dropped bytes 0 and the sign byte kept; slow lists the values left to
+    Python.
+    """
+    order, D, X, ok = _sorted_decimal(a)
+    slow = order[~ok]
+    if slow.size:
+        order, D, X = order[ok], D[ok], X[ok]
+    digits, ndig = _digits(D)
 
     # each exponent group is one slice with one layout
-    text = np.empty((rows.size, _WIDTH + 1), np.uint8)
-    kept = np.empty((rows.size, _WIDTH + 1), bool)
-    edges = [*np.flatnonzero(np.diff(X, prepend=X[:1] - 1)).tolist(), rows.size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    text = np.empty((order.size, _WIDTH + 1), np.uint8)
+    for lo, hi in _groups(X):
         template, runs, keep_by_count = _layout(int(X[lo]))
         text[lo:hi] = template
         for dst, src, length in runs:
             text[lo:hi, dst:dst + length] = digits[lo:hi, src:src + length]
-        np.take(keep_by_count, ndig[lo:hi], axis=0, out=kept[lo:hi])
-    return rows, text, kept, ok
+        text[lo:hi] *= keep_by_count[ndig[lo:hi]]
+    return order, text, slow
 
 
 def format_block(block, sep: str = ",") -> bytes:
@@ -251,33 +328,28 @@ def format_block(block, sep: str = ",") -> bytes:
 
     in_range = (a >= 10.0 ** -_MAX_EXP) & (a < 10.0 ** _MAX_EXP)
     fast = np.flatnonzero(in_range)
-    rows, text, kept, ok = _text_rows(a[fast])
+    rows, text, slow = _text_rows(a[fast])
     at = fast[rows]
-    kept[:, 0] = neg[at]
-    buf = np.empty((flat.size, _WIDTH + 1), np.uint8)
-    keep = np.zeros((flat.size, _WIDTH + 1), bool)
+    text[:, 0] *= neg[at]     # the sign byte: "-", or 0 when positive
+    # no ASCII text byte is 0, so 0 marks a dropped byte
+    buf = np.zeros((flat.size, _WIDTH + 1), np.uint8)
     _rows(buf)[at] = _rows(text)
-    _rows(keep)[at] = _rows(kept)
-    del text, kept            # scratch: free it before the compaction
+    del text                  # scratch: free it before the compaction
 
     nan, inf, zero = np.isnan(flat), np.isinf(flat), a == 0.0
     for word, where in ((b"nan", nan), (b"inf", inf & ~neg),
                         (b"-inf", inf & neg), (b"0", zero & ~neg),
                         (b"-0", zero & neg)):
-        at = np.flatnonzero(where)
-        buf[at, :len(word)] = np.frombuffer(word, np.uint8)
-        keep[at, :len(word)] = True
-    slow = [fast[~ok], np.flatnonzero(~(in_range | nan | inf | zero))]
+        buf[np.flatnonzero(where), :len(word)] = np.frombuffer(word, np.uint8)
+    slow = [fast[slow], np.flatnonzero(~(in_range | nan | inf | zero))]
     for i in np.concatenate(slow).tolist():
         word = f"{flat[i]:.17g}".encode()
         buf[i, :len(word)] = np.frombuffer(word, np.uint8)
-        keep[i, :len(word)] = True
 
     ends = buf[:, _WIDTH].reshape(m, c)
     ends[:, :-1] = ord(sep)
     ends[:, -1] = ord("\n")
-    keep[:, _WIDTH] = True
-    return buf[keep].tobytes()
+    return buf[buf != 0].tobytes()
 
 
 def write_table(path, head: str, columns, sep: str = ",") -> None:

@@ -50,6 +50,7 @@ NumericalError ("flow stalled").
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -419,6 +420,19 @@ def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
     return 4.0 * np.sin(0.5 * theta) ** 2 / (h * h)
 
 
+@functools.lru_cache(maxsize=8)
+def _symbol_sum(grid: GridChart) -> tuple[np.ndarray, float]:
+    """The 2-D symbol lx[:, None] + ly[None, :] on the solver's modes (read
+    only) and lambda_1, the smallest non-zero 1-D symbol."""
+    lx = _symbol(grid.nx, grid.hx, grid.periodic)
+    ly = _symbol(grid.ny, grid.hy, grid.periodic)
+    if grid.periodic:
+        ly = ly[:grid.ny // 2 + 1]
+    lsum = lx[:, None] + ly[None, :]
+    lsum.flags.writeable = False
+    return lsum, float(min(lx[1], ly[1]))
+
+
 def solve_laplacian(rhs: np.ndarray, coef: float, grid: GridChart) -> np.ndarray:
     """Solve -coef Lap_h u = rhs on the structural interior: the solver's
     preconditioner. On a periodic grid Lap_h annihilates constants, so the
@@ -430,13 +444,10 @@ def solve_laplacian(rhs: np.ndarray, coef: float, grid: GridChart) -> np.ndarray
     on the ring; on a periodic grid they cover the whole grid. Trailing
     axes of rhs are independent components.
     """
-    lx = _symbol(grid.nx, grid.hx, grid.periodic)
-    ly = _symbol(grid.ny, grid.hy, grid.periodic)
+    lsum, lambda_1 = _symbol_sum(grid)
+    denom = coef * lsum                     # a fresh array: [0, 0] is set below
     if grid.periodic:
-        ly = ly[:grid.ny // 2 + 1]
-    denom = coef * (lx[:, None] + ly[None, :])
-    if grid.periodic:
-        denom[0, 0] = coef * min(lx[1], ly[1])
+        denom[0, 0] = coef * lambda_1
     denom = denom.reshape(denom.shape + (1,) * (rhs.ndim - 2))
     if grid.periodic:
         spec = np.fft.rfft2(rhs, axes=(0, 1)) / denom

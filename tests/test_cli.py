@@ -268,6 +268,34 @@ def test_refine_affine_is_exact(tmp_path):
         assert summary[f"{name}.second_order"] == "true"
 
 
+def test_refine_records_identity_warnings(tmp_path, capsys):
+    # a perturbed map is not minimal: the identity checks warn on every
+    # grid, and the refine summary keeps each distinct warning once per grid
+    cfgfile = tmp_path / "refine.ini"
+    cfgfile.write_text(textwrap.dedent("""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = poincare_disc
+        [map]
+        spec = mobius:0.3
+        perturb = 0.01
+        [grid]
+        nx = 17
+        half_width = 0.45
+        [refine]
+        grids = 17, 33, 65
+    """))
+    out = tmp_path / "run"
+    assert main(["refine", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert "not numerically minimal" not in capsys.readouterr().err
+    notes = [line for line in (out / "summary.txt").read_text().splitlines()
+             if line.startswith("warning = ")]
+    assert [line.split(":")[0] for line in notes] == [
+        "warning = n=17", "warning = n=33", "warning = n=65"]
+    assert all("map is not numerically minimal" in line for line in notes)
+
+
 # ---------------------------------------------------------------------- flow
 
 def test_flow_relaxes_perturbed_holomorphic_map(tmp_path):

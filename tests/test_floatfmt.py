@@ -2,6 +2,8 @@
 
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -42,8 +44,12 @@ blocks = arrays(np.float64,
 @example(np.array([[5e-324, 2.2250738585072014e-308, 1e-300, 1e300]]), ",")
 @example(np.empty((0, 3)), ",")
 @example(np.empty((2, 0)), ",")
+@example(np.array([[np.nan, 1.5, -0.0, -np.inf, 5e-324, 2.0 ** -25, -0.1]]),
+         ",")
 def test_block_matches_per_value_writer(block, sep):
-    assert format_block(block, sep) == format_rows(block, sep)
+    out = format_block(block, sep)
+    assert out == format_rows(block, sep)
+    assert b"\0" not in out      # 0 marks a dropped byte in the writer
 
 
 def pinned_values():
@@ -74,6 +80,51 @@ def test_exact_ties_round_half_even_on_the_fast_path():
     _, _, ok = floatfmt._decimal(ties)
     assert ok.all()
     assert format_block(ties[:, None]) == format_rows(ties[:, None])
+
+
+def exact_scale_values():
+    """For every X in -6 ... 16, where 10^(16-X) is a double: 10^X and both
+    neighbours, 5*10^X, random mantissas and the double below 10^(X+1),
+    plus ties 1e15 + k/4 that round half to even at 17 digits."""
+    tens = np.array([float(f"1e{k}") for k in range(-6, 17)])
+    below = np.nextafter([float(f"1e{k}") for k in range(-5, 18)], 0.0)
+    mantissas = np.random.default_rng(5).uniform(1.0, 10.0, (tens.size, 40))
+    return np.concatenate([tens, np.nextafter(tens, 0.0),
+                           np.nextafter(tens, np.inf), 5.0 * tens, below,
+                           (mantissas * tens[:, None]).ravel(),
+                           1e15 + np.arange(1, 400, 2) * 0.25])
+
+
+def test_exact_scale_groups_match_per_value_writer():
+    flat = exact_scale_values()
+    exponent = np.array([Decimal(v).adjusted() for v in flat.tolist()])
+    estimate = np.floor(np.log10(flat))
+    exact = (exponent >= -6) & (exponent <= 16)
+    # the log10 estimate is one off for some values, so the fix-up runs
+    assert (estimate != exponent)[exact].any()
+    order, _, _, ok = floatfmt._sorted_decimal(flat)
+    assert ok[np.argsort(order)][exact].all()      # none left to Python
+    block = np.concatenate([flat, -flat]).reshape(-1, 2)
+    assert format_block(block) == format_rows(block)
+
+
+def test_write_table_memory_does_not_grow_with_the_table(tmp_path):
+    # write_table streams: 16 blocks of a 7-column table need the scratch
+    # of 4 blocks, not four times as much
+    rows = floatfmt._BLOCK_VALUES // 7
+    tables = [np.random.default_rng(k).standard_normal((7, k * rows))
+              for k in (4, 16)]
+    path = tmp_path / "table.csv"
+    write_table(path, "head\n", tables[1])       # fill the lazy tables
+    peaks = []
+    for columns in tables:
+        tracemalloc.start()
+        try:
+            write_table(path, "head\n", columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
 def test_ties_under_an_inexact_scale_go_to_python():

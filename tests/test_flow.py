@@ -410,23 +410,25 @@ def test_implicit_step_count_does_not_grow_with_grid():
 def test_shifted_laplacian_solve_residual(boundary):
     # the preconditioner solves -coef Lap_h u = rhs; on a periodic grid,
     # where Lap_h annihilates constants, the operator is shifted on the mean
-    # mode, which gets mean / (coef lambda_1)
+    # mode, which gets mean / (coef lambda_1). The symbol is cached per
+    # grid, so a second solve on the same grid checks the cache too
     grid = GridChart(0.0, 1.0, 0.0, 2.5, 33, 20, boundary=boundary)
     assert grid.hx != grid.hy
     interior = np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
-    u = np.zeros((grid.nx, grid.ny, 2))
-    rhs = np.random.default_rng(7).standard_normal(u[interior].shape)
-    coef = 0.37
-    u[interior] = flow.solve_laplacian(rhs, coef, grid)
-    if grid.periodic:
-        mean = rhs.mean(axis=(0, 1))
-        lam1 = min(4 * math.sin(math.pi / n) ** 2 / h ** 2
-                   for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
-        assert u.mean(axis=(0, 1)) == pytest.approx(mean / (coef * lam1), rel=1e-10)
-        rhs = rhs - mean
-    for k in range(2):
-        lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
-        assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-12
+    for coef in (0.37, 2.5):
+        u = np.zeros((grid.nx, grid.ny, 2))
+        rhs = np.random.default_rng(7).standard_normal(u[interior].shape)
+        u[interior] = flow.solve_laplacian(rhs, coef, grid)
+        if grid.periodic:
+            mean = rhs.mean(axis=(0, 1))
+            lam1 = min(4 * math.sin(math.pi / n) ** 2 / h ** 2
+                       for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
+            assert u.mean(axis=(0, 1)) == pytest.approx(mean / (coef * lam1),
+                                                        rel=1e-10)
+            rhs = rhs - mean
+        for k in range(2):
+            lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
+            assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-12
 
 
 # ------------------------------------------------------------------------ io

@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -443,6 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args fills a fresh namespace on every call
+_parser = functools.cache(build_parser)
+
+
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is not None and args.preset is not None:
         raise ConfigError("--config and --preset are mutually exclusive")
@@ -467,7 +472,7 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run(_scenario_config(args))
     except ConfigError as exc:

@@ -13,13 +13,19 @@ Grammar (whitespace-insensitive)::
 Parse errors carry the byte offset of the offending token. Expressions are
 symbolically differentiable (`diff`), so expression-backed maps get exact
 chart Jacobians instead of finite-difference ones.
+
+`compile_expr` turns a tree into numpy closures once. Constant subtrees of
++ - * / and negation fold to floats, `a^2` is the exact product a*a, and
+every other power and function call runs numpy's ufunc on full arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .errors import ConfigError
 
 __all__ = [
     "ExprError", "Node", "Const", "Var", "Neg", "BinOp", "Call",
-    "parse_scalar", "parse_map", "diff", "evaluate", "MapExpr",
+    "parse_scalar", "parse_map", "diff", "compile_expr", "evaluate", "MapExpr",
 ]
 
 
@@ -224,28 +230,72 @@ def parse_map(text: str) -> tuple[Node, Node]:
     return first, second
 
 
-# ---------------------------------------------------------------- evaluation
+# -------------------------------------------------------------- compilation
+
+Program = Callable[[np.ndarray, np.ndarray], np.ndarray]
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def _compile(node: Node) -> Union[float, Program]:
+    """A constant subtree as its float, anything else as a closure of the
+    entry arrays (x, y). Folding only uses the exactly rounded + - * / and
+    negation, so a folded constant equals its full-array value bit for bit;
+    a^2 is the single-rounding product t*t; every other power, and a call
+    on a constant argument, runs numpy's ufunc on full arrays."""
+    if isinstance(node, Const):
+        return float(node.value)
+    if isinstance(node, Var):
+        return (lambda x, y: x) if node.name == "x" else (lambda x, y: y)
+    if isinstance(node, Neg):
+        a = _compile(node.arg)
+        return -a if isinstance(a, float) else (lambda x, y: -a(x, y))
+    if isinstance(node, Call):
+        fn, a = _FUNCS[node.func], _full(_compile(node.arg))
+        return lambda x, y: fn(a(x, y))
+    a, b = _compile(node.left), _compile(node.right)
+    if node.op == "^":
+        if isinstance(b, float) and b == 2.0:
+            if isinstance(a, float):
+                return a * a
+            return lambda x, y: (t := a(x, y)) * t
+        a, b = _full(a), _full(b)
+        return lambda x, y: np.power(a(x, y), b(x, y))
+    op = _ARITH[node.op]
+    if isinstance(a, float) and isinstance(b, float):
+        # numpy scalars: 1/0 is inf with a warning, as on arrays
+        return float(op(np.float64(a), np.float64(b)))
+    if isinstance(a, float):
+        return lambda x, y: op(a, b(x, y))
+    if isinstance(b, float):
+        return lambda x, y: op(a(x, y), b)
+    return lambda x, y: op(a(x, y), b(x, y))
+
+
+def _full(p: Union[float, Program]) -> Program:
+    """p as a closure; a constant becomes a full array of the entry shape."""
+    if isinstance(p, float):
+        return lambda x, y: np.full(np.broadcast(x, y).shape, p)
+    return p
+
+
+def compile_expr(node: Node) -> Program:
+    """node as a function of (x, y), compiled once. Each call returns a
+    fresh array; a constant fills the broadcast shape of x and y."""
+    prog = _full(_compile(node))
+
+    def run(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # fresh contiguous copies; + 0.0 also turns -0.0 into 0.0
+        return prog(np.asarray(x, dtype=float) + 0.0,
+                    np.asarray(y, dtype=float) + 0.0)
+
+    return run
+
 
 def evaluate(node: Node, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if isinstance(node, Const):
-        return np.broadcast_to(np.float64(node.value), np.broadcast(x, y).shape).copy()
-    if isinstance(node, Var):
-        return np.asarray(x if node.name == "x" else y, dtype=float) + 0.0
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, x, y)
-    if isinstance(node, Call):
-        return _FUNCS[node.func](evaluate(node.arg, x, y))
-    a = evaluate(node.left, x, y)
-    b = evaluate(node.right, x, y)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    return np.power(a, b)
+    """node at (x, y); compiles it on every call, so hold a `compile_expr`
+    program to evaluate one expression repeatedly."""
+    return compile_expr(node)(x, y)
 
 
 # ------------------------------------------------------------ symbolic diff
@@ -313,9 +363,10 @@ def diff(node: Node, var: str) -> Node:
         # (da*b - a*db) / b^2
         num = BinOp("-", _mul(da, b), _mul(a, db))
         return BinOp("/", num, _mul(b, b))
-    # power
-    if isinstance(b, Const):
-        c = b.value
+    # power: an exponent that folds to a constant (x^-1, x^(1+1)) takes the
+    # power rule, which stays finite at negative bases
+    c = _compile(b)
+    if isinstance(c, float):
         if c == 0.0:
             return Const(0.0)
         base = a if c == 2.0 else BinOp("^", a, Const(c - 1.0))
@@ -340,12 +391,20 @@ class MapExpr:
         f1, f2 = parse_map(text)
         return cls(f1, f2, source=text)
 
+    @cached_property
+    def _values(self) -> tuple[Program, Program]:
+        return compile_expr(self.f1), compile_expr(self.f2)
+
+    @cached_property
+    def _derivatives(self) -> tuple[tuple[Program, Program], ...]:
+        return tuple((compile_expr(diff(comp, "x")), compile_expr(diff(comp, "y")))
+                     for comp in (self.f1, self.f2))
+
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.stack([evaluate(self.f1, x, y), evaluate(self.f2, x, y)], axis=-1)
+        return np.stack([f(x, y) for f in self._values], axis=-1)
 
     def jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """df with shape (..., 2, 2); df[..., a, i] = d f^a / d x^i."""
         # component-major storage: each [..., a, i] is a contiguous plane
-        df = np.array([[evaluate(diff(comp, v), x, y) for v in ("x", "y")]
-                       for comp in (self.f1, self.f2)])
+        df = np.array([[d(x, y) for d in row] for row in self._derivatives])
         return np.moveaxis(df, (0, 1), (-2, -1))

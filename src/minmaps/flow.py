@@ -421,13 +421,15 @@ def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _symbol_sum(grid: GridChart) -> tuple[np.ndarray, float]:
+def _symbol_sum(nx: int, ny: int, hx: float, hy: float,
+                periodic: bool) -> tuple[np.ndarray, float]:
     """The 2-D symbol lx[:, None] + ly[None, :] on the solver's modes (read
-    only) and lambda_1, the smallest non-zero 1-D symbol."""
-    lx = _symbol(grid.nx, grid.hx, grid.periodic)
-    ly = _symbol(grid.ny, grid.hy, grid.periodic)
-    if grid.periodic:
-        ly = ly[:grid.ny // 2 + 1]
+    only) and lambda_1, the smallest non-zero 1-D symbol. Keyed on the
+    grid's shape and spacings, not the chart, so no cached mesh is kept."""
+    lx = _symbol(nx, hx, periodic)
+    ly = _symbol(ny, hy, periodic)
+    if periodic:
+        ly = ly[:ny // 2 + 1]
     lsum = lx[:, None] + ly[None, :]
     lsum.flags.writeable = False
     return lsum, float(min(lx[1], ly[1]))
@@ -444,7 +446,8 @@ def solve_laplacian(rhs: np.ndarray, coef: float, grid: GridChart) -> np.ndarray
     on the ring; on a periodic grid they cover the whole grid. Trailing
     axes of rhs are independent components.
     """
-    lsum, lambda_1 = _symbol_sum(grid)
+    lsum, lambda_1 = _symbol_sum(grid.nx, grid.ny, grid.hx, grid.hy,
+                                 grid.periodic)
     denom = coef * lsum                     # a fresh array: [0, 0] is set below
     if grid.periodic:
         denom[0, 0] = coef * lambda_1

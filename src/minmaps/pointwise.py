@@ -60,7 +60,7 @@ _NEAR_RANK = 1e-6
 @dataclass(eq=False)
 class FactorSamples:
     """A conformal factor's rho^2, grad log rho and curvature, each sampled
-    on first use and kept; `points` remakes the points (no mesh is kept)."""
+    on first use and kept; `points` returns the sample points."""
 
     metric: ConformalMetric
     points: Callable[[], tuple[np.ndarray, np.ndarray]]

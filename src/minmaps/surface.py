@@ -24,7 +24,7 @@ import numpy as np
 
 from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError
-from .expressions import BinOp, Call, Node, diff, evaluate, parse_scalar
+from .expressions import BinOp, Call, Node, Program, compile_expr, diff, parse_scalar
 
 __all__ = [
     "FactorKind", "ConformalMetric", "BoundaryMode", "GridChart",
@@ -95,7 +95,7 @@ class ConformalMetric:
             return 2.0 / (math.sqrt(self.sigma) * (1.0 - x * x - y * y))
         if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
             return 2.0 / (1.0 + x * x + y * y)
-        val = evaluate(self.expr, x, y)
+        val = self._programs[0](x, y)
         if not np.all(val > 0):
             raise NumericalError("custom conformal factor must be positive")
         return val
@@ -115,15 +115,17 @@ class ConformalMetric:
             w = 1.0 + x * x + y * y
             return -2.0 * x / w, -2.0 * y / w
         self.rho(x, y)  # positivity check
-        ux, uy, _ = self._log_rho_derivatives
-        return evaluate(ux, x, y), evaluate(uy, x, y)
+        _, ux, uy, _ = self._programs
+        return ux(x, y), uy(x, y)
 
     @cached_property
-    def _log_rho_derivatives(self) -> tuple[Node, Node, Node]:
-        """Symbolic u_x, u_y and u_xx + u_yy of u = log rho (custom factors)."""
+    def _programs(self) -> tuple[Program, Program, Program, Program]:
+        """rho and the symbolic u_x, u_y and u_xx + u_yy of u = log rho,
+        compiled once (custom factors)."""
         u = Call("log", self.expr)
         ux, uy = diff(u, "x"), diff(u, "y")
-        return ux, uy, BinOp("+", diff(ux, "x"), diff(uy, "y"))
+        lap = BinOp("+", diff(ux, "x"), diff(uy, "y"))
+        return tuple(compile_expr(n) for n in (self.expr, ux, uy, lap))
 
     # ------------------------------------------------------------- geometry
 
@@ -138,7 +140,7 @@ class ConformalMetric:
                 self.check_domain(x, y)
             return np.broadcast_to(constant, np.broadcast(np.asarray(x), np.asarray(y)).shape)
         r = self.rho(x, y)
-        return -evaluate(self._log_rho_derivatives[2], x, y) / (r * r)
+        return -self._programs[3](x, y) / (r * r)
 
     def metric_tensor(self, x, y) -> np.ndarray:
         """g = rho^2 I with shape (..., 2, 2)."""
@@ -241,7 +243,15 @@ class GridChart:
         return self.y0 + self.hy * np.arange(self.ny)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.xs, self.ys, indexing="ij")
+        """(X, Y) with X[i, j] = x_i, Y[i, j] = y_j: built once per chart and
+        shared, so read only."""
+        return self._mesh
+
+    @cached_property
+    def _mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        X.flags.writeable = Y.flags.writeable = False
+        return X, Y
 
     @property
     def cell_area(self) -> float:

@@ -1,6 +1,21 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import minmaps
 from minmaps import presets
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_this_checkout():
+    """Interpreters that tests start import minmaps from the same sources,
+    also when pytest found them through its own pythonpath setting."""
+    src = str(Path(minmaps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", path)
+        yield
 
 
 @pytest.fixture(scope="session")

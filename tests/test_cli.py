@@ -540,6 +540,31 @@ def test_unknown_preset_rejected_by_argparse(tmp_path):
         main(["analyze", "--preset", "not_a_fixture", "--out", str(tmp_path)])
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    # main parses with one parser per process: a --grid of one call must not
+    # become the default of the next
+    base = ["analyze", "--preset", "z_squared"]
+    assert main(base + ["--grid", "17", "--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    assert read_summary(tmp_path / "a" / "summary.txt")["grid"] == "17x17"
+    assert read_summary(tmp_path / "b" / "summary.txt")["grid"] == "65x65"
+
+
+def test_config_error_does_not_change_the_next_call(tmp_path):
+    argv = ["verify", "--preset", "mobius", "--grid", "17"]
+    assert main(argv + ["--out", str(tmp_path / "before")]) == 0
+    cfgfile = tmp_path / "x.ini"
+    cfgfile.write_text("[grid]\nnx = 9\nhalf_width = 1\n")
+    assert main(["verify", "--config", str(cfgfile), "--preset", "constant",
+                 "--grid", "3", "--out", str(tmp_path / "bad")]) == 2
+    with pytest.raises(SystemExit):
+        main(["verify", "--preset", "no_such_fixture", "--grid", "9"])
+    assert main(argv + ["--out", str(tmp_path / "after")]) == 0
+    for name in ("verify.csv", "summary.txt"):
+        assert ((tmp_path / "before" / name).read_bytes()
+                == (tmp_path / "after" / name).read_bytes())
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "minmaps", "curvature", "--preset", "euclidean",

@@ -431,6 +431,24 @@ def test_shifted_laplacian_solve_residual(boundary):
             assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-12
 
 
+def test_symbol_cache_keeps_no_chart_alive():
+    # the solver's symbol cache keys on shape and spacings, so a chart and
+    # the mesh it holds are freed once the caller drops them
+    import gc
+    import weakref
+
+    grid = GridChart(0.0, 1.0, 0.0, 2.5, 21, 17)
+    grid.mesh()
+    alive = weakref.ref(grid)
+    rhs = np.ones((grid.nx - 2, grid.ny - 2))
+    first = flow.solve_laplacian(rhs, 1.0, grid)
+    del grid
+    gc.collect()
+    assert alive() is None
+    again = flow.solve_laplacian(rhs, 1.0, GridChart(0.0, 1.0, 0.0, 2.5, 21, 17))
+    assert np.array_equal(first, again)
+
+
 # ------------------------------------------------------------------------ io
 
 def test_monitors_csv_format(tmp_path):

@@ -128,6 +128,36 @@ def test_grid_spacings_and_mesh():
     assert Ym[0, -1] == 4.0
 
 
+def test_mesh_is_built_once_and_read_only():
+    g = GridChart(-1.0, 1.0, 0.0, 4.0, 5, 9)
+    Xm, Ym = g.mesh()
+    again = g.mesh()
+    assert again[0] is Xm and again[1] is Ym
+    for a in (Xm, Ym):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            a += 1.0
+    assert Xm[0, 0] == -1.0 and Ym[0, -1] == 4.0
+
+
+def test_fields_never_alias_the_mesh():
+    from minmaps import MapExpr, MapField, presets
+
+    g = GridChart(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    disc = ConformalMetric.poincare_disc()
+    Xm, Ym = g.mesh()
+    kept = Xm.copy(), Ym.copy()
+    mf = MapField.from_expr(g, disc, disc, MapExpr.parse("x, y"))
+    bumped = presets.sine_bump(mf, 0.01)
+    for a in (mf.values, mf.df_field, bumped.values,
+              mf.source_samples.rho2, mf.target_samples.rho2):
+        assert not np.shares_memory(a, Xm) and not np.shares_memory(a, Ym)
+    assert np.array_equal(mf.values[..., 0], Xm)
+    assert np.array_equal(Xm, kept[0]) and np.array_equal(Ym, kept[1])
+
+
 def test_periodic_grid_excludes_duplicate_edge():
     g = GridChart(0.0, 1.0, 0.0, 1.0, 8, 8, BoundaryMode.PERIODIC)
     assert g.periodic

@@ -1,7 +1,7 @@
 """Numerical verification engine for the graph geometry of maps between surfaces."""
 
 from .errors import ChartDomainError, ConfigError, NumericalError
-from .surface import BoundaryMode, ConformalMetric, FactorKind, GridChart, TheoremHypotheses
+from .surface import ConformalMetric, FactorKind, GridChart, TheoremHypotheses
 from .expressions import MapExpr
 from .pointwise import (
     MapField, PointwiseGrid, jacobians, kahler_cosines, pointwise_grid,

@@ -11,7 +11,9 @@ Five subcommands share one plumbing layer:
 Scenarios come either from a named preset (--preset, quick runs on the
 canonical fixtures) or from an INI config file (--config, full control). A
 preset is shorthand for config pieces: its row of presets.SCENARIO_SPECS
-(for curvature, a metric spec on a square chart), so both take one path:
+(for curvature, a metric spec on a square chart), so both take one path.
+A config holds only the sections and keys below (CONFIG_KEYS); any other
+section or key is a config error, not silently ignored:
 
     [scenario]
     kind = flow                ; optional, must match the subcommand
@@ -25,8 +27,11 @@ preset is shorthand for config pieces: its row of presets.SCENARIO_SPECS
     [grid]
     nx = 65
     ny = 65                    ; defaults to nx
-    half_width = 0.45          ; centered square; or x0/x1/y0/y1 explicitly
-    boundary = dirichlet       ; dirichlet | periodic
+    half_width = 0.45          ; the centered square [-w, w]^2; without
+    x0 = -0.5                  ;   it the chart is [x0, x1] x [y0, y1]
+    x1 = 0.5
+    y0 = -0.5
+    y1 = 0.5
     [tolerances]
     stop_tension = 1e-4
     certificate_tol = 0.0      ; finite, >= 0
@@ -54,7 +59,7 @@ import functools
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +69,7 @@ from .floatfmt import write_table
 from .flow import (MONITOR_COLUMNS, FlowConfig, run_to_minimal, write_monitors_csv,
                    write_snapshot)
 from .pointwise import MapField
-from .surface import BoundaryMode, GridChart
+from .surface import GridChart
 from .verifier import (area_decreasing_certificate, convergence_study,
                        verify_form_laplacian, verify_gradient_identities,
                        verify_jacobian_laplacians, verify_pullback_derivative)
@@ -88,6 +93,15 @@ ANALYZE_COLUMNS = ("x", "y", "lambda", "mu", "s", "u1", "u2",
                    "jf", "phi", "theta")
 CURVATURE_COLUMNS = ("x", "y", "K")
 
+# every section a config may hold, with the keys it may hold
+CONFIG_KEYS = {
+    "scenario": ("kind",), "source": ("metric",), "target": ("metric",),
+    "map": ("spec", "perturb"),
+    "grid": ("nx", "ny", "half_width", "x0", "x1", "y0", "y1"),
+    "tolerances": ("stop_tension", "certificate_tol"),
+    "flow": ("max_steps",), "refine": ("grids",),
+}
+
 
 # ------------------------------------------------------------- configuration
 
@@ -104,7 +118,6 @@ class ScenarioConfig:
     nx: Optional[int] = None
     ny: Optional[int] = None
     domain: Optional[tuple[float, float, float, float]] = None
-    boundary: str = "dirichlet"
     stop_tension: float = 1e-4
     certificate_tol: float = 0.0
     max_steps: int = 50000
@@ -129,6 +142,12 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    for name in parser.sections():
+        if name not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{name}] in {path}")
+        unknown = [key for key in parser[name] if key not in CONFIG_KEYS[name]]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}] of {path}")
 
     sec = {name: parser[name] for name in parser.sections()}
     declared = _get(sec.get("scenario"), "kind", str, kind)
@@ -185,19 +204,11 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
         map_spec=map_sec["spec"] if map_sec is not None else None,
         perturb=perturb,
         nx=nx, ny=ny, domain=domain,
-        boundary=_get(grid, "boundary", str, "dirichlet"),
         stop_tension=_get(tol, "stop_tension", float, 1e-4),
         certificate_tol=certificate_tol,
         max_steps=_get(flow, "max_steps", int, 50000),
         refine_grids=refine_grids,
     )
-
-
-def _boundary(name: str) -> BoundaryMode:
-    try:
-        return BoundaryMode(name.lower())
-    except ValueError as exc:
-        raise ConfigError(f"unknown boundary mode {name!r}") from exc
 
 
 def _grid_from_config(cfg: ScenarioConfig, nx: Optional[int] = None) -> GridChart:
@@ -219,14 +230,18 @@ def _grid_from_config(cfg: ScenarioConfig, nx: Optional[int] = None) -> GridChar
                               "while keeping the aspect ratio")
         ny = num // den + 1
     x0, x1, y0, y1 = cfg.domain
-    return GridChart(x0, x1, y0, y1, nx, ny, _boundary(cfg.boundary))
+    return GridChart(x0, x1, y0, y1, nx, ny)
 
 
-def _make_field(cfg: ScenarioConfig, n: Optional[int] = None) -> MapField:
-    """Build the scenario map from its config pieces, optionally at nx = n."""
-    mf = presets.scenario_field(cfg.source, cfg.target, cfg.map_spec,
-                                _grid_from_config(cfg, n))
-    return presets.sine_bump(mf, cfg.perturb)
+def _make_fields(cfg: ScenarioConfig,
+                 ns: Sequence[Optional[int]] = (None,)) -> Iterator[MapField]:
+    """The scenario map at nx = n for each n of ns (None: the config's own
+    grid), built one at a time from specs that are parsed once."""
+    source, target = map(presets.parse_metric_spec, (cfg.source, cfg.target))
+    expr = presets.parse_map_spec(cfg.map_spec)
+    for n in ns:
+        mf = MapField.from_expr(_grid_from_config(cfg, n), source, target, expr)
+        yield presets.sine_bump(mf, cfg.perturb)
 
 
 # ------------------------------------------------------------------ artifacts
@@ -278,7 +293,7 @@ def _run_curvature(cfg: ScenarioConfig) -> None:
 
 
 def _run_analyze(cfg: ScenarioConfig) -> None:
-    mf = _make_field(cfg)
+    mf = next(_make_fields(cfg))
     pw = mf.pointwise
     X, Y = mf.grid.mesh()
     _write_table(cfg.out / "analysis.csv", "analysis", ANALYZE_COLUMNS,
@@ -300,7 +315,7 @@ def _checked(check, mf):
 
 
 def _run_verify(cfg: ScenarioConfig) -> None:
-    mf = _make_field(cfg)
+    mf = next(_make_fields(cfg))
     X, Y = mf.grid.mesh()
     columns = ["x", "y"]
     fields = [X, Y]
@@ -327,8 +342,7 @@ def _run_refine(cfg: ScenarioConfig) -> None:
     ns = cfg.refine_grids
     hs, norms = [], {name: [] for name, _ in IDENTITY_CHECKS}
     notes = set()                       # (n, message): one line per grid
-    for n in ns:
-        mf = _make_field(cfg, n)
+    for n, mf in zip(ns, _make_fields(cfg, ns)):
         hs.append(mf.grid.h)
         for name, check in IDENTITY_CHECKS:
             report, messages = _checked(check, mf)
@@ -356,7 +370,7 @@ def _run_refine(cfg: ScenarioConfig) -> None:
 
 
 def _run_flow(cfg: ScenarioConfig) -> None:
-    mf = _make_field(cfg)
+    mf = next(_make_fields(cfg))
     flow_cfg = FlowConfig(stop_tension=cfg.stop_tension,
                           max_steps=cfg.max_steps)
     result = run_to_minimal(mf, flow_cfg, tol=cfg.certificate_tol)

@@ -300,6 +300,14 @@ def evaluate(node: Node, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ symbolic diff
 
+def _has_var(n: Node) -> bool:
+    if isinstance(n, (Neg, Call)):
+        return _has_var(n.arg)
+    if isinstance(n, BinOp):
+        return _has_var(n.left) or _has_var(n.right)
+    return isinstance(n, Var)
+
+
 def _is_zero(n: Node) -> bool:
     return isinstance(n, Const) and n.value == 0.0
 
@@ -363,14 +371,17 @@ def diff(node: Node, var: str) -> Node:
         # (da*b - a*db) / b^2
         num = BinOp("-", _mul(da, b), _mul(a, db))
         return BinOp("/", num, _mul(b, b))
-    # power: an exponent that folds to a constant (x^-1, x^(1+1)) takes the
-    # power rule, which stays finite at negative bases
+    # power: an exponent free of x and y (x^-1, x^(1+1), x^sqrt(4)) takes
+    # the power rule b a^(b-1) a', which stays finite at negative bases; one
+    # that folds to a float enters as that float
     c = _compile(b)
     if isinstance(c, float):
         if c == 0.0:
             return Const(0.0)
         base = a if c == 2.0 else BinOp("^", a, Const(c - 1.0))
         return _mul(Const(c), _mul(base, da))
+    if not _has_var(b):
+        return _mul(b, _mul(BinOp("^", a, BinOp("-", b, Const(1.0))), da))
     # general a^b = exp(b log a)
     rewritten = Call("exp", _mul(b, Call("log", a)))
     return diff(rewritten, var)

@@ -30,11 +30,9 @@ majorant a Lap_h of the principal part g^{ij} d_ij f implicitly (the
 stabilized splitting of Smereka 2003, applied to graph mean-curvature flow
 as in Deckelnick, Dziuk & Elliott 2005). Every caller wants the minimal
 map, not a time-accurate path, so the limit drops dt altogether. The solve
-is direct: a type-I sine transform on Dirichlet grids (the ring stays
-pinned, delta = 0 there) and a real FFT on periodic grids, where Lap_h
-annihilates constants and the mean mode takes the bounded step
-mean(tau) / (a lambda_1), lambda_1 the smallest non-zero symbol. The
-iteration count to a given tension drop does not grow with the grid.
+is direct, by a type-I sine transform; the Dirichlet ring stays pinned
+(delta = 0 there). The iteration count to a given tension drop does not
+grow with the grid.
 
 Type-II Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni, SIAM J.
 Numer. Anal. 49, 2011) accelerates the iteration where g^-1 is far from
@@ -62,7 +60,7 @@ from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import write_table
 from .graph_geometry import induced_metric_arrays
 from .pointwise import MapField
-from .surface import BoundaryMode, ConformalMetric, GridChart
+from .surface import ConformalMetric, GridChart
 from .verifier import Certificate, area_decreasing_certificate
 
 __all__ = [
@@ -80,6 +78,8 @@ _SECANT_RIDGE = 1e-8
 REJECT_TENSION_FACTOR = 10.0
 # a step halved below this length (a full step is 1) means a stall
 LENGTH_UNDERFLOW = 1e-15
+# the points the tension stencil reaches: all but the Dirichlet ring
+_INTERIOR = np.s_[1:-1, 1:-1]
 
 MONITOR_COLUMNS = ("step", "length", "depth", "min_phi", "min_theta",
                    "max_abs_jf", "norm_H", "norm_tau", "chart_exits",
@@ -127,12 +127,6 @@ class TensionPass:
     min_theta: float
     max_abs_jf: float
     eig_max: float             # max eig(g^-1): the solver's a
-
-
-def _interior(grid: GridChart):
-    """Index of the points the tension stencil reaches: all but the
-    Dirichlet ring, or every point of a periodic grid."""
-    return np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
 
 
 def tension_pass(mapfield: MapField) -> TensionPass:
@@ -210,8 +204,7 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     tau2 = lap2 - (c1 * f2x + c2 * f2y) + conn2
     del f1xx, f1yy, f1xy, f2xx, f2yy, f2xy, q11, q12, q22, conn1, conn2, lap1, lap2
     tau = np.stack([tau1, tau2], axis=-1)
-    interior = _interior(grid)
-    tau_in = tau[interior]
+    tau_in = tau[_INTERIOR]
     bad = ~np.isfinite(tau_in)
     if bad.any():
         raise NumericalError(
@@ -239,7 +232,7 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     # largest eigenvalue of ginv: the solver's coefficient
     tr = gi11 + gi22
     disc = np.sqrt(np.clip((gi11 - gi22) ** 2 + 4.0 * gi12 ** 2, 0.0, None))
-    eig_max = float(np.max((0.5 * (tr + disc))[interior]))
+    eig_max = float(np.max((0.5 * (tr + disc))[_INTERIOR]))
     return TensionPass(
         tau=tau,
         norm_tau=float(np.max(np.abs(tau_in))),
@@ -355,9 +348,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     """
     current = state.map
     tp = current.tension
-    interior = _interior(current.grid)
-    shape = current.values[interior].shape
-    r = solve_laplacian(tp.tau[interior], tp.eig_max, current.grid).reshape(-1)
+    shape = current.values[_INTERIOR].shape
+    r = solve_laplacian(tp.tau[_INTERIOR], tp.eig_max, current.grid).reshape(-1)
     dxs, drs = _take_secants(state, r)
     # a full plain step is r itself
     mixed, depth = _anderson(r, dxs, drs) if dxs else (r, 0)
@@ -367,7 +359,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     exits = jumps = 0
     while True:
         candidate = current.values.copy()
-        candidate[interior] += update.reshape(shape)
+        candidate[_INTERIOR] += update.reshape(shape)
         try:
             new_map = current.with_values(candidate)
         except ChartDomainError:
@@ -409,52 +401,27 @@ def _sine_transform(v: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
-    """Eigenvalues of the 1-D second difference -d_hh on the transform's
-    modes: 4 sin^2(theta / 2) / h^2 with theta = 2 pi k / n (periodic) or
-    pi k / (n - 1), k = 1..n-2 (Dirichlet interior)."""
-    if periodic:
-        theta = 2.0 * np.pi * np.arange(n) / n
-    else:
-        theta = np.pi * np.arange(1, n - 1) / (n - 1)
-    return 4.0 * np.sin(0.5 * theta) ** 2 / (h * h)
-
-
 @functools.lru_cache(maxsize=8)
-def _symbol_sum(nx: int, ny: int, hx: float, hy: float,
-                periodic: bool) -> tuple[np.ndarray, float]:
-    """The 2-D symbol lx[:, None] + ly[None, :] on the solver's modes (read
-    only) and lambda_1, the smallest non-zero 1-D symbol. Keyed on the
-    grid's shape and spacings, not the chart, so no cached mesh is kept."""
-    lx = _symbol(nx, hx, periodic)
-    ly = _symbol(ny, hy, periodic)
-    if periodic:
-        ly = ly[:ny // 2 + 1]
+def _symbol_sum(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
+    """Eigenvalues of -Lap_h on the interior's sine modes (read only):
+    lx[:, None] + ly[None, :], with the 1-D symbols 4 sin^2(theta / 2) / h^2
+    at theta = pi k / (n - 1), k = 1..n-2. Keyed on the grid's shape and
+    spacings, not the chart, so no cached mesh is kept."""
+    lx, ly = (4.0 * np.sin(0.5 * (np.pi * np.arange(1, n - 1) / (n - 1))) ** 2 / (h * h)
+              for n, h in ((nx, hx), (ny, hy)))
     lsum = lx[:, None] + ly[None, :]
     lsum.flags.writeable = False
-    return lsum, float(min(lx[1], ly[1]))
+    return lsum
 
 
 def solve_laplacian(rhs: np.ndarray, coef: float, grid: GridChart) -> np.ndarray:
     """Solve -coef Lap_h u = rhs on the structural interior: the solver's
-    preconditioner. On a periodic grid Lap_h annihilates constants, so the
-    mean mode is divided by coef lambda_1 instead, lambda_1 the smallest
-    non-zero symbol; every other mode is solved exactly.
-
-    Lap_h is the 5-point Laplacian with the grid's spacings hx, hy. On a
-    Dirichlet grid rhs and u cover the interior [1:-1, 1:-1] and u is zero
-    on the ring; on a periodic grid they cover the whole grid. Trailing
-    axes of rhs are independent components.
+    preconditioner. Lap_h is the 5-point Laplacian with the grid's spacings
+    hx, hy; rhs and u cover the interior [1:-1, 1:-1] and u is zero on the
+    ring. Trailing axes of rhs are independent components.
     """
-    lsum, lambda_1 = _symbol_sum(grid.nx, grid.ny, grid.hx, grid.hy,
-                                 grid.periodic)
-    denom = coef * lsum                     # a fresh array: [0, 0] is set below
-    if grid.periodic:
-        denom[0, 0] = coef * lambda_1
+    denom = coef * _symbol_sum(grid.nx, grid.ny, grid.hx, grid.hy)
     denom = denom.reshape(denom.shape + (1,) * (rhs.ndim - 2))
-    if grid.periodic:
-        spec = np.fft.rfft2(rhs, axes=(0, 1)) / denom
-        return np.fft.irfft2(spec, s=(grid.nx, grid.ny), axes=(0, 1))
     spec = _sine_transform(_sine_transform(rhs, 0), 1) / denom
     scale = 4.0 / ((grid.nx - 1) * (grid.ny - 1))
     return scale * _sine_transform(_sine_transform(spec, 0), 1)
@@ -526,8 +493,7 @@ def write_snapshot(mapfield: MapField, path: str) -> None:
 
 
 def read_snapshot(path: str, source: ConformalMetric,
-                  target: ConformalMetric,
-                  boundary=None) -> MapField:
+                  target: ConformalMetric) -> MapField:
     """Rebuild a MapField from a snapshot file (inverse of write_snapshot)."""
     with open(path) as fh:
         tokens = fh.read().split()
@@ -542,9 +508,6 @@ def read_snapshot(path: str, source: ConformalMetric,
     if vals.size != 2 * nx * ny:
         raise ConfigError(f"snapshot {path!r} has {vals.size} values, "
                           f"expected {2 * nx * ny}")
-    mode = boundary if boundary is not None else BoundaryMode.DIRICHLET
-    span_x = (nx - 1) * h if mode == BoundaryMode.DIRICHLET else nx * h
-    span_y = (ny - 1) * h if mode == BoundaryMode.DIRICHLET else ny * h
     # the chart rejects sizes below 5 before the values are shaped
-    grid = GridChart(x0, x0 + span_x, y0, y0 + span_y, nx, ny, boundary=mode)
+    grid = GridChart(x0, x0 + (nx - 1) * h, y0, y0 + (ny - 1) * h, nx, ny)
     return MapField(grid, source, target, vals.reshape(nx, ny, 2))

@@ -41,8 +41,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FactorSamples", "MapField", "PointwiseGrid",
     "singular_decomposition", "jacobians", "kahler_cosines",
-    "jacobian_determinant", "classification_masks",
-    "graph_metric_singular_values", "pointwise_grid",
+    "jacobian_determinant", "classification_masks", "pointwise_grid",
 ]
 
 # relative eigenvalue gap below which a point counts as conformal
@@ -337,13 +336,6 @@ def kahler_cosines(u1: np.ndarray, u2: np.ndarray):
 def jacobian_determinant(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """J_f = u2 / u1: areas compare with sign, |J_f| <= 1 is area decreasing."""
     return np.asarray(u2, float) / np.asarray(u1, float)
-
-
-def graph_metric_singular_values(lam: np.ndarray, mu: np.ndarray):
-    """Singular values of f viewed from the graph metric; both < 1."""
-    lam = np.asarray(lam, float)
-    mu = np.asarray(mu, float)
-    return lam / np.sqrt(1.0 + lam * lam), mu / np.sqrt(1.0 + mu * mu)
 
 
 def classification_masks(phi: np.ndarray, theta: np.ndarray,

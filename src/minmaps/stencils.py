@@ -1,9 +1,8 @@
 """Order-2 central finite-difference stencils on rectangular grids.
 
 Fields are arrays indexed ``[i, j]`` with ``i`` along x and ``j`` along y.
-On Dirichlet grids every differentiation loses one ring of validity; lost
-entries are NaN, so validity tracking composes automatically through
-arithmetic. Periodic grids wrap and stay valid everywhere.
+Every differentiation loses one ring of validity; lost entries are NaN,
+so validity tracking composes automatically through arithmetic.
 """
 
 from __future__ import annotations
@@ -11,45 +10,32 @@ from __future__ import annotations
 import numpy as np
 
 
-def d_x(f: np.ndarray, hx: float, periodic: bool = False) -> np.ndarray:
-    if periodic:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * hx)
+def d_x(f: np.ndarray, hx: float) -> np.ndarray:
     out = np.full_like(f, np.nan)
     out[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * hx)
     return out
 
 
-def d_y(f: np.ndarray, hy: float, periodic: bool = False) -> np.ndarray:
-    if periodic:
-        return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * hy)
+def d_y(f: np.ndarray, hy: float) -> np.ndarray:
     out = np.full_like(f, np.nan)
     out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * hy)
     return out
 
 
-def d_xx(f: np.ndarray, hx: float, periodic: bool = False) -> np.ndarray:
-    if periodic:
-        return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / (hx * hx)
+def d_xx(f: np.ndarray, hx: float) -> np.ndarray:
     out = np.full_like(f, np.nan)
     out[1:-1, :] = (f[2:, :] - 2.0 * f[1:-1, :] + f[:-2, :]) / (hx * hx)
     return out
 
 
-def d_yy(f: np.ndarray, hy: float, periodic: bool = False) -> np.ndarray:
-    if periodic:
-        return (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / (hy * hy)
+def d_yy(f: np.ndarray, hy: float) -> np.ndarray:
     out = np.full_like(f, np.nan)
     out[:, 1:-1] = (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / (hy * hy)
     return out
 
 
-def d_xy(f: np.ndarray, hx: float, hy: float, periodic: bool = False) -> np.ndarray:
+def d_xy(f: np.ndarray, hx: float, hy: float) -> np.ndarray:
     # symmetric 4-point cross stencil
-    if periodic:
-        fe = np.roll(f, -1, axis=0)
-        fw = np.roll(f, 1, axis=0)
-        return (np.roll(fe, -1, axis=1) - np.roll(fe, 1, axis=1)
-                - np.roll(fw, -1, axis=1) + np.roll(fw, 1, axis=1)) / (4.0 * hx * hy)
     out = np.full_like(f, np.nan)
     out[1:-1, 1:-1] = (f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]) / (4.0 * hx * hy)
     return out

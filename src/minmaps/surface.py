@@ -27,8 +27,7 @@ from .errors import ChartDomainError, ConfigError, NumericalError
 from .expressions import BinOp, Call, Node, Program, compile_expr, diff, parse_scalar
 
 __all__ = [
-    "FactorKind", "ConformalMetric", "BoundaryMode", "GridChart",
-    "TheoremHypotheses",
+    "FactorKind", "ConformalMetric", "GridChart", "TheoremHypotheses",
 ]
 
 
@@ -187,19 +186,13 @@ class ConformalMetric:
         return cls(FactorKind.CUSTOM, expr=parse_scalar(text))
 
 
-class BoundaryMode(enum.Enum):
-    DIRICHLET = "dirichlet"
-    PERIODIC = "periodic"
-
-
 @dataclass(frozen=True)
 class GridChart:
-    """Uniform rectangular grid on [x0, x1] x [y0, y1].
-
-    Dirichlet grids include both endpoints (nx points, spacing (x1-x0)/(nx-1)).
-    Periodic grids identify opposite edges and store one copy of each point
-    (nx points, spacing (x1-x0)/nx). Spacings hx and hy may differ.
-    """
+    """Uniform rectangular grid on [x0, x1] x [y0, y1], both endpoints
+    included (nx points, spacing (x1-x0)/(nx-1)); hx and hy may differ. The
+    outer ring carries the Dirichlet data. No chart glues opposite edges:
+    that makes a torus, whose total curvature is 0 by Gauss-Bonnet, so it
+    could not carry K < 0 everywhere."""
 
     x0: float
     x1: float
@@ -207,7 +200,6 @@ class GridChart:
     y1: float
     nx: int
     ny: int
-    boundary: BoundaryMode = BoundaryMode.DIRICHLET
 
     def __post_init__(self):
         if self.nx < 5 or self.ny < 5:
@@ -216,18 +208,12 @@ class GridChart:
             raise ConfigError("grid extent must be finite and non-empty")
 
     @property
-    def periodic(self) -> bool:
-        return self.boundary is BoundaryMode.PERIODIC
-
-    @property
     def hx(self) -> float:
-        n = self.nx if self.periodic else self.nx - 1
-        return (self.x1 - self.x0) / n
+        return (self.x1 - self.x0) / (self.nx - 1)
 
     @property
     def hy(self) -> float:
-        n = self.ny if self.periodic else self.ny - 1
-        return (self.y1 - self.y0) / n
+        return (self.y1 - self.y0) / (self.ny - 1)
 
     @property
     def h(self) -> float:
@@ -262,18 +248,15 @@ class GridChart:
 
     def refine(self) -> "GridChart":
         """Halve both spacings (double resolution)."""
-        if self.periodic:
-            return GridChart(self.x0, self.x1, self.y0, self.y1,
-                             2 * self.nx, 2 * self.ny, self.boundary)
         return GridChart(self.x0, self.x1, self.y0, self.y1,
-                         2 * self.nx - 1, 2 * self.ny - 1, self.boundary)
+                         2 * self.nx - 1, 2 * self.ny - 1)
 
-    # stencil helpers bound to this grid's spacings and boundary mode
-    def d_x(self, f): return stencils.d_x(f, self.hx, self.periodic)
-    def d_y(self, f): return stencils.d_y(f, self.hy, self.periodic)
-    def d_xx(self, f): return stencils.d_xx(f, self.hx, self.periodic)
-    def d_yy(self, f): return stencils.d_yy(f, self.hy, self.periodic)
-    def d_xy(self, f): return stencils.d_xy(f, self.hx, self.hy, self.periodic)
+    # stencil helpers bound to this grid's spacings
+    def d_x(self, f): return stencils.d_x(f, self.hx)
+    def d_y(self, f): return stencils.d_y(f, self.hy)
+    def d_xx(self, f): return stencils.d_xx(f, self.hx)
+    def d_yy(self, f): return stencils.d_yy(f, self.hy)
+    def d_xy(self, f): return stencils.d_xy(f, self.hx, self.hy)
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,63 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, scenario,
     assert not (out / "summary.txt").exists()
 
 
+FLOW_CONFIG = f"""\
+    [source]
+    metric = poincare_disc
+    [target]
+    metric = poincare_disc
+    [map]
+    spec = z_squared
+    [grid]
+    nx = 17
+    half_width = {Z2_HALF!r}
+    [tolerances]
+    stop_tension = 1e-4
+"""
+
+
+@pytest.mark.parametrize("edit,named", [
+    # the deleted boundary key must not run silently as a Dirichlet chart
+    (("[grid]", "[grid]\nboundary = periodic"), "'boundary' in [grid]"),
+    (("stop_tension", "stop_tenson"), "'stop_tenson' in [tolerances]"),
+    (("[grid]", "[grid]\nboundry = periodic"), "'boundry' in [grid]"),
+    (("[tolerances]", "[flwo]\nmax_steps = 10\n[tolerances]"), "[flwo]"),
+    (("[map]", "[mesh]\nnx = 17\n[map]"), "[mesh]"),
+])
+def test_unknown_config_key_or_section_is_config_error(tmp_path, capsys,
+                                                       edit, named):
+    cfgfile = tmp_path / "flow.ini"
+    cfgfile.write_text(textwrap.dedent(FLOW_CONFIG).replace(*edit))
+    out = tmp_path / "run"
+    assert main(["flow", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown" in err and named in err
+    assert not out.exists()
+
+
+def _docstring_sample():
+    from minmaps import cli
+
+    start = cli.__doc__.index("    [scenario]")
+    return textwrap.dedent(cli.__doc__[start:cli.__doc__.index("\n\n", start)])
+
+
+def test_docstring_sample_lists_every_accepted_key(tmp_path):
+    # the module docs show one config holding every section and key that
+    # CONFIG_KEYS accepts, and that config loads under the strict check
+    import configparser
+
+    from minmaps.cli import CONFIG_KEYS, _config_from_file
+
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read_string(_docstring_sample())
+    assert {name: tuple(parser[name]) for name in parser.sections()} == CONFIG_KEYS
+    cfgfile = tmp_path / "sample.ini"
+    cfgfile.write_text(_docstring_sample())
+    cfg = _config_from_file(cfgfile, "flow", tmp_path)
+    assert (cfg.map_spec, cfg.nx, cfg.refine_grids) == ("z_squared", 65, (17, 33, 65))
+
+
 # -------------------------------------------------------- work per field
 
 @pytest.mark.parametrize("command,grids", [("verify", [65]), ("refine", [17, 33, 65])])
@@ -485,6 +542,41 @@ def test_graph_geometry_built_once_per_grid(tmp_path, monkeypatch, command, grid
                         lambda mf: seen.append(mf.grid.nx) or original(mf))
     assert main([command, "--preset", "z_squared", "--out", str(tmp_path)]) == 0
     assert seen == grids
+
+
+def test_refine_parses_its_specs_once(tmp_path, monkeypatch):
+    # one parsed map and pair of metrics serve every grid of the ladder; each
+    # row of refine.csv still equals verify's norms on that grid
+    cfgfile = tmp_path / "refine.ini"
+    cfgfile.write_text(textwrap.dedent("""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = hyperbolic:2
+        [map]
+        spec = mobius:0.3
+        perturb = 0.01
+        [grid]
+        nx = 17
+        half_width = 0.45
+        [refine]
+        grids = 17, 33, 65
+    """))
+    calls = []
+    original = presets.parse_map_spec
+    monkeypatch.setattr(presets, "parse_map_spec",
+                        lambda text: calls.append(text) or original(text))
+    out = tmp_path / "refine"
+    assert main(["refine", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert calls == ["mobius:0.3"]
+    rows = (out / "refine.csv").read_text().splitlines()[2:]
+    names = ("pullback", "form_laplacian", "jacobians", "gradients")
+    for row, n in zip(rows, (17, 33, 65), strict=True):
+        d = tmp_path / f"verify{n}"
+        assert main(["verify", "--config", str(cfgfile), "--grid", str(n),
+                     "--out", str(d)]) == 0
+        s = read_summary(d / "summary.txt")
+        assert row == ",".join([s["h"]] + [s[f"{k}.norm_inf"] for k in names])
 
 
 # ------------------------------------------------------------------ plumbing

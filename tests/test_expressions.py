@@ -144,7 +144,10 @@ def test_constants_fold_to_the_full_array_values():
 
 
 @pytest.mark.parametrize("text", ["x^-1", "x^(1+1)", "(x-1)^(2*1)",
-                                  "x^(-3)*y", "(x+y)^-(4/2)"])
+                                  "x^(-3)*y", "(x+y)^-(4/2)",
+                                  # exponents that do not fold to a float
+                                  "x^(2^1)", "x^sqrt(4)", "x^exp(0)",
+                                  "(x*y)^(3^1)"])
 def test_constant_exponent_derivative_is_finite_at_negative_bases(text):
     X, Y = sp.symbols("x y", real=True)
     f = sp.sympify(text.replace("^", "**"), locals={"x": X, "y": Y})

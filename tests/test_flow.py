@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from minmaps import (BoundaryMode, ConformalMetric, FlowConfig, GridChart,
+from minmaps import (ConformalMetric, FlowConfig, GridChart,
                      MapExpr, MapField, TheoremHypotheses, floatfmt, flow,
                      presets)
 from minmaps.errors import ConfigError, NumericalError
@@ -19,30 +19,29 @@ from minmaps.errors import ConfigError, NumericalError
 EUC = ConformalMetric.euclidean()
 
 
-def heat_seed(n=32, eps=1e-3, boundary=BoundaryMode.PERIODIC):
-    """Constant map (0.1, -0.2) between flat factors plus tiny sine modes,
-    which are eigenvectors of the 5-point Laplacian; to O(eps^3) the
-    tension is the 5-point Laplacian of f. On a Dirichlet grid over
-    [0, pi]^2 the modes vanish on the ring."""
-    if boundary is BoundaryMode.PERIODIC:
-        grid = GridChart(0.0, 2 * math.pi, 0.0, 2 * math.pi, n, n, boundary=boundary)
-    else:
-        grid = GridChart(0.0, math.pi, 0.0, math.pi, n + 1, n + 1, boundary=boundary)
-    m1, m2 = heat_modes(boundary)
+# one sine mode sin(p x) sin(q y) per component, as (text, p, q)
+HEAT_MODES = (("sin(x)*sin(y)", 1, 1), ("sin(2*x)*sin(y)", 2, 1))
+
+
+def heat_seed(n=32, eps=1e-3):
+    """Constant map (0.1, -0.2) between flat factors plus tiny sine modes on
+    [0, pi]^2, which vanish on the ring and are eigenvectors of the 5-point
+    Laplacian; to O(eps^3) the tension is the 5-point Laplacian of f."""
+    grid = GridChart(0.0, math.pi, 0.0, math.pi, n + 1, n + 1)
+    (m1, _, _), (m2, _, _) = HEAT_MODES
     expr = MapExpr.parse(f"0.1 + {eps}*{m1}, -0.2 + {eps}*{m2}")
     return MapField.from_expr(grid, EUC, EUC, expr)
 
 
-def heat_modes(boundary=BoundaryMode.PERIODIC):
-    if boundary is BoundaryMode.PERIODIC:
-        return "sin(x)*sin(y)", "sin(x)*cos(y)"
-    return "sin(x)*sin(y)", "sin(2*x)*sin(y)"
+def heat_symbol(p, q, h):
+    """Eigenvalue of -Lap_h on sin(p x) sin(q y)."""
+    return 4.0 * (math.sin(p * h / 2) ** 2 + math.sin(q * h / 2) ** 2) / h ** 2
 
 
-def mode_amplitudes(mf, boundary=BoundaryMode.PERIODIC):
+def mode_amplitudes(mf):
     X, Y = mf.grid.mesh()
     out = []
-    for comp, (base, mode) in enumerate(zip((0.1, -0.2), heat_modes(boundary))):
+    for comp, (base, (mode, _, _)) in enumerate(zip((0.1, -0.2), HEAT_MODES)):
         mode = MapExpr.parse(f"{mode}, 0")(X, Y)[..., 0]
         out.append(float(np.sum((mf.values[..., comp] - base) * mode)
                          / np.sum(mode * mode)))
@@ -358,35 +357,34 @@ def test_relaxation_reduces_tension_and_certifies():
 def test_flow_agrees_with_heat_semidiscretization():
     # tiny sine perturbations of a constant map between flat factors evolve,
     # to O(amplitude^3), by the 5-point heat stencil: explicit Euler steps
-    # f + dt tau(f) decay its modes as (1 - dt lambda_h)^k with
-    # lambda_h = 8 sin^2(h/2) / h^2
+    # f + dt tau(f) on the interior (the ring is pinned) decay the mode
+    # sin(p x) sin(q y) as (1 - dt lambda_h)^k with lambda_h its symbol
     eps = 1e-3
     mf = heat_seed(eps=eps)
     dt, steps = 1e-4, 200
     for _ in range(steps):
-        mf = mf.with_values(mf.values + dt * mf.tension.tau)
+        vals = mf.values.copy()
+        vals[1:-1, 1:-1] += dt * mf.tension.tau[1:-1, 1:-1]
+        mf = mf.with_values(vals)
 
     h = mf.grid.hx
-    lam = 8.0 * math.sin(h / 2) ** 2 / h ** 2
-    want = eps * (1.0 - dt * lam) ** steps
-    for amp in mode_amplitudes(mf):
+    for amp, (_, p, q) in zip(mode_amplitudes(mf), HEAT_MODES):
+        want = eps * (1.0 - dt * heat_symbol(p, q, h)) ** steps
         assert amp == pytest.approx(want, rel=1e-5)
 
 
-@pytest.mark.parametrize("boundary", [BoundaryMode.DIRICHLET, BoundaryMode.PERIODIC])
-def test_plain_iteration_removes_heat_modes(boundary):
+def test_plain_iteration_removes_heat_modes():
     # on flat factors a = 1 and tau = Lap_h f + O(eps^3), so one plain
-    # iteration f + (-Lap_h)^-1 tau removes the sine modes to O(eps^3);
-    # the periodic mean mode carries no tension and stays put
+    # iteration f + (-Lap_h)^-1 tau removes the sine modes to O(eps^3)
     eps = 1e-3
-    mf = heat_seed(eps=eps, boundary=boundary)
+    mf = heat_seed(eps=eps)
     cfg = FlowConfig(stop_tension=1e-30)
     state = flow.make_state(mf, cfg)
     flow.step(state, cfg)
     row = state.monitors[-1]
     assert (row.dt, row.depth, row.chart_exits, row.tension_jumps) == (1.0, 0, 0, 0)
     assert mf.tension.eig_max == 1.0
-    for amp in mode_amplitudes(state.map, boundary):
+    for amp in mode_amplitudes(state.map):
         assert abs(amp) <= 2 * eps ** 3
     base = np.array([0.1, -0.2])
     assert np.abs(state.map.values - base).max() <= 2 * eps ** 3
@@ -406,26 +404,17 @@ def test_implicit_step_count_does_not_grow_with_grid():
     assert max(counts) <= 1.1 * min(counts)
 
 
-@pytest.mark.parametrize("boundary", [BoundaryMode.DIRICHLET, BoundaryMode.PERIODIC])
-def test_shifted_laplacian_solve_residual(boundary):
-    # the preconditioner solves -coef Lap_h u = rhs; on a periodic grid,
-    # where Lap_h annihilates constants, the operator is shifted on the mean
-    # mode, which gets mean / (coef lambda_1). The symbol is cached per
-    # grid, so a second solve on the same grid checks the cache too
-    grid = GridChart(0.0, 1.0, 0.0, 2.5, 33, 20, boundary=boundary)
+def test_laplacian_solve_residual():
+    # the preconditioner solves -coef Lap_h u = rhs with u = 0 on the ring.
+    # The symbol is cached per grid, so a second solve on the same grid
+    # checks the cache too
+    grid = GridChart(0.0, 1.0, 0.0, 2.5, 33, 20)
     assert grid.hx != grid.hy
-    interior = np.s_[:, :] if grid.periodic else np.s_[1:-1, 1:-1]
+    interior = np.s_[1:-1, 1:-1]
     for coef in (0.37, 2.5):
         u = np.zeros((grid.nx, grid.ny, 2))
         rhs = np.random.default_rng(7).standard_normal(u[interior].shape)
         u[interior] = flow.solve_laplacian(rhs, coef, grid)
-        if grid.periodic:
-            mean = rhs.mean(axis=(0, 1))
-            lam1 = min(4 * math.sin(math.pi / n) ** 2 / h ** 2
-                       for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
-            assert u.mean(axis=(0, 1)) == pytest.approx(mean / (coef * lam1),
-                                                        rel=1e-10)
-            rhs = rhs - mean
         for k in range(2):
             lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
             assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-12

@@ -4,8 +4,8 @@ fundamental form, curvature scalars, and Laplace-Beltrami operators."""
 import numpy as np
 import pytest
 
-from minmaps import (BoundaryMode, ConformalMetric, GridChart, MapExpr, MapField,
-                     flow, presets)
+from minmaps import (ConformalMetric, GridChart, MapExpr, MapField, flow,
+                     presets)
 from minmaps.graph_geometry import (ambient_curvature, form_on_frame,
                                     gradient_norm_sq_array, graph_grid,
                                     kahler_angle_crosscheck,
@@ -46,20 +46,6 @@ def test_induced_metric_constant_map_is_source_metric(constant_33):
 def test_induced_metric_affine():
     mf = euclidean_map("2*x, 3*y")
     assert metric_at(mf, (4, 4)) == pytest.approx(np.diag([5.0, 10.0]), abs=1e-13)
-
-
-def test_periodic_disc_queries_stay_in_the_chart():
-    # at the corner of a periodic chart a wrapped neighbourhood would leave
-    # the disc, but the grid pass itself is finite everywhere
-    grid = GridChart(-0.65, 0.65, -0.65, 0.65, 16, 16, BoundaryMode.PERIODIC)
-    disc = ConformalMetric.poincare_disc()
-    mf = MapField.from_expr(grid, disc, disc, MapExpr.parse(
-        "0.1*sin(pi*(x+0.65)/0.65), 0.1*sin(pi*(y+0.65)/0.65)"))
-    gg = mf.graph
-    for field in (gg.metric.g11, gg.metric.g12, gg.metric.g22, gg.frame,
-                  gg.A, gg.H, gg.norm_A_sq, gg.sigma_perp, gg.rtilde_1234,
-                  mf.tension.tau):
-        assert np.all(np.isfinite(field))
 
 
 # -------------------------------------------------------------- frame checks

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from minmaps import ConformalMetric, GridChart, MapExpr, MapField, flow, presets
 from minmaps.errors import ChartDomainError
 from minmaps.pointwise import (classification_masks,
-                               graph_metric_singular_values,
                                jacobian_determinant, jacobians,
                                kahler_cosines, singular_decomposition)
 
@@ -210,14 +209,6 @@ def test_classify_point_cases():
     masks = classification_masks(phi, theta)
     for k, (_, labels) in enumerate(cases):
         assert {name for name, m in masks.items() if m[k]} == labels
-
-
-def test_graph_metric_singular_values():
-    assert graph_metric_singular_values(np.array(0.0), np.array(0.0)) == pytest.approx((0.0, 0.0))
-    a, b = graph_metric_singular_values(np.array(1.0), np.array(1.0))
-    assert (float(a), float(b)) == pytest.approx((1 / math.sqrt(2),) * 2)
-    a, b = graph_metric_singular_values(np.array(0.5), np.array(2.0))
-    assert (float(a), float(b)) == pytest.approx((1 / math.sqrt(5), 2 / math.sqrt(5)))
 
 
 # ---------------------------------------------------------------- properties

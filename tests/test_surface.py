@@ -13,7 +13,6 @@ import sympy as sp
 
 from minmaps import ConformalMetric, GridChart, TheoremHypotheses
 from minmaps.errors import ChartDomainError, ConfigError
-from minmaps.surface import BoundaryMode
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -156,13 +155,6 @@ def test_fields_never_alias_the_mesh():
         assert not np.shares_memory(a, Xm) and not np.shares_memory(a, Ym)
     assert np.array_equal(mf.values[..., 0], Xm)
     assert np.array_equal(Xm, kept[0]) and np.array_equal(Ym, kept[1])
-
-
-def test_periodic_grid_excludes_duplicate_edge():
-    g = GridChart(0.0, 1.0, 0.0, 1.0, 8, 8, BoundaryMode.PERIODIC)
-    assert g.periodic
-    assert g.hx == pytest.approx(1.0 / 8.0)
-    assert g.xs[-1] == pytest.approx(1.0 - 1.0 / 8.0)
 
 
 def test_grid_refine_halves_spacing():

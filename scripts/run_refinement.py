@@ -9,16 +9,10 @@ import argparse
 import functools
 
 from minmaps import presets
-from minmaps.verifier import (refinement_study, verify_form_laplacian,
-                              verify_gradient_identities,
-                              verify_jacobian_laplacians,
-                              verify_pullback_derivative)
+from minmaps.cli import IDENTITY_CHECKS
+from minmaps.verifier import refinement_study
 
-CHECKS = (
-    ("pullback", verify_pullback_derivative),
-    ("form_laplacian", verify_form_laplacian),
-    ("jacobians", verify_jacobian_laplacians),
-    ("gradients", verify_gradient_identities),
+CHECKS = IDENTITY_CHECKS + (
     ("mean_curvature", lambda mf: mf.graph.max_norm_H),
 )
 

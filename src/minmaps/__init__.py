@@ -4,10 +4,9 @@ from .errors import ChartDomainError, ConfigError, NumericalError
 from .surface import ConformalMetric, FactorKind, GridChart, TheoremHypotheses
 from .expressions import MapExpr
 from .pointwise import (
-    MapField, PointwiseGrid, jacobians, kahler_cosines, pointwise_grid,
-    singular_decomposition,
+    MapField, PointwiseGrid, area_cosines, pointwise_grid, singular_decomposition,
 )
-from .graph_geometry import GraphGrid, ambient_curvature, graph_grid, kahler_angle_crosscheck
+from .graph_geometry import GraphGrid, ambient_curvature, graph_grid
 from .verifier import (
     Certificate, ConvergenceStudy, HypothesisCheck, MinimumProbe, ProbeStatus,
     ResidualReport, area_decreasing_certificate, check_hypotheses,
@@ -16,8 +15,8 @@ from .verifier import (
     verify_pullback_derivative,
 )
 from .flow import (
-    FlowConfig, FlowResult, FlowState, MonitorRow, make_state, read_snapshot,
-    run_to_minimal, step, tension_pass, write_monitors_csv, write_snapshot,
+    FlowConfig, FlowResult, FlowState, MonitorRow, make_state, run_to_minimal,
+    step, tension_pass, write_monitors_csv, write_snapshot,
 )
 from .presets import SCENARIOS, map_preset, parse_map_spec, parse_metric_spec
 

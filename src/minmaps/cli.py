@@ -13,7 +13,7 @@ canonical fixtures) or from an INI config file (--config, full control). A
 preset is shorthand for config pieces: its row of presets.SCENARIO_SPECS
 (for curvature, a metric spec on a square chart), so both take one path.
 A config holds only the sections and keys below (CONFIG_KEYS); any other
-section or key is a config error, not silently ignored:
+section or key, [DEFAULT]'s included, is a config error, not ignored:
 
     [scenario]
     kind = flow                ; optional, must match the subcommand
@@ -27,11 +27,7 @@ section or key is a config error, not silently ignored:
     [grid]
     nx = 65
     ny = 65                    ; defaults to nx
-    half_width = 0.45          ; the centered square [-w, w]^2; without
-    x0 = -0.5                  ;   it the chart is [x0, x1] x [y0, y1]
-    x1 = 0.5
-    y0 = -0.5
-    y1 = 0.5
+    half_width = 0.45          ; the centered square [-w, w]^2
     [tolerances]
     stop_tension = 1e-4
     certificate_tol = 0.0      ; finite, >= 0
@@ -39,6 +35,19 @@ section or key is a config error, not silently ignored:
     max_steps = 50000
     [refine]
     grids = 17, 33, 65
+
+A [grid] gives either half_width or the chart [x0, x1] x [y0, y1], never
+both; a curvature table needs only the source factor:
+
+    [scenario]
+    kind = curvature
+    [source]
+    metric = sphere
+    [grid]
+    x0 = -0.5
+    x1 = 0.5
+    y0 = -0.25
+    y1 = 0.25
 
 No environment variables affect numerics; identical configs produce
 byte-identical CSVs (fixed column order, %.17g floats, versioned schema
@@ -142,6 +151,9 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    # every section inherits [DEFAULT]'s keys: name them where they are set
+    for key in parser.defaults():
+        raise ConfigError(f"unknown key {key!r} in [DEFAULT] of {path}")
     for name in parser.sections():
         if name not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{name}] in {path}")
@@ -161,6 +173,10 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
     nx = _get(grid, "nx", int, 65)
     ny = _get(grid, "ny", int, nx)
     if "half_width" in grid:
+        corners = [k for k in ("x0", "x1", "y0", "y1") if k in grid]
+        if corners:
+            raise ConfigError(f"[grid] gives both half_width and {corners[0]}; "
+                              "give one of the two charts")
         w = _get(grid, "half_width", float, None)
         domain = (-w, w, -w, w)
     else:

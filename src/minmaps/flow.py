@@ -59,14 +59,14 @@ from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import write_table
 from .graph_geometry import induced_metric_arrays
-from .pointwise import MapField
-from .surface import ConformalMetric, GridChart
+from .pointwise import MapField, area_cosines
+from .surface import GridChart
 from .verifier import Certificate, area_decreasing_certificate
 
 __all__ = [
     "FlowConfig", "FlowState", "FlowResult", "MonitorRow",
     "tension_pass", "make_state", "step", "solve_laplacian", "run_to_minimal",
-    "write_monitors_csv", "write_snapshot", "read_snapshot",
+    "write_monitors_csv", "write_snapshot",
 ]
 
 # secant pairs the solver mixes into a step
@@ -219,14 +219,10 @@ def tension_pass(mapfield: MapField) -> TensionPass:
               + rhoN2 * (tau1 * tau1 + tau2 * tau2))
     norm_H = float(np.sqrt(stencils.finite_abs_max(normH2)))
 
-    # area monitors via determinant ratios (no eigensolve):
-    # u1 = sqrt(det gM / det g), u2 = det df sqrt(det gN / det g)
-    u1 = np.sqrt(rhoM2 ** 2 / detg)
-    u2 = (f1x * f2y - f1y * f2x) * np.sqrt(rhoN2 ** 2 / detg)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jf = u2 / u1
-    min_phi = float(np.nanmin(u1 - u2))
-    min_theta = float(np.nanmin(u1 + u2))
+    # area monitors through the certificate's kernel
+    _, _, jf, phi, theta = area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, detg)
+    min_phi = float(np.nanmin(phi))
+    min_theta = float(np.nanmin(theta))
     max_jf = stencils.finite_abs_max(jf)
 
     # largest eigenvalue of ginv: the solver's coefficient
@@ -469,6 +465,9 @@ def write_monitors_csv(state: FlowState, path: str) -> None:
       norm_tau       sup |tau| on the structural interior
       chart_exits    candidates rejected because the image left the chart
       tension_jumps  candidates rejected because norm_tau grew over 10x
+
+    The area columns share the certificate's kernel, `area_cosines`;
+    norm_H is the flow's cheap harmonic-map route, not `graph_grid`'s A.
     """
     lines = ["# minmaps flow monitors v2", ",".join(MONITOR_COLUMNS)]
     for r in state.monitors:
@@ -491,23 +490,3 @@ def write_snapshot(mapfield: MapField, path: str) -> None:
                       f"{grid.y0:.17g}\n",
                 np.moveaxis(mapfield.values, -1, 0), sep=" ")
 
-
-def read_snapshot(path: str, source: ConformalMetric,
-                  target: ConformalMetric) -> MapField:
-    """Rebuild a MapField from a snapshot file (inverse of write_snapshot)."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 5:
-        raise ConfigError(f"snapshot {path!r} is truncated")
-    try:
-        nx, ny = int(tokens[0]), int(tokens[1])
-        h, x0, y0 = float(tokens[2]), float(tokens[3]), float(tokens[4])
-        vals = np.array(tokens[5:], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"snapshot {path!r} is malformed: {exc}") from None
-    if vals.size != 2 * nx * ny:
-        raise ConfigError(f"snapshot {path!r} has {vals.size} values, "
-                          f"expected {2 * nx * ny}")
-    # the chart rejects sizes below 5 before the values are shaped
-    grid = GridChart(x0, x0 + (nx - 1) * h, y0, y0 + (ny - 1) * h, nx, ny)
-    return MapField(grid, source, target, vals.reshape(nx, ny, 2))

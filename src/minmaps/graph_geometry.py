@@ -41,20 +41,12 @@ from .surface import GridChart
 
 __all__ = [
     "GraphGrid", "InducedMetric", "graph_grid", "induced_metric_arrays",
-    "sigma_perp_commutator", "ambient_curvature",
-    "laplace_beltrami_array", "gradient_norm_sq_array",
-    "pullback_form", "form_on_frame", "kahler_angle_crosscheck",
+    "ambient_curvature", "laplace_beltrami_array", "gradient_norm_sq_array",
+    "pullback_form", "form_on_frame",
 ]
 
 
 # ------------------------------------------------------------------ algebra
-
-def product_inner(rhoM2: np.ndarray, rhoN2: np.ndarray,
-                  X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Product metric pairing of 4-vectors."""
-    return (rhoM2 * (X[..., 0] * Y[..., 0] + X[..., 1] * Y[..., 1])
-            + rhoN2 * (X[..., 2] * Y[..., 2] + X[..., 3] * Y[..., 3]))
-
 
 def ambient_curvature(X, Y, Z, W, rhoM2, rhoN2, sigmaM, sigmaN) -> np.ndarray:
     """R(X, Y, Z, W) of the product of two constant-curvature factors."""
@@ -83,11 +75,6 @@ def pullback_form(which: int, X: np.ndarray, Y: np.ndarray,
     raise ValueError("which must be 1 (source form) or 2 (target form)")
 
 
-def _rot(v2: np.ndarray) -> np.ndarray:
-    """90-degree rotation (the complex structure of a conformal factor)."""
-    return np.stack([-v2[..., 1], v2[..., 0]], axis=-1)
-
-
 @dataclass(frozen=True)
 class InducedMetric:
     """The graph's induced metric g = rhoM^2 I + rhoN^2 df^T df by components."""
@@ -99,9 +86,19 @@ class InducedMetric:
     g12: np.ndarray
     g22: np.ndarray
     det: np.ndarray
-    gi11: np.ndarray         # g^-1
-    gi12: np.ndarray
-    gi22: np.ndarray
+
+    # g^-1 on first use: the pointwise pass reads only det
+    @cached_property
+    def gi11(self) -> np.ndarray:
+        return self.g22 / self.det
+
+    @cached_property
+    def gi12(self) -> np.ndarray:
+        return -self.g12 / self.det
+
+    @cached_property
+    def gi22(self) -> np.ndarray:
+        return self.g11 / self.det
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -118,8 +115,7 @@ def induced_metric_arrays(f1x, f1y, f2x, f2y, rhoM2, rhoN2) -> InducedMetric:
     g12 = rhoN2 * p12
     g22 = rhoM2 + rhoN2 * p22
     det = g11 * g22 - g12 * g12
-    return InducedMetric(p11, p12, p22, g11, g12, g22, det,
-                         g22 / det, -g12 / det, g11 / det)
+    return InducedMetric(p11, p12, p22, g11, g12, g22, det)
 
 
 # ---------------------------------------------------------------- grid pass
@@ -157,7 +153,6 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     df = pw.df
     fx = (df[..., 0, 0], df[..., 1, 0])      # d f / dx, by target component
     fy = (df[..., 0, 1], df[..., 1, 1])
-    metric = induced_metric_arrays(fx[0], fy[0], fx[1], fy[1], rhoM2, rhoN2)
     frame = _adapted_frame_arrays(pw)
 
     # ambient Hessian of the embedding D_ij, per slot pair (i, j): source
@@ -213,7 +208,7 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
                            frame[..., 2, :], frame[..., 3, :],
                            rhoM2, rhoN2, sigmaM, sigmaN)
 
-    return GraphGrid(grid=grid, pw=pw, metric=metric,
+    return GraphGrid(grid=grid, pw=pw, metric=mapfield.metric,
                      frame=frame, A=A, H=H, norm_H=norm_H, norm_A_sq=norm_A_sq,
                      sigma_perp=sigma_perp, rtilde_1234=rt,
                      sigmaM=sigmaM, sigmaN=sigmaN, rhoM2=rhoM2, rhoN2=rhoN2)
@@ -270,19 +265,7 @@ def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
             + metric.gi22 * uy * uy)
 
 
-# ---------------------------------------------------------- cross-checks
-
-def sigma_perp_commutator(A: np.ndarray) -> np.ndarray:
-    """sigma_perp via the explicit matrix commutator pairing <[A3, A4] e1, e2>.
-
-    Independent route used to cross-check the four-term formula; the pairing
-    reads off the (2, 1) entry of A3 A4 - A4 A3 in the orthonormal frame.
-    """
-    A3 = A[..., 0, :, :]
-    A4 = A[..., 1, :, :]
-    comm = A3 @ A4 - A4 @ A3
-    return comm[..., 1, 0]
-
+# ---------------------------------------------------------- frame forms
 
 def form_on_frame(gg: GraphGrid, which: int, a: int, b: int) -> np.ndarray:
     """omega_which(e_a, e_b) over the grid, frame indices in 1..4."""
@@ -290,20 +273,3 @@ def form_on_frame(gg: GraphGrid, which: int, a: int, b: int) -> np.ndarray:
     Y = gg.frame[..., b - 1, :]
     return pullback_form(which, X, Y, gg.rhoM2, gg.rhoN2)
 
-
-def kahler_angle_crosscheck(gg: GraphGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, theta) recomputed from the frame and the two product structures.
-
-    J1 rotates the source components and counter-rotates the target ones;
-    J2 rotates both. Pairing J e1 with e2 under the product metric must
-    reproduce u1 -/+ u2.
-    """
-    e1 = gg.frame[..., 0, :]
-    e2 = gg.frame[..., 1, :]
-    rotM = _rot(e1[..., 0:2])
-    rotN = _rot(e1[..., 2:4])
-    j1e1 = np.concatenate([rotM, -rotN], axis=-1)
-    j2e1 = np.concatenate([rotM, rotN], axis=-1)
-    phi = product_inner(gg.rhoM2, gg.rhoN2, j1e1, e2)
-    theta = product_inner(gg.rhoM2, gg.rhoN2, j2e1, e2)
-    return phi, theta

@@ -1,4 +1,4 @@
-"""Pointwise map algebra: differentials, singular values, Jacobians, angles.
+"""Pointwise map algebra: differentials, singular values, area cosines.
 
 For a map f between conformal surfaces the pullback metric f*g_N is
 diagonalised relative to g_M: its eigenvalues are lambda^2 <= mu^2 and the
@@ -11,6 +11,12 @@ are functions of (lambda, mu, s) with s = sign(det df):
     u2 = s * lambda * mu * u1                   (area cosine of the target factor)
     J_f = u2 / u1 = s * lambda * mu             (metric Jacobian determinant)
     phi = u1 - u2,  theta = u1 + u2             (Kaehler angle cosines)
+
+These define the quantities; `area_cosines` computes them without the
+eigensolve, by determinant ratios: the induced metric g has
+det g = rhoM^4 (1 + lambda^2)(1 + mu^2), so u1 = sqrt(rhoM^4 / det g) and
+u2 = det df sqrt(rhoN^4 / det g). The certificate and the flow's monitors
+share it.
 
 Conventions: (alpha1, alpha2) is positively oriented in the source chart, so
 the area form of the source evaluates to +1 on it; the beta frame inherits
@@ -36,12 +42,11 @@ from .surface import ConformalMetric, GridChart
 
 if TYPE_CHECKING:
     from .flow import TensionPass
-    from .graph_geometry import GraphGrid
+    from .graph_geometry import GraphGrid, InducedMetric
 
 __all__ = [
     "FactorSamples", "MapField", "PointwiseGrid",
-    "singular_decomposition", "jacobians", "kahler_cosines",
-    "jacobian_determinant", "classification_masks", "pointwise_grid",
+    "singular_decomposition", "area_cosines", "pointwise_grid",
 ]
 
 # relative eigenvalue gap below which a point counts as conformal
@@ -157,12 +162,20 @@ class MapField:
         return df
 
     @cached_property
+    def metric(self) -> "InducedMetric":
+        # imported here: graph_geometry and flow import this module
+        from .graph_geometry import induced_metric_arrays
+        df = self.df_field
+        return induced_metric_arrays(
+            df[..., 0, 0], df[..., 0, 1], df[..., 1, 0], df[..., 1, 1],
+            self.source_samples.rho2, self.target_samples.rho2)
+
+    @cached_property
     def pointwise(self) -> "PointwiseGrid":
         return pointwise_grid(self)
 
     @cached_property
     def graph(self) -> "GraphGrid":
-        # imported here: graph_geometry and flow import this module
         from .graph_geometry import graph_grid
         return graph_grid(self)
 
@@ -315,49 +328,15 @@ def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray)
     return lam, mu, s, alpha1, alpha2, beta1, beta2
 
 
-def jacobians(lam: np.ndarray, mu: np.ndarray, s: np.ndarray):
-    """(u1, u2): cosines of the two factor area forms on the graph.
-
-    u1 is always positive; u2 carries the sign of det df. Satisfies
-    u1^2 (1 + lam^2)(1 + mu^2) = 1 exactly in exact arithmetic.
-    """
-    lam = np.asarray(lam, float)
-    mu = np.asarray(mu, float)
-    u1 = 1.0 / np.sqrt((1.0 + lam * lam) * (1.0 + mu * mu))
-    u2 = np.asarray(s, float) * lam * mu * u1
-    return u1, u2
-
-
-def kahler_cosines(u1: np.ndarray, u2: np.ndarray):
-    """(phi, theta) = (u1 - u2, u1 + u2); both lie in (-1, 1]."""
-    return u1 - u2, u1 + u2
-
-
-def jacobian_determinant(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """J_f = u2 / u1: areas compare with sign, |J_f| <= 1 is area decreasing."""
-    return np.asarray(u2, float) / np.asarray(u1, float)
-
-
-def classification_masks(phi: np.ndarray, theta: np.ndarray,
-                         tol: float = 1e-9) -> dict[str, np.ndarray]:
-    """Special-point label masks over a grid of the two Kaehler angle cosines.
-
-    phi is the cosine attached to the difference structure J1, theta to the
-    sum structure J2. A point can carry several labels (the identity map is
-    Lagrangian for J1 and complex for J2 at once); "generic" marks the
-    points that carry none.
-    """
-    phi = np.asarray(phi, float)
-    theta = np.asarray(theta, float)
-    masks = {
-        "complex": (np.abs(phi - 1.0) <= tol) | (np.abs(theta - 1.0) <= tol),
-        "anti_complex": (phi <= -1.0 + tol) | (theta <= -1.0 + tol),
-        "lagrangian_1": np.abs(phi) <= tol,
-        "lagrangian_2": np.abs(theta) <= tol,
-    }
-    masks["generic"] = ~(masks["complex"] | masks["anti_complex"]
-                         | masks["lagrangian_1"] | masks["lagrangian_2"])
-    return masks
+def area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, det):
+    """(u1, u2, jf, phi, theta) by determinant ratios, from df's components
+    (f1x = d f^1 / dx, ...), the squared factors and det g of the induced
+    metric: u1 = sqrt(rhoM^4 / det g), u2 = det df sqrt(rhoN^4 / det g)."""
+    u1 = np.sqrt(rhoM2 ** 2 / det)
+    u2 = (f1x * f2y - f1y * f2x) * np.sqrt(rhoN2 ** 2 / det)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        jf = u2 / u1
+    return u1, u2, jf, u1 - u2, u1 + u2
 
 
 @dataclass(frozen=True)
@@ -383,11 +362,11 @@ class PointwiseGrid:
 def pointwise_grid(mapfield: MapField) -> PointwiseGrid:
     """Run the pointwise algebra over every grid point (vectorised)."""
     df = mapfield.df_field
+    rhoM2, rhoN2 = mapfield.source_samples.rho2, mapfield.target_samples.rho2
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam, mu, s, a1, a2, b1, b2 = singular_decomposition(
-            df, mapfield.source_samples.rho2, mapfield.target_samples.rho2)
-        u1, u2 = jacobians(lam, mu, s)
-        phi, theta = kahler_cosines(u1, u2)
-        jf = jacobian_determinant(u1, u2)
+        lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, rhoM2, rhoN2)
+        u1, u2, jf, phi, theta = area_cosines(
+            df[..., 0, 0], df[..., 0, 1], df[..., 1, 0], df[..., 1, 1],
+            rhoM2, rhoN2, mapfield.metric.det)
     return PointwiseGrid(mapfield.grid, df, lam, mu, s, a1, a2, b1, b2,
                          u1, u2, jf, phi, theta)

@@ -10,15 +10,15 @@ import pytest
 
 from minmaps import (ConformalMetric, FlowConfig, GridChart,
                      MapExpr, MapField, TheoremHypotheses, flow, presets)
-from minmaps.graph_geometry import (form_on_frame, graph_grid,
-                                    kahler_angle_crosscheck, product_inner,
-                                    sigma_perp_commutator)
-from minmaps.pointwise import classification_masks
+from minmaps.graph_geometry import form_on_frame, graph_grid
 from minmaps.verifier import (area_decreasing_certificate, refinement_study,
                               verify_form_laplacian,
                               verify_gradient_identities,
                               verify_jacobian_laplacians,
                               verify_pullback_derivative)
+
+from crosscheck_oracle import (classification_masks, kahler_angle_crosscheck,
+                               product_inner, sigma_perp_commutator)
 
 ALL_IDENTITIES = (verify_pullback_derivative, verify_form_laplacian,
                   verify_jacobian_laplacians, verify_gradient_identities)

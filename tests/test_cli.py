@@ -493,6 +493,9 @@ FLOW_CONFIG = f"""\
     (("[grid]", "[grid]\nboundry = periodic"), "'boundry' in [grid]"),
     (("[tolerances]", "[flwo]\nmax_steps = 10\n[tolerances]"), "[flwo]"),
     (("[map]", "[mesh]\nnx = 17\n[map]"), "[mesh]"),
+    # every section inherits a [DEFAULT] key; name it where it is set,
+    # not in [source], the first section that inherits it
+    (("[source]", "[DEFAULT]\nnx = 9\n[source]"), "'nx' in [DEFAULT]"),
 ])
 def test_unknown_config_key_or_section_is_config_error(tmp_path, capsys,
                                                        edit, named):
@@ -505,27 +508,50 @@ def test_unknown_config_key_or_section_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def _docstring_sample():
+def _docstring_samples():
+    """The config samples of the cli docs: each indented block that starts
+    with a section header."""
     from minmaps import cli
 
-    start = cli.__doc__.index("    [scenario]")
-    return textwrap.dedent(cli.__doc__[start:cli.__doc__.index("\n\n", start)])
+    return [textwrap.dedent(block) for block in cli.__doc__.split("\n\n")
+            if block.startswith("    [")]
 
 
 def test_docstring_sample_lists_every_accepted_key(tmp_path):
-    # the module docs show one config holding every section and key that
-    # CONFIG_KEYS accepts, and that config loads under the strict check
+    # the module docs show, over their samples, every section and key that
+    # CONFIG_KEYS accepts, and each sample loads on its own under the
+    # strict check, as the subcommand it declares
     import configparser
 
     from minmaps.cli import CONFIG_KEYS, _config_from_file
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_string(_docstring_sample())
-    assert {name: tuple(parser[name]) for name in parser.sections()} == CONFIG_KEYS
-    cfgfile = tmp_path / "sample.ini"
-    cfgfile.write_text(_docstring_sample())
-    cfg = _config_from_file(cfgfile, "flow", tmp_path)
-    assert (cfg.map_spec, cfg.nx, cfg.refine_grids) == ("z_squared", 65, (17, 33, 65))
+    samples = _docstring_samples()
+    want = [("z_squared", 65, (-0.45, 0.45, -0.45, 0.45)),
+            (None, 65, (-0.5, 0.5, -0.25, 0.25))]
+    assert len(samples) == len(want)
+    shown = {}
+    for k, text in enumerate(samples):
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(text)
+        for name in parser.sections():
+            shown.setdefault(name, set()).update(parser[name])
+        cfgfile = tmp_path / f"sample{k}.ini"
+        cfgfile.write_text(text)
+        cfg = _config_from_file(cfgfile, parser["scenario"]["kind"], tmp_path)
+        assert (cfg.map_spec, cfg.nx, cfg.domain) == want[k]
+    assert shown == {name: set(keys) for name, keys in CONFIG_KEYS.items()}
+
+
+def test_half_width_with_chart_corners_is_config_error(tmp_path, capsys):
+    # half_width used to win silently: this chart at x0 = -5 leaves the disc
+    cfgfile = tmp_path / "both.ini"
+    cfgfile.write_text(textwrap.dedent(FLOW_CONFIG).replace(
+        "[grid]", "[grid]\nx0 = -5\nx1 = 5\ny0 = -5\ny1 = 5"))
+    out = tmp_path / "run"
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [grid] gives both half_width and x0" in err
+    assert not out.exists()
 
 
 # -------------------------------------------------------- work per field

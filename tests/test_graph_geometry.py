@@ -8,9 +8,10 @@ from minmaps import (ConformalMetric, GridChart, MapExpr, MapField, flow,
                      presets)
 from minmaps.graph_geometry import (ambient_curvature, form_on_frame,
                                     gradient_norm_sq_array, graph_grid,
-                                    kahler_angle_crosscheck,
-                                    laplace_beltrami_array, product_inner,
-                                    sigma_perp_commutator)
+                                    laplace_beltrami_array)
+
+from crosscheck_oracle import (kahler_angle_crosscheck, product_inner,
+                               sigma_perp_commutator)
 
 EUC = ConformalMetric.euclidean()
 

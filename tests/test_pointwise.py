@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from minmaps import ConformalMetric, GridChart, MapExpr, MapField, flow, presets
 from minmaps.errors import ChartDomainError
-from minmaps.pointwise import (classification_masks,
-                               jacobian_determinant, jacobians,
-                               kahler_cosines, singular_decomposition)
+from minmaps.pointwise import area_cosines, singular_decomposition
+
+from crosscheck_oracle import classification_masks
 
 def decompose(df, rhoM2=1.0, rhoN2=1.0):
     return singular_decomposition(np.asarray(df, float), rhoM2, rhoN2)
@@ -161,14 +161,25 @@ def test_decomposition_near_rank_loss_with_tensor_target_metric(d10):
 
 # ------------------------------------------------------- derived quantities
 
+def cosines(df, rhoM2=1.0, rhoN2=1.0):
+    """area_cosines of one differential, with det g of its graph."""
+    (f1x, f1y), (f2x, f2y) = np.asarray(df, float)
+    g11 = rhoM2 + rhoN2 * (f1x * f1x + f2x * f2x)
+    g12 = rhoN2 * (f1x * f1y + f2x * f2y)
+    g22 = rhoM2 + rhoN2 * (f1y * f1y + f2y * f2y)
+    out = area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, g11 * g22 - g12 * g12)
+    return tuple(float(v) for v in out)
+
+
 @pytest.mark.parametrize("lam,mu,s,want", [
     (0.0, 0.0, 0.0, (1.0, 0.0)),
     (1.0, 1.0, 1.0, (0.5, 0.5)),
     (0.5, 2.0, 1.0, (0.4, 0.4)),
 ])
 def test_jacobians_worked_cases(lam, mu, s, want):
-    u1, u2 = jacobians(np.array(lam), np.array(mu), np.array(s))
-    assert (float(u1), float(u2)) == pytest.approx(want, abs=1e-15)
+    # (u1, u2) of the differential diag(lam, s mu), Euclidean factors
+    u1, u2, *_ = cosines([[lam, 0.0], [0.0, s * mu]])
+    assert (u1, u2) == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize("u1,u2,want", [
@@ -177,15 +188,23 @@ def test_jacobians_worked_cases(lam, mu, s, want):
     (0.4, 0.4, (0.0, 0.8)),
 ])
 def test_kahler_cosines_worked_cases(u1, u2, want):
-    phi, theta = kahler_cosines(np.array(u1), np.array(u2))
-    assert (float(phi), float(theta)) == pytest.approx(want, abs=1e-15)
+    # the diagonal differential diag(a, b) with these area cosines:
+    # ab = u2 / u1 and (1 + a^2)(1 + b^2) = 1 / u1^2
+    jf = u2 / u1
+    p = 1.0 / u1 ** 2 - 1.0 - jf ** 2
+    a = 0.5 * (math.sqrt(p + 2.0 * jf) + math.sqrt(p - 2.0 * jf))
+    b = 0.5 * (math.sqrt(p + 2.0 * jf) - math.sqrt(p - 2.0 * jf))
+    *_, phi, theta = cosines([[a, 0.0], [0.0, b]])
+    assert (phi, theta) == pytest.approx(want, abs=1e-15)
 
 
 def test_jacobian_determinant():
-    assert float(jacobian_determinant(np.array(0.5), np.array(0.5))) == pytest.approx(1.0)
-    assert float(jacobian_determinant(np.array(0.4), np.array(0.4))) == pytest.approx(1.0)
-    u1, u2 = jacobians(np.array(2.0), np.array(3.0), np.array(-1.0))
-    assert float(jacobian_determinant(u1, u2)) == pytest.approx(-6.0, rel=1e-12)
+    # J_f = det df rhoN^2 / rhoM^2, with its sign
+    assert cosines([[1.0, 0.0], [0.0, 1.0]])[2] == pytest.approx(1.0)
+    assert cosines([[0.5, 0.0], [0.0, 2.0]])[2] == pytest.approx(1.0)
+    assert cosines([[2.0, 0.0], [0.0, -3.0]])[2] == pytest.approx(-6.0, rel=1e-12)
+    assert cosines([[4.0, 0.0], [0.0, -6.0]], 4.0, 1.0)[2] == pytest.approx(
+        -6.0, rel=1e-12)
 
 
 def test_spec_map_jacobian_range():
@@ -218,25 +237,40 @@ signs = st.sampled_from([-1.0, 0.0, 1.0])
 
 
 @settings(max_examples=200, deadline=None)
-@given(finite_sv, finite_sv, signs)
-def test_jacobian_algebra_properties(a, b, s):
+@given(finite_sv, finite_sv, signs, st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+def test_jacobian_algebra_properties(a, b, s, rM, rN):
+    # area_cosines of a differential with singular values (lam, mu)
+    # relative to rhoM^2 I, rhoN^2 I and sign s, against the (lam, mu)
+    # definitions; the drawn values are the reference, since the eigen
+    # route resolves lam only to about eps mu^2 / lam
+    # (test_area_cosines_match_singular_values_on_presets compares with it)
     lam, mu = min(a, b), max(a, b)
-    if lam == mu == 0:
-        s = 0.0
-    u1, u2 = jacobians(np.array(lam), np.array(mu), np.array(s))
-    u1, u2 = float(u1), float(u2)
+    if s == 0:
+        lam = 0.0
+    df = np.array([[lam, 0.0], [0.0, (s or 1.0) * mu]]) * (rM / rN)
+    u1, u2, jf, phi, theta = cosines(df, rM ** 2, rN ** 2)
     # defining relation, exactly
     assert u1 ** 2 * (1 + lam ** 2) * (1 + mu ** 2) == pytest.approx(1.0, rel=1e-12)
     assert u2 == pytest.approx(s * lam * mu * u1, rel=1e-12, abs=1e-15)
-    phi, theta = kahler_cosines(np.array(u1), np.array(u2))
-    phi, theta = float(phi), float(theta)
     assert -1.0 < phi <= 1.0 + 1e-15
     assert -1.0 < theta <= 1.0 + 1e-15
     assert phi + theta == pytest.approx(2 * u1, rel=1e-12)
     assert phi + theta > 0
-    if u1 > 0:
-        assert float(jacobian_determinant(np.array(u1), np.array(u2))) == pytest.approx(
-            s * lam * mu, rel=1e-10, abs=1e-12)
+    assert jf == pytest.approx(s * lam * mu, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(presets.SCENARIOS))
+def test_area_cosines_match_singular_values_on_presets(name):
+    # pointwise_grid's u1, jf and the lam, mu, s of its singular data
+    pw = presets.SCENARIOS[name](n=33).pointwise
+    ok = np.isfinite(pw.u1)
+    assert ok.sum() >= 31 * 31
+    lam, mu, s = pw.lam[ok], pw.mu[ok], pw.s[ok]
+    u1 = 1.0 / np.sqrt((1.0 + lam ** 2) * (1.0 + mu ** 2))
+    assert pw.u1[ok] == pytest.approx(u1, rel=1e-12)
+    assert pw.jf[ok] == pytest.approx(s * lam * mu, rel=1e-10, abs=1e-12)
+    assert np.array_equal(pw.phi[ok], pw.u1[ok] - pw.u2[ok])
+    assert np.array_equal(pw.theta[ok], pw.u1[ok] + pw.u2[ok])
 
 
 matrix_entries = st.floats(-5.0, 5.0)
@@ -280,5 +314,5 @@ def test_decomposition_reconstruction_property(d00, d01, d10, d11, rM, rN):
     det = float(np.linalg.det(df))
     if abs(det) > 1e-8:
         assert s == math.copysign(1.0, det)
-        u1, u2 = jacobians(np.array(lam), np.array(mu), np.array(s))
-        assert math.copysign(1.0, float(u2 / u1)) == math.copysign(1.0, det)
+        jf = cosines(df, rM ** 2, rN ** 2)[2]
+        assert math.copysign(1.0, jf) == math.copysign(1.0, det)

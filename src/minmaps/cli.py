@@ -90,6 +90,8 @@ EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
 CSV_VERSION = "v1"
+# v2: verify adds <identity>.evaluated.<component> point counts
+SUMMARY_VERSION = "v2"
 
 IDENTITY_CHECKS = (
     ("pullback", verify_pullback_derivative),
@@ -282,7 +284,7 @@ def _write_table(path: Path, name: str, columns: Sequence[str],
 
 def _write_summary(path: Path, kind: str, items) -> None:
     """summary.txt: one ``key = value`` line per (key, value) pair."""
-    lines = [f"# minmaps summary {CSV_VERSION}", f"scenario = {kind}",
+    lines = [f"# minmaps summary {SUMMARY_VERSION}", f"scenario = {kind}",
              *(f"{key} = {_text(value)}" for key, value in items)]
     path.write_bytes(("\n".join(lines) + "\n").encode())
 
@@ -346,6 +348,8 @@ def _run_verify(cfg: ScenarioConfig) -> None:
         items += [(f"{name}.norm_inf", report.norm_inf),
                   (f"{name}.norm_l2", report.norm_l2),
                   (f"{name}.masked_points", report.masked_points)]
+        items += [(f"{name}.evaluated.{comp}", k)
+                  for comp, k in report.evaluated.items()]
         defect = report.minimality_defect
     items.append(("minimality_defect", defect))
     _write_table(cfg.out / "verify.csv", "verify", columns, fields)
@@ -429,7 +433,8 @@ _COLUMN_DOCS = {
     "analyze": "analysis.csv columns: " + ", ".join(ANALYZE_COLUMNS),
     "verify": ("verify.csv columns: x, y, then one residual column per "
                "identity component (pullback.u1_e1 ... gradients.lap_theta); "
-               "masked or boundary points hold nan"),
+               "masked or boundary points hold nan, and summary.txt counts "
+               "each column's finite points"),
     "refine": "refine.csv columns: h, pullback, form_laplacian, jacobians, gradients",
     "flow": ("monitors.csv columns: " + ", ".join(MONITOR_COLUMNS) + "; "
              "final_map.txt holds the last "

@@ -1,11 +1,16 @@
 """Pointwise map algebra: differentials, singular values, area cosines.
 
-For a map f between conformal surfaces the pullback metric f*g_N is
-diagonalised relative to g_M: its eigenvalues are lambda^2 <= mu^2 and the
-g_M-orthonormal eigenvector pair (alpha1, alpha2) is completed by
-g_N-orthonormal (beta1, beta2) with df(alpha1) = lambda beta1 and
-df(alpha2) = mu beta2. All scalar invariants of the graph of f at a point
-are functions of (lambda, mu, s) with s = sign(det df):
+For a map f between conformal surfaces the pullback metric f*g_N has
+eigenvalues lambda^2 <= mu^2 relative to g_M: lambda and mu are the
+singular values of df between the two metrics, with g_M-orthonormal
+(alpha1, alpha2) and g_N-orthonormal (beta1, beta2), df(alpha1) =
+lambda beta1 and df(alpha2) = mu beta2. `singular_decomposition` takes them
+in closed form, with no eigensolve: a 2x2 df is the sum of a conformal part
+(a rotation times Q) and an anticonformal part (a reflection times R), so
+mu = r (Q + R) and lambda = r |det df| / (Q + R) with r = rhoN / rhoM, and
+the frames lie at half the sum and difference of the parts' angles. All
+scalar invariants of the graph of f at a point are functions of
+(lambda, mu, s) with s = sign(det df):
 
     u1 = 1 / sqrt((1 + lambda^2)(1 + mu^2))     (area cosine of the source factor)
     u2 = s * lambda * mu * u1                   (area cosine of the target factor)
@@ -13,7 +18,7 @@ are functions of (lambda, mu, s) with s = sign(det df):
     phi = u1 - u2,  theta = u1 + u2             (Kaehler angle cosines)
 
 These define the quantities; `area_cosines` computes them without the
-eigensolve, by determinant ratios: the induced metric g has
+singular values, by determinant ratios: the induced metric g has
 det g = rhoM^4 (1 + lambda^2)(1 + mu^2), so u1 = sqrt(rhoM^4 / det g) and
 u2 = det df sqrt(rhoN^4 / det g). The certificate and the flow's monitors
 share it.
@@ -24,9 +29,9 @@ its orientation from df. All functions broadcast over leading axes.
 
 Storage: per-point vectors and tensors keep their (nx, ny, ...) shape and
 index meaning, but are stored component-major, so each [..., a, b] is a
-contiguous (nx, ny) plane. Build vectors with `_planes` and allocate
-fields with `_empty_planes`, never with np.stack(..., axis=-1) or
-np.empty(shape + comps), and spell out reductions over component axes.
+contiguous (nx, ny) plane. Allocate fields with `_empty_planes`, never
+with np.stack(..., axis=-1) or np.empty(shape + comps), and spell out
+reductions over component axes.
 """
 
 from __future__ import annotations
@@ -49,16 +54,9 @@ __all__ = [
     "singular_decomposition", "area_cosines", "pointwise_grid",
 ]
 
-# relative eigenvalue gap below which a point counts as conformal
-# (frames then snap to the chart axes for determinism)
+# R / Q below which a point counts as conformal (frames then snap to the
+# chart axes for determinism)
 _CONFORMAL_GAP = 1e-10
-# singular values below this count as rank loss when building the beta frame
-_RANK_FLOOR = 1e-14
-# |df alpha1| / |df alpha2| below this counts as rank loss for the beta
-# frame: the direction of df(alpha1) carries a rounding error of about
-# eps mu / lam, which grows to sqrt(eps) ~ 1.5e-8 at lam / mu = sqrt(eps),
-# so beta1 is rebuilt from beta2 well before that
-_NEAR_RANK = 1e-6
 
 
 @dataclass(eq=False)
@@ -185,147 +183,87 @@ class MapField:
         return tension_pass(self)
 
 
-def _planes(*comps: np.ndarray) -> np.ndarray:
-    """The vector (..., len(comps)) of the component arrays, stored
-    component-major: each [..., i] is a contiguous plane."""
-    return np.moveaxis(np.stack(comps), 0, -1)
-
-
 def _empty_planes(shape: tuple, comps: tuple) -> np.ndarray:
     """An uninitialised (*shape, *comps) field stored component-major."""
     k = len(comps)
     return np.moveaxis(np.empty(comps + shape), range(k), range(-k, 0))
 
 
-def sym_eig2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Eigensystem of [[a, b], [b, c]].
-
-    Returns (lo, hi, v_lo, v_hi) with lo <= hi and orthonormal eigenvectors
-    of shape (..., 2); the pair (v_lo, v_hi) is positively oriented.
-    """
-    mean = 0.5 * (a + c)
-    diff = 0.5 * (a - c)
-    r = np.hypot(diff, b)
-    lo, hi = mean - r, mean + r
-    # stable eigenvector of the top eigenvalue
-    vx = np.where(diff >= 0, r + diff, b)
-    vy = np.where(diff >= 0, b, r - diff)
-    nrm = np.hypot(vx, vy)
-    tiny = nrm <= 0
-    vx = np.where(tiny, 1.0, vx / np.where(tiny, 1.0, nrm))
-    vy = np.where(tiny, 0.0, vy / np.where(tiny, 1.0, nrm))
-    v_hi = _planes(vx, vy)
-    v_lo = _planes(vy, -vx)  # rot(-90): det[v_lo | v_hi] = +1
-    return lo, hi, v_lo, v_hi
-
-
-def _apply(df: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """df v over leading axes, unrolled."""
-    return _planes(df[..., 0, 0] * v[..., 0] + df[..., 0, 1] * v[..., 1],
-                   df[..., 1, 0] * v[..., 0] + df[..., 1, 1] * v[..., 1])
-
-
-def _axes(inv_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chart axes scaled to unit length in the metric rho^2 I."""
-    zero = np.zeros_like(inv_rho)
-    return _planes(inv_rho, zero), _planes(zero, inv_rho)
-
-
 def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray):
-    """Metric-relative singular data of df between conformal metrics.
+    """Metric-relative singular data of df between conformal metrics, in
+    closed form.
 
     df is (..., 2, 2) (rows indexed by target component); rhoM2 and rhoN2
     are the squared conformal factors of the source metric at the point and
     of the target metric at the image point, broadcast against df's leading
-    axes. With g_M = rhoM^2 I and g_N = rhoN^2 I the pullback relative to
-    g_M is S = (rhoN^2 / rhoM^2) df^T df, so lam and mu are the singular
-    values of df scaled by rhoN / rhoM and the alpha frame is the
-    eigenvector pair of df^T df scaled by 1 / rhoM.
+    axes. With g_M = rhoM^2 I and g_N = rhoN^2 I, lam and mu are the
+    singular values of df scaled by r = rhoN / rhoM, and the frames are its
+    singular vectors scaled by 1 / rhoM and 1 / rhoN.
+
+    df = [[E + F, G - H], [G + H, E - F]] splits into a conformal part
+    (E, H) of size Q = |(E, H)| at the angle h, and an anticonformal part
+    (F, G) of size R = |(F, G)| at the angle g. Then mu = r (Q + R) and
+    lam = r |det df| / (Q + R) (as |Q - R| with det df = Q^2 - R^2, but
+    without the cancellation); alpha2 lies at the angle (g - h) / 2 and
+    beta2 at (g + h) / 2, alpha2 turned by h.
 
     Returns (lam, mu, s, alpha1, alpha2, beta1, beta2) with lam <= mu,
     s = sign(det df), the alpha frame g_M-orthonormal and positively
-    oriented, the beta frame g_N-orthonormal with df(alpha1) = lam beta1,
-    df(alpha2) = mu beta2. At conformal points (lam == mu) alpha1 points
-    along the source x-axis; where df vanishes (mu below the rank floor)
-    both frames lie along the chart axes. Near rank loss (|df alpha1| <=
-    1e-6 mu, or below the rank floor) beta1 is the 90-degree rotation of
-    beta2, oriented with sign(det df) and positively when det df == 0, and
-    lam is |df alpha1|.
+    oriented (alpha1 is alpha2 turned by -90 degrees), the beta frame
+    g_N-orthonormal with df(alpha1) = lam beta1, df(alpha2) = mu beta2:
+    beta1 is beta2 turned by -90 degrees, times sign(det df) (+ where
+    det df == 0). alpha2's sign follows the larger column of df: its x
+    component is >= 0 where |df e_x| >= |df e_y|, else its y component is
+    > 0. At conformal points (R <= 1e-10 Q, df == 0 included) alpha is
+    the source chart axes and lam == mu; h is 0 where Q == 0, so where df
+    vanishes beta is the target chart axes. NaN passes through.
     """
     df = np.asarray(df, float)
-    rhoM2 = np.asarray(rhoM2, float)
-    rhoN2 = np.asarray(rhoN2, float)
-    shape = np.broadcast_shapes(df.shape[:-2], rhoM2.shape, rhoN2.shape)
-    df = np.broadcast_to(df, shape + (2, 2))
-    rhoM2 = np.broadcast_to(rhoM2, shape)
-    rhoN2 = np.broadcast_to(rhoN2, shape)
-    d00, d01 = df[..., 0, 0], df[..., 0, 1]
-    d10, d11 = df[..., 1, 0], df[..., 1, 1]
+    shape = np.broadcast_shapes(df.shape[:-2], np.shape(rhoM2), np.shape(rhoN2))
+    a, b = df[..., 0, 0], df[..., 0, 1]
+    c, d = df[..., 1, 0], df[..., 1, 1]
 
-    k = rhoN2 / rhoM2
-    lo, hi, w_lo, w_hi = sym_eig2(k * (d00 * d00 + d10 * d10),
-                                  k * (d00 * d01 + d10 * d11),
-                                  k * (d01 * d01 + d11 * d11))
-    with np.errstate(invalid="ignore"):
-        lam = np.sqrt(np.clip(lo, 0.0, None))  # clip guards rounding; NaN passes through
-        mu = np.sqrt(np.clip(hi, 0.0, None))
-    inv_rM = (1.0 / np.sqrt(rhoM2))[..., None]
-    alpha1 = w_lo * inv_rM
-    alpha2 = w_hi * inv_rM
-
-    # conformal points, and points where df vanishes to working precision
-    # (its pullback may underflow, and the eigenvectors then lose their
-    # normalisation): deterministic chart-axis frame
-    floor = _RANK_FLOOR * (1.0 + mu)
-    vanishing = mu <= floor
-    gap = hi - lo
-    scale = np.abs(hi) + np.abs(lo)
-    conformal = (gap <= _CONFORMAL_GAP * np.where(scale > 0, scale, 1.0)) | vanishing
-    if np.any(conformal):
-        e1, e2 = _axes(inv_rM[..., 0])
-        c = conformal[..., None]
-        alpha1 = np.where(c, e1, alpha1)
-        alpha2 = np.where(c, e2, alpha2)
-
-    t1 = _apply(df, alpha1)
-    t2 = _apply(df, alpha2)
-    n1 = np.sqrt(rhoN2 * (t1[..., 0] ** 2 + t1[..., 1] ** 2))
-    n2 = np.sqrt(rhoN2 * (t2[..., 0] ** 2 + t2[..., 1] ** 2))
-    finite = np.isfinite(n2)
-    ok1 = n1 > floor
-    ok2 = n2 > floor
-    rank0 = (vanishing | ~ok2) & finite    # df vanishes entirely
-    # df has a one-dimensional image to working precision; n1 measures lam
-    # to ~eps mu, where the eigenvalue route only resolves ~sqrt(eps) mu
-    rank1 = ok2 & (~ok1 | (n1 <= _NEAR_RANK * n2))
-
+    E, F = 0.5 * (a + d), 0.5 * (a - d)
+    G, H = 0.5 * (c + b), 0.5 * (c - b)
+    Q, R = np.hypot(E, H), np.hypot(F, G)
+    det = a * d - b * c
+    r = np.sqrt(rhoN2 / rhoM2)
+    mu = r * (Q + R)
+    conformal = R <= _CONFORMAL_GAP * Q
+    # where Q << R, |det df| / (Q + R) = |Q - R| can round above Q + R
     with np.errstate(invalid="ignore", divide="ignore"):
-        beta1 = np.where(ok1[..., None], t1 / np.where(ok1, n1, 1.0)[..., None], 0.0)
-        beta2 = np.where(ok2[..., None], t2 / np.where(ok2, n2, 1.0)[..., None], 0.0)
+        lam = np.where(conformal, mu, np.minimum(mu, r * np.abs(det) / (Q + R)))
 
-    if np.any(rank0):
-        # beta frame along the positively oriented target chart axes
-        axis1, axis2 = _axes(1.0 / np.sqrt(rhoN2))
-        beta1 = np.where(rank0[..., None], axis1, beta1)
-        beta2 = np.where(rank0[..., None], axis2, beta2)
+    # unit vectors at the angles h and g (angle 0 where a part vanishes)
+    ch = np.divide(E, Q, out=np.ones(shape), where=Q != 0)
+    sh = np.divide(H, Q, out=np.zeros(shape), where=Q != 0)
+    cg = np.divide(F, R, out=np.ones(shape), where=R != 0)
+    sg = np.divide(G, R, out=np.zeros(shape), where=R != 0)
+    # (p, q) is the unit vector at the angle g - h; (x, y) halves it, on the
+    # side of the sign rule (p >= 0 exactly where |df e_x| >= |df e_y|)
+    p = cg * ch + sg * sh
+    q = sg * ch - cg * sh
+    top = p >= 0
+    x = np.where(top, 1.0 + p, q)
+    y = np.where(top, q, 1.0 - p)
+    n = np.sqrt(x * x + y * y)
+    x = np.where(conformal, 0.0, x / n)
+    y = np.where(conformal, 1.0, y / n)
 
-    s = np.sign(d00 * d11 - d01 * d10)
-    if np.any(rank1):
-        # complete beta2 to a g_N-orthonormal pair oriented like df
-        # (positively when det df == 0): for a conformal g_N that is beta2
-        # turned by -90 degrees; exact singular vectors are always such a pair
-        sgn = np.where(s < 0, -1.0, 1.0)
-        comp = _planes(sgn * beta2[..., 1], -sgn * beta2[..., 0])
-        beta1 = np.where(rank1[..., None], comp, beta1)
-        lam = np.where(rank1, n1, lam)
-
-    if not np.all(finite):
-        bad = (~finite)[..., None]
-        alpha1 = np.where(bad, np.nan, alpha1)
-        alpha2 = np.where(bad, np.nan, alpha2)
-        beta1 = np.where(bad, np.nan, beta1)
-        beta2 = np.where(bad, np.nan, beta2)
-    return lam, mu, s, alpha1, alpha2, beta1, beta2
+    inv_rM = 1.0 / np.sqrt(rhoM2)
+    inv_rN = 1.0 / np.sqrt(rhoN2)
+    sgn = np.where(det < 0, -1.0, 1.0)
+    alpha1, alpha2, beta1, beta2 = (_empty_planes(shape, (2,)) for _ in range(4))
+    alpha2[..., 0] = x * inv_rM
+    alpha2[..., 1] = y * inv_rM
+    alpha1[..., 0] = alpha2[..., 1]
+    alpha1[..., 1] = -alpha2[..., 0]
+    # beta2 is alpha2 turned by h
+    beta2[..., 0] = (ch * x - sh * y) * inv_rN
+    beta2[..., 1] = (sh * x + ch * y) * inv_rN
+    beta1[..., 0] = sgn * beta2[..., 1]
+    beta1[..., 1] = -sgn * beta2[..., 0]
+    return lam, mu, np.sign(det), alpha1, alpha2, beta1, beta2
 
 
 def area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, det):

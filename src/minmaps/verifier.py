@@ -53,7 +53,12 @@ MUTATIONS = (None, "flip_sigma_perp", "swap_curvatures")
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Residual fields of one identity and their norms. `evaluated` counts
+    each component's finite points: a component with none has norms of 0.0
+    that show nothing, and reads as empty through its count of 0."""
+
     components: dict[str, np.ndarray]
+    evaluated: dict[str, int]
     residual_field: np.ndarray
     norm_inf: float
     norm_l2: float
@@ -83,6 +88,7 @@ def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],
     residual = _nan_pointwise_max(list(components.values()))
     return ResidualReport(
         components=components,
+        evaluated={name: int(np.isfinite(c).sum()) for name, c in components.items()},
         residual_field=residual,
         norm_inf=stencils.finite_abs_max(residual),
         norm_l2=stencils.finite_l2(residual, grid.cell_area),

@@ -2,8 +2,9 @@
 
 The package represents each metric by its squared conformal factor rho^2.
 This module keeps the general route it replaced, as a test oracle: singular
-data relative to (..., 2, 2) metric tensors g_M, g_N through g_M^(-1/2),
-and the second fundamental form and ambient curvature term of the graph
+data relative to (..., 2, 2) metric tensors g_M, g_N through g_M^(-1/2)
+and the eigensystem of the pullback (the package takes them in closed form
+from the conformal and anticonformal parts of df), and the second fundamental form and ambient curvature term of the graph
 through einsum contractions with the metric and Christoffel tensors.
 """
 
@@ -13,7 +14,17 @@ import numpy as np
 
 from minmaps.errors import NumericalError
 from minmaps.graph_geometry import _adapted_frame_arrays
-from minmaps.pointwise import _CONFORMAL_GAP, _NEAR_RANK, _RANK_FLOOR, sym_eig2
+
+# relative eigenvalue gap below which a point counts as conformal
+# (frames then snap to the chart axes for determinism)
+_CONFORMAL_GAP = 1e-10
+# singular values below this count as rank loss when building the beta frame
+_RANK_FLOOR = 1e-14
+# |df alpha1| / |df alpha2| below this counts as rank loss for the beta
+# frame: the direction of df(alpha1) carries a rounding error of about
+# eps mu / lam, which grows to sqrt(eps) ~ 1.5e-8 at lam / mu = sqrt(eps),
+# so beta1 is rebuilt from beta2 well before that
+_NEAR_RANK = 1e-6
 
 
 def det2(m: np.ndarray) -> np.ndarray:
@@ -57,6 +68,28 @@ def apply2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Metric pairing g(u, v) over leading axes."""
     return np.einsum("...i,...ij,...j->...", u, g, v)
+
+
+def sym_eig2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Eigensystem of [[a, b], [b, c]].
+
+    Returns (lo, hi, v_lo, v_hi) with lo <= hi and orthonormal eigenvectors
+    of shape (..., 2); the pair (v_lo, v_hi) is positively oriented.
+    """
+    mean = 0.5 * (a + c)
+    diff = 0.5 * (a - c)
+    r = np.hypot(diff, b)
+    lo, hi = mean - r, mean + r
+    # stable eigenvector of the top eigenvalue
+    vx = np.where(diff >= 0, r + diff, b)
+    vy = np.where(diff >= 0, b, r - diff)
+    nrm = np.hypot(vx, vy)
+    tiny = nrm <= 0
+    vx = np.where(tiny, 1.0, vx / np.where(tiny, 1.0, nrm))
+    vy = np.where(tiny, 0.0, vy / np.where(tiny, 1.0, nrm))
+    v_hi = np.stack([vx, vy], axis=-1)
+    v_lo = np.stack([vy, -vx], axis=-1)  # rot(-90): det[v_lo | v_hi] = +1
+    return lo, hi, v_lo, v_hi
 
 
 def singular_decomposition(df: np.ndarray, gM: np.ndarray, gN: np.ndarray):

@@ -87,8 +87,19 @@ def test_criterion_3_holomorphic_map_is_area_decreasing():
            f"minphi={cert.min_phi:.4f} mintheta={cert.min_theta:.4f}")
 
 
+def evaluated(name, reports):
+    """The fewest finite residual points of any identity component, and the
+    components with none: an empty component reads as empty, not as zero."""
+    counts = {f"{verify.__name__[7:13]}.{comp}": k
+              for verify, rep in zip(ALL_IDENTITIES, reports)
+              for comp, k in rep.evaluated.items()}
+    empty = "+".join(c for c, k in counts.items() if k == 0) or "none"
+    return f"{name[:5]}:min={min(counts.values())},empty={empty}"
+
+
 def test_criterion_4_identity_suite_orders():
     details = []
+    counts = []
     ok = True
     for name in ("z_squared", "paper_example"):
         for verify in ALL_IDENTITIES:
@@ -96,11 +107,16 @@ def test_criterion_4_identity_suite_orders():
                                      lambda mf: verify(mf).norm_inf)
             ok &= 1.5 <= study.estimated_order <= 2.5
             details.append(f"{name[:5]}/{verify.__name__[7:13]}={study.estimated_order:.2f}")
+        counts.append(evaluated(name, [verify(field(name, 65))
+                                       for verify in ALL_IDENTITIES]))
     for name in ("identity_hyperbolic", "constant"):
-        worst = max(verify(field(name)).norm_inf for verify in ALL_IDENTITIES)
+        reports = [verify(field(name)) for verify in ALL_IDENTITIES]
+        worst = max(rep.norm_inf for rep in reports)
         ok &= worst <= 1e-10
         details.append(f"{name[:5]}<={worst:.1e}")
-    report(4, "identity residual convergence", ok, " ".join(details))
+        counts.append(evaluated(name, reports))
+    report(4, "identity residual convergence", ok,
+           " ".join(details) + " evaluated " + " ".join(counts))
 
 
 def test_criterion_5_pointwise_crosschecks_every_fixture():
@@ -144,8 +160,13 @@ def test_criterion_6_mutation_guards():
         lambda n: field("z_squared_mixed", n), (17, 33, 65),
         lambda mf: verify_jacobian_laplacians(mf, mutation="swap_curvatures").norm_inf)
     ok = flip.estimated_order < 1.0 and swap.estimated_order < 1.0
+    points = {name: verify_jacobian_laplacians(field(name, 65), mutation=m).evaluated
+              for name, m in (("z_squared", "flip_sigma_perp"),
+                              ("z_squared_mixed", "swap_curvatures"))}
     report(6, "mutation guards break convergence", ok,
-           f"flip_order={flip.estimated_order:.3f} swap_order={swap.estimated_order:.3f}")
+           f"flip_order={flip.estimated_order:.3f} swap_order={swap.estimated_order:.3f} "
+           f"evaluated flip={min(points['z_squared'].values())} "
+           f"swap={min(points['z_squared_mixed'].values())}")
 
 
 def test_criterion_7_flow_relaxes_and_matches_heat():

@@ -253,6 +253,27 @@ def test_verify_identity_preset_reports_machine_zero(tmp_path):
     assert "pullback.u1_e1" in cols and "gradients.lap_theta" in cols
 
 
+def test_verify_counts_evaluated_points(tmp_path):
+    # an identity component with no finite residual reads as empty (0
+    # points), not as a machine-zero norm: constant masks all four gradient
+    # components, z_squared (theta = 1) the two theta ones
+    counts = {}
+    for preset in ("constant", "z_squared"):
+        out = tmp_path / preset
+        assert main(["verify", "--preset", preset, "--grid", "33",
+                     "--out", str(out)]) == 0
+        assert (out / "summary.txt").read_text().startswith("# minmaps summary v2\n")
+        summary = read_summary(out / "summary.txt")
+        counts[preset] = {key.split(".")[-1]: int(v) for key, v in summary.items()
+                          if key.startswith("gradients.evaluated.")}
+        assert int(summary["pullback.evaluated.u1_e1"]) > 0
+    assert counts["constant"] == dict.fromkeys(
+        ("grad_phi", "grad_theta", "lap_phi", "lap_theta"), 0)
+    z2 = counts["z_squared"]
+    assert z2["grad_theta"] == z2["lap_theta"] == 0
+    assert z2["grad_phi"] > 0 and z2["lap_phi"] > 0
+
+
 # -------------------------------------------------------------------- refine
 
 def test_refine_affine_is_exact(tmp_path):

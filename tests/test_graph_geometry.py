@@ -315,7 +315,7 @@ def test_fd_only_map_needs_interior_points(z2_33):
 # ---------------------------------------------------------- storage layout
 
 def layout_field(case):
-    """One field per branch of singular_decomposition."""
+    """One field per kind of point: conformal, df = 0, rank one, no formula."""
     if case == "conformal":
         return presets.z_squared_field(n=17)
     if case == "rank0":

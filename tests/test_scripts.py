@@ -47,3 +47,10 @@ def test_sweep_certificates():
     assert len(probes) == 7
     assert "violation" not in probes.values()
     assert probes["z_squared"] == "pass"
+
+
+def test_compare_outputs_of_a_tree_with_itself():
+    out = run_script("compare_outputs.py", str(ROOT), "--n", "17",
+                     "--preset", "z_squared")
+    assert out[-1] == "6 of 6 files identical"
+    assert len(out) == 7 and all(line.endswith(": identical") for line in out[:-1])

@@ -91,7 +91,8 @@ EXIT_NUMERIC = 4
 
 CSV_VERSION = "v1"
 # v2: verify adds <identity>.evaluated.<component> point counts
-SUMMARY_VERSION = "v2"
+# v3: refine adds the same counts, one per ladder grid
+SUMMARY_VERSION = "v3"
 
 IDENTITY_CHECKS = (
     ("pullback", verify_pullback_derivative),
@@ -361,12 +362,15 @@ def _run_refine(cfg: ScenarioConfig) -> None:
     # one field (and one graph geometry) per grid serves all four identities
     ns = cfg.refine_grids
     hs, norms = [], {name: [] for name, _ in IDENTITY_CHECKS}
+    evaluated = {name: {} for name, _ in IDENTITY_CHECKS}  # per-grid counts
     notes = set()                       # (n, message): one line per grid
     for n, mf in zip(ns, _make_fields(cfg, ns)):
         hs.append(mf.grid.h)
         for name, check in IDENTITY_CHECKS:
             report, messages = _checked(check, mf)
             norms[name].append(report.norm_inf)
+            for comp, k in report.evaluated.items():
+                evaluated[name].setdefault(comp, []).append(k)
             notes.update((n, m) for m in messages)
     studies = {name: convergence_study(hs, norms[name]) for name in norms}
 
@@ -385,6 +389,8 @@ def _run_refine(cfg: ScenarioConfig) -> None:
                   (f"{name}.estimated_order", f"{st.estimated_order:.6g}"),
                   (f"{name}.exact", st.exact),
                   (f"{name}.second_order", st.second_order)]
+        items += [(f"{name}.evaluated.{comp}", tuple(counts))
+                  for comp, counts in evaluated[name].items()]
     items += [("warning", f"n={n}: {m}") for n, m in sorted(notes)]
     _write_summary(cfg.out / "summary.txt", "refine", items)
 

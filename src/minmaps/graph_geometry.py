@@ -68,11 +68,12 @@ def pullback_form(which: int, X: np.ndarray, Y: np.ndarray,
     which = 1 evaluates rhoM^2 dx^dy of the source factor, which = 2 the
     target form rhoN^2 (at the image point) on the target components.
     """
-    if which == 1:
-        return rhoM2 * (X[..., 0] * Y[..., 1] - X[..., 1] * Y[..., 0])
-    if which == 2:
-        return rhoN2 * (X[..., 2] * Y[..., 3] - X[..., 3] * Y[..., 2])
-    raise ValueError("which must be 1 (source form) or 2 (target form)")
+    if which not in (1, 2):
+        raise ValueError("which must be 1 (source form) or 2 (target form)")
+    a, b = (0, 1) if which == 1 else (2, 3)
+    out = X[..., a] * Y[..., b]
+    out -= X[..., b] * Y[..., a]
+    return (rhoM2 if which == 1 else rhoN2) * out
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,27 @@ class GraphGrid:
         return stencils.finite_abs_max(self.norm_H)
 
 
+def _add_product(acc: np.ndarray, scratch: np.ndarray, *factors,
+                 subtract: bool = False) -> np.ndarray:
+    """acc += f0 * f1 * ... (acc -= with subtract), multiplied left to right
+    in scratch: the same bits as acc = acc + f0 * f1 * ..., and no plane is
+    allocated. acc and scratch have the factors' broadcast shape."""
+    np.multiply(factors[0], factors[1], out=scratch)
+    for f in factors[2:]:
+        scratch *= f
+    if subtract:
+        acc -= scratch
+    else:
+        acc += scratch
+    return acc
+
+
 def graph_grid(mapfield: MapField) -> GraphGrid:
-    """Assemble the full graph geometry of a map over its grid."""
+    """Assemble the full graph geometry of a map over its grid.
+
+    Each plane lives only while something reads it: sums accumulate in
+    place through two scratch planes, one Hessian pair at a time, in the
+    operation order of the written formulas."""
     grid = mapfield.grid
     pw = mapfield.pointwise
     f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
@@ -154,53 +174,75 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     fx = (df[..., 0, 0], df[..., 1, 0])      # d f / dx, by target component
     fy = (df[..., 0, 1], df[..., 1, 1])
     frame = _adapted_frame_arrays(pw)
+    shape = pw.lam.shape
+    t, t2, P = (np.empty(shape) for _ in range(3))
 
     # ambient Hessian of the embedding D_ij, per slot pair (i, j): source
     # components are the Christoffels Gamma_M(e_i, e_j), target components
     # d_ij f + Gamma_N(f_i, f_j). A conformal factor with u = log rho has
     # Gamma(a, b) = (ux s + uy m, -uy s + ux m), s = a1 b1 - a2 b2,
-    # m = a1 b2 + a2 b1
+    # m = a1 b2 + a2 b1 (each pair's Gamma_M, with its negated plane, is
+    # built when the pair is)
     uMx, uMy = mapfield.source_samples.log_rho_grad
     uNx, uNy = mapfield.target_samples.log_rho_grad
-    pairs = {(0, 0): (fx, fx, grid.d_xx, (uMx, -uMy)),
-             (0, 1): (fx, fy, grid.d_xy, (uMy, uMx)),
-             (1, 1): (fy, fy, grid.d_yy, (-uMx, uMy))}
-    D = {}
-    for ij, (a, b, d2, gammaM) in pairs.items():
-        sym = a[0] * b[0] - a[1] * b[1]
-        mix = a[0] * b[1] + a[1] * b[0]
-        D[ij] = (*gammaM, d2(f1) + uNx * sym + uNy * mix,
-                 d2(f2) - uNy * sym + uNx * mix)
+    pairs = (((0, 0), fx, fx, grid.d_xx, lambda: (uMx, -uMy)),
+             ((0, 1), fx, fy, grid.d_xy, lambda: (uMy, uMx)),
+             ((1, 1), fy, fy, grid.d_yy, lambda: (-uMx, uMy)))
 
-    # normal projections <D_ij, e_{alpha+3}> in coordinate indices, then
-    # orthonormal tangent indices through v_k = (alpha1 cl, alpha2 cm), the
-    # source rows of e1 and e2
+    # A[alpha, k, l] sums, over the pairs (i, j), the normal projection
+    # P = <D_ij, e_{alpha+3}> times its coefficient in orthonormal tangent
+    # indices, through v_k = (alpha1 cl, alpha2 cm), the source rows of e1
+    # and e2: vk_i vl_j (+ vk_j vl_i when i != j)
     v = (frame[..., 0, 0:2], frame[..., 1, 0:2])
-    A = _empty_planes(pw.lam.shape, (2, 2, 2))
-    for alpha in (0, 1):
-        e = frame[..., alpha + 2, :]
-        P = {ij: rhoM2 * (Dij[0] * e[..., 0] + Dij[1] * e[..., 1])
-             + rhoN2 * (Dij[2] * e[..., 2] + Dij[3] * e[..., 3])
-             for ij, Dij in D.items()}
-        for k, l in ((0, 0), (0, 1), (1, 1)):
-            vk, vl = v[k], v[l]
-            A[..., alpha, k, l] = (
-                vk[..., 0] * vl[..., 0] * P[(0, 0)]
-                + (vk[..., 0] * vl[..., 1] + vk[..., 1] * vl[..., 0]) * P[(0, 1)]
-                + vk[..., 1] * vl[..., 1] * P[(1, 1)])
-        A[..., alpha, 1, 0] = A[..., alpha, 0, 1]  # exact symmetry
+    A = _empty_planes(shape, (2, 2, 2))
+    for (i, j), a, b, d2, gammaM in pairs:
+        sym = _add_product(a[0] * b[0], t, a[1], b[1], subtract=True)
+        mix = _add_product(a[0] * b[1], t, a[1], b[0])
+        D = (*gammaM(), d2(f1), d2(f2))
+        _add_product(_add_product(D[2], t, uNx, sym), t, uNy, mix)
+        _add_product(_add_product(D[3], t, uNy, sym, subtract=True), t, uNx, mix)
+        del sym, mix
+        for alpha in (0, 1):
+            e = frame[..., alpha + 2, :]
+            np.multiply(D[0], e[..., 0], out=P)
+            _add_product(P, t, D[1], e[..., 1])
+            P *= rhoM2
+            np.multiply(D[2], e[..., 2], out=t2)
+            _add_product(t2, t, D[3], e[..., 3])
+            t2 *= rhoN2
+            P += t2
+            for k, l in ((0, 0), (0, 1), (1, 1)):
+                vk, vl = v[k], v[l]
+                np.multiply(vk[..., i], vl[..., j], out=t2)
+                if i != j:
+                    _add_product(t2, t, vk[..., j], vl[..., i])
+                if (i, j) == (0, 0):
+                    np.multiply(t2, P, out=A[..., alpha, k, l])
+                else:
+                    _add_product(A[..., alpha, k, l], t, t2, P)
+    del D, P
+    A[..., 1, 0] = A[..., 0, 1]  # exact symmetry
 
     H = A[..., 0, 0] + A[..., 1, 1]  # (..., alpha)
-    norm_H = np.sqrt(H[..., 0] ** 2 + H[..., 1] ** 2)
+    norm_H = _add_product(H[..., 0] * H[..., 0], t, H[..., 1], H[..., 1])
+    np.sqrt(norm_H, out=norm_H)
     # np.sum's pairwise order over the 8 components of a point-major A,
     # written out: summing planes in another order moves the last bit
-    q = [A[..., a, k, l] ** 2 for a in (0, 1) for k in (0, 1) for l in (0, 1)]
-    norm_A_sq = ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]))
+    def half_sq(alpha):       # (q0 + q1) + (q2 + q3) of one normal index
+        q = [A[..., alpha, k, l] for k in (0, 1) for l in (0, 1)]
+        half = _add_product(q[0] * q[0], t, q[1], q[1])
+        np.multiply(q[2], q[2], out=t2)
+        half += _add_product(t2, t, q[3], q[3])
+        return half
+    norm_A_sq = half_sq(0)
+    norm_A_sq += half_sq(1)
 
-    sigma_perp = (-A[..., 0, 0, 0] * A[..., 1, 0, 1]
-                  + A[..., 0, 0, 1] * A[..., 1, 0, 0]
-                  - A[..., 0, 0, 1] * A[..., 1, 1, 1]
-                  + A[..., 0, 1, 1] * A[..., 1, 0, 1])
+    sigma_perp = np.negative(A[..., 0, 0, 0])
+    sigma_perp *= A[..., 1, 0, 1]
+    _add_product(sigma_perp, t, A[..., 0, 0, 1], A[..., 1, 0, 0])
+    _add_product(sigma_perp, t, A[..., 0, 0, 1], A[..., 1, 1, 1], subtract=True)
+    _add_product(sigma_perp, t, A[..., 0, 1, 1], A[..., 1, 0, 1])
+    del t, t2
 
     sigmaM = mapfield.source_samples.curvature
     sigmaN = mapfield.target_samples.curvature
@@ -226,16 +268,16 @@ def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
     cl = 1.0 / np.sqrt(1.0 + pw.lam ** 2)
     cm = 1.0 / np.sqrt(1.0 + pw.mu ** 2)
     sgn = np.where(pw.s < 0, -1.0, 1.0)
-    shape = pw.lam.shape
-    E = _empty_planes(shape, (4, 4))
-    E[..., 0, 0:2] = pw.alpha1 * cl[..., None]
-    E[..., 0, 2:4] = pw.beta1 * (pw.lam * cl)[..., None]
-    E[..., 1, 0:2] = pw.alpha2 * cm[..., None]
-    E[..., 1, 2:4] = pw.beta2 * (pw.mu * cm)[..., None]
-    E[..., 2, 0:2] = pw.alpha1 * (-pw.lam * cl)[..., None]
-    E[..., 2, 2:4] = pw.beta1 * cl[..., None]
-    E[..., 3, 0:2] = pw.alpha2 * (-sgn * pw.mu * cm)[..., None]
-    E[..., 3, 2:4] = pw.beta2 * (sgn * cm)[..., None]
+    E = _empty_planes(pw.lam.shape, (4, 4))
+
+    def row(r, alpha, alpha_scale, beta, beta_scale):
+        np.multiply(alpha, alpha_scale[..., None], out=E[..., r, 0:2])
+        np.multiply(beta, beta_scale[..., None], out=E[..., r, 2:4])
+
+    row(0, pw.alpha1, cl, pw.beta1, pw.lam * cl)
+    row(1, pw.alpha2, cm, pw.beta2, pw.mu * cm)
+    row(2, pw.alpha1, -pw.lam * cl, pw.beta1, cl)
+    row(3, pw.alpha2, -sgn * pw.mu * cm, pw.beta2, sgn * cm)
     return E
 
 
@@ -251,9 +293,20 @@ def laplace_beltrami_array(u: np.ndarray, metric: InducedMetric,
     sq = metric.sqrt_det
     ux = grid.d_x(u)
     uy = grid.d_y(u)
-    Fx = sq * (metric.gi11 * ux + metric.gi12 * uy)
-    Fy = sq * (metric.gi12 * ux + metric.gi22 * uy)
-    return (grid.d_x(Fx) + grid.d_y(Fy)) / sq
+    # the fluxes sq (g^i1 ux + g^i2 uy); Fy is built in ux and uy's planes
+    Fx = _add_product(metric.gi11 * ux, np.empty_like(ux), metric.gi12, uy)
+    Fx *= sq
+    ux *= metric.gi12
+    uy *= metric.gi22
+    Fy = ux
+    Fy += uy
+    Fy *= sq
+    del uy
+    out = grid.d_x(Fx)
+    del Fx
+    out += grid.d_y(Fy)
+    out /= sq
+    return out
 
 
 def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
@@ -261,8 +314,11 @@ def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
     """|grad u|^2 = g^(ij) d_i u d_j u with central differences."""
     ux = grid.d_x(u)
     uy = grid.d_y(u)
-    return (metric.gi11 * ux * ux + 2.0 * metric.gi12 * ux * uy
-            + metric.gi22 * uy * uy)
+    out = metric.gi11 * ux
+    out *= ux
+    t = np.empty_like(ux)
+    _add_product(out, t, 2.0, metric.gi12, ux, uy)
+    return _add_product(out, t, metric.gi22, uy, uy)
 
 
 # ---------------------------------------------------------- frame forms

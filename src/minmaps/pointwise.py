@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .expressions import MapExpr
-from .surface import ConformalMetric, GridChart
+from .surface import ConformalMetric, FactorKind, GridChart
 
 if TYPE_CHECKING:
     from .flow import TensionPass
@@ -57,12 +57,16 @@ __all__ = [
 # R / Q below which a point counts as conformal (frames then snap to the
 # chart axes for determinism)
 _CONFORMAL_GAP = 1e-10
+# a nonzero df below _TINY_DF in every entry is decomposed times _TINY_SCALE
+_TINY_DF, _TINY_SCALE = 2.0 ** -500, 2.0 ** 600
 
 
 @dataclass(eq=False)
 class FactorSamples:
     """A conformal factor's rho^2, grad log rho and curvature, each sampled
-    on first use and kept; `points` returns the sample points."""
+    on first use and kept; `points` returns the sample points. A custom
+    factor's rho is evaluated once, for rho^2: that sample is its positivity
+    check and the r^2 of its curvature."""
 
     metric: ConformalMetric
     points: Callable[[], tuple[np.ndarray, np.ndarray]]
@@ -72,16 +76,26 @@ class FactorSamples:
         x, y = self.points()
         return np.broadcast_to(self.metric.rho(x, y) ** 2, x.shape)
 
+    @property
+    def _custom(self) -> bool:
+        return self.metric.kind is FactorKind.CUSTOM
+
     @cached_property
     def log_rho_grad(self) -> tuple[np.ndarray, np.ndarray]:
         x, y = self.points()
-        ux, uy = self.metric.log_rho_grad(x, y)
+        if self._custom:
+            self.rho2           # rho, checked positive where it is sampled
+            ux, uy = self.metric._custom_log_rho_grad(x, y)
+        else:
+            ux, uy = self.metric.log_rho_grad(x, y)
         return np.broadcast_to(ux, x.shape), np.broadcast_to(uy, x.shape)
 
     @cached_property
     def curvature(self) -> np.ndarray:
         x, y = self.points()
-        return np.broadcast_to(self.metric.curvature(x, y), x.shape)
+        K = (self.metric._custom_curvature(x, y, self.rho2) if self._custom
+             else self.metric.curvature(x, y))
+        return np.broadcast_to(K, x.shape)
 
 
 @dataclass(frozen=True)
@@ -216,23 +230,35 @@ def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray)
     component is >= 0 where |df e_x| >= |df e_y|, else its y component is
     > 0. At conformal points (R <= 1e-10 Q, df == 0 included) alpha is
     the source chart axes and lam == mu; h is 0 where Q == 0, so where df
-    vanishes beta is the target chart axes. NaN passes through.
+    vanishes beta is the target chart axes. A nonzero df whose entries are
+    all below 2^-500 is split at 2^600 times its size, with lam and mu scaled
+    back, so subnormal rounding cannot bend the frames. NaN passes through.
     """
     df = np.asarray(df, float)
     shape = np.broadcast_shapes(df.shape[:-2], np.shape(rhoM2), np.shape(rhoN2))
     a, b = df[..., 0, 0], df[..., 0, 1]
     c, d = df[..., 1, 0], df[..., 1, 1]
+    # scaling by a power of two is exact; a df of zeros needs none
+    size = np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                      np.maximum(np.abs(c), np.abs(d)))
+    tiny = (size < _TINY_DF) & (size > 0)
+    del size
+    scale = 1.0
+    if tiny.any():
+        scale = np.where(tiny, _TINY_SCALE, 1.0)
+        a, b, c, d = a * scale, b * scale, c * scale, d * scale
 
     E, F = 0.5 * (a + d), 0.5 * (a - d)
     G, H = 0.5 * (c + b), 0.5 * (c - b)
     Q, R = np.hypot(E, H), np.hypot(F, G)
     det = a * d - b * c
     r = np.sqrt(rhoN2 / rhoM2)
-    mu = r * (Q + R)
+    mu = r * (Q + R) / scale
     conformal = R <= _CONFORMAL_GAP * Q
     # where Q << R, |det df| / (Q + R) = |Q - R| can round above Q + R
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(conformal, mu, np.minimum(mu, r * np.abs(det) / (Q + R)))
+        lam = np.where(conformal, mu,
+                       np.minimum(mu, r * np.abs(det) / (Q + R) / scale))
 
     # unit vectors at the angles h and g (angle 0 where a part vanishes)
     ch = np.divide(E, Q, out=np.ones(shape), where=Q != 0)

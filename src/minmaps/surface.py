@@ -114,6 +114,10 @@ class ConformalMetric:
             w = 1.0 + x * x + y * y
             return -2.0 * x / w, -2.0 * y / w
         self.rho(x, y)  # positivity check
+        return self._custom_log_rho_grad(x, y)
+
+    def _custom_log_rho_grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(u_x, u_y) of a custom factor whose rho is known positive at (x, y)."""
         _, ux, uy, _ = self._programs
         return ux(x, y), uy(x, y)
 
@@ -138,8 +142,11 @@ class ConformalMetric:
             if self.disc_domain:
                 self.check_domain(x, y)
             return np.broadcast_to(constant, np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        r = self.rho(x, y)
-        return -self._programs[3](x, y) / (r * r)
+        return self._custom_curvature(x, y, self.rho(x, y) ** 2)
+
+    def _custom_curvature(self, x, y, rho2: np.ndarray) -> np.ndarray:
+        """K of a custom factor from its rho^2 sample at (x, y)."""
+        return -self._programs[3](x, y) / rho2
 
     def metric_tensor(self, x, y) -> np.ndarray:
         """g = rho^2 I with shape (..., 2, 2)."""

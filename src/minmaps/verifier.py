@@ -19,7 +19,6 @@ is pure cancellation noise.
 from __future__ import annotations
 
 import enum
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -29,8 +28,8 @@ import numpy as np
 from . import stencils
 from .errors import ConfigError
 from .graph_geometry import (
-    GraphGrid, ambient_curvature, form_on_frame, gradient_norm_sq_array,
-    laplace_beltrami_array,
+    GraphGrid, _add_product, ambient_curvature, form_on_frame,
+    gradient_norm_sq_array, laplace_beltrami_array,
 )
 from .pointwise import MapField
 from .surface import TheoremHypotheses
@@ -71,7 +70,11 @@ class ResidualReport:
 def _nan_pointwise_max(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Pointwise max of |a| over the arrays, skipping NaN; NaN where every
     array is NaN."""
-    return functools.reduce(np.fmax, (np.abs(a) for a in arrays))
+    out = np.abs(arrays[0])
+    t = np.empty_like(out)
+    for a in arrays[1:]:
+        np.fmax(out, np.abs(a, out=t), out=out)
+    return out
 
 
 def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],
@@ -100,6 +103,11 @@ def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],
 
 
 # ------------------------------------------------------------ the identities
+#
+# Each identity keeps a plane only while something still reads it: sums
+# accumulate in place through one scratch plane (`_add_product`), in the
+# operation order of the formulas below, so the residual bits are those of
+# the written expressions. No cached plane of the field is written.
 
 def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
     """First-order identity: frame derivatives of the two Jacobian functions.
@@ -114,19 +122,26 @@ def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
     gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
+    t = np.empty_like(pw.u1)
     comps: dict[str, np.ndarray] = {}
     for idx, u in ((1, pw.u1), (2, pw.u2)):
         ux, uy = grid.d_x(u), grid.d_y(u)
-        w_a2 = {a: form_on_frame(gg, idx, a, 2) for a in (3, 4)}
-        w_1a = {a: form_on_frame(gg, idx, 1, a) for a in (3, 4)}
+        lhs = {}
         for k in (1, 2):
             vk = gg.frame[..., k - 1, 0:2]  # chart shadow of the tangent frame
-            lhs = vk[..., 0] * ux + vk[..., 1] * uy
-            rhs = np.zeros_like(lhs)
-            for a in (3, 4):
-                rhs = rhs + gg.A[..., a - 3, k - 1, 0] * w_a2[a]
-                rhs = rhs + gg.A[..., a - 3, k - 1, 1] * w_1a[a]
-            comps[f"u{idx}_e{k}"] = lhs - rhs
+            lhs[k] = _add_product(vk[..., 0] * ux, t, vk[..., 1], uy)
+        del ux, uy
+        rhs = {k: np.zeros_like(u) for k in (1, 2)}
+        # each form is built once and read by both frame derivatives
+        for a in (3, 4):
+            for col, pair in ((0, (a, 2)), (1, (1, a))):
+                w = form_on_frame(gg, idx, *pair)
+                for k in (1, 2):
+                    _add_product(rhs[k], t, gg.A[..., a - 3, k - 1, col], w)
+        for k in (1, 2):
+            lhs[k] -= rhs[k]
+            comps[f"u{idx}_e{k}"] = lhs[k]
+    del t, rhs, w
     return _make_report(gg, comps)
 
 
@@ -146,43 +161,67 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
     gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
-    E = gg.frame
+    E, A = gg.frame, gg.A
+    t = np.empty_like(pw.u1)
     # R(e_k, e_i, e_k, e_alpha) does not depend on the form and vanishes
-    # for k == i, so S3 needs R(e1, e2, e1, e_alpha) and R(e2, e1, e2, e_alpha)
-    R = {(k, a): ambient_curvature(E[..., k, :], E[..., 1 - k, :], E[..., k, :],
-                                   E[..., a - 1, :], gg.rhoM2, gg.rhoN2,
-                                   gg.sigmaM, gg.sigmaN)
-         for a in (3, 4) for k in (0, 1)}
+    # for k == i, so S3 needs R(e1, e2, e1, e_alpha) and R(e2, e1, e2,
+    # e_alpha): each is built once, for both forms' S3
+    S3 = {idx: np.zeros_like(t) for idx in (1, 2)}
+    for a in (3, 4):
+        for k, pair in ((0, (1, a)), (1, (a, 2))):
+            R = ambient_curvature(E[..., k, :], E[..., 1 - k, :], E[..., k, :],
+                                  E[..., a - 1, :], gg.rhoM2, gg.rhoN2,
+                                  gg.sigmaM, gg.sigmaN)
+            for idx in (1, 2):
+                _add_product(S3[idx], t, R, form_on_frame(gg, idx, *pair))
+    del R
     comps: dict[str, np.ndarray] = {}
     for idx, u in ((1, pw.u1), (2, pw.u2)):
-        # S1-S3 read every omega(e_a, e_b) except (e2, e3) and (e2, e4)
-        w = {(a, b): form_on_frame(gg, idx, a, b)
-             for a in (1, 2, 3, 4) for b in (2, 3, 4) if a != 2 or b == 2}
-        w[(1, 1)] = np.zeros_like(u)
-        lhs = -laplace_beltrami_array(u, gg.metric, grid)
-
+        lhs = laplace_beltrami_array(u, gg.metric, grid)
+        np.negative(lhs, out=lhs)
+        # S1 reads omega(e1, e2), omega(e2, e2) and omega(e1, e1) = 0
+        w = {(1, 2): form_on_frame(gg, idx, 1, 2),
+             (2, 2): form_on_frame(gg, idx, 2, 2), (1, 1): 0.0}
         S1 = np.zeros_like(u)
         for a in (3, 4):
             for k in (0, 1):
                 for l in (0, 1):
-                    Akl = gg.A[..., a - 3, k, l]
-                    S1 = S1 + gg.A[..., a - 3, k, 0] * Akl * w[(l + 1, 2)]
-                    S1 = S1 + gg.A[..., a - 3, k, 1] * Akl * w[(1, l + 1)]
+                    Akl = A[..., a - 3, k, l]
+                    _add_product(S1, t, A[..., a - 3, k, 0], Akl, w[(l + 1, 2)])
+                    _add_product(S1, t, A[..., a - 3, k, 1], Akl, w[(1, l + 1)])
+        del w
         S2 = np.zeros_like(u)
         for a in (3, 4):
             for b in (3, 4):
+                w_ab = form_on_frame(gg, idx, a, b)
                 for k in (0, 1):
-                    S2 = S2 - 2.0 * gg.A[..., a - 3, k, 0] * gg.A[..., b - 3, k, 1] * w[(a, b)]
-        S3 = np.zeros_like(u)
-        for a in (3, 4):
-            S3 = S3 + R[(0, a)] * w[(1, a)]
-            S3 = S3 + R[(1, a)] * w[(a, 2)]
-        comps[f"omega{idx}"] = lhs - (S1 + S2 + S3)
+                    _add_product(S2, t, 2.0, A[..., a - 3, k, 0],
+                                 A[..., b - 3, k, 1], w_ab, subtract=True)
+        del w_ab
+        S1 += S2
+        del S2
+        S1 += S3.pop(idx)
+        lhs -= S1
+        comps[f"omega{idx}"] = lhs
+    del t, S1
     return _make_report(gg, comps)
 
 
-def _jacobian_rhs(gg: GraphGrid, mutation: Optional[str]) -> tuple[np.ndarray, np.ndarray]:
+def verify_jacobian_laplacians(mapfield: MapField,
+                               mutation: Optional[str] = None) -> ResidualReport:
+    """Coupled elliptic system satisfied by the two Jacobian functions.
+
+    -Delta u1 = |A|^2 u1 + 2 sigma_perp u2 + sigmaM (1 - u1^2 - u2^2) u1
+                - 2 sigmaN u1 u2^2
+    -Delta u2 = |A|^2 u2 + 2 sigma_perp u1 + sigmaN (1 - u1^2 - u2^2) u2
+                - 2 sigmaM u1^2 u2
+
+    A mutation deliberately corrupts one structural ingredient; the guard
+    tests assert that the corrupted residual stops contracting.
+    """
+    gg = mapfield.graph
     pw = gg.pw
+    grid = mapfield.grid
     u1, u2 = pw.u1, pw.u2
     nA2, sp = gg.norm_A_sq, gg.sigma_perp
     sM, sN = gg.sigmaM, gg.sigmaN
@@ -192,30 +231,28 @@ def _jacobian_rhs(gg: GraphGrid, mutation: Optional[str]) -> tuple[np.ndarray, n
         sM, sN = sN, sM
     elif mutation is not None:
         raise ConfigError(f"unknown mutation {mutation!r}")
-    q = 1.0 - u1 ** 2 - u2 ** 2
-    rhs1 = nA2 * u1 + 2.0 * sp * u2 + sM * q * u1 - 2.0 * sN * u1 * u2 ** 2
-    rhs2 = nA2 * u2 + 2.0 * sp * u1 + sN * q * u2 - 2.0 * sM * u1 ** 2 * u2
-    return rhs1, rhs2
-
-
-def verify_jacobian_laplacians(mapfield: MapField,
-                               mutation: Optional[str] = None) -> ResidualReport:
-    """Coupled elliptic system satisfied by the two Jacobian functions.
-
-    -Delta u1 = |A|^2 u1 + 2 sigma_perp u2 + sigmaM (1 - u1^2 - u2^2) u1
-                - 2 sigmaN u1 u2^2    (and symmetrically for u2)
-
-    A mutation deliberately corrupts one structural ingredient; the guard
-    tests assert that the corrupted residual stops contracting.
-    """
-    gg = mapfield.graph
-    pw = gg.pw
-    grid = mapfield.grid
-    rhs1, rhs2 = _jacobian_rhs(gg, mutation)
-    comps = {
-        "u1": -laplace_beltrami_array(pw.u1, gg.metric, grid) - rhs1,
-        "u2": -laplace_beltrami_array(pw.u2, gg.metric, grid) - rhs2,
-    }
+    comps = {}
+    for name, u in (("u1", u1), ("u2", u2)):
+        comps[name] = laplace_beltrami_array(u, gg.metric, grid)
+        np.negative(comps[name], out=comps[name])
+    t, sq = np.empty_like(u1), np.empty_like(u1)
+    q = u1 * u1                                   # 1 - u1^2 - u2^2
+    np.subtract(1.0, q, out=q)
+    _add_product(q, t, u2, u2, subtract=True)
+    # each right-hand side is summed in one plane and subtracted in place
+    rhs = nA2 * u1
+    _add_product(rhs, t, 2.0, sp, u2)
+    _add_product(rhs, t, sM, q, u1)
+    np.multiply(u2, u2, out=sq)
+    _add_product(rhs, t, 2.0, sN, u1, sq, subtract=True)
+    comps["u1"] -= rhs
+    np.multiply(nA2, u2, out=rhs)
+    _add_product(rhs, t, 2.0, sp, u1)
+    _add_product(rhs, t, sN, q, u2)
+    np.multiply(u1, u1, out=sq)
+    _add_product(rhs, t, 2.0, sM, sq, u2, subtract=True)
+    comps["u2"] -= rhs
+    del t, sq, q, rhs
     return _make_report(gg, comps, mutation=mutation)
 
 
@@ -236,28 +273,42 @@ def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
     nA2, sp = gg.norm_A_sq, gg.sigma_perp
     sM, sN = gg.sigmaM, gg.sigmaN
 
-    qphi = 1.0 - phi ** 2
-    qtheta = 1.0 - theta ** 2
-    mask_phi = qphi < ANGLE_MASK_FLOOR
-    mask_theta = qtheta < ANGLE_MASK_FLOOR
-
-    grad_phi = 2.0 * gradient_norm_sq_array(phi, gg.metric, grid) - (nA2 - 2.0 * sp) * qphi
-    grad_theta = 2.0 * gradient_norm_sq_array(theta, gg.metric, grid) - (nA2 + 2.0 * sp) * qtheta
-    lap_phi = (-laplace_beltrami_array(phi, gg.metric, grid)
-               - ((nA2 - 2.0 * sp) * phi
-                  + 0.5 * (sM * (phi + theta) + sN * (phi - theta)) * qphi))
-    lap_theta = (-laplace_beltrami_array(theta, gg.metric, grid)
-                 - ((nA2 + 2.0 * sp) * theta
-                    + 0.5 * (sM * (phi + theta) - sN * (phi - theta)) * qtheta))
-
-    comps = {
-        "grad_phi": np.where(mask_phi, np.nan, grad_phi),
-        "lap_phi": np.where(mask_phi, np.nan, lap_phi),
-        "grad_theta": np.where(mask_theta, np.nan, grad_theta),
-        "lap_theta": np.where(mask_theta, np.nan, lap_theta),
-    }
-    masked = int(np.sum(mask_phi & np.isfinite(phi))
-                 + np.sum(mask_theta & np.isfinite(theta)))
+    comps: dict[str, np.ndarray] = {}
+    for name, u in (("phi", phi), ("theta", theta)):
+        grad = gradient_norm_sq_array(u, gg.metric, grid)
+        grad *= 2.0
+        lap = laplace_beltrami_array(u, gg.metric, grid)
+        np.negative(lap, out=lap)
+        comps[f"grad_{name}"], comps[f"lap_{name}"] = grad, lap
+    t = np.empty_like(phi)
+    masked = 0
+    # plus: the sign of sigma_perp in |A|^2 -+ 2 sp, and of the sigmaN term
+    for name, u, plus in (("phi", phi, False), ("theta", theta, True)):
+        grad, lap = comps[f"grad_{name}"], comps[f"lap_{name}"]
+        q = u * u                                 # 1 - u^2
+        np.subtract(1.0, q, out=q)
+        a = 2.0 * sp                              # |A|^2 -+ 2 sp
+        (np.add if plus else np.subtract)(nA2, a, out=a)
+        _add_product(grad, t, a, q, subtract=True)
+        # the curvature term, then the sum in its plane: s + a u is a u + s
+        s = phi + theta
+        s *= sM
+        np.subtract(phi, theta, out=t)
+        t *= sN
+        if plus:
+            s -= t
+        else:
+            s += t
+        s *= 0.5
+        s *= q
+        lap -= _add_product(s, t, a, u)
+        del a, s
+        mask = q < ANGLE_MASK_FLOOR
+        grad[mask] = np.nan
+        lap[mask] = np.nan
+        masked += int(np.count_nonzero(mask & np.isfinite(u)))
+        del q, mask
+    del t
     return _make_report(gg, comps, masked_points=masked)
 
 

@@ -262,7 +262,7 @@ def test_verify_counts_evaluated_points(tmp_path):
         out = tmp_path / preset
         assert main(["verify", "--preset", preset, "--grid", "33",
                      "--out", str(out)]) == 0
-        assert (out / "summary.txt").read_text().startswith("# minmaps summary v2\n")
+        assert (out / "summary.txt").read_text().startswith("# minmaps summary v3\n")
         summary = read_summary(out / "summary.txt")
         counts[preset] = {key.split(".")[-1]: int(v) for key, v in summary.items()
                           if key.startswith("gradients.evaluated.")}
@@ -287,6 +287,25 @@ def test_refine_affine_is_exact(tmp_path):
     for name in ("pullback", "form_laplacian", "jacobians", "gradients"):
         assert summary[f"{name}.exact"] == "true"
         assert summary[f"{name}.second_order"] == "true"
+
+
+def test_refine_counts_evaluated_points_per_grid(tmp_path):
+    # a refine says when an identity evaluated nothing: one count per
+    # ladder grid, 0 0 0 for a component that is masked on every grid
+    counts = {}
+    for preset in ("constant", "z_squared"):
+        out = tmp_path / preset
+        assert main(["refine", "--preset", preset, "--out", str(out)]) == 0
+        assert (out / "summary.txt").read_text().startswith("# minmaps summary v3\n")
+        summary = read_summary(out / "summary.txt")
+        counts[preset] = {key.split(".")[-1]: [int(k) for k in v.split()]
+                          for key, v in summary.items()
+                          if key.startswith("gradients.evaluated.")}
+        assert len(summary["pullback.evaluated.u1_e1"].split()) == 3
+    assert counts["constant"]["grad_phi"] == [0, 0, 0]
+    z2 = counts["z_squared"]
+    assert z2["grad_theta"] == z2["lap_theta"] == [0, 0, 0]
+    assert all(k > 0 for k in z2["grad_phi"] + z2["lap_phi"])
 
 
 def test_refine_records_identity_warnings(tmp_path, capsys):

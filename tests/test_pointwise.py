@@ -78,6 +78,35 @@ def test_with_values_checks_only_the_image(monkeypatch):
     assert checked == ["grid", "map image"]
 
 
+def test_custom_factor_samples_rho_once_per_field():
+    # rho^2, the positivity check of grad log rho and the r^2 of the
+    # curvature share one evaluation of the compiled rho per factor
+    disc = "custom:2/(1-x^2-y^2)"
+    source, target = presets.parse_metric_spec(disc), presets.parse_metric_spec(disc)
+    calls = {"source": 0, "target": 0}
+    for side, metric in (("source", source), ("target", target)):
+        programs = metric._programs
+
+        def counted(x, y, side=side, rho=programs[0]):
+            calls[side] += 1
+            return rho(x, y)
+        metric.__dict__["_programs"] = (counted, *programs[1:])
+    chart = presets.SCENARIO_SPECS["z_squared"][3]
+    mf = MapField.from_expr(GridChart(*chart, 33, 33), source, target,
+                            presets.parse_map_spec("z_squared"))
+    mf.pointwise, mf.graph, mf.tension
+    assert calls == {"source": 1, "target": 1}
+    # the curvature bytes of -(lap log rho) / (r r)
+    for metric, samples, (x, y) in (
+            (source, mf.source_samples, mf.grid.mesh()),
+            (target, mf.target_samples, (mf.values[..., 0], mf.values[..., 1]))):
+        r = metric._programs[0](x, y)
+        want = -metric._programs[3](x, y) / (r * r)
+        assert np.array_equal(samples.curvature, want)
+        assert np.array_equal(metric.curvature(x, y), want)
+        assert np.allclose(want, -1.0, atol=1e-12)
+
+
 def test_differential_identity_and_affine_exact():
     df = fd_differential(euclidean_field("x, y"))
     assert df[4, 4] == pytest.approx(np.eye(2), abs=1e-15)
@@ -320,6 +349,9 @@ differentials = st.one_of(
          rM=1.0, rN=1.0)
 # an anticonformal df: lam = |det df| / (Q + R) rounds above mu unless capped
 @example(entries=(0.1, 1.3, 1.3, -0.1), rM=1.0, rN=1.0)
+# subnormal entries: unscaled, E ... R round so coarsely that |beta1|^2
+# read 1.25
+@example(entries=(5e-324, 5e-324, 1.5e-323, 1.5e-323), rM=1.0, rN=1.0)
 def test_decomposition_reconstruction_property(entries, rM, rN):
     d00, d01, d10, d11 = entries
     df = np.array([[d00, d01], [d10, d11]])

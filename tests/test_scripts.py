@@ -54,3 +54,15 @@ def test_compare_outputs_of_a_tree_with_itself():
                      "--preset", "z_squared")
     assert out[-1] == "6 of 6 files identical"
     assert len(out) == 7 and all(line.endswith(": identical") for line in out[:-1])
+
+
+def test_stage_memory_holds_few_transient_planes():
+    # every stage of a verify pass holds at most 16 transient grid planes
+    # above what it keeps
+    out = run_script("stage_memory.py", "--n", "65", "--preset", "z_squared")
+    stages = {line.split()[0]: line.split() for line in out[1:]}
+    assert list(stages) == ["graph", "pullback", "form_laplacian",
+                            "jacobians", "gradients"]
+    for name, fields in stages.items():
+        assert fields[1] == "keeps" and fields[3] == "transient"
+        assert float(fields[4]) <= 16.0, name

@@ -82,6 +82,34 @@ def test_nan_pointwise_max_matches_stacked_formula(name):
     assert np.isnan(_nan_pointwise_max(comps[-2:-1])).all()
 
 
+def _freeze(obj):
+    """Make every array attribute of obj (cached ones included) read-only."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+@pytest.mark.filterwarnings("ignore:map is not numerically minimal")
+@pytest.mark.parametrize("bump", [0.0, 0.01])
+def test_identities_write_no_cached_plane(bump):
+    # the identities sum in place, but only into planes they own: with every
+    # cached plane of the field read-only they still run, to the same bits
+    fresh = presets.sine_bump(presets.z_squared_mixed_field(n=17), bump)
+    mf = presets.sine_bump(presets.z_squared_mixed_field(n=17), bump)
+    metric = mf.graph.metric
+    metric.gi11, metric.gi12, metric.gi22, metric.sqrt_det
+    for obj in (mf.pointwise, mf.graph, metric):
+        _freeze(obj)
+    checks = ALL_IDENTITIES + (
+        functools.partial(verify_jacobian_laplacians, mutation="flip_sigma_perp"),
+        functools.partial(verify_jacobian_laplacians, mutation="swap_curvatures"))
+    for check in checks:
+        got, want = check(mf), check(fresh)
+        assert got.components.keys() == want.components.keys()
+        for name, residual in got.components.items():
+            assert residual.tobytes() == want.components[name].tobytes()
+
+
 # --------------------------------------------------------- refinement orders
 
 def test_affine_study_is_exact():

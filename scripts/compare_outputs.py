@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Byte report of the CLI outputs of two source trees.
 
-Runs `analyze`, `verify` and `refine` of each preset at one grid size in
-both trees (`python -m minmaps` with the tree's src/ on PYTHONPATH) and
-prints, for each output file, `identical`, or what moved: the largest
+Runs `analyze`, `verify`, `refine` and `flow` of each preset at one grid
+size in both trees (`python -m minmaps` with the tree's src/ on PYTHONPATH)
+and prints, for each output file, `identical`, or what moved: the largest
 absolute difference of each CSV column that changed, the points where a
-column's NaN pattern changed, and the changed summary.txt lines.
+column's NaN pattern changed, and the changed lines of the text files
+(summary.txt, final_map.txt). A file neither tree wrote (flow skips
+final_map.txt on a grid whose spacings differ) is left out.
 
 Usage: python scripts/compare_outputs.py OLD_TREE [NEW_TREE] [--n 65]
                                          [--preset NAME ...]
@@ -27,7 +29,8 @@ from minmaps import presets
 
 COMMANDS = (("analyze", ("analysis.csv", "summary.txt")),
             ("verify", ("verify.csv", "summary.txt")),
-            ("refine", ("refine.csv", "summary.txt")))
+            ("refine", ("refine.csv", "summary.txt")),
+            ("flow", ("monitors.csv", "final_map.txt", "summary.txt")))
 
 
 def run_tree(tree: Path, out: Path, command: str, preset: str, n: int) -> int:
@@ -49,6 +52,12 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return names, np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
 
 
+def text_report(old: Path, new: Path) -> list[str]:
+    a, b = old.read_text().splitlines(), new.read_text().splitlines()
+    return ([f"    - {line}" for line in a if line not in b]
+            + [f"    + {line}" for line in b if line not in a])
+
+
 def csv_report(old: Path, new: Path) -> list[str]:
     (names, a), (names_new, b) = read_csv(old), read_csv(new)
     if names != names_new or a.shape != b.shape:
@@ -58,12 +67,6 @@ def csv_report(old: Path, new: Path) -> list[str]:
     diff = np.where(both, np.abs(a - b), 0.0).max(axis=0)
     return [f"    {name}: max |diff| {d:.3g}, NaN pattern changed at {k} points"
             for name, d, k in zip(names, diff, nan_moved) if d or k]
-
-
-def summary_report(old: Path, new: Path) -> list[str]:
-    a, b = old.read_text().splitlines(), new.read_text().splitlines()
-    return ([f"    - {line}" for line in a if line not in b]
-            + [f"    + {line}" for line in b if line not in a])
 
 
 def main():
@@ -90,13 +93,20 @@ def main():
                     continue
                 for name in files:
                     old, new = (out / name for out in outs)
+                    if not (old.exists() or new.exists()):
+                        continue
                     total += 1
+                    where = f"{command}/{preset}/{name}"
+                    if not (old.exists() and new.exists()):
+                        print(f"{where}: differs")
+                        print(f"    only in {'old' if old.exists() else 'new'}")
+                        continue
                     if old.read_bytes() == new.read_bytes():
                         same += 1
-                        print(f"{command}/{preset}/{name}: identical")
+                        print(f"{where}: identical")
                         continue
-                    print(f"{command}/{preset}/{name}: differs")
-                    report = summary_report if name == "summary.txt" else csv_report
+                    print(f"{where}: differs")
+                    report = csv_report if name.endswith(".csv") else text_report
                     for line in report(old, new):
                         print(line)
     print(f"{same} of {total} files identical")

@@ -353,6 +353,8 @@ def _run_verify(cfg: ScenarioConfig) -> None:
                   for comp, k in report.evaluated.items()]
         defect = report.minimality_defect
     items.append(("minimality_defect", defect))
+    # the write holds the residual planes and X, Y: nothing else it reads
+    del mf, report
     _write_table(cfg.out / "verify.csv", "verify", columns, fields)
     _write_summary(cfg.out / "summary.txt", "verify",
                    items + sorted(set(notes)))

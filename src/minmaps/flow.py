@@ -58,7 +58,7 @@ import numpy as np
 from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import write_table
-from .graph_geometry import induced_metric_arrays
+from .graph_geometry import induced_metric_arrays, pullback_products
 from .pointwise import MapField, area_cosines
 from .surface import GridChart
 from .verifier import Certificate, area_decreasing_certificate
@@ -147,8 +147,8 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     rhoN2 = mapfield.target_samples.rho2
     uNx, uNy = mapfield.target_samples.log_rho_grad
 
-    m = induced_metric_arrays(f1x, f1y, f2x, f2y, rhoM2, rhoN2)
-    p11, p12, p22 = m.p11, m.p12, m.p22
+    p11, p12, p22 = pullback_products(f1x, f1y, f2x, f2y)
+    m = induced_metric_arrays(p11, p12, p22, rhoM2, rhoN2)
     detg, gi11, gi12, gi22 = m.det, m.gi11, m.gi12, m.gi22
 
     # d_k g_ij assembled by the product rule (exact metric derivatives,

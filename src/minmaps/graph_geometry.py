@@ -23,6 +23,10 @@ memory, so every component read is a contiguous plane. Reductions over
 component axes are written out (see |A|^2), because np.sum's order depends
 on the memory layout.
 
+`GraphGrid` keeps the planes the identities read: the frame, A, |H|, |A|^2,
+sigma_perp and the factor samples. H is the trace of A, summed on each
+read; R(e1, e2, e3, e4) and max |H| are computed on first read and kept.
+
 The ambient curvature operator of the product of constant-curvature factors
 uses the sign convention R(X, Y, Z, W) = sigma * (<X,Z><Y,W> - <X,W><Y,Z>)
 applied factor-wise, which makes R(e1, e2, e1, e2) the sectional curvature.
@@ -36,11 +40,12 @@ from functools import cached_property
 import numpy as np
 
 from . import stencils
-from .pointwise import MapField, PointwiseGrid, _empty_planes
+from .pointwise import MapField, PointwiseGrid, _empty_planes, _orientation
 from .surface import GridChart
 
 __all__ = [
-    "GraphGrid", "InducedMetric", "graph_grid", "induced_metric_arrays",
+    "GraphGrid", "InducedMetric", "graph_grid", "pullback_products",
+    "induced_metric_arrays",
     "ambient_curvature", "laplace_beltrami_array", "gradient_norm_sq_array",
     "pullback_form", "form_on_frame",
 ]
@@ -80,9 +85,6 @@ def pullback_form(which: int, X: np.ndarray, Y: np.ndarray,
 class InducedMetric:
     """The graph's induced metric g = rhoM^2 I + rhoN^2 df^T df by components."""
 
-    p11: np.ndarray          # df^T df
-    p12: np.ndarray
-    p22: np.ndarray
     g11: np.ndarray
     g12: np.ndarray
     g22: np.ndarray
@@ -106,17 +108,23 @@ class InducedMetric:
         return np.sqrt(self.det)
 
 
-def induced_metric_arrays(f1x, f1y, f2x, f2y, rhoM2, rhoN2) -> InducedMetric:
-    """Induced metric of the graph, its inverse and determinant, from the
-    four components of df (f1x = d f^1 / dx, ...) and the squared factors."""
+def pullback_products(f1x, f1y, f2x, f2y):
+    """(p11, p12, p22) of df^T df, from the four components of df
+    (f1x = d f^1 / dx, ...)."""
     p11 = f1x * f1x + f2x * f2x
     p12 = f1x * f1y + f2x * f2y
     p22 = f1y * f1y + f2y * f2y
+    return p11, p12, p22
+
+
+def induced_metric_arrays(p11, p12, p22, rhoM2, rhoN2) -> InducedMetric:
+    """Induced metric of the graph, its inverse and determinant, from df^T df
+    (`pullback_products`) and the squared factors."""
     g11 = rhoM2 + rhoN2 * p11
     g12 = rhoN2 * p12
     g22 = rhoM2 + rhoN2 * p22
     det = g11 * g22 - g12 * g12
-    return InducedMetric(p11, p12, p22, g11, g12, g22, det)
+    return InducedMetric(g11, g12, g22, det)
 
 
 # ---------------------------------------------------------------- grid pass
@@ -130,17 +138,27 @@ class GraphGrid:
     metric: InducedMetric
     frame: np.ndarray        # (nx, ny, 4, 4); frame[..., a, :] = e_{a+1}
     A: np.ndarray            # (nx, ny, 2, 2, 2): A[..., alpha, i, j]
-    H: np.ndarray            # (nx, ny, 2): (H^3, H^4)
     norm_H: np.ndarray
     norm_A_sq: np.ndarray
     sigma_perp: np.ndarray
-    rtilde_1234: np.ndarray
     sigmaM: np.ndarray       # source curvature at grid points
     sigmaN: np.ndarray       # target curvature at image points
     rhoM2: np.ndarray
     rhoN2: np.ndarray
 
     @property
+    def H(self) -> np.ndarray:
+        """(nx, ny, 2): (H^3, H^4), the trace of A."""
+        return self.A[..., 0, 0] + self.A[..., 1, 1]
+
+    @cached_property
+    def rtilde_1234(self) -> np.ndarray:
+        E = self.frame
+        return ambient_curvature(E[..., 0, :], E[..., 1, :], E[..., 2, :],
+                                 E[..., 3, :], self.rhoM2, self.rhoN2,
+                                 self.sigmaM, self.sigmaN)
+
+    @cached_property
     def max_norm_H(self) -> float:
         return stencils.finite_abs_max(self.norm_H)
 
@@ -223,8 +241,9 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     del D, P
     A[..., 1, 0] = A[..., 0, 1]  # exact symmetry
 
-    H = A[..., 0, 0] + A[..., 1, 1]  # (..., alpha)
+    H = A[..., 0, 0] + A[..., 1, 1]  # (..., alpha), as GraphGrid.H
     norm_H = _add_product(H[..., 0] * H[..., 0], t, H[..., 1], H[..., 1])
+    del H
     np.sqrt(norm_H, out=norm_H)
     # np.sum's pairwise order over the 8 components of a point-major A,
     # written out: summing planes in another order moves the last bit
@@ -244,16 +263,12 @@ def graph_grid(mapfield: MapField) -> GraphGrid:
     _add_product(sigma_perp, t, A[..., 0, 1, 1], A[..., 1, 0, 1])
     del t, t2
 
-    sigmaM = mapfield.source_samples.curvature
-    sigmaN = mapfield.target_samples.curvature
-    rt = ambient_curvature(frame[..., 0, :], frame[..., 1, :],
-                           frame[..., 2, :], frame[..., 3, :],
-                           rhoM2, rhoN2, sigmaM, sigmaN)
-
     return GraphGrid(grid=grid, pw=pw, metric=mapfield.metric,
-                     frame=frame, A=A, H=H, norm_H=norm_H, norm_A_sq=norm_A_sq,
-                     sigma_perp=sigma_perp, rtilde_1234=rt,
-                     sigmaM=sigmaM, sigmaN=sigmaN, rhoM2=rhoM2, rhoN2=rhoN2)
+                     frame=frame, A=A, norm_H=norm_H, norm_A_sq=norm_A_sq,
+                     sigma_perp=sigma_perp,
+                     sigmaM=mapfield.source_samples.curvature,
+                     sigmaN=mapfield.target_samples.curvature,
+                     rhoM2=rhoM2, rhoN2=rhoN2)
 
 
 def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
@@ -267,16 +282,18 @@ def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
     """
     cl = 1.0 / np.sqrt(1.0 + pw.lam ** 2)
     cm = 1.0 / np.sqrt(1.0 + pw.mu ** 2)
-    sgn = np.where(pw.s < 0, -1.0, 1.0)
+    sgn = _orientation(pw.s)
     E = _empty_planes(pw.lam.shape, (4, 4))
 
     def row(r, alpha, alpha_scale, beta, beta_scale):
         np.multiply(alpha, alpha_scale[..., None], out=E[..., r, 0:2])
         np.multiply(beta, beta_scale[..., None], out=E[..., r, 2:4])
 
-    row(0, pw.alpha1, cl, pw.beta1, pw.lam * cl)
+    alpha1, beta1 = pw.alpha1, pw.beta1
+    row(0, alpha1, cl, beta1, pw.lam * cl)
     row(1, pw.alpha2, cm, pw.beta2, pw.mu * cm)
-    row(2, pw.alpha1, -pw.lam * cl, pw.beta1, cl)
+    row(2, alpha1, -pw.lam * cl, beta1, cl)
+    del alpha1, beta1
     row(3, pw.alpha2, -sgn * pw.mu * cm, pw.beta2, sgn * cm)
     return E
 

@@ -32,6 +32,12 @@ index meaning, but are stored component-major, so each [..., a, b] is a
 contiguous (nx, ny) plane. Allocate fields with `_empty_planes`, never
 with np.stack(..., axis=-1) or np.empty(shape + comps), and spell out
 reductions over component axes.
+
+Caching: a `MapField` keeps its factor samples, df, the induced metric
+(g, det g; g^-1 on first use) and its passes. `PointwiseGrid` keeps df,
+lam, mu, s, alpha2, beta2 and the area cosines; alpha1 and beta1 are
+turned from alpha2 and beta2 on each read, since only the graph frame reads
+them. df^T df lives only while the metric is built.
 """
 
 from __future__ import annotations
@@ -176,10 +182,11 @@ class MapField:
     @cached_property
     def metric(self) -> "InducedMetric":
         # imported here: graph_geometry and flow import this module
-        from .graph_geometry import induced_metric_arrays
+        from .graph_geometry import induced_metric_arrays, pullback_products
         df = self.df_field
         return induced_metric_arrays(
-            df[..., 0, 0], df[..., 0, 1], df[..., 1, 0], df[..., 1, 1],
+            *pullback_products(df[..., 0, 0], df[..., 0, 1],
+                               df[..., 1, 0], df[..., 1, 1]),
             self.source_samples.rho2, self.target_samples.rho2)
 
     @cached_property
@@ -234,6 +241,14 @@ def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray)
     all below 2^-500 is split at 2^600 times its size, with lam and mu scaled
     back, so subnormal rounding cannot bend the frames. NaN passes through.
     """
+    lam, mu, s, alpha2, beta2 = _singular_data(df, rhoM2, rhoN2)
+    return (lam, mu, s, _turned(alpha2), alpha2,
+            _turned(beta2, _orientation(s)), beta2)
+
+
+def _singular_data(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray):
+    """(lam, mu, s, alpha2, beta2) of `singular_decomposition`, which turns
+    alpha2 and beta2 into alpha1 and beta1."""
     df = np.asarray(df, float)
     shape = np.broadcast_shapes(df.shape[:-2], np.shape(rhoM2), np.shape(rhoN2))
     a, b = df[..., 0, 0], df[..., 0, 1]
@@ -278,18 +293,31 @@ def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray)
 
     inv_rM = 1.0 / np.sqrt(rhoM2)
     inv_rN = 1.0 / np.sqrt(rhoN2)
-    sgn = np.where(det < 0, -1.0, 1.0)
-    alpha1, alpha2, beta1, beta2 = (_empty_planes(shape, (2,)) for _ in range(4))
+    alpha2, beta2 = (_empty_planes(shape, (2,)) for _ in range(2))
     alpha2[..., 0] = x * inv_rM
     alpha2[..., 1] = y * inv_rM
-    alpha1[..., 0] = alpha2[..., 1]
-    alpha1[..., 1] = -alpha2[..., 0]
     # beta2 is alpha2 turned by h
     beta2[..., 0] = (ch * x - sh * y) * inv_rN
     beta2[..., 1] = (sh * x + ch * y) * inv_rN
-    beta1[..., 0] = sgn * beta2[..., 1]
-    beta1[..., 1] = -sgn * beta2[..., 0]
-    return lam, mu, np.sign(det), alpha1, alpha2, beta1, beta2
+    return lam, mu, np.sign(det), alpha2, beta2
+
+
+def _turned(v: np.ndarray, sgn: Optional[np.ndarray] = None) -> np.ndarray:
+    """The vector field v turned by -90 degrees, (v_y, -v_x), times sgn
+    when given."""
+    out = _empty_planes(v.shape[:-1], (2,))
+    if sgn is None:
+        out[..., 0] = v[..., 1]
+        np.negative(v[..., 0], out=out[..., 1])
+    else:
+        np.multiply(sgn, v[..., 1], out=out[..., 0])
+        np.multiply(-sgn, v[..., 0], out=out[..., 1])
+    return out
+
+
+def _orientation(s: np.ndarray) -> np.ndarray:
+    """sign(det df) as -1 or +1 (+1 where det df == 0 or is NaN)."""
+    return np.where(s < 0, -1.0, 1.0)
 
 
 def area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, det):
@@ -312,9 +340,7 @@ class PointwiseGrid:
     lam: np.ndarray
     mu: np.ndarray
     s: np.ndarray
-    alpha1: np.ndarray   # (nx, ny, 2)
-    alpha2: np.ndarray
-    beta1: np.ndarray
+    alpha2: np.ndarray   # (nx, ny, 2)
     beta2: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
@@ -322,15 +348,24 @@ class PointwiseGrid:
     phi: np.ndarray
     theta: np.ndarray
 
+    # alpha1 and beta1 as `singular_decomposition` builds them
+    @property
+    def alpha1(self) -> np.ndarray:
+        return _turned(self.alpha2)
+
+    @property
+    def beta1(self) -> np.ndarray:
+        return _turned(self.beta2, _orientation(self.s))
+
 
 def pointwise_grid(mapfield: MapField) -> PointwiseGrid:
     """Run the pointwise algebra over every grid point (vectorised)."""
     df = mapfield.df_field
     rhoM2, rhoN2 = mapfield.source_samples.rho2, mapfield.target_samples.rho2
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam, mu, s, a1, a2, b1, b2 = singular_decomposition(df, rhoM2, rhoN2)
+        lam, mu, s, a2, b2 = _singular_data(df, rhoM2, rhoN2)
         u1, u2, jf, phi, theta = area_cosines(
             df[..., 0, 0], df[..., 0, 1], df[..., 1, 0], df[..., 1, 1],
             rhoM2, rhoN2, mapfield.metric.det)
-    return PointwiseGrid(mapfield.grid, df, lam, mu, s, a1, a2, b1, b2,
+    return PointwiseGrid(mapfield.grid, df, lam, mu, s, a2, b2,
                          u1, u2, jf, phi, theta)

@@ -58,13 +58,18 @@ class ResidualReport:
 
     components: dict[str, np.ndarray]
     evaluated: dict[str, int]
-    residual_field: np.ndarray
     norm_inf: float
     norm_l2: float
     h: float
     minimality_defect: float
     masked_points: int = 0
     mutation: Optional[str] = None
+
+    @property
+    def residual_field(self) -> np.ndarray:
+        """Pointwise max of the components' |residual| (NaN where every
+        component is NaN), built on each read."""
+        return _nan_pointwise_max(list(self.components.values()))
 
 
 def _nan_pointwise_max(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -92,7 +97,6 @@ def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],
     return ResidualReport(
         components=components,
         evaluated={name: int(np.isfinite(c).sum()) for name, c in components.items()},
-        residual_field=residual,
         norm_inf=stencils.finite_abs_max(residual),
         norm_l2=stencils.finite_l2(residual, grid.cell_area),
         h=grid.h,

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from minmaps.errors import NumericalError
-from minmaps.graph_geometry import _adapted_frame_arrays
+from minmaps.graph_geometry import _adapted_frame_arrays, ambient_curvature
 
 # relative eigenvalue gap below which a point counts as conformal
 # (frames then snap to the chart axes for determinism)
@@ -250,3 +250,22 @@ def tensor_graph(mapfield):
           * (gn(e1, e3) * gn(e2, e4) - gn(e1, e4) * gn(e2, e3)))
     out.frame, out.A, out.rtilde_1234 = frame, A, rt
     return out
+
+
+def stored_planes(pw, gg):
+    """alpha1, beta1, H and R(e1, e2, e3, e4) written out plane by plane, a
+    reference for the planes the passes derive on read: alpha1 is alpha2
+    turned by -90 degrees, beta1 is beta2 turned and times sign(det df)
+    (+1 where det df is 0 or NaN), H is the trace of A, and R is the
+    ambient curvature on the frame rows."""
+    alpha1, beta1 = np.empty(pw.alpha2.shape), np.empty(pw.beta2.shape)
+    sgn = np.where(pw.s < 0, -1.0, 1.0)
+    alpha1[..., 0] = pw.alpha2[..., 1]
+    alpha1[..., 1] = -pw.alpha2[..., 0]
+    beta1[..., 0] = sgn * pw.beta2[..., 1]
+    beta1[..., 1] = -sgn * pw.beta2[..., 0]
+    H = gg.A[..., 0, 0] + gg.A[..., 1, 1]
+    E = gg.frame
+    rt = ambient_curvature(E[..., 0, :], E[..., 1, :], E[..., 2, :], E[..., 3, :],
+                           gg.rhoM2, gg.rhoN2, gg.sigmaM, gg.sigmaN)
+    return alpha1, beta1, H, rt

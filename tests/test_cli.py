@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -608,6 +609,31 @@ def test_graph_geometry_built_once_per_grid(tmp_path, monkeypatch, command, grid
                         lambda mf: seen.append(mf.grid.nx) or original(mf))
     assert main([command, "--preset", "z_squared", "--out", str(tmp_path)]) == 0
     assert seen == grids
+
+
+# measured: 125.8 planes of 65 x 65 float64, about 110 of them the writer's
+# fixed-size blocks; holding the field through the write reads about 196
+VERIFY_65_PEAK_PLANES = 125.8
+
+
+def test_verify_pass_peak_memory(tmp_path):
+    # tracemalloc peak of a z_squared verify pass at n=65: at most one
+    # plane above its measured value. A warm-up run fills the caches a
+    # first call builds (the argument parser, compiled expressions)
+    argv = ["verify", "--preset", "z_squared", "--grid", "65", "--out"]
+    assert main(argv + [str(tmp_path / "warm")]) == 0
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv + [str(tmp_path / "run")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= (VERIFY_65_PEAK_PLANES + 1.0) * 65 * 65 * 8
 
 
 def test_refine_parses_its_specs_once(tmp_path, monkeypatch):

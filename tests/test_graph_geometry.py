@@ -362,3 +362,57 @@ def test_norm_A_sq_sums_in_numpys_order(case):
     gg = mf.graph
     want = np.sum(np.ascontiguousarray(gg.A) ** 2, axis=(-3, -2, -1))
     assert gg.norm_A_sq.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------ kept and derived planes
+
+def test_passes_keep_no_derivable_plane():
+    # a verify pass reads alpha1, beta1, df^T df, H and R(e1, e2, e3, e4)
+    # nowhere after graph_grid: they are derived on read, not stored
+    from dataclasses import fields
+
+    from minmaps.graph_geometry import GraphGrid, InducedMetric
+    from minmaps.pointwise import PointwiseGrid
+    from minmaps.verifier import ResidualReport
+
+    stored = {cls: {f.name for f in fields(cls)}
+              for cls in (PointwiseGrid, InducedMetric, GraphGrid, ResidualReport)}
+    assert stored[PointwiseGrid].isdisjoint({"alpha1", "beta1"})
+    assert stored[InducedMetric].isdisjoint({"p11", "p12", "p22"})
+    assert stored[GraphGrid].isdisjoint({"H", "rtilde_1234"})
+    assert "residual_field" not in stored[ResidualReport]
+    mf = presets.z_squared_field(n=17)
+    gg = mf.graph
+    for obj in (gg.pw, gg.metric, gg):
+        arrays = {k for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+        assert arrays <= stored[type(obj)], type(obj).__name__
+    assert "rtilde_1234" not in vars(gg)
+    gg.rtilde_1234
+    assert "rtilde_1234" in vars(gg)
+
+
+@pytest.mark.parametrize("case", ["rank1", "grid_only"] + sorted(presets.SCENARIOS))
+def test_derived_planes_match_stored_formulas(case):
+    # alpha1, beta1, H and R(e1, e2, e3, e4) equal their plane-by-plane
+    # formulas bit for bit; the public singular_decomposition returns the
+    # same frames
+    from minmaps.pointwise import singular_decomposition
+    from tensor_oracle import stored_planes
+
+    if case in presets.SCENARIOS:
+        mf = presets.SCENARIOS[case](n=17)
+    else:
+        mf = layout_field(case)
+    pw, gg = mf.pointwise, mf.graph
+    got = (pw.alpha1, pw.beta1, gg.H, gg.rtilde_1234)
+    for name, a, b in zip(("alpha1", "beta1", "H", "rtilde_1234"), got,
+                          stored_planes(pw, gg)):
+        assert a.shape == b.shape, name
+        assert (np.ascontiguousarray(a).tobytes()
+                == np.ascontiguousarray(b).tobytes()), name
+    with np.errstate(invalid="ignore", divide="ignore"):
+        full = singular_decomposition(pw.df, mf.source_samples.rho2,
+                                      mf.target_samples.rho2)
+    for a, b in zip(full, (pw.lam, pw.mu, pw.s, pw.alpha1, pw.alpha2,
+                           pw.beta1, pw.beta2)):
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()

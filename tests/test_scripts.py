@@ -52,17 +52,24 @@ def test_sweep_certificates():
 def test_compare_outputs_of_a_tree_with_itself():
     out = run_script("compare_outputs.py", str(ROOT), "--n", "17",
                      "--preset", "z_squared")
-    assert out[-1] == "6 of 6 files identical"
-    assert len(out) == 7 and all(line.endswith(": identical") for line in out[:-1])
+    assert out[-1] == "9 of 9 files identical"
+    assert len(out) == 10 and all(line.endswith(": identical") for line in out[:-1])
+    assert [line.split("/")[0] for line in out[:-1]] == (
+        ["analyze"] * 2 + ["verify"] * 2 + ["refine"] * 2 + ["flow"] * 3)
 
 
 def test_stage_memory_holds_few_transient_planes():
-    # every stage of a verify pass holds at most 16 transient grid planes
-    # above what it keeps
+    # every stage of a verify pass up to the write holds at most 16
+    # transient grid planes above what it keeps (the write's transient is
+    # its fixed-size blocks); the last line is the whole pass's peak
     out = run_script("stage_memory.py", "--n", "65", "--preset", "z_squared")
-    stages = {line.split()[0]: line.split() for line in out[1:]}
-    assert list(stages) == ["graph", "pullback", "form_laplacian",
-                            "jacobians", "gradients"]
+    stages = {line.split()[0]: line.split() for line in out[1:-1]}
+    assert list(stages) == ["field", "graph", "pullback", "form_laplacian",
+                            "jacobians", "gradients", "write"]
     for name, fields in stages.items():
         assert fields[1] == "keeps" and fields[3] == "transient"
-        assert float(fields[4]) <= 16.0, name
+        if name != "write":
+            assert float(fields[4]) <= 16.0, name
+    name, label, peak = out[-1].split()
+    assert (name, label) == ("pass", "peak")
+    assert float(peak) >= max(float(f[4]) for f in stages.values())

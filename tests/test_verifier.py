@@ -110,6 +110,35 @@ def test_identities_write_no_cached_plane(bump):
             assert residual.tobytes() == want.components[name].tobytes()
 
 
+def test_residual_field_is_built_from_components():
+    # the report keeps its component planes only; the pointwise max is
+    # rebuilt on read, and the norms are those of that max
+    from minmaps import stencils
+
+    mf = cached_field("z2", 33)
+    for check in ALL_IDENTITIES:
+        report = check(mf)
+        want = _nan_pointwise_max(list(report.components.values()))
+        assert report.residual_field.tobytes() == want.tobytes()
+        assert report.norm_inf == stencils.finite_abs_max(want)
+
+
+def test_max_norm_H_is_reduced_once_per_field(monkeypatch):
+    # the four reports and the probe share one sup of |H| per field
+    from minmaps import stencils
+
+    mf = presets.z_squared_field(n=33)
+    gg = mf.graph
+    reduced = []
+    original = stencils.finite_abs_max
+    monkeypatch.setattr(stencils, "finite_abs_max",
+                        lambda a: reduced.append(a is gg.norm_H) or original(a))
+    reports = [check(mf) for check in ALL_IDENTITIES]
+    interior_minimum_probe(mf, "phi", TheoremHypotheses(sigma=1.0, beta=1.0))
+    assert reduced.count(True) == 1
+    assert {r.minimality_defect for r in reports} == {original(gg.norm_H)}
+
+
 # --------------------------------------------------------- refinement orders
 
 def test_affine_study_is_exact():

@@ -5,7 +5,8 @@ Five subcommands share one plumbing layer:
   curvature  tabulate the Gauss curvature of a conformal factor
   analyze    pointwise stretch/angle data for a map (lambda, mu, J_f, phi, theta)
   verify     residual fields for the four curvature identities
-  refine     contraction orders of those residuals under grid refinement
+  refine     contraction orders of those residuals and of max |H| under
+             grid refinement
   flow       tension-field flow toward a minimal graph, with monitors
 
 Scenarios come either from a named preset (--preset, quick runs on the
@@ -92,7 +93,8 @@ EXIT_NUMERIC = 4
 CSV_VERSION = "v1"
 # v2: verify adds <identity>.evaluated.<component> point counts
 # v3: refine adds the same counts, one per ladder grid
-SUMMARY_VERSION = "v3"
+# v4: refine adds mean_curvature.*: max |H| on each grid and its orders
+SUMMARY_VERSION = "v4"
 
 IDENTITY_CHECKS = (
     ("pullback", verify_pullback_derivative),
@@ -290,6 +292,13 @@ def _write_summary(path: Path, kind: str, items) -> None:
     path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
+def _study_items(name: str, st) -> list[tuple[str, object]]:
+    return [(f"{name}.orders", " ".join(f"{o:.6g}" for o in st.orders)),
+            (f"{name}.estimated_order", f"{st.estimated_order:.6g}"),
+            (f"{name}.exact", st.exact),
+            (f"{name}.second_order", st.second_order)]
+
+
 def _certificate_items(cert) -> list[tuple[str, object]]:
     return [(f"certificate.{f.name}", getattr(cert, f.name))
             for f in dataclasses.fields(cert)
@@ -363,7 +372,8 @@ def _run_verify(cfg: ScenarioConfig) -> None:
 def _run_refine(cfg: ScenarioConfig) -> None:
     # one field (and one graph geometry) per grid serves all four identities
     ns = cfg.refine_grids
-    hs, norms = [], {name: [] for name, _ in IDENTITY_CHECKS}
+    hs, defects = [], []                # defects: max |H| per grid
+    norms = {name: [] for name, _ in IDENTITY_CHECKS}
     evaluated = {name: {} for name, _ in IDENTITY_CHECKS}  # per-grid counts
     notes = set()                       # (n, message): one line per grid
     for n, mf in zip(ns, _make_fields(cfg, ns)):
@@ -374,6 +384,7 @@ def _run_refine(cfg: ScenarioConfig) -> None:
             for comp, k in report.evaluated.items():
                 evaluated[name].setdefault(comp, []).append(k)
             notes.update((n, m) for m in messages)
+        defects.append(report.minimality_defect)   # the same in every report
     studies = {name: convergence_study(hs, norms[name]) for name in norms}
 
     any_study = next(iter(studies.values()))
@@ -386,13 +397,11 @@ def _run_refine(cfg: ScenarioConfig) -> None:
 
     items = [("grids", ns)]
     for name, _ in IDENTITY_CHECKS:
-        st = studies[name]
-        items += [(f"{name}.orders", " ".join(f"{o:.6g}" for o in st.orders)),
-                  (f"{name}.estimated_order", f"{st.estimated_order:.6g}"),
-                  (f"{name}.exact", st.exact),
-                  (f"{name}.second_order", st.second_order)]
+        items += _study_items(name, studies[name])
         items += [(f"{name}.evaluated.{comp}", tuple(counts))
                   for comp, counts in evaluated[name].items()]
+    items += [("mean_curvature.norm_inf", tuple(defects)),
+              *_study_items("mean_curvature", convergence_study(hs, defects))]
     items += [("warning", f"n={n}: {m}") for n, m in sorted(notes)]
     _write_summary(cfg.out / "summary.txt", "refine", items)
 

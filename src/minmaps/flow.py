@@ -1,17 +1,14 @@
 """Tension-field solver that relaxes a map to a minimal graph.
 
-The unknown stays a map f: the update direction is the tension field of f
-computed with respect to the graph metric g = gM + f*gN, which vanishes
-exactly when the graph is minimal. Compared with moving the embedding by
-its mean curvature vector this differs only by tangential
-reparametrization, so the stationary points agree while the discretization
-keeps a fixed chart.
-
-Christoffel symbols of g are assembled by the product rule from analytic
-factor-metric derivatives and finite differences of f (rather than by
-differencing the induced metric a second time). The assembled derivative
-agrees with direct differencing to second order but is valid one ring
-closer to the boundary, so only the true Dirichlet ring is frozen.
+The unknown stays a map f, moved by its tension tau with respect to the
+graph metric g = gM + f*gN: the target part of the graph's mean curvature
+H, which is the normal part of the traced ambient Hessian g^{ij} D_ij that
+`graph_grid` projects. Normality gives H's source part as
+-(rhoN^2 / rhoM^2) df^T tau, so tau is a closed-form 2x2 solve
+(`tension_pass`) with no derivative of g, valid wherever f's width-3
+stencils reach: only the Dirichlet ring is frozen. Moving f by tau rather
+than the embedding by H differs only by tangential reparametrization, so
+the stationary points agree while the chart stays fixed.
 
 The tension pass is cached on the map (`MapField.tension`) and reads the
 field's factor samples. A step's candidate shares the current map's source
@@ -122,7 +119,7 @@ class TensionPass:
 
     tau: np.ndarray            # (nx, ny, 2), NaN on the Dirichlet ring
     norm_tau: float
-    norm_H: float              # sup of |H| via the harmonic-map route
+    norm_H: float              # sup of |H|, H the normal part of g^{ij} D_ij
     min_phi: float
     min_theta: float
     max_abs_jf: float
@@ -131,17 +128,23 @@ class TensionPass:
 
 def tension_pass(mapfield: MapField) -> TensionPass:
     """Evaluate the tension field of a map over its whole grid (cached as
-    `mapfield.tension`, which `step` reads)."""
+    `mapfield.tension`, which `step` reads).
+
+    g^{ij} D_ij has source part a = g^{ij} Gamma_M(d_i, d_j) and target part
+    b = g^{ij} (d_ij f + Gamma_N(d_i f, d_j f)), and H = (a - c, b - df c)
+    for the tangent vector dF(c) that makes H normal: a - c = -k df^T tau
+    with k = rhoN^2 / rhoM^2. Eliminating c, tau solves
+
+        (I + k df df^T) tau = b - df a,     det = det g / rhoM^4,
+
+    and |H|^2 = rhoM^2 k^2 |df^T tau|^2 + rhoN^2 |tau|^2.
+    """
     # unrolled 2x2 component arithmetic throughout: the trailing dimensions
     # are tiny, so generic tensor contractions spend their time on overhead
     grid = mapfield.grid
     f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
-
     f1x, f1y = grid.d_x(f1), grid.d_y(f1)
     f2x, f2y = grid.d_x(f2), grid.d_y(f2)
-    f1xx, f1yy, f1xy = grid.d_xx(f1), grid.d_yy(f1), grid.d_xy(f1)
-    f2xx, f2yy, f2xy = grid.d_xx(f2), grid.d_yy(f2), grid.d_xy(f2)
-
     rhoM2 = mapfield.source_samples.rho2
     uMx, uMy = mapfield.source_samples.log_rho_grad
     rhoN2 = mapfield.target_samples.rho2
@@ -150,59 +153,34 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     p11, p12, p22 = pullback_products(f1x, f1y, f2x, f2y)
     m = induced_metric_arrays(p11, p12, p22, rhoM2, rhoN2)
     detg, gi11, gi12, gi22 = m.det, m.gi11, m.gi12, m.gi22
+    # each `del` drops dead planes: a candidate's pass runs while the
+    # solver's secant history is live
+    del m, p11, p12, p22
 
-    # d_k g_ij assembled by the product rule (exact metric derivatives,
-    # FD only on f): dg_kij = rhoN2 (f_ki . f_j + f_i . f_kj)
-    #                       + d_k(rhoN2 o f) p_ij + d_k(rhoM^2) delta_ij
-    dgMx, dgMy = 2.0 * rhoM2 * uMx, 2.0 * rhoM2 * uMy
-    drx = 2.0 * rhoN2 * (uNx * f1x + uNy * f2x)
-    dry = 2.0 * rhoN2 * (uNx * f1y + uNy * f2y)
-    dgx11 = 2.0 * rhoN2 * (f1xx * f1x + f2xx * f2x) + drx * p11 + dgMx
-    dgx12 = rhoN2 * (f1xx * f1y + f2xx * f2y + f1x * f1xy + f2x * f2xy) + drx * p12
-    dgx22 = 2.0 * rhoN2 * (f1xy * f1y + f2xy * f2y) + drx * p22 + dgMx
-    dgy11 = 2.0 * rhoN2 * (f1xy * f1x + f2xy * f2x) + dry * p11 + dgMy
-    dgy12 = rhoN2 * (f1xy * f1y + f2xy * f2y + f1x * f1yy + f2x * f2yy) + dry * p12
-    dgy22 = 2.0 * rhoN2 * (f1yy * f1y + f2yy * f2y) + dry * p22 + dgMy
-    # the pass holds dozens of grid arrays at once; each `del` drops dead
-    # ones, so a candidate's pass stays lean while the solver's secant
-    # history is live
-    del m, p11, p12, p22, dgMx, dgMy, drx, dry
-
-    # br_l_ij = d_i g_jl + d_j g_il - d_l g_ij, then Gamma^k = ginv^kl br_l / 2
-    brx11 = dgx11
-    brx12 = dgy11
-    brx22 = 2.0 * dgy12 - dgx22
-    bry11 = 2.0 * dgx12 - dgy11
-    bry12 = dgx22
-    bry22 = dgy22
-    G1_11 = 0.5 * (gi11 * brx11 + gi12 * bry11)
-    G1_12 = 0.5 * (gi11 * brx12 + gi12 * bry12)
-    G1_22 = 0.5 * (gi11 * brx22 + gi12 * bry22)
-    G2_11 = 0.5 * (gi12 * brx11 + gi22 * bry11)
-    G2_12 = 0.5 * (gi12 * brx12 + gi22 * bry12)
-    G2_22 = 0.5 * (gi12 * brx22 + gi22 * bry22)
-
-    # contractions c_k = g^{ij} Gamma^k_ij feed both the tension drift and
-    # the tangential mean curvature component
-    c1 = gi11 * G1_11 + 2.0 * gi12 * G1_12 + gi22 * G1_22
-    c2 = gi11 * G2_11 + 2.0 * gi12 * G2_12 + gi22 * G2_22
-    del (dgx11, dgx12, dgx22, dgy11, dgy12, dgy22,
-         brx11, brx12, brx22, bry11, bry12, bry22,
-         G1_11, G1_12, G1_22, G2_11, G2_12, G2_22)
-
-    # target connection term: q_ab = g^{ij} df^a_i df^b_j against the
-    # conformal Christoffels of the image metric
+    # a factor with u = log rho traces to g^{ij} Gamma(v_i, v_j) =
+    # (ux (q11 - q22) + 2 uy q12, -uy (q11 - q22) + 2 ux q12), with
+    # q_ab = g^{ij} v^a_i v^b_j: q = g^-1 for the source (v = id)
+    a1 = uMx * (gi11 - gi22) + 2.0 * uMy * gi12
+    a2 = -uMy * (gi11 - gi22) + 2.0 * uMx * gi12
     q11 = gi11 * f1x * f1x + 2.0 * gi12 * f1x * f1y + gi22 * f1y * f1y
     q22 = gi11 * f2x * f2x + 2.0 * gi12 * f2x * f2y + gi22 * f2y * f2y
     q12 = gi11 * f1x * f2x + gi12 * (f1x * f2y + f1y * f2x) + gi22 * f1y * f2y
-    conn1 = uNx * (q11 - q22) + 2.0 * uNy * q12
-    conn2 = -uNy * (q11 - q22) + 2.0 * uNx * q12
+    b1 = (gi11 * grid.d_xx(f1) + 2.0 * gi12 * grid.d_xy(f1) + gi22 * grid.d_yy(f1)
+          + uNx * (q11 - q22) + 2.0 * uNy * q12)
+    b2 = (gi11 * grid.d_xx(f2) + 2.0 * gi12 * grid.d_xy(f2) + gi22 * grid.d_yy(f2)
+          - uNy * (q11 - q22) + 2.0 * uNx * q12)
+    del q11, q12, q22
 
-    lap1 = gi11 * f1xx + 2.0 * gi12 * f1xy + gi22 * f1yy
-    lap2 = gi11 * f2xx + 2.0 * gi12 * f2xy + gi22 * f2yy
-    tau1 = lap1 - (c1 * f1x + c2 * f1y) + conn1
-    tau2 = lap2 - (c1 * f2x + c2 * f2y) + conn2
-    del f1xx, f1yy, f1xy, f2xx, f2yy, f2xy, q11, q12, q22, conn1, conn2, lap1, lap2
+    # tau = adj(I + k df df^T) (b - df a) rhoM^4 / det g
+    r1 = b1 - (f1x * a1 + f1y * a2)
+    r2 = b2 - (f2x * a1 + f2y * a2)
+    del a1, a2, b1, b2
+    k = rhoN2 / rhoM2
+    kP12 = k * (f1x * f2x + f1y * f2y)
+    scale = rhoM2 * rhoM2 / detg
+    tau1 = ((1.0 + k * (f2x * f2x + f2y * f2y)) * r1 - kP12 * r2) * scale
+    tau2 = ((1.0 + k * (f1x * f1x + f1y * f1y)) * r2 - kP12 * r1) * scale
+    del r1, r2, kP12, scale
     tau = np.stack([tau1, tau2], axis=-1)
     tau_in = tau[_INTERIOR]
     bad = ~np.isfinite(tau_in)
@@ -211,11 +189,10 @@ def tension_pass(mapfield: MapField) -> TensionPass:
             f"tension is not finite at {int(np.any(bad, axis=-1).sum())} "
             "points inside the stencil's reach")
 
-    # mean curvature through the harmonic-map identity: tangential part from
-    # the two Christoffel contractions, normal part is tau itself
-    hM1 = uMx * (gi11 - gi22) + 2.0 * uMy * gi12 - c1
-    hM2 = -uMy * (gi11 - gi22) + 2.0 * uMx * gi12 - c2
-    normH2 = (rhoM2 * (hM1 * hM1 + hM2 * hM2)
+    # H_M = -k df^T tau
+    hM1 = f1x * tau1 + f2x * tau2
+    hM2 = f1y * tau1 + f2y * tau2
+    normH2 = (rhoM2 * k * k * (hM1 * hM1 + hM2 * hM2)
               + rhoN2 * (tau1 * tau1 + tau2 * tau2))
     norm_H = float(np.sqrt(stencils.finite_abs_max(normH2)))
 
@@ -281,7 +258,7 @@ class FlowState:
         return sum(r.chart_exits + r.tension_jumps for r in self.monitors)
 
 
-def make_state(initial: MapField, config: FlowConfig) -> FlowState:
+def make_state(initial: MapField) -> FlowState:
     """Evaluate the initial tension and seed the monitor series (step 0)."""
     state = FlowState(map=initial, dt=1.0)
     state.monitors.append(_row(state, 0, 0, 0))
@@ -438,7 +415,7 @@ def run_to_minimal(initial: MapField, config: FlowConfig,
     reached stop_tension. The returned state drops the secant history,
     which is scratch memory of the solver, so stepping it further starts
     with a plain step."""
-    state = make_state(initial, config)
+    state = make_state(initial)
     while state.tension_norm > config.stop_tension and state.steps < config.max_steps:
         step(state, config)
     state._secants = None
@@ -467,7 +444,9 @@ def write_monitors_csv(state: FlowState, path: str) -> None:
       tension_jumps  candidates rejected because norm_tau grew over 10x
 
     The area columns share the certificate's kernel, `area_cosines`;
-    norm_H is the flow's cheap harmonic-map route, not `graph_grid`'s A.
+    norm_H is the normal part of the same ambient Hessian that `graph_grid`
+    projects, so on a map without a formula it equals `verify`'s
+    minimality_defect to rounding.
     """
     lines = ["# minmaps flow monitors v2", ",".join(MONITOR_COLUMNS)]
     for r in state.monitors:

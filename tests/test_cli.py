@@ -263,7 +263,7 @@ def test_verify_counts_evaluated_points(tmp_path):
         out = tmp_path / preset
         assert main(["verify", "--preset", preset, "--grid", "33",
                      "--out", str(out)]) == 0
-        assert (out / "summary.txt").read_text().startswith("# minmaps summary v3\n")
+        assert (out / "summary.txt").read_text().startswith("# minmaps summary v4\n")
         summary = read_summary(out / "summary.txt")
         counts[preset] = {key.split(".")[-1]: int(v) for key, v in summary.items()
                           if key.startswith("gradients.evaluated.")}
@@ -297,7 +297,7 @@ def test_refine_counts_evaluated_points_per_grid(tmp_path):
     for preset in ("constant", "z_squared"):
         out = tmp_path / preset
         assert main(["refine", "--preset", preset, "--out", str(out)]) == 0
-        assert (out / "summary.txt").read_text().startswith("# minmaps summary v3\n")
+        assert (out / "summary.txt").read_text().startswith("# minmaps summary v4\n")
         summary = read_summary(out / "summary.txt")
         counts[preset] = {key.split(".")[-1]: [int(k) for k in v.split()]
                           for key, v in summary.items()
@@ -307,6 +307,43 @@ def test_refine_counts_evaluated_points_per_grid(tmp_path):
     z2 = counts["z_squared"]
     assert z2["grad_theta"] == z2["lap_theta"] == [0, 0, 0]
     assert all(k > 0 for k in z2["grad_phi"] + z2["lap_phi"])
+
+
+def test_refine_reports_mean_curvature_per_grid(tmp_path):
+    # the summary's mean_curvature lines: max |H| on each grid, the value
+    # `verify` prints as minimality_defect, with its orders like an identity's
+    cfgfile = tmp_path / "z2.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = poincare_disc
+        [map]
+        spec = z_squared
+        [grid]
+        nx = 9
+        half_width = {Z2_HALF!r}
+        [refine]
+        grids = 9, 17, 33
+    """))
+    out = tmp_path / "refine"
+    assert main(["refine", "--config", str(cfgfile), "--out", str(out)]) == 0
+    summary = read_summary(out / "summary.txt")
+    assert summary["grids"] == "9 17 33"
+    for name in ("pullback", "form_laplacian", "jacobians", "gradients"):
+        assert len(summary[f"{name}.orders"].split()) == 2, name
+        assert summary[f"{name}.exact"] == "false", name
+    # z^2 is minimal and quadratic, so its second differences are exact and
+    # |H| is rounding on every grid
+    norms = summary["mean_curvature.norm_inf"].split()
+    assert len(norms) == 3
+    assert all(0.0 < float(v) < 1e-12 for v in norms)
+    assert summary["mean_curvature.exact"] == "true"
+    assert summary["mean_curvature.orders"] == ""
+    assert main(["verify", "--config", str(cfgfile), "--grid", "33",
+                 "--out", str(tmp_path / "verify")]) == 0
+    assert read_summary(tmp_path / "verify" / "summary.txt")[
+        "minimality_defect"] == norms[2]
 
 
 def test_refine_records_identity_warnings(tmp_path, capsys):
@@ -369,7 +406,9 @@ def test_flow_relaxes_perturbed_holomorphic_map(tmp_path):
     last = rows[-1].split(",")
     assert int(last[0]) == int(summary["steps"])
     assert float(last[3]) >= -1e-6  # final min_phi
-    assert (out / "final_map.txt").exists()
+    # two header lines, the starting map, then one row per step
+    assert len(rows) == 3 + int(summary["steps"])
+    assert (out / "final_map.txt").read_text().startswith("33 33 ")
 
 
 def test_flow_summary_counts_rejections(tmp_path):

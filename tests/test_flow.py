@@ -120,7 +120,7 @@ def test_nan_inside_stencil_reach_is_a_numerical_error():
     with pytest.raises(NumericalError):
         flow.run_to_minimal(mf, FlowConfig(stop_tension=1e-8))
     cfg = FlowConfig(stop_tension=1e-8)
-    state = flow.make_state(presets.affine_field(), cfg)
+    state = flow.make_state(presets.affine_field())
     state.map = mf
     with pytest.raises(NumericalError, match="not finite"):
         flow.step(state, cfg)
@@ -154,7 +154,7 @@ def test_boundary_rows_are_pinned_bitwise():
     mf = perturbed_z2()
     before = mf.values.copy()
     cfg = FlowConfig(stop_tension=1e-8)
-    state = flow.make_state(mf, cfg)
+    state = flow.make_state(mf)
     for _ in range(3):
         flow.step(state, cfg)
     after = state.map.values
@@ -167,7 +167,7 @@ def test_boundary_rows_are_pinned_bitwise():
 def test_monitor_series_grows_with_steps():
     mf = perturbed_z2()
     cfg = FlowConfig(stop_tension=1e-8)
-    state = flow.make_state(mf, cfg)
+    state = flow.make_state(mf)
     for _ in range(5):
         flow.step(state, cfg)
     assert [r.step for r in state.monitors] == list(range(6))
@@ -179,7 +179,7 @@ def test_monitor_series_grows_with_steps():
 
 def test_guard_clears_history_and_halves_length():
     cfg = FlowConfig(stop_tension=1e-10)
-    state = flow.make_state(perturbed_z2(), cfg)
+    state = flow.make_state(perturbed_z2())
     flow.step(state, cfg)
     flow.step(state, cfg)
     assert state.monitors[-1].depth == 1
@@ -209,15 +209,15 @@ def test_assigned_map_drives_the_next_step():
     # is byte for byte the step of a fresh state made from b
     cfg = FlowConfig(stop_tension=1e-10)
     b = perturbed_z2(eps=-0.01)
-    fresh = flow.make_state(b, cfg)
+    fresh = flow.make_state(b)
     flow.step(fresh, cfg)
-    state = flow.make_state(perturbed_z2(eps=0.01), cfg)
+    state = flow.make_state(perturbed_z2(eps=0.01))
     state.map = b
     flow.step(state, cfg)
     assert state.map.values.tobytes() == fresh.map.values.tobytes()
     assert state.tension_norm < flow.tension_pass(b).norm_tau
     # a map on another grid steps as well
-    state = flow.make_state(perturbed_z2(), cfg)
+    state = flow.make_state(perturbed_z2())
     state.map = perturbed_z2(n=17)
     flow.step(state, cfg)
     flow.step(state, cfg)
@@ -229,8 +229,8 @@ def test_assigned_map_restarts_the_secant_history():
     # from a, assigning b gives the bytes of a fresh state's steps from b
     cfg = FlowConfig(stop_tension=1e-10)
     b = perturbed_z2(eps=-0.01)
-    fresh = flow.make_state(b, cfg)
-    state = flow.make_state(perturbed_z2(eps=0.01), cfg)
+    fresh = flow.make_state(b)
+    state = flow.make_state(perturbed_z2(eps=0.01))
     flow.step(state, cfg)
     flow.step(state, cfg)
     assert state.monitors[-1].depth == 1
@@ -341,7 +341,7 @@ def test_flow_stall_raises():
     cfg = FlowConfig(stop_tension=1e-10)
     # an infinite tension in the CURRENT pass (not the update) cannot be
     # halved away: every retry leaves the chart, so the length underflows
-    state = flow.make_state(presets.z_squared_field(n=33), cfg)
+    state = flow.make_state(presets.z_squared_field(n=33))
     state.map.tension.tau[16, 16, 0] = np.inf
     with pytest.raises(NumericalError, match="stalled"), \
             np.errstate(invalid="ignore"):
@@ -391,7 +391,7 @@ def test_plain_iteration_removes_heat_modes():
     eps = 1e-3
     mf = heat_seed(eps=eps)
     cfg = FlowConfig(stop_tension=1e-30)
-    state = flow.make_state(mf, cfg)
+    state = flow.make_state(mf)
     flow.step(state, cfg)
     row = state.monitors[-1]
     assert (row.dt, row.depth, row.chart_exits, row.tension_jumps) == (1.0, 0, 0, 0)
@@ -455,7 +455,7 @@ def test_symbol_cache_keeps_no_chart_alive():
 def test_monitors_csv_format(tmp_path):
     mf = perturbed_z2()
     cfg = FlowConfig(stop_tension=1e-8)
-    state = flow.make_state(mf, cfg)
+    state = flow.make_state(mf)
     flow.step(state, cfg)
     out = tmp_path / "monitors.csv"
     flow.write_monitors_csv(state, str(out))

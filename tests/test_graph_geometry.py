@@ -105,12 +105,29 @@ def test_conformal_kernel_matches_tensor_oracle(name, request):
 
 @pytest.mark.parametrize("n", [33, 65])
 def test_graph_and_tension_routes_agree_on_mean_curvature(n):
-    # |H| from the second fundamental form against the flow's harmonic-map
-    # route; both build g^-1 through induced_metric_arrays
+    # |H| from the second fundamental form against the flow's tension pass;
+    # both build g^-1 through induced_metric_arrays
     mf = presets.sine_bump(presets.z_squared_field(n=n), 0.01)
     want = flow.tension_pass(mf).norm_H
     assert want > 0.1
     assert mf.graph.max_norm_H == pytest.approx(want, rel=1e-12)
+
+    # and as vectors: graph_grid's H = sum_alpha H^alpha e_{alpha+3} has
+    # target part tau and, being normal, source part -k df^T tau with
+    # k = rhoN^2 / rhoM^2 (a curved target, so k is not constant)
+    mf = presets.sine_bump(presets.z_squared_mixed_field(n=n), 0.01)
+    gg, tau = mf.graph, mf.tension.tau
+    H = (gg.H[..., 0, None] * gg.frame[..., 2, :]
+         + gg.H[..., 1, None] * gg.frame[..., 3, :])
+    k = gg.rhoN2 / gg.rhoM2
+    source = -k[..., None] * np.einsum("...ai,...a->...i", gg.pw.df, tau)
+    for got, want in ((H[..., 2:], tau), (H[..., :2], source)):
+        ok = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), ok)
+        assert ok.any()
+        scale = np.abs(want[ok]).max()
+        assert scale > 0.005
+        assert np.abs(got[ok] - want[ok]).max() <= 1e-13 * scale
 
 
 # --------------------------------------------------- second fundamental form

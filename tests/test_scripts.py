@@ -1,6 +1,6 @@
-"""Smoke runs of the example scripts at small sizes: each exits cleanly and
-prints the fields it reads from the flow state, the residual reports and
-the certificates."""
+"""Smoke runs of the scripts at small sizes: each exits cleanly and prints
+the fields it reads from the certificates, the output files and the
+traced memory."""
 
 import os
 import subprocess
@@ -19,26 +19,6 @@ def run_script(name, *args):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
-
-
-def test_run_flow_experiment(tmp_path):
-    out = run_script("run_flow_experiment.py", "--n", "17",
-                     "--reduction", "100", "--out", str(tmp_path))
-    converged = next(line for line in out if line.startswith("converged = "))
-    assert converged.startswith("converged = True in ")
-    assert any("area_decreasing = True" in line for line in out)
-    steps = int(converged.split(" in ")[1].split()[0])
-    monitors = (tmp_path / "monitors.csv").read_text().splitlines()
-    assert len(monitors) == 2 + 1 + steps
-    assert (tmp_path / "final_map.txt").read_text().startswith("17 17 ")
-
-
-def test_run_refinement():
-    out = run_script("run_refinement.py", "--grids", "9,17,33")
-    rows = {line.split()[0]: line.split()[1:] for line in out[2:]}
-    assert set(rows) == {"pullback", "form_laplacian", "jacobians",
-                         "gradients", "mean_curvature"}
-    assert all(len(v) >= 4 for v in rows.values())
 
 
 def test_sweep_certificates():

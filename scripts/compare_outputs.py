@@ -76,8 +76,9 @@ def main():
                     default=Path(__file__).resolve().parent.parent,
                     help="tree to compare with it (default: this one)")
     ap.add_argument("--n", type=int, default=65, help="grid points per axis")
-    ap.add_argument("--preset", action="append", choices=sorted(presets.SCENARIOS),
-                    help="preset to run (repeatable; default: all)")
+    ap.add_argument("--preset", action="extend", nargs="+",
+                    choices=sorted(presets.SCENARIOS),
+                    help="presets to run (default: all)")
     args = ap.parse_args()
 
     failed = False

@@ -26,8 +26,7 @@ section or key, [DEFAULT]'s included, is a config error, not ignored:
     spec = z_squared           ; preset | preset:p1,p2,... | expr:F1, F2
     perturb = 0.01             ; optional finite interior sine bump, both components
     [grid]
-    nx = 65
-    ny = 65                    ; defaults to nx
+    nx = 65                    ; points per axis
     half_width = 0.45          ; the centered square [-w, w]^2
     [tolerances]
     stop_tension = 1e-4
@@ -94,7 +93,8 @@ CSV_VERSION = "v1"
 # v2: verify adds <identity>.evaluated.<component> point counts
 # v3: refine adds the same counts, one per ladder grid
 # v4: refine adds mean_curvature.*: max |H| on each grid and its orders
-SUMMARY_VERSION = "v4"
+# v5: an empty value (the orders of an exact study) reads `none`
+SUMMARY_VERSION = "v5"
 
 IDENTITY_CHECKS = (
     ("pullback", verify_pullback_derivative),
@@ -111,7 +111,7 @@ CURVATURE_COLUMNS = ("x", "y", "K")
 CONFIG_KEYS = {
     "scenario": ("kind",), "source": ("metric",), "target": ("metric",),
     "map": ("spec", "perturb"),
-    "grid": ("nx", "ny", "half_width", "x0", "x1", "y0", "y1"),
+    "grid": ("nx", "half_width", "x0", "x1", "y0", "y1"),
     "tolerances": ("stop_tension", "certificate_tol"),
     "flow": ("max_steps",), "refine": ("grids",),
 }
@@ -130,7 +130,6 @@ class ScenarioConfig:
     map_spec: Optional[str] = None
     perturb: float = 0.0
     nx: Optional[int] = None
-    ny: Optional[int] = None
     domain: Optional[tuple[float, float, float, float]] = None
     stop_tension: float = 1e-4
     certificate_tol: float = 0.0
@@ -176,7 +175,6 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
     if grid is None:
         raise ConfigError("config needs a [grid] section")
     nx = _get(grid, "nx", int, 65)
-    ny = _get(grid, "ny", int, nx)
     if "half_width" in grid:
         corners = [k for k in ("x0", "x1", "y0", "y1") if k in grid]
         if corners:
@@ -224,7 +222,7 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
         target=target["metric"] if target is not None else None,
         map_spec=map_sec["spec"] if map_sec is not None else None,
         perturb=perturb,
-        nx=nx, ny=ny, domain=domain,
+        nx=nx, domain=domain,
         stop_tension=_get(tol, "stop_tension", float, 1e-4),
         certificate_tol=certificate_tol,
         max_steps=_get(flow, "max_steps", int, 50000),
@@ -232,26 +230,11 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
     )
 
 
-def _grid_from_config(cfg: ScenarioConfig, nx: Optional[int] = None) -> GridChart:
-    """Chart from explicit config fields, optionally rescaled to nx points.
-
-    Rescaling preserves the aspect ratio so refinement halves both spacings;
-    non-divisible point counts are a config error rather than silent rounding.
-    """
-    base_nx, base_ny = cfg.nx, cfg.ny
-    if nx is None:
-        nx, ny = base_nx, base_ny
-    elif base_nx == base_ny:
-        ny = nx
-    else:
-        num = (base_ny - 1) * (nx - 1)
-        den = base_nx - 1
-        if num % den:
-            raise ConfigError(f"cannot scale {base_nx}x{base_ny} grid to nx={nx} "
-                              "while keeping the aspect ratio")
-        ny = num // den + 1
+def _grid_from_config(cfg: ScenarioConfig, n: Optional[int] = None) -> GridChart:
+    """The config's chart with n points per axis (default: the config's nx)."""
+    n = cfg.nx if n is None else n
     x0, x1, y0, y1 = cfg.domain
-    return GridChart(x0, x1, y0, y1, nx, ny)
+    return GridChart(x0, x1, y0, y1, n, n)
 
 
 def _make_fields(cfg: ScenarioConfig,
@@ -286,9 +269,10 @@ def _write_table(path: Path, name: str, columns: Sequence[str],
 
 
 def _write_summary(path: Path, kind: str, items) -> None:
-    """summary.txt: one ``key = value`` line per (key, value) pair."""
+    """summary.txt: one ``key = value`` line per (key, value) pair; an
+    empty value reads `none`."""
     lines = [f"# minmaps summary {SUMMARY_VERSION}", f"scenario = {kind}",
-             *(f"{key} = {_text(value)}" for key, value in items)]
+             *(f"{key} = {_text(value) or 'none'}" for key, value in items)]
     path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
@@ -516,10 +500,10 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
             row = presets.SCENARIO_SPECS[args.preset]
         source, target, spec, domain, n = row
         cfg = ScenarioConfig(kind=args.command, out=args.out, source=source,
-                             target=target, map_spec=spec, nx=n, ny=n,
+                             target=target, map_spec=spec, nx=n,
                              domain=domain)
     if args.grid is not None:
-        cfg = dataclasses.replace(cfg, nx=args.grid, ny=args.grid)
+        cfg = dataclasses.replace(cfg, nx=args.grid)
     return cfg
 
 

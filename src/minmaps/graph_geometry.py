@@ -27,6 +27,12 @@ on the memory layout.
 sigma_perp and the factor samples. H is the trace of A, summed on each
 read; R(e1, e2, e3, e4) and max |H| are computed on first read and kept.
 
+Each pointwise sum of the graph pass, of the scalar operators and of the
+identities (`verifier`) is one numpy expression in the operation order of
+its formula, evaluated over blocks of grid rows (`_row_blocks`): its
+temporaries are block-sized however long it is, and its bits do not
+depend on the block. Stencils run on whole planes.
+
 The ambient curvature operator of the product of constant-curvature factors
 uses the sign convention R(X, Y, Z, W) = sigma * (<X,Z><Y,W> - <X,W><Y,Z>)
 applied factor-wise, which makes R(e1, e2, e1, e2) the sectional curvature.
@@ -76,9 +82,8 @@ def pullback_form(which: int, X: np.ndarray, Y: np.ndarray,
     if which not in (1, 2):
         raise ValueError("which must be 1 (source form) or 2 (target form)")
     a, b = (0, 1) if which == 1 else (2, 3)
-    out = X[..., a] * Y[..., b]
-    out -= X[..., b] * Y[..., a]
-    return (rhoM2 if which == 1 else rhoN2) * out
+    return (rhoM2 if which == 1 else rhoN2) * (X[..., a] * Y[..., b]
+                                               - X[..., b] * Y[..., a])
 
 
 @dataclass(frozen=True)
@@ -163,112 +168,117 @@ class GraphGrid:
         return stencils.finite_abs_max(self.norm_H)
 
 
-def _add_product(acc: np.ndarray, scratch: np.ndarray, *factors,
-                 subtract: bool = False) -> np.ndarray:
-    """acc += f0 * f1 * ... (acc -= with subtract), multiplied left to right
-    in scratch: the same bits as acc = acc + f0 * f1 * ..., and no plane is
-    allocated. acc and scratch have the factors' broadcast shape."""
-    np.multiply(factors[0], factors[1], out=scratch)
-    for f in factors[2:]:
-        scratch *= f
-    if subtract:
-        acc -= scratch
-    else:
-        acc += scratch
-    return acc
+# Grid points in one row block (see the module docstring): every grid up to
+# 65 x 65 is a single block.
+BLOCK_POINTS = 65 * 65
+
+
+def _row_blocks(shape: tuple) -> list[slice]:
+    """Slices of the rows of a (rows, cols, ...) grid field: the fewest
+    blocks of at most BLOCK_POINTS points (and at least one row), split
+    evenly."""
+    rows = shape[0]
+    k = min(rows, -(-rows * shape[1] // BLOCK_POINTS))
+    return [slice(rows * i // k, rows * (i + 1) // k) for i in range(k)]
 
 
 def graph_grid(mapfield: MapField) -> GraphGrid:
-    """Assemble the full graph geometry of a map over its grid.
-
-    Each plane lives only while something reads it: sums accumulate in
-    place through two scratch planes, one Hessian pair at a time, in the
-    operation order of the written formulas."""
-    grid = mapfield.grid
+    """Assemble the full graph geometry of a map over its grid, one row
+    block at a time."""
     pw = mapfield.pointwise
-    f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
-    rhoM2, rhoN2 = mapfield.source_samples.rho2, mapfield.target_samples.rho2
-    df = pw.df
-    fx = (df[..., 0, 0], df[..., 1, 0])      # d f / dx, by target component
-    fy = (df[..., 0, 1], df[..., 1, 1])
-    frame = _adapted_frame_arrays(pw)
     shape = pw.lam.shape
-    t, t2, P = (np.empty(shape) for _ in range(3))
-
-    # ambient Hessian of the embedding D_ij, per slot pair (i, j): source
-    # components are the Christoffels Gamma_M(e_i, e_j), target components
-    # d_ij f + Gamma_N(f_i, f_j). A conformal factor with u = log rho has
-    # Gamma(a, b) = (ux s + uy m, -uy s + ux m), s = a1 b1 - a2 b2,
-    # m = a1 b2 + a2 b1 (each pair's Gamma_M, with its negated plane, is
-    # built when the pair is)
-    uMx, uMy = mapfield.source_samples.log_rho_grad
-    uNx, uNy = mapfield.target_samples.log_rho_grad
-    pairs = (((0, 0), fx, fx, grid.d_xx, lambda: (uMx, -uMy)),
-             ((0, 1), fx, fy, grid.d_xy, lambda: (uMy, uMx)),
-             ((1, 1), fy, fy, grid.d_yy, lambda: (-uMx, uMy)))
-
-    # A[alpha, k, l] sums, over the pairs (i, j), the normal projection
-    # P = <D_ij, e_{alpha+3}> times its coefficient in orthonormal tangent
-    # indices, through v_k = (alpha1 cl, alpha2 cm), the source rows of e1
-    # and e2: vk_i vl_j (+ vk_j vl_i when i != j)
-    v = (frame[..., 0, 0:2], frame[..., 1, 0:2])
     A = _empty_planes(shape, (2, 2, 2))
-    for (i, j), a, b, d2, gammaM in pairs:
-        sym = _add_product(a[0] * b[0], t, a[1], b[1], subtract=True)
-        mix = _add_product(a[0] * b[1], t, a[1], b[0])
-        D = (*gammaM(), d2(f1), d2(f2))
-        _add_product(_add_product(D[2], t, uNx, sym), t, uNy, mix)
-        _add_product(_add_product(D[3], t, uNy, sym, subtract=True), t, uNx, mix)
-        del sym, mix
-        for alpha in (0, 1):
-            e = frame[..., alpha + 2, :]
-            np.multiply(D[0], e[..., 0], out=P)
-            _add_product(P, t, D[1], e[..., 1])
-            P *= rhoM2
-            np.multiply(D[2], e[..., 2], out=t2)
-            _add_product(t2, t, D[3], e[..., 3])
-            t2 *= rhoN2
-            P += t2
-            for k, l in ((0, 0), (0, 1), (1, 1)):
-                vk, vl = v[k], v[l]
-                np.multiply(vk[..., i], vl[..., j], out=t2)
-                if i != j:
-                    _add_product(t2, t, vk[..., j], vl[..., i])
-                if (i, j) == (0, 0):
-                    np.multiply(t2, P, out=A[..., alpha, k, l])
-                else:
-                    _add_product(A[..., alpha, k, l], t, t2, P)
-    del D, P
-    A[..., 1, 0] = A[..., 0, 1]  # exact symmetry
-
-    H = A[..., 0, 0] + A[..., 1, 1]  # (..., alpha), as GraphGrid.H
-    norm_H = _add_product(H[..., 0] * H[..., 0], t, H[..., 1], H[..., 1])
-    del H
-    np.sqrt(norm_H, out=norm_H)
-    # np.sum's pairwise order over the 8 components of a point-major A,
-    # written out: summing planes in another order moves the last bit
-    def half_sq(alpha):       # (q0 + q1) + (q2 + q3) of one normal index
-        q = [A[..., alpha, k, l] for k in (0, 1) for l in (0, 1)]
-        half = _add_product(q[0] * q[0], t, q[1], q[1])
-        np.multiply(q[2], q[2], out=t2)
-        half += _add_product(t2, t, q[3], q[3])
-        return half
-    norm_A_sq = half_sq(0)
-    norm_A_sq += half_sq(1)
-
-    sigma_perp = np.negative(A[..., 0, 0, 0])
-    sigma_perp *= A[..., 1, 0, 1]
-    _add_product(sigma_perp, t, A[..., 0, 0, 1], A[..., 1, 0, 0])
-    _add_product(sigma_perp, t, A[..., 0, 0, 1], A[..., 1, 1, 1], subtract=True)
-    _add_product(sigma_perp, t, A[..., 0, 1, 1], A[..., 1, 0, 1])
-    del t, t2
+    norm_H, norm_A_sq, sigma_perp = (np.empty(shape) for _ in range(3))
+    frame = _adapted_frame_arrays(pw)
+    blocks = _row_blocks(shape)
+    grid = mapfield.grid
+    # Gamma_M(e_i, e_j) of the coordinate pairs: (s, m) = (1, 0), (0, 1),
+    # (-1, 0) in `_add_christoffel`
+    P = {(i, j): _normal_projections(mapfield, frame, blocks, i, j, d2, gammaM)
+         for (i, j), d2, gammaM in (
+             ((0, 0), grid.d_xx, lambda ux, uy: (ux, -uy)),
+             ((0, 1), grid.d_xy, lambda ux, uy: (uy, ux)),
+             ((1, 1), grid.d_yy, lambda ux, uy: (-ux, uy)))}
+    for b in blocks:
+        Ab = A[b]
+        _second_fundamental_form(Ab, frame[b], {ij: (p[0][b], p[1][b])
+                                                for ij, p in P.items()})
+        H3, H4 = (Ab[..., a, 0, 0] + Ab[..., a, 1, 1] for a in (0, 1))
+        norm_H[b] = np.sqrt(H3 * H3 + H4 * H4)
+        # np.sum's pairwise order over the 8 components of a point-major A,
+        # written out: summing planes in another order moves the last bit
+        def q(a, k, l):
+            return Ab[..., a, k, l] * Ab[..., a, k, l]
+        norm_A_sq[b] = (((q(0, 0, 0) + q(0, 0, 1)) + (q(0, 1, 0) + q(0, 1, 1)))
+                        + ((q(1, 0, 0) + q(1, 0, 1)) + (q(1, 1, 0) + q(1, 1, 1))))
+        sigma_perp[b] = (-Ab[..., 0, 0, 0] * Ab[..., 1, 0, 1]
+                         + Ab[..., 0, 0, 1] * Ab[..., 1, 0, 0]
+                         - Ab[..., 0, 0, 1] * Ab[..., 1, 1, 1]
+                         + Ab[..., 0, 1, 1] * Ab[..., 1, 0, 1])
 
     return GraphGrid(grid=grid, pw=pw, metric=mapfield.metric,
                      frame=frame, A=A, norm_H=norm_H, norm_A_sq=norm_A_sq,
                      sigma_perp=sigma_perp,
                      sigmaM=mapfield.source_samples.curvature,
                      sigmaN=mapfield.target_samples.curvature,
-                     rhoM2=rhoM2, rhoN2=rhoN2)
+                     rhoM2=mapfield.source_samples.rho2,
+                     rhoN2=mapfield.target_samples.rho2)
+
+
+def _normal_projections(mapfield: MapField, frame: np.ndarray, blocks, i, j,
+                        d2, gammaM) -> tuple[np.ndarray, np.ndarray]:
+    """(P^0_ij, P^1_ij), P^alpha_ij = <D_ij, e_{alpha+3}>: the normal
+    projections of the ambient Hessian D_ij of the embedding for the slot
+    pair (i, j). D_ij has source components Gamma_M(e_i, e_j) and target
+    components d_ij f + Gamma_N(f_i, f_j), which take Gamma_N in place of
+    the stencil rows d_ij f."""
+    rhoM2, rhoN2 = mapfield.source_samples.rho2, mapfield.target_samples.rho2
+    uMx, uMy = mapfield.source_samples.log_rho_grad
+    uNx, uNy = mapfield.target_samples.log_rho_grad
+    df = mapfield.pointwise.df
+    D2, D3 = (d2(mapfield.values[..., c]) for c in (0, 1))
+    P = (np.empty(D2.shape), np.empty(D2.shape))
+    for b in blocks:
+        E, fb, rM, rN = frame[b], df[b], rhoM2[b], rhoN2[b]
+        D2[b], D3[b] = _add_christoffel(D2[b], D3[b], fb[..., :, i],
+                                        fb[..., :, j], uNx[b], uNy[b])
+        D = (*gammaM(uMx[b], uMy[b]), D2[b], D3[b])
+        for alpha in (0, 1):
+            e = E[..., alpha + 2, :]
+            P[alpha][b] = (rM * (D[0] * e[..., 0] + D[1] * e[..., 1])
+                           + rN * (D[2] * e[..., 2] + D[3] * e[..., 3]))
+    return P
+
+
+def _add_christoffel(h1, h2, a, b, ux, uy):
+    """(h1, h2) + Gamma(a, b) of a conformal factor with u = log rho:
+    Gamma(a, b) = (ux s + uy m, -uy s + ux m), s = a1 b1 - a2 b2,
+    m = a1 b2 + a2 b1, added term by term."""
+    a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    s = a1 * b1 - a2 * b2
+    m = a1 * b2 + a2 * b1
+    return h1 + ux * s + uy * m, h2 - uy * s + ux * m
+
+
+def _second_fundamental_form(A: np.ndarray, E: np.ndarray, P: dict) -> None:
+    """Write A^alpha_kl = A[..., alpha, k, l] from the normal projections
+    P[i, j][alpha] and the frame E.
+
+    A^alpha_kl sums, over the slot pairs (i, j), P^alpha_ij times its
+    coefficient in orthonormal tangent indices, through v_k = (alpha1 cl,
+    alpha2 cm), the source rows of e1 and e2: vk_i vl_j (+ vk_j vl_i when
+    i != j).
+    """
+    v = (E[..., 0, 0:2], E[..., 1, 0:2])
+    for k, l in ((0, 0), (0, 1), (1, 1)):
+        vk, vl = v[k], v[l]
+        c00 = vk[..., 0] * vl[..., 0]
+        c01 = vk[..., 0] * vl[..., 1] + vk[..., 1] * vl[..., 0]
+        c11 = vk[..., 1] * vl[..., 1]
+        for alpha in (0, 1):
+            A[..., alpha, k, l] = (c00 * P[0, 0][alpha] + c01 * P[0, 1][alpha]
+                                   + c11 * P[1, 1][alpha])
+    A[..., 1, 0] = A[..., 0, 1]  # exact symmetry
 
 
 def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
@@ -293,7 +303,6 @@ def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
     row(0, alpha1, cl, beta1, pw.lam * cl)
     row(1, pw.alpha2, cm, pw.beta2, pw.mu * cm)
     row(2, alpha1, -pw.lam * cl, beta1, cl)
-    del alpha1, beta1
     row(3, pw.alpha2, -sgn * pw.mu * cm, pw.beta2, sgn * cm)
     return E
 
@@ -307,42 +316,34 @@ def laplace_beltrami_array(u: np.ndarray, metric: InducedMetric,
     Delta u = det(g)^(-1/2) d_i( det(g)^(1/2) g^(ij) d_j u ). Each nesting
     level costs one ring of validity on Dirichlet grids.
     """
-    sq = metric.sqrt_det
-    ux = grid.d_x(u)
-    uy = grid.d_y(u)
-    # the fluxes sq (g^i1 ux + g^i2 uy); Fy is built in ux and uy's planes
-    Fx = _add_product(metric.gi11 * ux, np.empty_like(ux), metric.gi12, uy)
-    Fx *= sq
-    ux *= metric.gi12
-    uy *= metric.gi22
-    Fy = ux
-    Fy += uy
-    Fy *= sq
-    del uy
-    out = grid.d_x(Fx)
-    del Fx
-    out += grid.d_y(Fy)
-    out /= sq
-    return out
+    sq, g11, g12, g22 = metric.sqrt_det, metric.gi11, metric.gi12, metric.gi22
+    Fx, Fy = grid.d_x(u), grid.d_y(u)
+    for b in _row_blocks(u.shape):   # the fluxes replace d_x u and d_y u
+        ux, uy = Fx[b], Fy[b]
+        Fx[b], Fy[b] = (sq[b] * (g11[b] * ux + g12[b] * uy),
+                        sq[b] * (g12[b] * ux + g22[b] * uy))
+    return (grid.d_x(Fx) + grid.d_y(Fy)) / sq
 
 
 def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
                            grid: GridChart) -> np.ndarray:
     """|grad u|^2 = g^(ij) d_i u d_j u with central differences."""
-    ux = grid.d_x(u)
-    uy = grid.d_y(u)
-    out = metric.gi11 * ux
-    out *= ux
-    t = np.empty_like(ux)
-    _add_product(out, t, 2.0, metric.gi12, ux, uy)
-    return _add_product(out, t, metric.gi22, uy, uy)
+    ux, uy = grid.d_x(u), grid.d_y(u)
+    out = np.empty_like(u)
+    for b in _row_blocks(u.shape):
+        x, y = ux[b], uy[b]
+        out[b] = (metric.gi11[b] * x * x + 2.0 * metric.gi12[b] * x * y
+                  + metric.gi22[b] * y * y)
+    return out
 
 
 # ---------------------------------------------------------- frame forms
 
-def form_on_frame(gg: GraphGrid, which: int, a: int, b: int) -> np.ndarray:
-    """omega_which(e_a, e_b) over the grid, frame indices in 1..4."""
-    X = gg.frame[..., a - 1, :]
-    Y = gg.frame[..., b - 1, :]
-    return pullback_form(which, X, Y, gg.rhoM2, gg.rhoN2)
+def form_on_frame(gg: GraphGrid, which: int, a: int, b: int,
+                  rows: slice = slice(None)) -> np.ndarray:
+    """omega_which(e_a, e_b) over the grid (or over a block of its rows),
+    frame indices in 1..4."""
+    E = gg.frame[rows]
+    return pullback_form(which, E[..., a - 1, :], E[..., b - 1, :],
+                         gg.rhoM2[rows], gg.rhoN2[rows])
 

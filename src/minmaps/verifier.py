@@ -19,6 +19,7 @@ is pure cancellation noise.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -28,7 +29,7 @@ import numpy as np
 from . import stencils
 from .errors import ConfigError
 from .graph_geometry import (
-    GraphGrid, _add_product, ambient_curvature, form_on_frame,
+    GraphGrid, _row_blocks, ambient_curvature, form_on_frame,
     gradient_norm_sq_array, laplace_beltrami_array,
 )
 from .pointwise import MapField
@@ -75,10 +76,9 @@ class ResidualReport:
 def _nan_pointwise_max(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Pointwise max of |a| over the arrays, skipping NaN; NaN where every
     array is NaN."""
-    out = np.abs(arrays[0])
-    t = np.empty_like(out)
-    for a in arrays[1:]:
-        np.fmax(out, np.abs(a, out=t), out=out)
+    out = np.empty_like(arrays[0])
+    for b in _row_blocks(out.shape):
+        out[b] = functools.reduce(np.fmax, (np.abs(a[b]) for a in arrays))
     return out
 
 
@@ -108,10 +108,11 @@ def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],
 
 # ------------------------------------------------------------ the identities
 #
-# Each identity keeps a plane only while something still reads it: sums
-# accumulate in place through one scratch plane (`_add_product`), in the
-# operation order of the formulas below, so the residual bits are those of
-# the written expressions. No cached plane of the field is written.
+# Each sum is one expression in the operation order of the formula in its
+# docstring, over blocks of grid rows (`_row_blocks`). A sum of terms starts
+# as 0.0 + ..., so a first term of -0.0 sums to +0.0. Each residual is
+# written over the operator plane it starts from; no cached plane of the
+# field is written.
 
 def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
     """First-order identity: frame derivatives of the two Jacobian functions.
@@ -124,29 +125,28 @@ def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
                          + A^alpha_k2 omega(e1, e_alpha)
     """
     gg = mapfield.graph
-    pw = gg.pw
     grid = mapfield.grid
-    t = np.empty_like(pw.u1)
     comps: dict[str, np.ndarray] = {}
-    for idx, u in ((1, pw.u1), (2, pw.u2)):
+    for idx, u in ((1, gg.pw.u1), (2, gg.pw.u2)):
         ux, uy = grid.d_x(u), grid.d_y(u)
-        lhs = {}
-        for k in (1, 2):
-            vk = gg.frame[..., k - 1, 0:2]  # chart shadow of the tangent frame
-            lhs[k] = _add_product(vk[..., 0] * ux, t, vk[..., 1], uy)
-        del ux, uy
-        rhs = {k: np.zeros_like(u) for k in (1, 2)}
-        # each form is built once and read by both frame derivatives
-        for a in (3, 4):
-            for col, pair in ((0, (a, 2)), (1, (1, a))):
-                w = form_on_frame(gg, idx, *pair)
-                for k in (1, 2):
-                    _add_product(rhs[k], t, gg.A[..., a - 3, k - 1, col], w)
-        for k in (1, 2):
-            lhs[k] -= rhs[k]
-            comps[f"u{idx}_e{k}"] = lhs[k]
-    del t, rhs, w
+        for b in _row_blocks(u.shape):
+            ux[b], uy[b] = _pullback_residuals(gg, idx, b, ux[b], uy[b])
+        comps[f"u{idx}_e1"], comps[f"u{idx}_e2"] = ux, uy
     return _make_report(gg, comps)
+
+
+def _pullback_residuals(gg: GraphGrid, idx: int, b: slice,
+                        ux: np.ndarray, uy: np.ndarray) -> list[np.ndarray]:
+    """e_k(u) minus its expansion, k = 1, 2, over the rows b, from the chart
+    derivatives of u (E[..., k, 0:2] is the chart shadow of e_{k+1})."""
+    E, A = gg.frame[b], gg.A[b]
+    # each form is read by both frame derivatives
+    w = {pair: form_on_frame(gg, idx, *pair, b)
+         for a in (3, 4) for pair in ((a, 2), (1, a))}
+    return [E[..., k, 0] * ux + E[..., k, 1] * uy
+            - (0.0 + A[..., 0, k, 0] * w[3, 2] + A[..., 0, k, 1] * w[1, 3]
+               + A[..., 1, k, 0] * w[4, 2] + A[..., 1, k, 1] * w[1, 4])
+            for k in (0, 1)]
 
 
 def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
@@ -161,54 +161,48 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
         S2 = -2 sum_{alpha,beta,k} A^alpha_k1 A^beta_k2 omega(e_alpha, e_beta)
         S3 = sum_{alpha,k} R(e_k, e1, e_k, e_alpha) omega(e_alpha, e2)
                          + R(e_k, e2, e_k, e_alpha) omega(e1, e_alpha)
+
+    A form vanishes on a repeated vector and R(e_k, e_i, e_k, e_alpha) for
+    k == i, so the terms that read omega(e1, e1), omega(e2, e2),
+    omega(e_alpha, e_alpha) or such an R are zero and are not summed (S1 is
+    |A|^2 u). That keeps every bit: a sum that starts at 0.0 never reaches
+    -0.0, so a zero term leaves it as it is, and a NaN in a dropped term
+    reaches the sum through a kept one.
     """
     gg = mapfield.graph
     pw = gg.pw
-    grid = mapfield.grid
-    E, A = gg.frame, gg.A
-    t = np.empty_like(pw.u1)
-    # R(e_k, e_i, e_k, e_alpha) does not depend on the form and vanishes
-    # for k == i, so S3 needs R(e1, e2, e1, e_alpha) and R(e2, e1, e2,
-    # e_alpha): each is built once, for both forms' S3
-    S3 = {idx: np.zeros_like(t) for idx in (1, 2)}
-    for a in (3, 4):
-        for k, pair in ((0, (1, a)), (1, (a, 2))):
-            R = ambient_curvature(E[..., k, :], E[..., 1 - k, :], E[..., k, :],
-                                  E[..., a - 1, :], gg.rhoM2, gg.rhoN2,
-                                  gg.sigmaM, gg.sigmaN)
-            for idx in (1, 2):
-                _add_product(S3[idx], t, R, form_on_frame(gg, idx, *pair))
-    del R
-    comps: dict[str, np.ndarray] = {}
-    for idx, u in ((1, pw.u1), (2, pw.u2)):
-        lhs = laplace_beltrami_array(u, gg.metric, grid)
-        np.negative(lhs, out=lhs)
-        # S1 reads omega(e1, e2), omega(e2, e2) and omega(e1, e1) = 0
-        w = {(1, 2): form_on_frame(gg, idx, 1, 2),
-             (2, 2): form_on_frame(gg, idx, 2, 2), (1, 1): 0.0}
-        S1 = np.zeros_like(u)
-        for a in (3, 4):
-            for k in (0, 1):
-                for l in (0, 1):
-                    Akl = A[..., a - 3, k, l]
-                    _add_product(S1, t, A[..., a - 3, k, 0], Akl, w[(l + 1, 2)])
-                    _add_product(S1, t, A[..., a - 3, k, 1], Akl, w[(1, l + 1)])
-        del w
-        S2 = np.zeros_like(u)
-        for a in (3, 4):
-            for b in (3, 4):
-                w_ab = form_on_frame(gg, idx, a, b)
-                for k in (0, 1):
-                    _add_product(S2, t, 2.0, A[..., a - 3, k, 0],
-                                 A[..., b - 3, k, 1], w_ab, subtract=True)
-        del w_ab
-        S1 += S2
-        del S2
-        S1 += S3.pop(idx)
-        lhs -= S1
-        comps[f"omega{idx}"] = lhs
-    del t, S1
-    return _make_report(gg, comps)
+    laps = [laplace_beltrami_array(u, gg.metric, mapfield.grid)
+            for u in (pw.u1, pw.u2)]
+    for b in _row_blocks(pw.u1.shape):
+        E = gg.frame[b]
+        # S3 of both forms reads R(e1, e2, e1, e_alpha), R(e2, e1, e2, e_alpha)
+        R = {(k, a): ambient_curvature(E[..., k, :], E[..., 1 - k, :],
+                                       E[..., k, :], E[..., a - 1, :],
+                                       gg.rhoM2[b], gg.rhoN2[b],
+                                       gg.sigmaM[b], gg.sigmaN[b])
+             for a in (3, 4) for k in (0, 1)}
+        for idx, lap in zip((1, 2), laps):
+            lap[b] = -lap[b] - _form_laplacian_rhs(gg, idx, b, R)
+    return _make_report(gg, {"omega1": laps[0], "omega2": laps[1]})
+
+
+def _form_laplacian_rhs(gg: GraphGrid, idx: int, b: slice,
+                        R: dict) -> np.ndarray:
+    """S1 + S2 + S3 of form idx over the rows b, from R(e_k, e_i, e_k,
+    e_alpha) by (k, alpha)."""
+    A = gg.A[b]
+
+    def w(a, c):
+        return form_on_frame(gg, idx, a, c, b)
+    u = w(1, 2)
+    S1 = sum((A[..., a, k, l] * A[..., a, k, l] * u
+              for a in (0, 1) for k in (0, 1) for l in (0, 1)), 0.0)
+    S2 = sum((-2.0 * A[..., a, k, 0] * A[..., c, k, 1] * w_ac
+              for a, c, w_ac in ((0, 1, w(3, 4)), (1, 0, w(4, 3)))
+              for k in (0, 1)), 0.0)
+    S3 = sum((R[k, a] * w(*pair)
+              for a in (3, 4) for k, pair in ((0, (1, a)), (1, (a, 2)))), 0.0)
+    return S1 + S2 + S3
 
 
 def verify_jacobian_laplacians(mapfield: MapField,
@@ -225,8 +219,6 @@ def verify_jacobian_laplacians(mapfield: MapField,
     """
     gg = mapfield.graph
     pw = gg.pw
-    grid = mapfield.grid
-    u1, u2 = pw.u1, pw.u2
     nA2, sp = gg.norm_A_sq, gg.sigma_perp
     sM, sN = gg.sigmaM, gg.sigmaN
     if mutation == "flip_sigma_perp":
@@ -235,29 +227,18 @@ def verify_jacobian_laplacians(mapfield: MapField,
         sM, sN = sN, sM
     elif mutation is not None:
         raise ConfigError(f"unknown mutation {mutation!r}")
-    comps = {}
-    for name, u in (("u1", u1), ("u2", u2)):
-        comps[name] = laplace_beltrami_array(u, gg.metric, grid)
-        np.negative(comps[name], out=comps[name])
-    t, sq = np.empty_like(u1), np.empty_like(u1)
-    q = u1 * u1                                   # 1 - u1^2 - u2^2
-    np.subtract(1.0, q, out=q)
-    _add_product(q, t, u2, u2, subtract=True)
-    # each right-hand side is summed in one plane and subtracted in place
-    rhs = nA2 * u1
-    _add_product(rhs, t, 2.0, sp, u2)
-    _add_product(rhs, t, sM, q, u1)
-    np.multiply(u2, u2, out=sq)
-    _add_product(rhs, t, 2.0, sN, u1, sq, subtract=True)
-    comps["u1"] -= rhs
-    np.multiply(nA2, u2, out=rhs)
-    _add_product(rhs, t, 2.0, sp, u1)
-    _add_product(rhs, t, sN, q, u2)
-    np.multiply(u1, u1, out=sq)
-    _add_product(rhs, t, 2.0, sM, sq, u2, subtract=True)
-    comps["u2"] -= rhs
-    del t, sq, q, rhs
-    return _make_report(gg, comps, mutation=mutation)
+    lap1, lap2 = (laplace_beltrami_array(u, gg.metric, mapfield.grid)
+                  for u in (pw.u1, pw.u2))
+    for b in _row_blocks(pw.u1.shape):
+        u1, u2, A2, s, M, N = (a[b] for a in (pw.u1, pw.u2, nA2, sp, sM, sN))
+        # the factors both formulas share
+        s2, u1_2, u2_2 = 2.0 * s, u1 ** 2, u2 ** 2
+        q = 1.0 - u1_2 - u2_2
+        lap1[b] = -lap1[b] - (A2 * u1 + s2 * u2 + M * q * u1
+                              - 2.0 * N * u1 * u2_2)
+        lap2[b] = -lap2[b] - (A2 * u2 + s2 * u1 + N * q * u2
+                              - 2.0 * M * u1_2 * u2)
+    return _make_report(gg, {"u1": lap1, "u2": lap2}, mutation=mutation)
 
 
 def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
@@ -273,47 +254,38 @@ def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
     gg = mapfield.graph
     pw = gg.pw
     grid = mapfield.grid
-    phi, theta = pw.phi, pw.theta
-    nA2, sp = gg.norm_A_sq, gg.sigma_perp
-    sM, sN = gg.sigmaM, gg.sigmaN
-
-    comps: dict[str, np.ndarray] = {}
-    for name, u in (("phi", phi), ("theta", theta)):
-        grad = gradient_norm_sq_array(u, gg.metric, grid)
-        grad *= 2.0
-        lap = laplace_beltrami_array(u, gg.metric, grid)
-        np.negative(lap, out=lap)
-        comps[f"grad_{name}"], comps[f"lap_{name}"] = grad, lap
-    t = np.empty_like(phi)
-    masked = 0
-    # plus: the sign of sigma_perp in |A|^2 -+ 2 sp, and of the sigmaN term
-    for name, u, plus in (("phi", phi, False), ("theta", theta, True)):
-        grad, lap = comps[f"grad_{name}"], comps[f"lap_{name}"]
-        q = u * u                                 # 1 - u^2
-        np.subtract(1.0, q, out=q)
-        a = 2.0 * sp                              # |A|^2 -+ 2 sp
-        (np.add if plus else np.subtract)(nA2, a, out=a)
-        _add_product(grad, t, a, q, subtract=True)
-        # the curvature term, then the sum in its plane: s + a u is a u + s
-        s = phi + theta
-        s *= sM
-        np.subtract(phi, theta, out=t)
-        t *= sN
-        if plus:
-            s -= t
-        else:
-            s += t
-        s *= 0.5
-        s *= q
-        lap -= _add_product(s, t, a, u)
-        del a, s
-        mask = q < ANGLE_MASK_FLOOR
-        grad[mask] = np.nan
-        lap[mask] = np.nan
-        masked += int(np.count_nonzero(mask & np.isfinite(u)))
-        del q, mask
-    del t
+    # the Laplacians first: each then runs with fewer finished planes held
+    lp, lt = (laplace_beltrami_array(u, gg.metric, grid)
+              for u in (pw.phi, pw.theta))
+    gp, gt = (gradient_norm_sq_array(u, gg.metric, grid)
+              for u in (pw.phi, pw.theta))
+    masked = sum(_angle_residuals(gg, b, gp[b], gt[b], lp[b], lt[b])
+                 for b in _row_blocks(pw.phi.shape))
+    comps = {"grad_phi": gp, "lap_phi": lp, "grad_theta": gt, "lap_theta": lt}
     return _make_report(gg, comps, masked_points=masked)
+
+
+def _angle_residuals(gg: GraphGrid, b: slice, gp: np.ndarray, gt: np.ndarray,
+                     lp: np.ndarray, lt: np.ndarray) -> int:
+    """Write the four residuals over the rows b of their operator planes
+    (|grad u|^2 in gp, gt; Delta u in lp, lt), NaN where 1 - u^2 is below
+    the floor; return how many finite points that masked."""
+    pw = gg.pw
+    p, t, A2, s, M, N = (a[b] for a in (pw.phi, pw.theta, gg.norm_A_sq,
+                                        gg.sigma_perp, gg.sigmaM, gg.sigmaN))
+    # the factors the four formulas share
+    s2, qp, qt = 2.0 * s, 1.0 - p ** 2, 1.0 - t ** 2
+    Ap, At, Ms, Nd = A2 - s2, A2 + s2, M * (p + t), N * (p - t)
+    gp[...] = 2.0 * gp - Ap * qp
+    gt[...] = 2.0 * gt - At * qt
+    lp[...] = -lp - (Ap * p + 0.5 * (Ms + Nd) * qp)
+    lt[...] = -lt - (At * t + 0.5 * (Ms - Nd) * qt)
+    masked = 0
+    for grad, lap, q, u in ((gp, lp, qp, p), (gt, lt, qt, t)):
+        mask = q < ANGLE_MASK_FLOOR
+        grad[mask] = lap[mask] = np.nan
+        masked += int(np.count_nonzero(mask & np.isfinite(u)))
+    return masked
 
 
 # -------------------------------------------------------- refinement studies

@@ -263,7 +263,7 @@ def test_verify_counts_evaluated_points(tmp_path):
         out = tmp_path / preset
         assert main(["verify", "--preset", preset, "--grid", "33",
                      "--out", str(out)]) == 0
-        assert (out / "summary.txt").read_text().startswith("# minmaps summary v4\n")
+        assert (out / "summary.txt").read_text().startswith("# minmaps summary v5\n")
         summary = read_summary(out / "summary.txt")
         counts[preset] = {key.split(".")[-1]: int(v) for key, v in summary.items()
                           if key.startswith("gradients.evaluated.")}
@@ -297,7 +297,7 @@ def test_refine_counts_evaluated_points_per_grid(tmp_path):
     for preset in ("constant", "z_squared"):
         out = tmp_path / preset
         assert main(["refine", "--preset", preset, "--out", str(out)]) == 0
-        assert (out / "summary.txt").read_text().startswith("# minmaps summary v4\n")
+        assert (out / "summary.txt").read_text().startswith("# minmaps summary v5\n")
         summary = read_summary(out / "summary.txt")
         counts[preset] = {key.split(".")[-1]: [int(k) for k in v.split()]
                           for key, v in summary.items()
@@ -339,7 +339,7 @@ def test_refine_reports_mean_curvature_per_grid(tmp_path):
     assert len(norms) == 3
     assert all(0.0 < float(v) < 1e-12 for v in norms)
     assert summary["mean_curvature.exact"] == "true"
-    assert summary["mean_curvature.orders"] == ""
+    assert summary["mean_curvature.orders"] == "none"
     assert main(["verify", "--config", str(cfgfile), "--grid", "33",
                  "--out", str(tmp_path / "verify")]) == 0
     assert read_summary(tmp_path / "verify" / "summary.txt")[
@@ -576,6 +576,8 @@ FLOW_CONFIG = f"""\
     # every section inherits a [DEFAULT] key; name it where it is set,
     # not in [source], the first section that inherits it
     (("[source]", "[DEFAULT]\nnx = 9\n[source]"), "'nx' in [DEFAULT]"),
+    # every grid is square in points: the deleted ny key is named
+    (("[grid]", "[grid]\nny = 33"), "'ny' in [grid]"),
 ])
 def test_unknown_config_key_or_section_is_config_error(tmp_path, capsys,
                                                        edit, named):

@@ -92,8 +92,9 @@ def _freeze(obj):
 @pytest.mark.filterwarnings("ignore:map is not numerically minimal")
 @pytest.mark.parametrize("bump", [0.0, 0.01])
 def test_identities_write_no_cached_plane(bump):
-    # the identities sum in place, but only into planes they own: with every
-    # cached plane of the field read-only they still run, to the same bits
+    # the identities write their residuals only into planes they own: with
+    # every cached plane of the field read-only they still run, to the same
+    # bits
     fresh = presets.sine_bump(presets.z_squared_mixed_field(n=17), bump)
     mf = presets.sine_bump(presets.z_squared_mixed_field(n=17), bump)
     metric = mf.graph.metric
@@ -108,6 +109,35 @@ def test_identities_write_no_cached_plane(bump):
         assert got.components.keys() == want.components.keys()
         for name, residual in got.components.items():
             assert residual.tobytes() == want.components[name].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:map is not numerically minimal")
+@pytest.mark.parametrize("bump", [0.0, 0.01])
+def test_row_blocks_do_not_move_a_bit(monkeypatch, bump):
+    # every pointwise sum is elementwise within a block of grid rows, so one
+    # row per block and the whole grid as one block give the same bytes. A
+    # NaN compares as one word: the sign numpy gives the product of two NaNs
+    # depends on the length of the loop (the writer prints nan either way)
+    from minmaps import graph_geometry
+
+    def bits(a):
+        return np.where(np.isnan(a), np.nan, a).tobytes()
+
+    def outputs(block_points):
+        monkeypatch.setattr(graph_geometry, "BLOCK_POINTS", block_points)
+        assert len(graph_geometry._row_blocks((33, 33))) == (
+            33 if block_points == 1 else 1)
+        out = {}
+        for name, build in sorted(presets.SCENARIOS.items()):
+            mf = presets.sine_bump(build(n=33), bump)
+            for field in ("frame", "A", "norm_H", "norm_A_sq", "sigma_perp"):
+                out[name, field] = bits(getattr(mf.graph, field))
+            for check in ALL_IDENTITIES:
+                for comp, residual in check(mf).components.items():
+                    out[name, check.__name__, comp] = bits(residual)
+        return out
+
+    assert outputs(1) == outputs(33 * 33)
 
 
 def test_residual_field_is_built_from_components():

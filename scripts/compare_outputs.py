@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Byte report of the CLI outputs of two source trees.
 
-Runs `analyze`, `verify`, `refine` and `flow` of each preset at one grid
-size in both trees (`python -m minmaps` with the tree's src/ on PYTHONPATH)
+Runs `analyze`, `verify`, `refine` and `flow` of each preset at each given
+grid size in both trees (`python -m minmaps` with the tree's src/ on PYTHONPATH)
 and prints, for each output file, `identical`, or what moved: the largest
 absolute difference of each CSV column that changed, the points where a
 column's NaN pattern changed, and the changed lines of the text files
 (summary.txt, final_map.txt). A file neither tree wrote (flow skips
-final_map.txt on a grid whose spacings differ) is left out.
+final_map.txt on a grid whose spacings differ) is left out. `refine` runs
+its own ladder whatever the size, so it runs once; with several sizes the
+other files are named by their size (`verify/z_squared/n129/verify.csv`).
 
-Usage: python scripts/compare_outputs.py OLD_TREE [NEW_TREE] [--n 65]
+Usage: python scripts/compare_outputs.py OLD_TREE [NEW_TREE] [--n 65 ...]
                                          [--preset NAME ...]
 
 NEW_TREE defaults to the tree holding this script. Exit code 1 when a run
@@ -75,41 +77,49 @@ def main():
     ap.add_argument("new", type=Path, nargs="?",
                     default=Path(__file__).resolve().parent.parent,
                     help="tree to compare with it (default: this one)")
-    ap.add_argument("--n", type=int, default=65, help="grid points per axis")
+    ap.add_argument("--n", type=int, nargs="+", default=[65],
+                    help="grid points per axis, one or more sizes")
     ap.add_argument("--preset", action="extend", nargs="+",
                     choices=sorted(presets.SCENARIOS),
                     help="presets to run (default: all)")
     args = ap.parse_args()
 
+    # refine runs its own ladder whatever the size: once
+    runs = [(preset, command, files, n)
+            for preset in args.preset or sorted(presets.SCENARIOS)
+            for command, files in COMMANDS
+            for n in (args.n[:1] if command == "refine" else args.n)]
     failed = False
     same = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for preset in args.preset or sorted(presets.SCENARIOS):
-            for command, files in COMMANDS:
-                outs = [Path(tmp) / side / command / preset for side in ("old", "new")]
-                codes = [run_tree(tree.resolve(), out, command, preset, args.n)
-                         for tree, out in zip((args.old, args.new), outs)]
-                if any(codes):
-                    failed = True
+        for preset, command, files, n in runs:
+            run = f"{command}/{preset}"
+            if command != "refine" and len(args.n) > 1:
+                run += f"/n{n}"
+            outs = [Path(tmp) / side / run for side in ("old", "new")]
+            codes = [run_tree(tree.resolve(), out, command, preset, n)
+                     for tree, out in zip((args.old, args.new), outs)]
+            if any(codes):
+                failed = True
+                continue
+            for name in files:
+                old, new = (out / name for out in outs)
+                if not (old.exists() or new.exists()):
                     continue
-                for name in files:
-                    old, new = (out / name for out in outs)
-                    if not (old.exists() or new.exists()):
-                        continue
-                    total += 1
-                    where = f"{command}/{preset}/{name}"
-                    if not (old.exists() and new.exists()):
-                        print(f"{where}: differs")
-                        print(f"    only in {'old' if old.exists() else 'new'}")
-                        continue
-                    if old.read_bytes() == new.read_bytes():
-                        same += 1
-                        print(f"{where}: identical")
-                        continue
+                total += 1
+                where = f"{run}/{name}"
+                if not (old.exists() and new.exists()):
                     print(f"{where}: differs")
-                    report = csv_report if name.endswith(".csv") else text_report
-                    for line in report(old, new):
-                        print(line)
+                    print(f"    only in {'old' if old.exists() else 'new'}")
+                    continue
+                if old.read_bytes() == new.read_bytes():
+                    same += 1
+                    print(f"{where}: identical")
+                    continue
+                print(f"{where}: differs")
+                report = csv_report if name.endswith(".csv") else text_report
+                for line in report(old, new):
+                    print(line)
     print(f"{same} of {total} files identical")
     return 1 if failed else 0
 

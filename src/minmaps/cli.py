@@ -79,9 +79,10 @@ from .flow import (MONITOR_COLUMNS, FlowConfig, run_to_minimal, write_monitors_c
                    write_snapshot)
 from .pointwise import MapField
 from .surface import GridChart
-from .verifier import (area_decreasing_certificate, convergence_study,
-                       verify_form_laplacian, verify_gradient_identities,
-                       verify_jacobian_laplacians, verify_pullback_derivative)
+from .verifier import (area_decreasing_certificate, check_ladder,
+                       convergence_study, verify_form_laplacian,
+                       verify_gradient_identities, verify_jacobian_laplacians,
+                       verify_pullback_derivative)
 
 __all__ = ["ScenarioConfig", "run", "main"]
 
@@ -356,6 +357,7 @@ def _run_verify(cfg: ScenarioConfig) -> None:
 def _run_refine(cfg: ScenarioConfig) -> None:
     # one field (and one graph geometry) per grid serves all four identities
     ns = cfg.refine_grids
+    check_ladder([_grid_from_config(cfg, n).h for n in ns])
     hs, defects = [], []                # defects: max |H| per grid
     norms = {name: [] for name, _ in IDENTITY_CHECKS}
     evaluated = {name: {} for name, _ in IDENTITY_CHECKS}  # per-grid counts

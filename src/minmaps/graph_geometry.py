@@ -23,15 +23,18 @@ memory, so every component read is a contiguous plane. Reductions over
 component axes are written out (see |A|^2), because np.sum's order depends
 on the memory layout.
 
-`GraphGrid` keeps the planes the identities read: the frame, A, |H|, |A|^2,
-sigma_perp and the factor samples. H is the trace of A, summed on each
-read; R(e1, e2, e3, e4) and max |H| are computed on first read and kept.
+`GraphGrid` keeps the planes the identities read: A, |H|, |A|^2, sigma_perp
+and the factor samples. It stores no frame: `frame_rows` builds a row
+block's frame rows from that block's pointwise data where they are read,
+and keeps the last block built. H is the trace of A, summed on each read;
+R(e1, e2, e3, e4) and max |H| are computed on first read and kept.
 
 Each pointwise sum of the graph pass, of the scalar operators and of the
 identities (`verifier`) is one numpy expression in the operation order of
 its formula, evaluated over blocks of grid rows (`_row_blocks`): its
 temporaries are block-sized however long it is, and its bits do not
-depend on the block. Stencils run on whole planes.
+depend on the block. Stencils run on whole planes, or on a block and a
+halo row on each side (`_rows_stencil`) where a block's sum reads them.
 
 The ambient curvature operator of the product of constant-curvature factors
 uses the sign convention R(X, Y, Z, W) = sigma * (<X,Z><Y,W> - <X,W><Y,Z>)
@@ -40,7 +43,7 @@ applied factor-wise, which makes R(e1, e2, e1, e2) the sectional curvature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -141,7 +144,6 @@ class GraphGrid:
     grid: GridChart
     pw: PointwiseGrid
     metric: InducedMetric
-    frame: np.ndarray        # (nx, ny, 4, 4); frame[..., a, :] = e_{a+1}
     A: np.ndarray            # (nx, ny, 2, 2, 2): A[..., alpha, i, j]
     norm_H: np.ndarray
     norm_A_sq: np.ndarray
@@ -150,18 +152,38 @@ class GraphGrid:
     sigmaN: np.ndarray       # target curvature at image points
     rhoM2: np.ndarray
     rhoN2: np.ndarray
+    _last_rows: list = field(default_factory=lambda: [None, None],
+                             init=False, repr=False, compare=False)
 
     @property
     def H(self) -> np.ndarray:
         """(nx, ny, 2): (H^3, H^4), the trace of A."""
         return self.A[..., 0, 0] + self.A[..., 1, 1]
 
+    @property
+    def frame(self) -> np.ndarray:
+        """(nx, ny, 4, 4), frame[..., a, :] = e_{a+1}, built on each read."""
+        return _adapted_frame_arrays(self.pw)
+
+    def frame_rows(self, rows: slice) -> np.ndarray:
+        """frame[rows] from the pointwise data of those rows; the last block
+        built is kept in _last_rows, so the readers of a block build it once."""
+        last = self._last_rows
+        if last[0] != rows:
+            pw = self.pw
+            last[:] = rows, _adapted_frame_arrays(PointwiseGrid(
+                pw.grid, *(getattr(pw, f.name)[rows] for f in fields(pw)[1:])))
+        return last[1]
+
     @cached_property
     def rtilde_1234(self) -> np.ndarray:
-        E = self.frame
-        return ambient_curvature(E[..., 0, :], E[..., 1, :], E[..., 2, :],
-                                 E[..., 3, :], self.rhoM2, self.rhoN2,
-                                 self.sigmaM, self.sigmaN)
+        out = np.empty(self.norm_H.shape)
+        for b in _row_blocks(out.shape):
+            E = self.frame_rows(b)
+            out[b] = ambient_curvature(E[..., 0, :], E[..., 1, :], E[..., 2, :],
+                                       E[..., 3, :], self.rhoM2[b], self.rhoN2[b],
+                                       self.sigmaM[b], self.sigmaN[b])
+        return out
 
     @cached_property
     def max_norm_H(self) -> float:
@@ -182,72 +204,66 @@ def _row_blocks(shape: tuple) -> list[slice]:
     return [slice(rows * i // k, rows * (i + 1) // k) for i in range(k)]
 
 
+def _rows_stencil(d, f: np.ndarray, rows: slice) -> np.ndarray:
+    """d(f)[rows], the grid stencil d run on the rows and a halo row each side."""
+    lo = max(rows.start - 1, 0)
+    return d(f[lo:rows.stop + 1])[rows.start - lo:rows.stop - lo]
+
+
 def graph_grid(mapfield: MapField) -> GraphGrid:
     """Assemble the full graph geometry of a map over its grid, one row
     block at a time."""
     pw = mapfield.pointwise
     shape = pw.lam.shape
-    A = _empty_planes(shape, (2, 2, 2))
-    norm_H, norm_A_sq, sigma_perp = (np.empty(shape) for _ in range(3))
-    frame = _adapted_frame_arrays(pw)
-    blocks = _row_blocks(shape)
-    grid = mapfield.grid
-    # Gamma_M(e_i, e_j) of the coordinate pairs: (s, m) = (1, 0), (0, 1),
-    # (-1, 0) in `_add_christoffel`
-    P = {(i, j): _normal_projections(mapfield, frame, blocks, i, j, d2, gammaM)
-         for (i, j), d2, gammaM in (
-             ((0, 0), grid.d_xx, lambda ux, uy: (ux, -uy)),
-             ((0, 1), grid.d_xy, lambda ux, uy: (uy, ux)),
-             ((1, 1), grid.d_yy, lambda ux, uy: (-ux, uy)))}
-    for b in blocks:
-        Ab = A[b]
-        _second_fundamental_form(Ab, frame[b], {ij: (p[0][b], p[1][b])
-                                                for ij, p in P.items()})
+    gg = GraphGrid(grid=mapfield.grid, pw=pw, metric=mapfield.metric,
+                   A=_empty_planes(shape, (2, 2, 2)), norm_H=np.empty(shape),
+                   norm_A_sq=np.empty(shape), sigma_perp=np.empty(shape),
+                   sigmaM=mapfield.source_samples.curvature,
+                   sigmaN=mapfield.target_samples.curvature,
+                   rhoM2=mapfield.source_samples.rho2,
+                   rhoN2=mapfield.target_samples.rho2)
+    for b in _row_blocks(shape):
+        E, Ab = gg.frame_rows(b), gg.A[b]
+        # Gamma_M(e_i, e_j) of the coordinate pairs: (s, m) = (1, 0), (0, 1),
+        # (-1, 0) in `_add_christoffel`
+        for (i, j), d2, gammaM in (
+                ((0, 0), gg.grid.d_xx, lambda ux, uy: (ux, -uy)),
+                ((0, 1), gg.grid.d_xy, lambda ux, uy: (uy, ux)),
+                ((1, 1), gg.grid.d_yy, lambda ux, uy: (-ux, uy))):
+            P = _normal_projections(mapfield, E, b, i, j, d2, gammaM)
+            _add_second_fundamental_form(Ab, E, i, j, P)
+        Ab[..., 1, 0] = Ab[..., 0, 1]  # exact symmetry
         H3, H4 = (Ab[..., a, 0, 0] + Ab[..., a, 1, 1] for a in (0, 1))
-        norm_H[b] = np.sqrt(H3 * H3 + H4 * H4)
+        gg.norm_H[b] = np.sqrt(H3 * H3 + H4 * H4)
         # np.sum's pairwise order over the 8 components of a point-major A,
         # written out: summing planes in another order moves the last bit
         def q(a, k, l):
             return Ab[..., a, k, l] * Ab[..., a, k, l]
-        norm_A_sq[b] = (((q(0, 0, 0) + q(0, 0, 1)) + (q(0, 1, 0) + q(0, 1, 1)))
-                        + ((q(1, 0, 0) + q(1, 0, 1)) + (q(1, 1, 0) + q(1, 1, 1))))
-        sigma_perp[b] = (-Ab[..., 0, 0, 0] * Ab[..., 1, 0, 1]
-                         + Ab[..., 0, 0, 1] * Ab[..., 1, 0, 0]
-                         - Ab[..., 0, 0, 1] * Ab[..., 1, 1, 1]
-                         + Ab[..., 0, 1, 1] * Ab[..., 1, 0, 1])
-
-    return GraphGrid(grid=grid, pw=pw, metric=mapfield.metric,
-                     frame=frame, A=A, norm_H=norm_H, norm_A_sq=norm_A_sq,
-                     sigma_perp=sigma_perp,
-                     sigmaM=mapfield.source_samples.curvature,
-                     sigmaN=mapfield.target_samples.curvature,
-                     rhoM2=mapfield.source_samples.rho2,
-                     rhoN2=mapfield.target_samples.rho2)
+        gg.norm_A_sq[b] = (((q(0, 0, 0) + q(0, 0, 1)) + (q(0, 1, 0) + q(0, 1, 1)))
+                           + ((q(1, 0, 0) + q(1, 0, 1)) + (q(1, 1, 0) + q(1, 1, 1))))
+        gg.sigma_perp[b] = (-Ab[..., 0, 0, 0] * Ab[..., 1, 0, 1]
+                            + Ab[..., 0, 0, 1] * Ab[..., 1, 0, 0]
+                            - Ab[..., 0, 0, 1] * Ab[..., 1, 1, 1]
+                            + Ab[..., 0, 1, 1] * Ab[..., 1, 0, 1])
+    return gg
 
 
-def _normal_projections(mapfield: MapField, frame: np.ndarray, blocks, i, j,
+def _normal_projections(mapfield: MapField, E: np.ndarray, b: slice, i, j,
                         d2, gammaM) -> tuple[np.ndarray, np.ndarray]:
-    """(P^0_ij, P^1_ij), P^alpha_ij = <D_ij, e_{alpha+3}>: the normal
-    projections of the ambient Hessian D_ij of the embedding for the slot
-    pair (i, j). D_ij has source components Gamma_M(e_i, e_j) and target
-    components d_ij f + Gamma_N(f_i, f_j), which take Gamma_N in place of
-    the stencil rows d_ij f."""
-    rhoM2, rhoN2 = mapfield.source_samples.rho2, mapfield.target_samples.rho2
-    uMx, uMy = mapfield.source_samples.log_rho_grad
-    uNx, uNy = mapfield.target_samples.log_rho_grad
-    df = mapfield.pointwise.df
-    D2, D3 = (d2(mapfield.values[..., c]) for c in (0, 1))
-    P = (np.empty(D2.shape), np.empty(D2.shape))
-    for b in blocks:
-        E, fb, rM, rN = frame[b], df[b], rhoM2[b], rhoN2[b]
-        D2[b], D3[b] = _add_christoffel(D2[b], D3[b], fb[..., :, i],
-                                        fb[..., :, j], uNx[b], uNy[b])
-        D = (*gammaM(uMx[b], uMy[b]), D2[b], D3[b])
-        for alpha in (0, 1):
-            e = E[..., alpha + 2, :]
-            P[alpha][b] = (rM * (D[0] * e[..., 0] + D[1] * e[..., 1])
-                           + rN * (D[2] * e[..., 2] + D[3] * e[..., 3]))
-    return P
+    """(P^0_ij, P^1_ij) over the rows b with frame rows E, P^alpha_ij =
+    <D_ij, e_{alpha+3}>: the normal projections of the ambient Hessian D_ij
+    of the embedding for the slot pair (i, j). D_ij has source components
+    Gamma_M(e_i, e_j) and target components d_ij f + Gamma_N(f_i, f_j)."""
+    rM, rN = mapfield.source_samples.rho2[b], mapfield.target_samples.rho2[b]
+    uMx, uMy = (u[b] for u in mapfield.source_samples.log_rho_grad)
+    uNx, uNy = (u[b] for u in mapfield.target_samples.log_rho_grad)
+    fb = mapfield.pointwise.df[b]
+    D2, D3 = (_rows_stencil(d2, mapfield.values[..., c], b) for c in (0, 1))
+    D2, D3 = _add_christoffel(D2, D3, fb[..., :, i], fb[..., :, j], uNx, uNy)
+    D = (*gammaM(uMx, uMy), D2, D3)
+    return tuple(rM * (D[0] * e[..., 0] + D[1] * e[..., 1])
+                 + rN * (D[2] * e[..., 2] + D[3] * e[..., 3])
+                 for e in (E[..., 2, :], E[..., 3, :]))
 
 
 def _add_christoffel(h1, h2, a, b, ux, uy):
@@ -260,25 +276,22 @@ def _add_christoffel(h1, h2, a, b, ux, uy):
     return h1 + ux * s + uy * m, h2 - uy * s + ux * m
 
 
-def _second_fundamental_form(A: np.ndarray, E: np.ndarray, P: dict) -> None:
-    """Write A^alpha_kl = A[..., alpha, k, l] from the normal projections
-    P[i, j][alpha] and the frame E.
-
-    A^alpha_kl sums, over the slot pairs (i, j), P^alpha_ij times its
-    coefficient in orthonormal tangent indices, through v_k = (alpha1 cl,
-    alpha2 cm), the source rows of e1 and e2: vk_i vl_j (+ vk_j vl_i when
-    i != j).
-    """
+def _add_second_fundamental_form(A, E, i, j, P) -> None:
+    """Add the slot pair (i, j)'s terms, from its normal projections P[alpha]
+    and the frame E, to A^alpha_kl = A[..., alpha, k, l], k <= l (the pair
+    (0, 0) writes it). A^alpha_kl sums, over the pairs in the order (0, 0),
+    (0, 1), (1, 1), P^alpha_ij times its coefficient in orthonormal tangent
+    indices, through v_k = (alpha1 cl, alpha2 cm), the source rows of e1
+    and e2: vk_i vl_j (+ vk_j vl_i when i != j)."""
     v = (E[..., 0, 0:2], E[..., 1, 0:2])
     for k, l in ((0, 0), (0, 1), (1, 1)):
         vk, vl = v[k], v[l]
-        c00 = vk[..., 0] * vl[..., 0]
-        c01 = vk[..., 0] * vl[..., 1] + vk[..., 1] * vl[..., 0]
-        c11 = vk[..., 1] * vl[..., 1]
+        c = vk[..., i] * vl[..., j]
+        if i != j:
+            c = c + vk[..., j] * vl[..., i]
         for alpha in (0, 1):
-            A[..., alpha, k, l] = (c00 * P[0, 0][alpha] + c01 * P[0, 1][alpha]
-                                   + c11 * P[1, 1][alpha])
-    A[..., 1, 0] = A[..., 0, 1]  # exact symmetry
+            t = c * P[alpha]
+            A[..., alpha, k, l] = t if (i, j) == (0, 0) else A[..., alpha, k, l] + t
 
 
 def _adapted_frame_arrays(pw: PointwiseGrid) -> np.ndarray:
@@ -341,9 +354,8 @@ def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
 
 def form_on_frame(gg: GraphGrid, which: int, a: int, b: int,
                   rows: slice = slice(None)) -> np.ndarray:
-    """omega_which(e_a, e_b) over the grid (or over a block of its rows),
-    frame indices in 1..4."""
-    E = gg.frame[rows]
+    """omega_which(e_a, e_b) over the grid (or over a row block, from
+    `frame_rows`), frame indices in 1..4."""
+    E = gg.frame if rows == slice(None) else gg.frame_rows(rows)
     return pullback_form(which, E[..., a - 1, :], E[..., b - 1, :],
                          gg.rhoM2[rows], gg.rhoN2[rows])
-

@@ -62,7 +62,7 @@ __all__ = [
 
 # R / Q below which a point counts as conformal (frames then snap to the
 # chart axes for determinism)
-_CONFORMAL_GAP = 1e-10
+_CONFORMAL_GAP = 1e-13
 # a nonzero df below _TINY_DF in every entry is decomposed times _TINY_SCALE
 _TINY_DF, _TINY_SCALE = 2.0 ** -500, 2.0 ** 600
 
@@ -235,7 +235,7 @@ def singular_decomposition(df: np.ndarray, rhoM2: np.ndarray, rhoN2: np.ndarray)
     beta1 is beta2 turned by -90 degrees, times sign(det df) (+ where
     det df == 0). alpha2's sign follows the larger column of df: its x
     component is >= 0 where |df e_x| >= |df e_y|, else its y component is
-    > 0. At conformal points (R <= 1e-10 Q, df == 0 included) alpha is
+    > 0. At conformal points (R <= 1e-13 Q, df == 0 included) alpha is
     the source chart axes and lam == mu; h is 0 where Q == 0, so where df
     vanishes beta is the target chart axes. A nonzero df whose entries are
     all below 2^-500 is split at 2^600 times its size, with lam and mu scaled

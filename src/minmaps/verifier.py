@@ -29,10 +29,10 @@ import numpy as np
 from . import stencils
 from .errors import ConfigError
 from .graph_geometry import (
-    GraphGrid, _row_blocks, ambient_curvature, form_on_frame,
+    GraphGrid, _row_blocks, _rows_stencil, ambient_curvature, form_on_frame,
     gradient_norm_sq_array, laplace_beltrami_array,
 )
-from .pointwise import MapField
+from .pointwise import MapField, _empty_planes
 from .surface import TheoremHypotheses
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "Certificate", "MinimumProbe", "ProbeStatus",
     "verify_pullback_derivative", "verify_form_laplacian",
     "verify_jacobian_laplacians", "verify_gradient_identities",
-    "refinement_study", "convergence_study", "check_hypotheses",
+    "refinement_study", "check_ladder", "convergence_study", "check_hypotheses",
     "area_decreasing_certificate", "interior_minimum_probe", "MUTATIONS",
 ]
 
@@ -111,8 +111,8 @@ def _make_report(gg: GraphGrid, components: dict[str, np.ndarray],
 # Each sum is one expression in the operation order of the formula in its
 # docstring, over blocks of grid rows (`_row_blocks`). A sum of terms starts
 # as 0.0 + ..., so a first term of -0.0 sums to +0.0. Each residual is
-# written over the operator plane it starts from; no cached plane of the
-# field is written.
+# written over the operator plane it starts from, the pullback's into one
+# component-major field; no cached plane of the field is written.
 
 def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
     """First-order identity: frame derivatives of the two Jacobian functions.
@@ -126,20 +126,20 @@ def verify_pullback_derivative(mapfield: MapField) -> ResidualReport:
     """
     gg = mapfield.graph
     grid = mapfield.grid
-    comps: dict[str, np.ndarray] = {}
-    for idx, u in ((1, gg.pw.u1), (2, gg.pw.u2)):
-        ux, uy = grid.d_x(u), grid.d_y(u)
-        for b in _row_blocks(u.shape):
-            ux[b], uy[b] = _pullback_residuals(gg, idx, b, ux[b], uy[b])
-        comps[f"u{idx}_e1"], comps[f"u{idx}_e2"] = ux, uy
-    return _make_report(gg, comps)
+    res = _empty_planes(gg.pw.u1.shape, (2, 2))   # res[..., idx - 1, k - 1]
+    for b in _row_blocks(res.shape):    # both forms read a block's frame
+        for idx, u in ((1, gg.pw.u1), (2, gg.pw.u2)):
+            res[b][..., idx - 1, 0], res[b][..., idx - 1, 1] = _pullback_residuals(
+                gg, idx, b, *(_rows_stencil(d, u, b) for d in (grid.d_x, grid.d_y)))
+    return _make_report(gg, {f"u{idx}_e{k}": res[..., idx - 1, k - 1]
+                             for idx in (1, 2) for k in (1, 2)})
 
 
 def _pullback_residuals(gg: GraphGrid, idx: int, b: slice,
                         ux: np.ndarray, uy: np.ndarray) -> list[np.ndarray]:
     """e_k(u) minus its expansion, k = 1, 2, over the rows b, from the chart
     derivatives of u (E[..., k, 0:2] is the chart shadow of e_{k+1})."""
-    E, A = gg.frame[b], gg.A[b]
+    E, A = gg.frame_rows(b), gg.A[b]
     # each form is read by both frame derivatives
     w = {pair: form_on_frame(gg, idx, *pair, b)
          for a in (3, 4) for pair in ((a, 2), (1, a))}
@@ -174,7 +174,7 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
     laps = [laplace_beltrami_array(u, gg.metric, mapfield.grid)
             for u in (pw.u1, pw.u2)]
     for b in _row_blocks(pw.u1.shape):
-        E = gg.frame[b]
+        E = gg.frame_rows(b)
         # S3 of both forms reads R(e1, e2, e1, e_alpha), R(e2, e1, e2, e_alpha)
         R = {(k, a): ambient_curvature(E[..., k, :], E[..., 1 - k, :],
                                        E[..., k, :], E[..., a - 1, :],
@@ -322,6 +322,16 @@ def refinement_study(make_field: Callable[[int], MapField],
     return convergence_study(hs, norms, floor=floor)
 
 
+def check_ladder(hs: Sequence[float]) -> None:
+    """Raise ConfigError unless the spacings hs are three or more and halve."""
+    if len(hs) < 3:
+        raise ConfigError("refinement study needs at least three grids")
+    for h0, h1 in zip(hs, hs[1:]):
+        if not 0.49 < h1 / h0 < 0.51:
+            raise ConfigError(
+                f"grid spacings must halve between studies (got {h0:g} -> {h1:g})")
+
+
 def convergence_study(hs: Sequence[float], norms: Sequence[float],
                       *, floor: float = EXACT_FLOOR) -> ConvergenceStudy:
     """Contraction orders of norms measured on grids of spacings hs.
@@ -330,12 +340,7 @@ def convergence_study(hs: Sequence[float], norms: Sequence[float],
     ratios of consecutive norms; if every norm sits below the floor the
     diagnostic is flagged exact instead.
     """
-    if len(hs) < 3:
-        raise ConfigError("refinement study needs at least three grids")
-    for h0, h1 in zip(hs, hs[1:]):
-        if not 0.49 < h1 / h0 < 0.51:
-            raise ConfigError(
-                f"grid spacings must halve between studies (got {h0:g} -> {h1:g})")
+    check_ladder(hs)
     if max(norms) < floor:
         return ConvergenceStudy(tuple(hs), tuple(norms), (), float("inf"), True)
     orders = []

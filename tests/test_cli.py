@@ -712,6 +712,39 @@ def test_refine_parses_its_specs_once(tmp_path, monkeypatch):
         assert row == ",".join([s["h"]] + [s[f"{k}.norm_inf"] for k in names])
 
 
+@pytest.mark.parametrize("grids,message", [
+    ("65, 33, 17", "grid spacings must halve between studies "
+                   "(got 0.0140625 -> 0.028125)"),
+    ("17, 33", "refinement study needs at least three grids")])
+def test_refine_checks_its_ladder_before_any_field(tmp_path, monkeypatch,
+                                                   capsys, grids, message):
+    # a ladder that cannot give orders exits 2 before a field is computed
+    from minmaps import MapField
+
+    cfgfile = tmp_path / "refine.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = poincare_disc
+        [map]
+        spec = z_squared
+        [grid]
+        nx = 17
+        half_width = 0.45
+        [refine]
+        grids = {grids}
+    """))
+    calls = []
+    original = MapField.from_expr
+    monkeypatch.setattr(MapField, "from_expr",
+                        lambda *args: calls.append(args) or original(*args))
+    out = tmp_path / "refine"
+    assert main(["refine", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert calls == []
+
+
 # ------------------------------------------------------------------ plumbing
 
 def test_missing_spec_is_config_error(tmp_path, capsys):

@@ -381,6 +381,36 @@ def test_norm_A_sq_sums_in_numpys_order(case):
     assert gg.norm_A_sq.tobytes() == want.tobytes()
 
 
+def block_frame_field(case, n):
+    if case == "reversing_affine":   # det df < 0: e4 takes the sgn branch
+        return presets.affine_field(2.0, 0.0, 0.0, -0.5, n=n)
+    if case == "grid_only":          # df by differences, NaN on the ring
+        return presets.sine_bump(presets.z_squared_field(n=n), 0.01)
+    return presets.SCENARIOS[case](n=n)
+
+
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("case", ["z_squared", "mobius", "reversing_affine",
+                                  "grid_only"])
+def test_block_frames_match_the_whole_grid_frame(case, n):
+    # frame rows built from one block's pointwise data are the whole-grid
+    # frame's rows bit for bit: NaN positions and sign bits included
+    from minmaps.graph_geometry import _row_blocks
+
+    gg = block_frame_field(case, n).graph
+    frame = gg.frame
+    if case == "reversing_affine":
+        assert np.all(gg.pw.s < 0)
+    if case == "grid_only":
+        assert np.isnan(frame[0]).all() and np.isfinite(frame[1:-1, 1:-1]).all()
+    blocks = _row_blocks(frame.shape)
+    assert len(blocks) > 1
+    for b in blocks:
+        rows = gg.frame_rows(b)
+        assert rows.shape == frame[b].shape
+        assert rows.tobytes() == frame[b].tobytes(), b
+
+
 # ------------------------------------------------ kept and derived planes
 
 def test_passes_keep_no_derivable_plane():

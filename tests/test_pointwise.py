@@ -352,6 +352,9 @@ differentials = st.one_of(
 # subnormal entries: unscaled, E ... R round so coarsely that |beta1|^2
 # read 1.25
 @example(entries=(5e-324, 5e-324, 1.5e-323, 1.5e-323), rM=1.0, rN=1.0)
+# nearly conformal (R / Q = 5e-11): snapping to the conformal frame there
+# missed df alpha_i = lam_i beta_i by R
+@example(entries=(1.0, 0.0, 1e-10, 1.0), rM=1.0, rN=1.0)
 def test_decomposition_reconstruction_property(entries, rM, rN):
     d00, d01, d10, d11 = entries
     df = np.array([[d00, d01], [d10, d11]])

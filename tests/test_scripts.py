@@ -67,3 +67,12 @@ def test_stage_memory_holds_few_transient_planes():
     # they accumulated in place (rows split 127 + 2 read 94.8)
     _, peak = stage_memory(129)
     assert peak <= 78.0
+
+
+def test_stage_memory_of_a_graph_pass_that_stores_no_frame():
+    # at n=129 (four row blocks) the graph pass keeps A, |H|, |A|^2,
+    # sigma_perp and one block's frame rows, not the 16 planes of a stored
+    # frame (31.0 kept, pass peak 76.3 when it stored one)
+    stages, peak = stage_memory(129)
+    assert stages["graph"][0] <= 20.0
+    assert peak <= 66.0

@@ -140,6 +140,53 @@ def test_row_blocks_do_not_move_a_bit(monkeypatch, bump):
     assert outputs(1) == outputs(33 * 33)
 
 
+def test_frame_is_built_once_per_block_and_pass(monkeypatch):
+    # the graph pass, the pullback identity and the form-Laplacian identity
+    # each build every row block's frame once, from that block's rows; a
+    # one-block grid builds its frame once for all of them
+    from minmaps import graph_geometry
+
+    built = []
+    original = graph_geometry._adapted_frame_arrays
+    monkeypatch.setattr(graph_geometry, "_adapted_frame_arrays",
+                        lambda pw: built.append(pw.lam.shape) or original(pw))
+    for n in (65, 257):
+        built.clear()
+        mf = presets.z_squared_field(n=n)
+        for check in ALL_IDENTITIES:
+            check(mf)
+        rows = [(b.stop - b.start, n) for b in graph_geometry._row_blocks((n, n))]
+        assert built == rows * (1 if n == 65 else 3)
+    assert len(built) == 48 and max(built) < (257, 257)
+
+
+def test_whole_grid_frame_read_keeps_no_plane():
+    # gg.frame and form_on_frame without rows build the whole frame and
+    # keep nothing of it, nor touch the last block frame_rows built
+    import tracemalloc
+
+    from minmaps.graph_geometry import _row_blocks, form_on_frame
+
+    n = 129
+    gg = presets.z_squared_field(n=n).graph
+    last = gg._last_rows[0]
+    assert last == _row_blocks((n, n))[-1]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        frame, w = gg.frame, form_on_frame(gg, 1, 1, 2)
+        assert frame.shape == (n, n, 4, 4) and w.shape == (n, n)
+        del frame, w
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert kept < 0.1 * n * n * 8
+    assert gg._last_rows[0] == last
+
+
 def test_residual_field_is_built_from_components():
     # the report keeps its component planes only; the pointwise max is
     # rebuilt on read, and the norms are those of that max

@@ -7,8 +7,8 @@ and prints, for each output file, `identical`, or what moved: the largest
 absolute difference of each CSV column that changed, the points where a
 column's NaN pattern changed, and the changed lines of the text files
 (summary.txt, final_map.txt). A file neither tree wrote (flow skips
-final_map.txt on a grid whose spacings differ) is left out. `refine` runs
-its own ladder whatever the size, so it runs once; with several sizes the
+final_map.txt on a grid whose spacings differ) is left out. `refine` takes
+no size (it runs its own ladder), so it runs once; with several sizes the
 other files are named by their size (`verify/z_squared/n129/verify.csv`).
 
 Usage: python scripts/compare_outputs.py OLD_TREE [NEW_TREE] [--n 65 ...]
@@ -37,9 +37,10 @@ COMMANDS = (("analyze", ("analysis.csv", "summary.txt")),
 
 def run_tree(tree: Path, out: Path, command: str, preset: str, n: int) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    size = [] if command == "refine" else ["--grid", str(n)]
     proc = subprocess.run(
         [sys.executable, "-m", "minmaps", command, "--preset", preset,
-         "--grid", str(n), "--out", str(out)],
+         *size, "--out", str(out)],
         env=env, capture_output=True, text=True)
     if proc.returncode:
         print(f"{tree}: {command} {preset} exited {proc.returncode}: "
@@ -84,7 +85,7 @@ def main():
                     help="presets to run (default: all)")
     args = ap.parse_args()
 
-    # refine runs its own ladder whatever the size: once
+    # refine runs its own ladder: once
     runs = [(preset, command, files, n)
             for preset in args.preset or sorted(presets.SCENARIOS)
             for command, files in COMMANDS

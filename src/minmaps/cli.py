@@ -469,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="INI scenario config (see module docs for keys)")
         sp.add_argument("--out", type=Path, default=Path("."), metavar="DIR",
                         help="output directory (created if missing)")
-        sp.add_argument("--grid", type=int, default=None, metavar="N",
-                        help="override the grid point count per axis")
+        if name != "refine":    # refine's sizes are its [refine] grids
+            sp.add_argument("--grid", type=int, default=None, metavar="N",
+                            help="override the grid point count per axis")
         if name == "curvature":
             sp.add_argument("--preset", default=None, metavar="METRIC",
                             help="metric spec, e.g. poincare_disc or hyperbolic:2")
@@ -504,7 +505,7 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
         cfg = ScenarioConfig(kind=args.command, out=args.out, source=source,
                              target=target, map_spec=spec, nx=n,
                              domain=domain)
-    if args.grid is not None:
+    if getattr(args, "grid", None) is not None:
         cfg = dataclasses.replace(cfg, nx=args.grid)
     return cfg
 

@@ -152,7 +152,7 @@ def tension_pass(mapfield: MapField) -> TensionPass:
 
     p11, p12, p22 = pullback_products(f1x, f1y, f2x, f2y)
     m = induced_metric_arrays(p11, p12, p22, rhoM2, rhoN2)
-    detg, gi11, gi12, gi22 = m.det, m.gi11, m.gi12, m.gi22
+    detg, (gi11, gi12, gi22) = m.det, m.inverse()
     # each `del` drops dead planes: a candidate's pass runs while the
     # solver's secant history is live
     del m, p11, p12, p22

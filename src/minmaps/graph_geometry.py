@@ -27,7 +27,9 @@ on the memory layout.
 and the factor samples. It stores no frame: `frame_rows` builds a row
 block's frame rows from that block's pointwise data where they are read,
 and keeps the last block built. H is the trace of A, summed on each read;
-R(e1, e2, e3, e4) and max |H| are computed on first read and kept.
+R(e1, e2, e3, e4), max |H| and the identities' one Laplacian pair (Delta u1,
+Delta u2) are computed on first read and kept. `InducedMetric` keeps g and
+det g only: g^-1 and sqrt(det g) are formed per row block where read.
 
 Each pointwise sum of the graph pass, of the scalar operators and of the
 identities (`verifier`) is one numpy expression in the operation order of
@@ -91,29 +93,18 @@ def pullback_form(which: int, X: np.ndarray, Y: np.ndarray,
 
 @dataclass(frozen=True)
 class InducedMetric:
-    """The graph's induced metric g = rhoM^2 I + rhoN^2 df^T df by components."""
+    """The graph's induced metric g = rhoM^2 I + rhoN^2 df^T df by components:
+    g and det g only; g^-1 (`inverse`) is formed on each read."""
 
     g11: np.ndarray
     g12: np.ndarray
     g22: np.ndarray
     det: np.ndarray
 
-    # g^-1 on first use: the pointwise pass reads only det
-    @cached_property
-    def gi11(self) -> np.ndarray:
-        return self.g22 / self.det
-
-    @cached_property
-    def gi12(self) -> np.ndarray:
-        return -self.g12 / self.det
-
-    @cached_property
-    def gi22(self) -> np.ndarray:
-        return self.g11 / self.det
-
-    @cached_property
-    def sqrt_det(self) -> np.ndarray:
-        return np.sqrt(self.det)
+    def inverse(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """(g^11, g^12, g^22) over the rows, formed on each call."""
+        det = self.det[rows]
+        return self.g22[rows] / det, -self.g12[rows] / det, self.g11[rows] / det
 
 
 def pullback_products(f1x, f1y, f2x, f2y):
@@ -126,7 +117,7 @@ def pullback_products(f1x, f1y, f2x, f2y):
 
 
 def induced_metric_arrays(p11, p12, p22, rhoM2, rhoN2) -> InducedMetric:
-    """Induced metric of the graph, its inverse and determinant, from df^T df
+    """Induced metric of the graph and its determinant, from df^T df
     (`pullback_products`) and the squared factors."""
     g11 = rhoM2 + rhoN2 * p11
     g12 = rhoN2 * p12
@@ -188,6 +179,12 @@ class GraphGrid:
     @cached_property
     def max_norm_H(self) -> float:
         return stencils.finite_abs_max(self.norm_H)
+
+    @cached_property
+    def laplacians(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Delta u1, Delta u2): every Laplacian the identities and probe read."""
+        return tuple(laplace_beltrami_array(u, self.metric, self.grid)
+                     for u in (self.pw.u1, self.pw.u2))
 
 
 # Grid points in one row block (see the module docstring): every grid up to
@@ -329,13 +326,16 @@ def laplace_beltrami_array(u: np.ndarray, metric: InducedMetric,
     Delta u = det(g)^(-1/2) d_i( det(g)^(1/2) g^(ij) d_j u ). Each nesting
     level costs one ring of validity on Dirichlet grids.
     """
-    sq, g11, g12, g22 = metric.sqrt_det, metric.gi11, metric.gi12, metric.gi22
+    out = np.empty_like(u)           # first: it lies below its temporaries
     Fx, Fy = grid.d_x(u), grid.d_y(u)
     for b in _row_blocks(u.shape):   # the fluxes replace d_x u and d_y u
+        (g11, g12, g22), sq = metric.inverse(b), np.sqrt(metric.det[b])
         ux, uy = Fx[b], Fy[b]
-        Fx[b], Fy[b] = (sq[b] * (g11[b] * ux + g12[b] * uy),
-                        sq[b] * (g12[b] * ux + g22[b] * uy))
-    return (grid.d_x(Fx) + grid.d_y(Fy)) / sq
+        Fx[b], Fy[b] = sq * (g11 * ux + g12 * uy), sq * (g12 * ux + g22 * uy)
+    np.add(grid.d_x(Fx), grid.d_y(Fy), out=out)
+    for b in _row_blocks(u.shape):
+        out[b] /= np.sqrt(metric.det[b])
+    return out
 
 
 def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
@@ -344,9 +344,8 @@ def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
     ux, uy = grid.d_x(u), grid.d_y(u)
     out = np.empty_like(u)
     for b in _row_blocks(u.shape):
-        x, y = ux[b], uy[b]
-        out[b] = (metric.gi11[b] * x * x + 2.0 * metric.gi12[b] * x * y
-                  + metric.gi22[b] * y * y)
+        (g11, g12, g22), x, y = metric.inverse(b), ux[b], uy[b]
+        out[b] = g11 * x * x + 2.0 * g12 * x * y + g22 * y * y
     return out
 
 

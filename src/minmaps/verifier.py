@@ -10,6 +10,12 @@ algebraic side is exact so the residual isolates pure stencil error.
 Laplacians follow the sign convention Delta = div grad, so the identities
 are stated for -Delta (nonnegative on concave-down bumps).
 
+The stencils live in the pullback and Jacobian identities and in the
+gradient halves of the angle identities. The other Laplacian identities
+read the graph's pair (Delta u1, Delta u2), so they are the Jacobian
+identity plus algebra: the form gap checks the frame, A, R and sigma_perp
+against each other.
+
 Angle-equation residuals are masked where 1 - phi^2 (resp. 1 - theta^2)
 drops below a floor: at complex or anti-complex points both sides vanish
 identically and the quotient geometry degenerates, so the residual there
@@ -30,7 +36,7 @@ from . import stencils
 from .errors import ConfigError
 from .graph_geometry import (
     GraphGrid, _row_blocks, _rows_stencil, ambient_curvature, form_on_frame,
-    gradient_norm_sq_array, laplace_beltrami_array,
+    gradient_norm_sq_array,
 )
 from .pointwise import MapField, _empty_planes
 from .surface import TheoremHypotheses
@@ -168,12 +174,13 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
     |A|^2 u). That keeps every bit: a sum that starts at 0.0 never reaches
     -0.0, so a zero term leaves it as it is, and a NaN in a dropped term
     reaches the sum through a kept one.
+
+    Delta u is the Jacobian identity's (`GraphGrid.laplacians`), so this
+    residual is that one plus algebra and checks no stencil of its own.
     """
     gg = mapfield.graph
-    pw = gg.pw
-    laps = [laplace_beltrami_array(u, gg.metric, mapfield.grid)
-            for u in (pw.u1, pw.u2)]
-    for b in _row_blocks(pw.u1.shape):
+    res = [np.empty_like(lap) for lap in gg.laplacians]
+    for b in _row_blocks(res[0].shape):
         E = gg.frame_rows(b)
         # S3 of both forms reads R(e1, e2, e1, e_alpha), R(e2, e1, e2, e_alpha)
         R = {(k, a): ambient_curvature(E[..., k, :], E[..., 1 - k, :],
@@ -181,9 +188,9 @@ def verify_form_laplacian(mapfield: MapField) -> ResidualReport:
                                        gg.rhoM2[b], gg.rhoN2[b],
                                        gg.sigmaM[b], gg.sigmaN[b])
              for a in (3, 4) for k in (0, 1)}
-        for idx, lap in zip((1, 2), laps):
-            lap[b] = -lap[b] - _form_laplacian_rhs(gg, idx, b, R)
-    return _make_report(gg, {"omega1": laps[0], "omega2": laps[1]})
+        for idx, lap, r in zip((1, 2), gg.laplacians, res):
+            r[b] = -lap[b] - _form_laplacian_rhs(gg, idx, b, R)
+    return _make_report(gg, {"omega1": res[0], "omega2": res[1]})
 
 
 def _form_laplacian_rhs(gg: GraphGrid, idx: int, b: slice,
@@ -227,18 +234,18 @@ def verify_jacobian_laplacians(mapfield: MapField,
         sM, sN = sN, sM
     elif mutation is not None:
         raise ConfigError(f"unknown mutation {mutation!r}")
-    lap1, lap2 = (laplace_beltrami_array(u, gg.metric, mapfield.grid)
-                  for u in (pw.u1, pw.u2))
-    for b in _row_blocks(pw.u1.shape):
+    lap1, lap2 = gg.laplacians
+    res1, res2 = np.empty_like(lap1), np.empty_like(lap2)
+    for b in _row_blocks(res1.shape):
         u1, u2, A2, s, M, N = (a[b] for a in (pw.u1, pw.u2, nA2, sp, sM, sN))
         # the factors both formulas share
         s2, u1_2, u2_2 = 2.0 * s, u1 ** 2, u2 ** 2
         q = 1.0 - u1_2 - u2_2
-        lap1[b] = -lap1[b] - (A2 * u1 + s2 * u2 + M * q * u1
+        res1[b] = -lap1[b] - (A2 * u1 + s2 * u2 + M * q * u1
                               - 2.0 * N * u1 * u2_2)
-        lap2[b] = -lap2[b] - (A2 * u2 + s2 * u1 + N * q * u2
+        res2[b] = -lap2[b] - (A2 * u2 + s2 * u1 + N * q * u2
                               - 2.0 * M * u1_2 * u2)
-    return _make_report(gg, {"u1": lap1, "u2": lap2}, mutation=mutation)
+    return _make_report(gg, {"u1": res1, "u2": res2}, mutation=mutation)
 
 
 def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
@@ -250,15 +257,16 @@ def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
                        + (sigmaM (phi + theta) + sigmaN (phi - theta))(1 - phi^2)/2
         -Delta theta = (|A|^2 + 2 sp) theta
                        + (sigmaM (phi + theta) - sigmaN (phi - theta))(1 - theta^2)/2
+
+    The gradient halves carry their own stencils; the Laplacian halves read
+    Delta phi = Delta u1 - Delta u2 and Delta theta = Delta u1 + Delta u2
+    (`GraphGrid.laplacians`), the Jacobian identity's, plus algebra.
     """
     gg = mapfield.graph
     pw = gg.pw
-    grid = mapfield.grid
-    # the Laplacians first: each then runs with fewer finished planes held
-    lp, lt = (laplace_beltrami_array(u, gg.metric, grid)
+    gp, gt = (gradient_norm_sq_array(u, gg.metric, mapfield.grid)
               for u in (pw.phi, pw.theta))
-    gp, gt = (gradient_norm_sq_array(u, gg.metric, grid)
-              for u in (pw.phi, pw.theta))
+    lp, lt = np.empty_like(gp), np.empty_like(gt)
     masked = sum(_angle_residuals(gg, b, gp[b], gt[b], lp[b], lt[b])
                  for b in _row_blocks(pw.phi.shape))
     comps = {"grad_phi": gp, "lap_phi": lp, "grad_theta": gt, "lap_theta": lt}
@@ -267,19 +275,20 @@ def verify_gradient_identities(mapfield: MapField) -> ResidualReport:
 
 def _angle_residuals(gg: GraphGrid, b: slice, gp: np.ndarray, gt: np.ndarray,
                      lp: np.ndarray, lt: np.ndarray) -> int:
-    """Write the four residuals over the rows b of their operator planes
-    (|grad u|^2 in gp, gt; Delta u in lp, lt), NaN where 1 - u^2 is below
-    the floor; return how many finite points that masked."""
+    """Write the four residuals over the rows b, the gradient ones over their
+    operator planes gp, gt (|grad u|^2), the Laplacian ones into lp, lt; NaN
+    where 1 - u^2 is below the floor. Return how many finite points that masked."""
     pw = gg.pw
-    p, t, A2, s, M, N = (a[b] for a in (pw.phi, pw.theta, gg.norm_A_sq,
-                                        gg.sigma_perp, gg.sigmaM, gg.sigmaN))
+    p, t, A2, s, M, N, L1, L2 = (a[b] for a in (
+        pw.phi, pw.theta, gg.norm_A_sq, gg.sigma_perp, gg.sigmaM, gg.sigmaN,
+        *gg.laplacians))
     # the factors the four formulas share
     s2, qp, qt = 2.0 * s, 1.0 - p ** 2, 1.0 - t ** 2
     Ap, At, Ms, Nd = A2 - s2, A2 + s2, M * (p + t), N * (p - t)
     gp[...] = 2.0 * gp - Ap * qp
     gt[...] = 2.0 * gt - At * qt
-    lp[...] = -lp - (Ap * p + 0.5 * (Ms + Nd) * qp)
-    lt[...] = -lt - (At * t + 0.5 * (Ms - Nd) * qt)
+    lp[...] = -(L1 - L2) - (Ap * p + 0.5 * (Ms + Nd) * qp)
+    lt[...] = -(L1 + L2) - (At * t + 0.5 * (Ms - Nd) * qt)
     masked = 0
     for grad, lap, q, u in ((gp, lp, qp, p), (gt, lt, qt, t)):
         mask = q < ANGLE_MASK_FLOOR
@@ -492,44 +501,35 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
     """
     if field_name not in ("phi", "theta"):
         raise ConfigError("field_name must be 'phi' or 'theta'")
-    gg = mapfield.graph
-    pw = gg.pw
-    grid = mapfield.grid
-    h2 = grid.h ** 2
-    if tol is None:
-        tol = MINIMALITY_FACTOR * h2
+    gg, grid = mapfield.graph, mapfield.grid
+    threshold = MINIMALITY_FACTOR * grid.h ** 2
+    tol = threshold if tol is None else tol
     defect = gg.max_norm_H
-    u = pw.phi if field_name == "phi" else pw.theta
+    u = gg.pw.phi if field_name == "phi" else gg.pw.theta
     global_min, global_at = _argext(u, grid, True)
 
-    lap_field = laplace_beltrami_array(u, gg.metric, grid)
+    L1, L2 = gg.laplacians
+    lap_field = L1 - L2 if field_name == "phi" else L1 + L2
     grad_field = gradient_norm_sq_array(u, gg.metric, grid)
     probe_ok = np.isfinite(u) & np.isfinite(lap_field)
-    lap: Optional[float] = None
-    grad: Optional[float] = None
+    lap = grad = None
     if probe_ok.any():
-        masked = np.where(probe_ok, u, np.inf)
-        i, j = np.unravel_index(int(np.argmin(masked)), u.shape)
-        interior_min = float(u[i, j])
-        interior_at = grid.point(int(i), int(j))
+        i, j = np.unravel_index(int(np.argmin(np.where(probe_ok, u, np.inf))),
+                                u.shape)
+        interior_min, interior_at = float(u[i, j]), grid.point(int(i), int(j))
         lap = float(lap_field[i, j])
         if np.isfinite(grad_field[i, j]):
             grad = float(np.sqrt(max(grad_field[i, j], 0.0)))
     else:
         interior_min, interior_at = np.inf, global_at
 
-    threshold = MINIMALITY_FACTOR * h2
     pde_bound = float(-hypotheses.sigma * interior_min
                       * (1.0 - interior_min ** 2))
     status = _probe_decision(global_min, interior_min, lap, pde_bound,
                              defect, threshold, tol,
                              check_hypotheses(mapfield, hypotheses).ok)
-    show = status in (ProbeStatus.PASS, ProbeStatus.VIOLATION)
-    if show:
-        value, location = interior_min, interior_at
-    else:
-        value, location = global_min, global_at
-    return MinimumProbe(status, field_name, value, location,
-                        grad if show else None,
-                        lap if show else None,
-                        pde_bound if show else None, defect, tol)
+    if status in (ProbeStatus.PASS, ProbeStatus.VIOLATION):
+        return MinimumProbe(status, field_name, interior_min, interior_at,
+                            grad, lap, pde_bound, defect, tol)
+    return MinimumProbe(status, field_name, global_min, global_at,
+                        None, None, None, defect, tol)

@@ -290,6 +290,17 @@ def test_refine_affine_is_exact(tmp_path):
         assert summary[f"{name}.second_order"] == "true"
 
 
+def test_refine_takes_no_grid_flag(tmp_path, capsys):
+    # refine's sizes come from its ladder ([refine] grids): a --grid it
+    # would ignore is a usage error that names the flag, and writes nothing
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "--preset", "z_squared", "--grid", "33", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_refine_counts_evaluated_points_per_grid(tmp_path):
     # a refine says when an identity evaluated nothing: one count per
     # ladder grid, 0 0 0 for a component that is masked on every grid

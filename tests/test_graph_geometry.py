@@ -415,12 +415,18 @@ def test_block_frames_match_the_whole_grid_frame(case, n):
 
 def test_passes_keep_no_derivable_plane():
     # a verify pass reads alpha1, beta1, df^T df, H and R(e1, e2, e3, e4)
-    # nowhere after graph_grid: they are derived on read, not stored
+    # nowhere after graph_grid: they are derived on read, not stored; nor
+    # is g^-1 or sqrt(det g) kept by the identities and probes that read them
     from dataclasses import fields
 
+    from minmaps import TheoremHypotheses
     from minmaps.graph_geometry import GraphGrid, InducedMetric
     from minmaps.pointwise import PointwiseGrid
-    from minmaps.verifier import ResidualReport
+    from minmaps.verifier import (ResidualReport, interior_minimum_probe,
+                                  verify_form_laplacian,
+                                  verify_gradient_identities,
+                                  verify_jacobian_laplacians,
+                                  verify_pullback_derivative)
 
     stored = {cls: {f.name for f in fields(cls)}
               for cls in (PointwiseGrid, InducedMetric, GraphGrid, ResidualReport)}
@@ -436,6 +442,13 @@ def test_passes_keep_no_derivable_plane():
     assert "rtilde_1234" not in vars(gg)
     gg.rtilde_1234
     assert "rtilde_1234" in vars(gg)
+    for check in (verify_pullback_derivative, verify_form_laplacian,
+                  verify_jacobian_laplacians, verify_gradient_identities):
+        check(mf)
+    for field in ("phi", "theta"):
+        interior_minimum_probe(mf, field, TheoremHypotheses(1.0, 1.0))
+    assert {k for k, v in vars(gg.metric).items()
+            if isinstance(v, np.ndarray)} == {"g11", "g12", "g22", "det"}
 
 
 @pytest.mark.parametrize("case", ["rank1", "grid_only"] + sorted(presets.SCENARIOS))

@@ -93,14 +93,14 @@ def _freeze(obj):
 @pytest.mark.parametrize("bump", [0.0, 0.01])
 def test_identities_write_no_cached_plane(bump):
     # the identities write their residuals only into planes they own: with
-    # every cached plane of the field read-only they still run, to the same
-    # bits
+    # every cached plane of the field read-only (the Laplacian pair too) they
+    # still run, to the same bits
     fresh = presets.sine_bump(presets.z_squared_mixed_field(n=17), bump)
     mf = presets.sine_bump(presets.z_squared_mixed_field(n=17), bump)
-    metric = mf.graph.metric
-    metric.gi11, metric.gi12, metric.gi22, metric.sqrt_det
-    for obj in (mf.pointwise, mf.graph, metric):
+    for obj in (mf.pointwise, mf.graph, mf.graph.metric):
         _freeze(obj)
+    for lap in mf.graph.laplacians:
+        lap.flags.writeable = False
     checks = ALL_IDENTITIES + (
         functools.partial(verify_jacobian_laplacians, mutation="flip_sigma_perp"),
         functools.partial(verify_jacobian_laplacians, mutation="swap_curvatures"))
@@ -216,6 +216,51 @@ def test_max_norm_H_is_reduced_once_per_field(monkeypatch):
     assert {r.minimality_defect for r in reports} == {original(gg.norm_H)}
 
 
+def test_one_laplacian_pair_per_field(monkeypatch):
+    # the four identities and both minimum probes read the one pair
+    # (Delta u1, Delta u2) the graph keeps; the verifier builds no Laplacian
+    # of its own
+    from minmaps import graph_geometry, verifier
+
+    built = []
+    original = graph_geometry.laplace_beltrami_array
+    monkeypatch.setattr(graph_geometry, "laplace_beltrami_array",
+                        lambda u, *args: built.append(u) or original(u, *args))
+    mf = presets.z_squared_field(n=33)
+    for check in ALL_IDENTITIES:
+        check(mf)
+    for field in ("phi", "theta"):
+        interior_minimum_probe(mf, field, TheoremHypotheses(sigma=1.0, beta=1.0))
+    assert len(built) == 2
+    assert built[0] is mf.pointwise.u1 and built[1] is mf.pointwise.u2
+    assert not hasattr(verifier, "laplace_beltrami_array")
+
+
+@pytest.mark.filterwarnings("ignore:map is not numerically minimal")
+@pytest.mark.parametrize("bump", [0.0, 0.05])
+@pytest.mark.parametrize("n", [17, 65])
+@pytest.mark.parametrize("name", sorted(presets.SCENARIOS))
+def test_derived_laplacian_identities_are_jacobian_plus_algebra(name, n, bump):
+    # the form and angle Laplacian identities read the Jacobian identity's
+    # Laplacians (Delta phi = Delta u1 - Delta u2, Delta theta = Delta u1 +
+    # Delta u2), so their residuals differ from its residual by pointwise
+    # algebra only: rounding, on minimal and non-minimal maps alike
+    mf = presets.sine_bump(presets.SCENARIOS[name](n=n), bump)
+    jac = verify_jacobian_laplacians(mf).components
+    form = verify_form_laplacian(mf).components
+    grad = verify_gradient_identities(mf).components
+    pairs = {"omega1": (form["omega1"], jac["u1"]),
+             "omega2": (form["omega2"], jac["u2"]),
+             "lap_phi": (grad["lap_phi"], jac["u1"] - jac["u2"]),
+             "lap_theta": (grad["lap_theta"], jac["u1"] + jac["u2"])}
+    for comp, (got, want) in pairs.items():
+        both = np.isfinite(got) & np.isfinite(want)
+        if comp.startswith("omega"):    # never masked
+            assert both.any(), comp
+        gap = np.abs(got[both] - want[both]).max(initial=0.0)
+        assert gap <= 1e-14, (comp, gap)
+
+
 # --------------------------------------------------------- refinement orders
 
 def test_affine_study_is_exact():
@@ -263,6 +308,37 @@ def test_swap_curvatures_is_silent_on_equal_factors():
         lambda n: cached_field("z2", n), (17, 33, 65),
         lambda mf: verify_jacobian_laplacians(mf, mutation="swap_curvatures").norm_inf)
     assert study.estimated_order > 1.5
+
+
+@pytest.mark.filterwarnings("ignore:map is not numerically minimal")
+def test_form_gap_sees_swapped_ambient_curvature(monkeypatch):
+    # the form-Laplacian residual minus the Jacobian one checks the frame,
+    # A, R and sigma_perp against each other: with sigma_M and sigma_N
+    # swapped inside R, the gap is O(1) where the factors differ, while the
+    # Jacobian residual, which reads no R, keeps every bit
+    from minmaps import verifier
+
+    def run(name):
+        mf = presets.sine_bump(presets.SCENARIOS[name](n=17), 0.05)
+        form = verify_form_laplacian(mf).components
+        jac = verify_jacobian_laplacians(mf).components
+        gap = max(np.nanmax(np.abs(form[f"omega{i}"] - jac[f"u{i}"]))
+                  for i in (1, 2))
+        return gap, [c.tobytes() for c in jac.values()]
+
+    clean = {name: run(name) for name in ("z_squared_mixed", "identity_hyperbolic")}
+    original = verifier.ambient_curvature
+    monkeypatch.setattr(
+        verifier, "ambient_curvature",
+        lambda X, Y, Z, W, rM, rN, sM, sN: original(X, Y, Z, W, rM, rN, sN, sM))
+    mutated = {name: run(name) for name in clean}
+    # z_squared_mixed: sigma_M = -1, sigma_N = -2
+    assert clean["z_squared_mixed"][0] <= 1e-14
+    assert mutated["z_squared_mixed"][0] > 0.1
+    assert mutated["z_squared_mixed"][1] == clean["z_squared_mixed"][1]
+    # identity_hyperbolic: both factors have curvature -1, so the swap
+    # changes no value of R and the gap stays at rounding
+    assert mutated["identity_hyperbolic"][0] <= 1e-14
 
 
 def test_unknown_mutation_rejected(z2_33):

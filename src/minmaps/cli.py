@@ -74,7 +74,7 @@ import numpy as np
 
 from . import presets
 from .errors import ChartDomainError, ConfigError, NumericalError
-from .floatfmt import write_table
+from .floatfmt import open_fresh, write_table
 from .flow import (MONITOR_COLUMNS, FlowConfig, run_to_minimal, write_monitors_csv,
                    write_snapshot)
 from .pointwise import MapField
@@ -217,18 +217,13 @@ def _config_from_file(path: Path, kind: str, out: Path) -> ScenarioConfig:
         raise ConfigError(f"bad [refine] grids list: {grids!r}") from exc
 
     return ScenarioConfig(
-        kind=kind,
-        out=out,
-        source=source["metric"],
+        kind=kind, out=out, source=source["metric"],
         target=target["metric"] if target is not None else None,
         map_spec=map_sec["spec"] if map_sec is not None else None,
-        perturb=perturb,
-        nx=nx, domain=domain,
+        perturb=perturb, nx=nx, domain=domain,
         stop_tension=_get(tol, "stop_tension", float, 1e-4),
         certificate_tol=certificate_tol,
-        max_steps=_get(flow, "max_steps", int, 50000),
-        refine_grids=refine_grids,
-    )
+        max_steps=_get(flow, "max_steps", int, 50000), refine_grids=refine_grids)
 
 
 def _grid_from_config(cfg: ScenarioConfig, n: Optional[int] = None) -> GridChart:
@@ -274,7 +269,8 @@ def _write_summary(path: Path, kind: str, items) -> None:
     empty value reads `none`."""
     lines = [f"# minmaps summary {SUMMARY_VERSION}", f"scenario = {kind}",
              *(f"{key} = {_text(value) or 'none'}" for key, value in items)]
-    path.write_bytes(("\n".join(lines) + "\n").encode())
+    with open_fresh(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def _study_items(name: str, st) -> list[tuple[str, object]]:
@@ -330,16 +326,14 @@ def _checked(check, mf):
 def _run_verify(cfg: ScenarioConfig) -> None:
     mf = next(_make_fields(cfg))
     X, Y = mf.grid.mesh()
-    columns = ["x", "y"]
-    fields = [X, Y]
+    columns, fields = ["x", "y"], [X, Y]
     items = [("grid", f"{mf.grid.nx}x{mf.grid.ny}"), ("h", mf.grid.h)]
     notes = []
     for name, check in IDENTITY_CHECKS:
         report, messages = _checked(check, mf)
         notes += [("warning", f"{name}: {m}") for m in messages]
-        for comp, residual in report.components.items():
-            columns.append(f"{name}.{comp}")
-            fields.append(residual)
+        columns += [f"{name}.{comp}" for comp in report.components]
+        fields += report.components.values()
         items += [(f"{name}.norm_inf", report.norm_inf),
                   (f"{name}.norm_l2", report.norm_l2),
                   (f"{name}.masked_points", report.masked_points)]
@@ -379,7 +373,8 @@ def _run_refine(cfg: ScenarioConfig) -> None:
     for k, h in enumerate(any_study.hs):
         rows.append(",".join([_text(h)] + [_text(studies[name].norms[k])
                                            for name, _ in IDENTITY_CHECKS]))
-    (cfg.out / "refine.csv").write_bytes(("\n".join(rows) + "\n").encode())
+    with open_fresh(cfg.out / "refine.csv") as fh:
+        fh.write(("\n".join(rows) + "\n").encode())
 
     items = [("grids", ns)]
     for name, _ in IDENTITY_CHECKS:

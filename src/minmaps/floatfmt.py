@@ -31,18 +31,25 @@ words; a nan prints ``nan`` whatever its sign bit.
 The text is laid out in an ``(m*c, W + 1)`` byte buffer, one row per value
 and one separator byte at the end. Values sharing a decimal exponent share
 a layout, so each exponent group is filled with whole-row writes. Unused
-bytes (the sign of positive values, trailing zeros of the fraction, the
-padding) are 0 in that buffer, and one compaction drops the zero bytes: no
-byte of ASCII text is 0.
+bytes are 0 in that buffer, and one compaction drops the zero bytes: no
+byte of ASCII text is 0. The templates pad with 0, a positive value's sign
+byte is zeroed, and the digits come with their trailing zeros as 0 bytes:
+the last nonzero quad (four digits) is read from a table of 0000 ... 9999
+whose trailing zeros are 0 bytes, and the zero quads after it are 0. Each
+group then fixes two bytes: the '.' goes where no digit follows it, and a
+value such as 120 gets the zeros of its integer part back.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import stat
 
 import numpy as np
 
-__all__ = ["format_block", "write_table"]
+__all__ = ["format_block", "open_fresh", "write_table"]
 
 _WIDTH = 24               # longest %.17g text: -2.2250738585072014e-308
 _MAX_EXP = 280            # fast path for 10^-280 <= |v| < 10^280
@@ -51,8 +58,7 @@ _S_MIN, _S_MAX = 16 - _MAX_EXP - 6, 16 + _MAX_EXP + 4
 _SPLIT = 134217729.0      # 2^27 + 1, Dekker's splitter for doubles
 _TIE_MARGIN = 2.0 ** -30  # product error is below 1e-14; far inside this
 _E16, _E17 = 1e16, 1e17
-_UNUSED = 99              # keep threshold no digit count reaches
-# values per write_table block: format_block needs ~120 bytes of scratch each
+# values per write_table block: each needs about 150 bytes of writer scratch
 _BLOCK_VALUES = 1 << 15
 
 
@@ -76,23 +82,20 @@ def _pow10() -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = _SPLIT * x
-    big = c - (c - x)
-    return big, x - big
-
-
-def _exact_product(x: np.ndarray, h: float,
+def _exact_product(x: np.ndarray, h,
                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p = fl(x * h) and q = x * h - p exactly (Dekker), for one double h.
+    """p = fl(x * h) and q = x * h - p exactly (Dekker), for one double h or
+    one per value.
 
     out holds five rows of x.size: p, q and the scratch of the split, so a
-    product allocates no array of its own.
+    product by one double allocates no array of its own.
     """
     p, q, x1, x2, t = out
-    h1, h2 = _split(h)
+    c = _SPLIT * h                       # h1, h2: Dekker's split of h
+    h1 = c - (c - h)
+    h2 = h - h1
     np.multiply(x, h, out=p)
-    np.multiply(x, _SPLIT, out=x1)       # x1, x2 = _split(x), in place
+    np.multiply(x, _SPLIT, out=x1)       # x1, x2: the same split of x
     np.subtract(x1, x, out=x2)
     np.subtract(x1, x2, out=x1)
     np.subtract(x, x1, out=x2)
@@ -107,12 +110,8 @@ def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10^s as an unevaluated sum p + q with p = fl(a * 10^s)."""
     hi, lo = _pow10()
     k = np.clip(s - _S_MIN, 0, _S_MAX - _S_MIN)
-    h, l = hi[k], lo[k]
-    p = a * h
-    a1, a2 = _split(a)
-    h1, h2 = _split(h)
-    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2   # exact: a*h - p
-    return p, err + a * l
+    p, q = _exact_product(a, hi[k], np.empty((5, a.size)))
+    return p, q + a * lo[k]
 
 
 def _off(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +143,7 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     # p >= 2^53 is an even integer, so rint(q) rounds p + q half to even
     r = np.rint(q)
-    s = 16 - X
-    exact_scale = (s >= 0) & (s <= 22)        # 10^s is a double: p + q exact
+    exact_scale = (X >= -6) & (X <= 16)       # 10^(16-X) is a double: exact
     near_tie = np.abs(np.abs(q - r) - 0.5) < _TIE_MARGIN
     ok = ok & (exact_scale | ~near_tie)
 
@@ -158,14 +156,13 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.cache
 def _quads() -> tuple[np.ndarray, np.ndarray]:
-    """ASCII text of 0000 ... 9999, four bytes packed in one uint32 each, and
-    the number of trailing zero digits of each (4 for 0000)."""
-    i = np.arange(10000, dtype=np.uint16)
-    text = np.empty((10000, 4), np.uint8)
-    for j in range(4):
-        text[:, j] = i // 10 ** (3 - j) % 10 + ord("0")
-    zeros = sum((i % 10 ** k == 0).astype(np.int8) for k in range(1, 5))
-    return text.view(np.uint32).ravel(), zeros
+    """ASCII text of 0000 ... 9999, four bytes packed in one uint32 each: in
+    full, and with the trailing zero digits as 0 bytes (0000 is all 0)."""
+    i, j = np.arange(10000)[:, None], np.arange(4)
+    text = (i // 10 ** (3 - j) % 10 + ord("0")).astype(np.uint8)
+    # digit j is a trailing zero iff 10^(4-j) divides i
+    stripped = text * (i % 10 ** (4 - j) != 0)
+    return text.view(np.uint32).ravel(), stripped.view(np.uint32).ravel()
 
 
 def _divmod(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,67 +171,53 @@ def _divmod(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return q, a - q * k
 
 
-def _digits(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII digits (n, 17) of 17-digit integers, and how many digits remain
-    once trailing zeros are dropped."""
-    text, zeros = _quads()
+def _digits(D: np.ndarray) -> np.ndarray:
+    """ASCII digits (n, 17) of 17-digit integers, trailing zeros as 0 bytes."""
+    text, stripped = _quads()
     # intp groups: gathers with an intp index skip a cast per lookup
     top, low = _divmod(D.astype(np.intp, copy=False), 10 ** 8)
     g3, g4 = _divmod(low, 10 ** 4)
     rest, g2 = _divmod(top, 10 ** 4)
     d0, g1 = _divmod(rest, 10 ** 4)            # d0 is one digit, 1 ... 9
     out = np.empty((D.size, 5), np.uint32)     # "000d" then four quads
-    for j, g in enumerate((d0, g1, g2, g3, g4)):
+    for j, g in enumerate((d0, g1, g2, g3)):
         out[:, j] = text[g]
-    trailing = zeros[g4]
-    at = np.flatnonzero(g4 == 0)
-    for g in (g3, g2, g1):
-        trailing[at] += zeros[g[at]]
+    out[:, 4] = stripped[g4]
+    at = np.flatnonzero(g4 == 0)               # the trailing-zero chain
+    for j, g in ((3, g3), (2, g2), (1, g1)):
+        out[at, j] = stripped[g[at]]
         at = at[g[at] == 0]
-    return out.view(np.uint8)[:, 3:], 17 - trailing
+    return out.view(np.uint8)[:, 3:]
 
 
 @functools.cache
-def _layout(X: int) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Byte template, digit runs and keep masks for decimal exponent X.
+def _layout(X: int) -> tuple[np.ndarray, tuple, int]:
+    """Byte template, digit runs and '.' byte for decimal exponent X.
 
-    Byte 0 holds the sign and the last byte the separator. Each run
-    (dst, src, length) copies digits src ... src+length-1 to bytes dst ...;
-    row k of the keep masks (uint8, 1 = kept) is the mask of a value with k
-    significant digits once trailing zeros are dropped. The sign byte is
-    kept; the caller zeroes it for positive values.
+    Byte 0 holds the sign and the last byte the separator; unused bytes are
+    0. Each run (dst, src, length) copies digits src ... src+length-1 to
+    bytes dst .... The caller zeroes the sign byte of positive values and
+    the '.' where the byte after it is 0.
     """
-    text = np.full(_WIDTH + 1, ord(" "), np.uint8)
-    need = np.full(_WIDTH + 1, _UNUSED, np.int64)   # kept iff digits > need
-    need[[0, _WIDTH]] = -1
+    text = np.zeros(_WIDTH + 1, np.uint8)
     text[0] = ord("-")
     k = np.arange(17)
+    dot = X + 2 if 0 <= X < 17 else 2
     if 0 <= X < 17:                               # ddd.ddd
         pos = 1 + k + (k > X)
-        text[X + 2] = ord(".")
-        need[X + 2] = X + 1
-        need[pos] = np.where(k <= X, -1, k)
     elif -4 <= X < 0:                             # 0.000ddd
         lead = 1 - X
         text[1:1 + lead] = ord("0")
-        text[2] = ord(".")
-        need[1:1 + lead] = -1
         pos = 1 + lead + k
-        need[pos] = k
     else:                                         # d.ddde+XX
         pos = 1 + k + (k > 0)
-        text[2] = ord(".")
-        need[2] = 1
-        need[pos] = np.where(k == 0, -1, k)
         tail = np.frombuffer(f"e{X:+03d}".encode(), np.uint8)
         text[19:19 + tail.size] = tail
-        need[19:19 + tail.size] = -1
+    text[dot] = ord(".")
     bounds = [0, *(np.flatnonzero(np.diff(pos) > 1) + 1).tolist(), 17]
     runs = tuple((int(pos[a]), a, b - a) for a, b in zip(bounds, bounds[1:]))
-    keep = (np.arange(18)[:, None] > need).astype(np.uint8)
-    for arr in (text, keep):
-        arr.flags.writeable = False
-    return text, runs, keep
+    text.flags.writeable = False
+    return text, runs, dot
 
 
 def _rows(arr: np.ndarray) -> np.ndarray:
@@ -302,54 +285,74 @@ def _text_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slow = order[~ok]
     if slow.size:
         order, D, X = order[ok], D[ok], X[ok]
-    digits, ndig = _digits(D)
+    digits = _digits(D)
 
     # each exponent group is one slice with one layout
     text = np.empty((order.size, _WIDTH + 1), np.uint8)
     for lo, hi in _groups(X):
-        template, runs, keep_by_count = _layout(int(X[lo]))
-        text[lo:hi] = template
+        x = int(X[lo])
+        template, runs, dot = _layout(x)
+        group = text[lo:hi]
+        group[...] = template
         for dst, src, length in runs:
-            text[lo:hi, dst:dst + length] = digits[lo:hi, src:src + length]
-        text[lo:hi] *= keep_by_count[ndig[lo:hi]]
+            group[:, dst:dst + length] = digits[lo:hi, src:src + length]
+        if 0 < x < 17:              # trailing zeros of the integer part
+            short = np.flatnonzero(group[:, x + 1] == 0)
+            group[short, 2:x + 2] = np.maximum(group[short, 2:x + 2], ord("0"))
+        group[:, dot] *= group[:, dot + 1] != 0     # no digit after the '.'
     return order, text, slow
 
 
 def format_block(block, sep: str = ",") -> bytes:
     """``%.17g`` text of a 2-D block: values joined by ``sep``, rows ended
     by a newline, as ASCII bytes."""
-    v = np.asarray(block, dtype=np.float64)
+    return _block_text(np.asarray(block, dtype=np.float64), sep).tobytes()
+
+
+def _block_text(v: np.ndarray, sep: str) -> np.ndarray:
+    """The bytes of format_block(v, sep) as a uint8 array."""
     m, c = v.shape
     if c == 0:
-        return b"\n" * m
+        return np.full(m, ord("\n"), np.uint8)
     flat = v.ravel()
-    a = np.abs(flat)
-    neg = np.signbit(flat)
+    a, neg = np.abs(flat), np.signbit(flat)
 
     in_range = (a >= 10.0 ** -_MAX_EXP) & (a < 10.0 ** _MAX_EXP)
     fast = np.flatnonzero(in_range)
     rows, text, slow = _text_rows(a[fast])
     at = fast[rows]
     text[:, 0] *= neg[at]     # the sign byte: "-", or 0 when positive
-    # no ASCII text byte is 0, so 0 marks a dropped byte
     buf = np.zeros((flat.size, _WIDTH + 1), np.uint8)
     _rows(buf)[at] = _rows(text)
     del text                  # scratch: free it before the compaction
 
-    nan, inf, zero = np.isnan(flat), np.isinf(flat), a == 0.0
-    for word, where in ((b"nan", nan), (b"inf", inf & ~neg),
-                        (b"-inf", inf & neg), (b"0", zero & ~neg),
-                        (b"-0", zero & neg)):
-        buf[np.flatnonzero(where), :len(word)] = np.frombuffer(word, np.uint8)
-    slow = [fast[slow], np.flatnonzero(~(in_range | nan | inf | zero))]
-    for i in np.concatenate(slow).tolist():
+    # outside the range: nan, +-inf, +-0, and subnormal or huge values
+    out = np.flatnonzero(~in_range)
+    r, sign = a[out], neg[out]
+    nan, inf, zero = np.isnan(r), np.isinf(r), r == 0.0
+    for word, where in ((b"nan", nan), (b"inf", inf & ~sign),
+                        (b"-inf", inf & sign), (b"0", zero & ~sign),
+                        (b"-0", zero & sign)):
+        buf[out[where], :len(word)] = np.frombuffer(word, np.uint8)
+    for i in np.concatenate([fast[slow], out[~(nan | inf | zero)]]).tolist():
         word = f"{flat[i]:.17g}".encode()
         buf[i, :len(word)] = np.frombuffer(word, np.uint8)
 
     ends = buf[:, _WIDTH].reshape(m, c)
     ends[:, :-1] = ord(sep)
     ends[:, -1] = ord("\n")
-    return buf[buf != 0].tobytes()
+    return buf[buf != 0]
+
+
+def open_fresh(path):
+    """``open(path, "wb")`` on a new file. A regular file at path is
+    unlinked first: truncating the previous run's output in place costs more
+    than writing the new text. Symlinks, FIFOs and devices are opened as
+    they are, so a symlink is written through."""
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    return open(path, "wb")
 
 
 def write_table(path, head: str, columns, sep: str = ",") -> None:
@@ -358,8 +361,8 @@ def write_table(path, head: str, columns, sep: str = ",") -> None:
     _BLOCK_VALUES values: no whole table's text or stacked copy is held."""
     flat = [np.reshape(np.asarray(c, np.float64), -1) for c in columns]
     rows = max(1, _BLOCK_VALUES // len(flat))
-    with open(path, "wb") as fh:
+    with open_fresh(path) as fh:
         fh.write(head.encode())
         for i in range(0, flat[0].size, rows):
-            fh.write(format_block(np.stack([c[i:i + rows] for c in flat],
-                                           axis=-1), sep))
+            fh.write(_block_text(np.stack([c[i:i + rows] for c in flat],
+                                          axis=-1), sep))

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError
-from .floatfmt import write_table
+from .floatfmt import open_fresh, write_table
 from .graph_geometry import induced_metric_arrays, pullback_products
 from .pointwise import MapField, area_cosines
 from .surface import GridChart
@@ -454,7 +454,7 @@ def write_monitors_csv(state: FlowState, path: str) -> None:
                      f"{r.min_theta:.17g},{r.max_abs_jf:.17g},"
                      f"{r.norm_H:.17g},{r.norm_tau:.17g},"
                      f"{r.chart_exits},{r.tension_jumps}")
-    with open(path, "wb") as fh:
+    with open_fresh(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
 
 

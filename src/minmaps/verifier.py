@@ -35,8 +35,8 @@ import numpy as np
 from . import stencils
 from .errors import ConfigError
 from .graph_geometry import (
-    GraphGrid, _row_blocks, _rows_stencil, ambient_curvature, form_on_frame,
-    gradient_norm_sq_array,
+    GraphGrid, InducedMetric, _row_blocks, _rows_stencil, ambient_curvature,
+    form_on_frame, gradient_norm_sq_array,
 )
 from .pointwise import MapField, _empty_planes
 from .surface import TheoremHypotheses
@@ -510,7 +510,6 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
 
     L1, L2 = gg.laplacians
     lap_field = L1 - L2 if field_name == "phi" else L1 + L2
-    grad_field = gradient_norm_sq_array(u, gg.metric, grid)
     probe_ok = np.isfinite(u) & np.isfinite(lap_field)
     lap = grad = None
     if probe_ok.any():
@@ -518,8 +517,11 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
                                 u.shape)
         interior_min, interior_at = float(u[i, j]), grid.point(int(i), int(j))
         lap = float(lap_field[i, j])
-        if np.isfinite(grad_field[i, j]):
-            grad = float(np.sqrt(max(grad_field[i, j], 0.0)))
+        rows = slice(max(i - 1, 0), i + 2)    # the rows |grad u|^2 reads at i
+        slab = InducedMetric(*(g[rows] for g in vars(gg.metric).values()))
+        g2 = gradient_norm_sq_array(u[rows], slab, grid)[i - rows.start, j]
+        if np.isfinite(g2):
+            grad = float(np.sqrt(max(g2, 0.0)))
     else:
         interior_min, interior_at = np.inf, global_at
 

@@ -2,6 +2,7 @@
 determinism, and exit codes. All invocations go through main(argv)."""
 
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -235,6 +236,49 @@ def test_runs_are_deterministic(tmp_path):
                      "--out", str(d)]) == 0
         outs.append((d / "analysis.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# ------------------------------------------------------------ fresh files
+
+def _verify_into(out):
+    assert main(["verify", "--preset", "z_squared", "--grid", "17",
+                 "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_rerun_writes_the_same_bytes_into_new_files(tmp_path):
+    # each output is unlinked and created anew, not truncated in place. The
+    # old inodes stay open, so the filesystem cannot hand their numbers out
+    first = _verify_into(tmp_path)
+    held = {name: os.open(tmp_path / name, os.O_RDONLY) for name in first}
+    try:
+        assert _verify_into(tmp_path) == first
+        for name, fd in held.items():
+            assert os.fstat(fd).st_ino != os.stat(tmp_path / name).st_ino, name
+    finally:
+        for fd in held.values():
+            os.close(fd)
+
+
+def test_rerun_leaves_a_hard_link_with_the_old_bytes(tmp_path):
+    out = tmp_path / "out"
+    first = _verify_into(out)
+    os.link(out / "verify.csv", tmp_path / "kept.csv")
+    (out / "verify.csv").write_bytes(b"old\n")     # through both links
+    assert _verify_into(out)["verify.csv"] == first["verify.csv"]
+    assert (tmp_path / "kept.csv").read_bytes() == b"old\n"
+    assert not os.path.samefile(out / "verify.csv", tmp_path / "kept.csv")
+
+
+def test_output_symlink_is_written_through(tmp_path):
+    want = _verify_into(tmp_path / "plain")["verify.csv"]
+    out, target = tmp_path / "out", tmp_path / "elsewhere.csv"
+    out.mkdir()
+    target.write_bytes(b"stale\n")
+    (out / "verify.csv").symlink_to(target)
+    _verify_into(out)
+    assert os.readlink(out / "verify.csv") == str(target)
+    assert target.read_bytes() == want
 
 
 # -------------------------------------------------------------------- verify

@@ -1,5 +1,7 @@
 """The vectorised %.17g writer must give the per-value writer's bytes."""
 
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -164,3 +166,68 @@ def test_write_table_matches_per_value_writer(tmp_path, ncols, shape, sep,
     write_table(path, "head line\n", columns, sep)
     want = format_rows(columns.reshape(ncols, -1).T, sep)
     assert path.read_bytes() == b"head line\n" + want
+
+
+# the digits come with their trailing zeros as 0 bytes: integers whose
+# integer part ends in zeros, one-digit e-format, small fixed values and
+# 17-digit values whose middle quads are all zero
+TRAILING_ZERO_PINS = [10.0, 120.0, 100.5, 1e15, 9007199254740992.0, 1e-7,
+                      -3e+20, 0.0001, -0.00012, 1.0000000100000001,
+                      -1000.0000000000001]
+
+
+def test_trailing_zero_pins_match_per_value_writer():
+    pins = np.array(TRAILING_ZERO_PINS)
+    _, _, _, ok = floatfmt._sorted_decimal(np.abs(pins))
+    assert ok.all()                  # all on the table path, none in Python
+    block = np.stack([pins, -pins], axis=-1)
+    assert format_block(block) == format_rows(block)
+    assert format_block(pins[:5, None]) == (
+        b"10\n120\n100.5\n1000000000000000\n9007199254740992\n")
+
+
+def test_integers_with_zeros_in_their_integer_part():
+    # k * 10^j for every layout 0 <= X < 17: the integer part gets its
+    # zeros back, and no '.' is left without a digit after it
+    ints = (np.arange(1, 1000)[:, None] * 10.0 ** np.arange(17)).ravel()
+    block = np.stack([ints, -ints, ints + 0.5], axis=-1)
+    assert format_block(block) == format_rows(block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 30), st.sampled_from(["one", "below", "at", "above"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_write_table_across_block_edges(tmp_path_factory, ncols, edge, seed):
+    # a block holds _BLOCK_VALUES // ncols rows: one row, and the row
+    # counts one under, at and one over a whole block
+    per_block = floatfmt._BLOCK_VALUES // ncols
+    nrows = {"one": 1, "below": per_block - 1, "at": per_block,
+             "above": per_block + 1}[edge]
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, (ncols, nrows), dtype=np.uint64)
+    pick = rng.integers(0, 4, (ncols, nrows))
+    columns = np.select(
+        [pick == 0, pick == 1, pick == 2],
+        [bits.view(np.float64),                               # any double
+         rng.integers(-10 ** 6, 10 ** 6, (ncols, nrows)) / 8.0,
+         rng.integers(1, 100, (ncols, nrows))
+         * 10.0 ** rng.integers(-20, 20, (ncols, nrows))],
+        rng.choice(np.array([0.0, -0.0, np.nan, np.inf, 1e16, 0.1]),
+                   (ncols, nrows)))
+    path = tmp_path_factory.mktemp("edges") / "table.csv"
+    write_table(path, "head\n", columns)
+    assert path.read_bytes() == b"head\n" + format_rows(columns.T)
+
+
+def test_open_fresh_writes_into_a_fifo(tmp_path):
+    # only regular files are unlinked: a FIFO is opened and written as it is
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with floatfmt.open_fresh(fifo) as fh:
+            fh.write(b"through\n")
+        assert os.read(reader, 64) == b"through\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)

@@ -78,3 +78,11 @@ def test_stage_memory_of_a_graph_pass_that_stores_no_frame():
     stages, peak = stage_memory(129)
     assert stages["graph"][0] <= 20.0
     assert peak <= 64.0
+
+
+def test_stage_memory_of_the_writer():
+    # the write of verify.csv holds its fixed-size blocks and their text:
+    # 29.9 transient planes at n=129. A faster writer must not buy its
+    # speed with scratch
+    stages, _ = stage_memory(129)
+    assert stages["write"][1] <= 30.0

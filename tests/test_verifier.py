@@ -6,8 +6,9 @@ import functools
 import numpy as np
 import pytest
 
-from minmaps import TheoremHypotheses, presets
+from minmaps import TheoremHypotheses, presets, verifier
 from minmaps.errors import ConfigError
+from minmaps.graph_geometry import gradient_norm_sq_array
 from minmaps.verifier import (MUTATIONS, Certificate, ProbeStatus,
                               _nan_pointwise_max, _probe_decision,
                               area_decreasing_certificate, check_hypotheses,
@@ -438,6 +439,25 @@ def test_probe_z_squared_passes(z2_65):
         assert probe.status is ProbeStatus.PASS, field
         assert probe.value > 0
         assert probe.minimality_defect <= probe.tol
+
+
+@pytest.mark.parametrize("bump", [0.0, 0.05])
+def test_probe_gradient_matches_the_whole_grid(monkeypatch, z2_65, bump):
+    # the probe reads |grad u|^2 on the three rows around its minimiser; the
+    # whole-grid plane holds the same bits there. A huge minimality factor
+    # lets the bumped field through to a reported gradient
+    monkeypatch.setattr(verifier, "MINIMALITY_FACTOR", np.inf)
+    mf = presets.sine_bump(z2_65, bump)
+    gg = mf.graph
+    L1, L2 = gg.laplacians
+    for name, u, lap in (("phi", gg.pw.phi, L1 - L2),
+                         ("theta", gg.pw.theta, L1 + L2)):
+        probe = interior_minimum_probe(mf, name, HYP_POINCARE)
+        assert probe.status is ProbeStatus.PASS
+        rows = np.isfinite(u) & np.isfinite(lap)
+        at = np.unravel_index(np.argmin(np.where(rows, u, np.inf)), u.shape)
+        whole = gradient_norm_sq_array(u, gg.metric, mf.grid)[at]
+        assert probe.gradient_norm == float(np.sqrt(max(whole, 0.0))), name
 
 
 def test_probe_refuses_non_minimal_input(z2_65):

@@ -15,7 +15,7 @@ Usage: python scripts/compare_outputs.py OLD_TREE [NEW_TREE] [--n 65 ...]
                                          [--preset NAME ...]
 
 NEW_TREE defaults to the tree holding this script. Exit code 1 when a run
-fails in either tree, else 0 (also when outputs differ).
+fails in either tree, else 2 when any file differs, else 0.
 """
 
 import argparse
@@ -122,7 +122,7 @@ def main():
                 for line in report(old, new):
                     print(line)
     print(f"{same} of {total} files identical")
-    return 1 if failed else 0
+    return 1 if failed else 2 if same < total else 0
 
 
 if __name__ == "__main__":

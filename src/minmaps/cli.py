@@ -351,6 +351,7 @@ def _run_verify(cfg: ScenarioConfig) -> None:
 def _run_refine(cfg: ScenarioConfig) -> None:
     # one field (and one graph geometry) per grid serves all four identities
     ns = cfg.refine_grids
+    _grid_from_config(cfg)              # the config's own grid must be valid too
     check_ladder([_grid_from_config(cfg, n).h for n in ns])
     hs, defects = [], []                # defects: max |H| per grid
     norms = {name: [] for name, _ in IDENTITY_CHECKS}

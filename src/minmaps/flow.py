@@ -449,11 +449,9 @@ def write_monitors_csv(state: FlowState, path: str) -> None:
     minimality_defect to rounding.
     """
     lines = ["# minmaps flow monitors v2", ",".join(MONITOR_COLUMNS)]
-    for r in state.monitors:
-        lines.append(f"{r.step},{r.dt:.17g},{r.depth},{r.min_phi:.17g},"
-                     f"{r.min_theta:.17g},{r.max_abs_jf:.17g},"
-                     f"{r.norm_H:.17g},{r.norm_tau:.17g},"
-                     f"{r.chart_exits},{r.tension_jumps}")
+    for r in state.monitors:   # MonitorRow's fields in order: ints, %.17g floats
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in vars(r).values()))
     with open_fresh(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
 

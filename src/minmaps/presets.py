@@ -8,6 +8,7 @@ use ``expr:f1, f2``.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -123,60 +124,39 @@ _Z2 = (-_W, _W, -_W, _W)
 
 SCENARIO_SPECS = {
     # name: (source, target, map spec, chart (x0, x1, y0, y1), default n)
+    # r(x) (cos(y/2), -sin(y/2)), r = (e^x - 3 e^-x)/2: minimal, flat charts
     "paper_example": ("euclidean", "euclidean", "paper_example",
                       (-1.5, 1.5, -2.0, 2.0), 65),
+    # z -> z^2 between Poincare discs; holomorphic, hence minimal
     "z_squared": ("poincare_disc", "poincare_disc", "z_squared", _Z2, 65),
+    # z -> z^2 from the Poincare disc into a curvature -2 disc
     "z_squared_mixed": ("poincare_disc", "hyperbolic:2", "z_squared", _Z2, 65),
+    # identity between two copies of the curvature -2 disc
     "identity_hyperbolic": ("hyperbolic:2", "hyperbolic:2", "identity",
                             (-0.45, 0.45, -0.45, 0.45), 33),
+    # constant map between Poincare discs; totally geodesic fibre point
     "constant": ("poincare_disc", "poincare_disc", "constant:0.15,-0.2",
                  (-0.5, 0.5, -0.5, 0.5), 33),
+    # disc automorphism z -> (z - a)/(1 - a z), a = 0.3; a hyperbolic isometry
     "mobius": ("poincare_disc", "poincare_disc", "mobius:0.3", (-0.5, 0.5, -0.5, 0.5), 33),
+    # linear map between Euclidean charts; constant singular data
     "affine": ("euclidean", "euclidean", "affine:2,0,0,0.5", (-1.0, 1.0, -1.0, 1.0), 33),
 }
 
 
-def _preset(name: str, n: Optional[int], spec: Optional[str] = None) -> MapField:
-    source, target, default_spec, chart, default_n = SCENARIO_SPECS[name]
+def _preset(name: str, n: Optional[int] = None) -> MapField:
+    """The row `name` of SCENARIO_SPECS on an n x n grid (default: its n)."""
+    source, target, spec, chart, default_n = SCENARIO_SPECS[name]
     size = default_n if n is None else n
-    return scenario_field(source, target, spec or default_spec,
-                          GridChart(*chart, size, size))
+    return scenario_field(source, target, spec, GridChart(*chart, size, size))
 
 
-def paper_example_field(n: Optional[int] = None) -> MapField:
-    """r(x) (cos(y/2), -sin(y/2)), r = (e^x - 3 e^-x)/2: minimal, flat charts."""
-    return _preset("paper_example", n)
-
-
-def z_squared_field(n: Optional[int] = None) -> MapField:
-    """z -> z^2 between Poincare discs; holomorphic, hence minimal."""
-    return _preset("z_squared", n)
-
-
-def z_squared_mixed_field(n: Optional[int] = None) -> MapField:
-    """z -> z^2 from the Poincare disc into a curvature -2 disc."""
-    return _preset("z_squared_mixed", n)
-
-
-def identity_hyperbolic_field(n: Optional[int] = None) -> MapField:
-    """Identity between two copies of the curvature -2 disc."""
-    return _preset("identity_hyperbolic", n)
-
-
-def constant_field(n: Optional[int] = None) -> MapField:
-    """Constant map between Poincare discs; totally geodesic fibre point."""
-    return _preset("constant", n)
-
-
-def mobius_field(n: Optional[int] = None) -> MapField:
-    """Disc automorphism z -> (z - a)/(1 - a z), a = 0.3; a hyperbolic isometry."""
-    return _preset("mobius", n)
-
-
-def affine_field(a: float = 2.0, b: float = 0.0, c: float = 0.0, d: float = 0.5,
-                 n: Optional[int] = None) -> MapField:
-    """Linear map between Euclidean charts; constant singular data."""
-    return _preset("affine", n, f"affine:{a},{b},{c},{d}")
+# the CLI's presets; the builders are these same objects (take only n=)
+SCENARIOS: dict[str, Callable[..., MapField]] = {
+    name: functools.partial(_preset, name) for name in SCENARIO_SPECS}
+(paper_example_field, z_squared_field, z_squared_mixed_field,
+ identity_hyperbolic_field, constant_field, mobius_field,
+ affine_field) = SCENARIOS.values()
 
 
 def sine_bump(mf: MapField, eps: float) -> MapField:
@@ -190,16 +170,3 @@ def sine_bump(mf: MapField, eps: float) -> MapField:
     bump = eps * (np.sin(math.pi * (X - g.x0) / (g.x1 - g.x0))
                   * np.sin(math.pi * (Y - g.y0) / (g.y1 - g.y0)))
     return mf.with_values(mf.values + bump[..., None])
-
-
-# ------------------------------------------------------------ CLI scenarios
-
-SCENARIOS: dict[str, Callable[[], MapField]] = {
-    "paper_example": paper_example_field,
-    "z_squared": z_squared_field,
-    "z_squared_mixed": z_squared_mixed_field,
-    "identity_hyperbolic": identity_hyperbolic_field,
-    "constant": constant_field,
-    "mobius": mobius_field,
-    "affine": affine_field,
-}

@@ -52,6 +52,7 @@ __all__ = [
 
 ANGLE_MASK_FLOOR = 1e-8
 EXACT_FLOOR = 1e-12
+HYPOTHESIS_SLACK = 1e-12     # curvature bounds hold to within this
 MINIMALITY_FACTOR = 10.0
 
 MUTATIONS = (None, "flip_sigma_perp", "swap_curvatures")
@@ -315,8 +316,7 @@ class ConvergenceStudy:
 
 def refinement_study(make_field: Callable[[int], MapField],
                      ns: Sequence[int],
-                     quantity: Callable[[MapField], float],
-                     *, floor: float = EXACT_FLOOR) -> ConvergenceStudy:
+                     quantity: Callable[[MapField], float]) -> ConvergenceStudy:
     """Measure the contraction order of a scalar diagnostic under refinement.
 
     make_field(n) must produce maps on grids whose spacing halves from one
@@ -328,7 +328,7 @@ def refinement_study(make_field: Callable[[int], MapField],
         mf = make_field(n)
         hs.append(mf.grid.h)
         norms.append(float(quantity(mf)))
-    return convergence_study(hs, norms, floor=floor)
+    return convergence_study(hs, norms)
 
 
 def check_ladder(hs: Sequence[float]) -> None:
@@ -341,16 +341,16 @@ def check_ladder(hs: Sequence[float]) -> None:
                 f"grid spacings must halve between studies (got {h0:g} -> {h1:g})")
 
 
-def convergence_study(hs: Sequence[float], norms: Sequence[float],
-                      *, floor: float = EXACT_FLOOR) -> ConvergenceStudy:
+def convergence_study(hs: Sequence[float],
+                      norms: Sequence[float]) -> ConvergenceStudy:
     """Contraction orders of norms measured on grids of spacings hs.
 
     The spacings must halve from one grid to the next. Orders are log2
-    ratios of consecutive norms; if every norm sits below the floor the
+    ratios of consecutive norms; if every norm sits below EXACT_FLOOR the
     diagnostic is flagged exact instead.
     """
     check_ladder(hs)
-    if max(norms) < floor:
+    if max(norms) < EXACT_FLOOR:
         return ConvergenceStudy(tuple(hs), tuple(norms), (), float("inf"), True)
     orders = []
     for a, b in zip(norms, norms[1:]):
@@ -374,15 +374,15 @@ class HypothesisCheck:
     beta: float
 
 
-def check_hypotheses(mapfield: MapField, hyp: TheoremHypotheses,
-                     *, slack: float = 1e-12) -> HypothesisCheck:
-    """Check the curvature pinching: sigmaM >= -sigma, -beta <= sigmaN <= -sigma."""
+def check_hypotheses(mapfield: MapField, hyp: TheoremHypotheses) -> HypothesisCheck:
+    """Check the curvature pinching: sigmaM >= -sigma, -beta <= sigmaN <= -sigma,
+    each to within HYPOTHESIS_SLACK."""
     lo_M = float(np.min(mapfield.source_samples.curvature))
     sN = mapfield.target_samples.curvature
     lo_N, hi_N = float(np.min(sN)), float(np.max(sN))
-    ok = (lo_M >= -hyp.sigma - slack
-          and hi_N <= -hyp.sigma + slack
-          and lo_N >= -hyp.beta - slack)
+    ok = (lo_M >= -hyp.sigma - HYPOTHESIS_SLACK
+          and hi_N <= -hyp.sigma + HYPOTHESIS_SLACK
+          and lo_N >= -hyp.beta - HYPOTHESIS_SLACK)
     return HypothesisCheck(ok=ok, min_sigma_source=lo_M,
                            min_sigma_target=lo_N, max_sigma_target=hi_N,
                            sigma=hyp.sigma, beta=hyp.beta)
@@ -481,8 +481,7 @@ def _probe_decision(global_min: float, interior_min: float,
 
 
 def interior_minimum_probe(mapfield: MapField, field_name: str,
-                           hypotheses: TheoremHypotheses,
-                           *, tol: Optional[float] = None) -> MinimumProbe:
+                           hypotheses: TheoremHypotheses) -> MinimumProbe:
     """Probe the discrete minimum of phi or theta against the strong
     minimum principle.
 
@@ -493,7 +492,9 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
     threshold, reports negative minima that escape to the boundary as
     inconclusive, and flags VIOLATION only when the discrete Laplacian and
     the curvature bound certify an actual contradiction (which indicates a
-    broken invariant, not a sharp theorem failure).
+    broken invariant, not a sharp theorem failure). The minimality
+    threshold, MINIMALITY_FACTOR h^2, is also the tolerance of the sign
+    tests (recorded as `tol`).
 
     The reported record describes the minimizer over the probe domain
     (points where the graph Laplacian is evaluable); its gradient norm and
@@ -503,7 +504,6 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
         raise ConfigError("field_name must be 'phi' or 'theta'")
     gg, grid = mapfield.graph, mapfield.grid
     threshold = MINIMALITY_FACTOR * grid.h ** 2
-    tol = threshold if tol is None else tol
     defect = gg.max_norm_H
     u = gg.pw.phi if field_name == "phi" else gg.pw.theta
     global_min, global_at = _argext(u, grid, True)
@@ -528,10 +528,10 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
     pde_bound = float(-hypotheses.sigma * interior_min
                       * (1.0 - interior_min ** 2))
     status = _probe_decision(global_min, interior_min, lap, pde_bound,
-                             defect, threshold, tol,
+                             defect, threshold, threshold,
                              check_hypotheses(mapfield, hypotheses).ok)
     if status in (ProbeStatus.PASS, ProbeStatus.VIOLATION):
         return MinimumProbe(status, field_name, interior_min, interior_at,
-                            grad, lap, pde_bound, defect, tol)
+                            grad, lap, pde_bound, defect, threshold)
     return MinimumProbe(status, field_name, global_min, global_at,
-                        None, None, None, defect, tol)
+                        None, None, None, defect, threshold)

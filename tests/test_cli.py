@@ -800,6 +800,18 @@ def test_refine_checks_its_ladder_before_any_field(tmp_path, monkeypatch,
     assert calls == []
 
 
+def test_refine_checks_its_config_grid(tmp_path, capsys):
+    # the ladder sets refine's sizes, but an invalid [grid] nx is still the
+    # error verify reports for it, raised before any output is written
+    cfgfile = _spec_config(tmp_path / "refine.ini", "refine",
+                           *presets.SCENARIO_SPECS["z_squared"][:4], 2)
+    out = tmp_path / "refine"
+    assert main(["refine", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert ("config error: grids need nx, ny >= 5"
+            in capsys.readouterr().err)
+    assert not (out / "summary.txt").exists()
+
+
 # ------------------------------------------------------------------ plumbing
 
 def test_missing_spec_is_config_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ Anderson-mixed solver): guards, secant history, boundary pinning, stall
 detection, the fast Laplacian solve, and explicit Euler on the tension
 pass against the heat semidiscretization."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -470,6 +471,14 @@ def test_monitors_csv_format(tmp_path):
     assert second[:3] == ["1", "1", "0"] and second[8:] == ["0", "0"]
     assert float(second[3]) == state.monitors[1].min_phi
     assert float(second[7]) == state.monitors[1].norm_tau
+
+
+def test_monitor_columns_name_the_row_fields():
+    # write_monitors_csv writes MonitorRow's fields in order under these
+    # names; the step length dt is the column `length`
+    fields = [f.name for f in dataclasses.fields(flow.MonitorRow)]
+    assert list(flow.MONITOR_COLUMNS) == ["length" if f == "dt" else f
+                                          for f in fields]
 
 
 def test_snapshot_matches_per_value_writer(tmp_path):

@@ -383,7 +383,8 @@ def test_norm_A_sq_sums_in_numpys_order(case):
 
 def block_frame_field(case, n):
     if case == "reversing_affine":   # det df < 0: e4 takes the sgn branch
-        return presets.affine_field(2.0, 0.0, 0.0, -0.5, n=n)
+        return presets.scenario_field("euclidean", "euclidean", "affine:2,0,0,-0.5",
+                                      GridChart(-1.0, 1.0, -1.0, 1.0, n, n))
     if case == "grid_only":          # df by differences, NaN on the ring
         return presets.sine_bump(presets.z_squared_field(n=n), 0.01)
     return presets.SCENARIOS[case](n=n)

@@ -3,6 +3,7 @@ the fields it reads from the certificates, the output files and the
 traced memory."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -36,6 +37,24 @@ def test_compare_outputs_of_a_tree_with_itself():
     assert len(out) == 10 and all(line.endswith(": identical") for line in out[:-1])
     assert [line.split("/")[0] for line in out[:-1]] == (
         ["analyze"] * 2 + ["verify"] * 2 + ["refine"] * 2 + ["flow"] * 3)
+
+
+def test_compare_outputs_exits_2_when_a_file_differs(tmp_path):
+    # a tree whose CSV header version differs: the three CLI tables differ
+    # (their values do not), the flow monitors carry their own header
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "minmaps" / "cli.py"
+    text = cli.read_text()
+    assert text.count('CSV_VERSION = "v1"') == 1
+    cli.write_text(text.replace('CSV_VERSION = "v1"', 'CSV_VERSION = "v0"'))
+    out = run_script("compare_outputs.py", str(ROOT), str(tmp_path), "--n", "17",
+                     "--preset", "z_squared", code=2)
+    assert out[-1] == "6 of 9 files identical"
+    differs = [line.split(":")[0] for line in out if line.endswith(": differs")]
+    assert differs == ["analyze/z_squared/analysis.csv",
+                       "verify/z_squared/verify.csv",
+                       "refine/z_squared/refine.csv"]
 
 
 def stage_memory(n):

@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from minmaps import TheoremHypotheses, presets, verifier
+from minmaps import GridChart, TheoremHypotheses, presets, verifier
 from minmaps.errors import ConfigError
 from minmaps.graph_geometry import gradient_norm_sq_array
 from minmaps.verifier import (MUTATIONS, Certificate, ProbeStatus,
@@ -402,7 +402,8 @@ def test_certificate_z_squared(z2_65):
 
 
 def test_certificate_expanding_map_refused():
-    mf = presets.affine_field(a=2.0, b=0.0, c=0.0, d=2.0, n=17)
+    mf = presets.scenario_field("euclidean", "euclidean", "affine:2,0,0,2",
+                                GridChart(-1.0, 1.0, -1.0, 1.0, 17, 17))
     cert = area_decreasing_certificate(mf, TheoremHypotheses(1.0, 1.0))
     assert not cert.area_decreasing
     assert cert.hypothesis_ok is False
@@ -412,7 +413,8 @@ def test_certificate_expanding_map_refused():
 
 
 def test_certificate_tolerance_reclassifies():
-    mf = presets.affine_field(a=1.0, b=0.0, c=0.0, d=1.0000001, n=9)
+    mf = presets.scenario_field("euclidean", "euclidean", "affine:1,0,0,1.0000001",
+                                GridChart(-1.0, 1.0, -1.0, 1.0, 9, 9))
     strict = area_decreasing_certificate(mf)
     assert not strict.area_decreasing
     loose = area_decreasing_certificate(mf, tol=1e-6)

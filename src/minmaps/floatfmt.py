@@ -10,23 +10,22 @@ table-driven multiplication, as in Ryu printf (Adams, "Ryu revisited:
 printf floating point conversion", OOPSLA 2019), instead of one bignum
 ``dtoa`` per value:
 
-* the decimal exponent X = floor(log10 |v|) is estimated with ``log10``
-  and then fixed exactly at decade edges;
-* |v| * 10^(16-X) is formed as a double-double: Dekker's exact product of
-  |v| with the double nearest 10^(16-X), plus |v| times the remainder of
-  10^(16-X) (the table is exact to about 2^-106, built once from Python
+* values are grouped by their decimal exponent X = floor(log10 |v|), as
+  estimated with ``log10``. Each group takes one product |v| * 10^(16-X)
+  by one constant: Dekker's exact product by the double nearest 10^(16-X),
+  plus, where 10^(16-X) is no double (X < -6 or X > 16), |v| times its
+  remainder (the table is exact to about 2^-106, built once from Python
   integers on first use);
-* that product is rounded half to even to a 17-digit integer. Where
-  10^(16-X) is itself a double (-6 <= X <= 16) the product is exact, so
-  exact ties round as ``%.17g`` rounds them. Values are sorted by their
-  estimated X first, so the values of one such group share one Dekker
-  product by a constant, with no table lookup and no tie test.
+* a value whose product lies outside [1e16, 1e17) moves one decade and is
+  grouped again;
+* the product is rounded half to even to a 17-digit integer. Under an
+  exact scale it is exact, so ties round as ``%.17g`` rounds them.
 
-Everything the argument does not cover goes to Python's own ``%.17g``:
-values within 2^-30 of a rounding tie where 10^(16-X) is inexact,
-|X| > 280 (where the Dekker split could overflow) and subnormals. So the
-output never rests on the error bound alone. nan, +-inf and +-0 are fixed
-words; a nan prints ``nan`` whatever its sign bit.
+Python's own ``%.17g`` takes what the argument does not cover: values
+within 2^-30 of a rounding tie under an inexact scale, |X| > 280 (where
+the Dekker split could overflow) and subnormals. So the output never rests
+on the error bound alone. nan, +-inf and +-0 are fixed words; a nan prints
+``nan`` whatever its sign bit.
 
 The text is laid out in an ``(m*c, W + 1)`` byte buffer, one row per value
 and one separator byte at the end. Values sharing a decimal exponent share
@@ -82,13 +81,12 @@ def _pow10() -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _exact_product(x: np.ndarray, h,
+def _exact_product(x: np.ndarray, h: float,
                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p = fl(x * h) and q = x * h - p exactly (Dekker), for one double h or
-    one per value.
+    """p = fl(x * h) and q = x * h - p exactly (Dekker), for one double h.
 
-    out holds five rows of x.size: p, q and the scratch of the split, so a
-    product by one double allocates no array of its own.
+    out holds five rows of x.size: p, q and the scratch of the split, so
+    the product allocates no array of its own.
     """
     p, q, x1, x2, t = out
     c = _SPLIT * h                       # h1, h2: Dekker's split of h
@@ -106,52 +104,12 @@ def _exact_product(x: np.ndarray, h,
     return p, q
 
 
-def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10^s as an unevaluated sum p + q with p = fl(a * 10^s)."""
-    hi, lo = _pow10()
-    k = np.clip(s - _S_MIN, 0, _S_MAX - _S_MIN)
-    p, q = _exact_product(a, hi[k], np.empty((5, a.size)))
-    return p, q + a * lo[k]
-
-
 def _off(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the exact product p + q lies below 1e16 and where at or above
     1e17: it lies in [1e16, 1e17) iff X = floor(log10 a)."""
     low = (p < _E16) | ((p == _E16) & (q < 0.0))
     high = (p > _E17) | ((p == _E17) & (q >= 0.0))
     return low, high
-
-
-def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """17 rounded digits D and exponent X with a ~= D * 10^(X-16).
-
-    Returns (D, X, ok); where ok is False the result is not certain and the
-    caller formats that value in Python instead.
-    """
-    X = np.floor(np.log10(a)).astype(np.int64)
-    p, q = _scaled(a, 16 - X)
-    ok = np.ones(a.size, bool)
-    for _ in range(3):
-        low, high = _off(p, q)
-        fix = np.flatnonzero(low | high)
-        if fix.size == 0:
-            break
-        X[fix] += high[fix].astype(np.int64) - low[fix]
-        p[fix], q[fix] = _scaled(a[fix], 16 - X[fix])
-    else:
-        ok[fix] = False
-
-    # p >= 2^53 is an even integer, so rint(q) rounds p + q half to even
-    r = np.rint(q)
-    exact_scale = (X >= -6) & (X <= 16)       # 10^(16-X) is a double: exact
-    near_tie = np.abs(np.abs(q - r) - 0.5) < _TIE_MARGIN
-    ok = ok & (exact_scale | ~near_tie)
-
-    D = p.astype(np.int64) + r.astype(np.int64)
-    carry = D == 10 ** 17
-    D[carry] = 10 ** 16
-    X[carry] += 1
-    return D, X, ok
 
 
 @functools.cache
@@ -235,40 +193,60 @@ def _groups(X: np.ndarray) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
 
-def _sorted_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray]:
-    """(order, D, X, ok): _decimal of a[order], order sorting a by X.
+def _sorted_decimal(a: np.ndarray, X: np.ndarray | None = None,
+                    rounds: int = 3) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray, np.ndarray]:
+    """(order, D, X, ok): 17 rounded digits D and exponent X with
+    a[order] ~= D * 10^(X-16), order sorting a by X.
 
-    Values are grouped by their estimated X first. A group whose scale
-    10^(16-X) is a double takes one exact product by that constant; the
-    values it places outside [1e16, 1e17), and groups at an inexact scale,
-    go through _decimal.
+    X is estimated with log10 unless given. The values that a group's
+    product places outside [1e16, 1e17) move one decade and go through
+    here again, for at most `rounds` products in all. Where ok is False the
+    result is not certain and the caller formats that value in Python.
     """
-    X = np.floor(np.log10(a)).astype(np.int16)
+    if X is None:
+        X = np.floor(np.log10(a)).astype(np.int16)
     order = np.argsort(X, kind="stable")                     # radix
     a, X = a[order], X[order]
+    tens, rests = _pow10()
     D = np.empty(a.size, np.int64)
     # one scratch for every group's product: temporaries sized by group
     # would leave the heap fragmented and the process's resident set larger
     scratch = np.empty((5, a.size))
-    redo = [np.empty(0, np.intp)]
+    moved, unsure = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for lo, hi in _groups(X):
         s = 16 - int(X[lo])
-        if not 0 <= s <= 22:
-            redo.append(np.arange(lo, hi))
-            continue
-        p, q = _exact_product(a[lo:hi], float(10 ** s), scratch[:, lo:hi])
+        p, q = _exact_product(a[lo:hi], float(tens[s - _S_MIN]),
+                              scratch[:, lo:hi])
+        if not 0 <= s <= 22:  # 10^s is no double: add a times its remainder
+            q += a[lo:hi] * rests[s - _S_MIN]
+            # p + q is within 1e-14 of the exact product, not exact: near a
+            # tie it cannot say which way the digits round
+            unsure.append(lo + np.flatnonzero(
+                np.abs(np.abs(q - np.rint(q)) - 0.5) < _TIE_MARGIN))
         low, high = _off(p, q)
-        # p + q is exact and p an even integer, so rint settles ties half to
-        # even. No D here carries to 10^17: below 10^(X+1) the nearest
-        # double's product is at least 8 under 1e17
+        # p >= 2^53 is an even integer, so rint settles exact ties half to
+        # even. Under an exact scale no D carries to 10^17: below 10^(X+1)
+        # the nearest double's product is at least 8 under 1e17
         D[lo:hi] = p.astype(np.int64) + np.rint(q).astype(np.int64)
-        redo.append(lo + np.flatnonzero(low | high))
-    redo = np.concatenate(redo)
+        moved.append(lo + np.flatnonzero(low | high))
+    moved = np.concatenate(moved)
     ok = np.ones(a.size, bool)
-    D[redo], fixed, ok[redo] = _decimal(a[redo])
-    if (fixed != X[redo]).any():          # an exponent moved: sort again
-        X[redo] = fixed
+    ok[np.concatenate(unsure)] = False
+    if moved.size:
+        # scratch rows 0 and 1 still hold each value's p and q
+        low, high = _off(scratch[0, moved], scratch[1, moved])
+        X[moved] += high.astype(X.dtype) - low
+        if rounds > 1:
+            at, d, x, sure = _sorted_decimal(a[moved], X[moved], rounds - 1)
+            at = moved[at]
+            D[at], X[at], ok[at] = d, x, sure
+        else:
+            ok[moved] = False
+    carry = np.flatnonzero(D == 10 ** 17)
+    D[carry] = 10 ** 16
+    X[carry] += 1
+    if moved.size or carry.size:         # an exponent moved: sort again
         resort = np.argsort(X, kind="stable")
         order, D, X, ok = order[resort], D[resort], X[resort], ok[resort]
     return order, D, X, ok

@@ -455,10 +455,11 @@ class MinimumProbe:
 
 def _probe_decision(global_min: float, interior_min: float,
                     laplacian: Optional[float], pde_bound: float,
-                    defect: float, minimality_threshold: float,
-                    tol: float, hypotheses_ok: bool = True) -> ProbeStatus:
+                    defect: float, tol: float,
+                    hypotheses_ok: bool = True) -> ProbeStatus:
     """Pure decision logic of the minimum probe (separable for testing).
 
+    A mean curvature defect above tol refuses the map: it is not minimal.
     A nonnegative global minimum leaves nothing to refute. A negative
     minimum attained only on the boundary ring is outside the interior
     argument's reach, as is any negative minimum when the curvature
@@ -467,7 +468,7 @@ def _probe_decision(global_min: float, interior_min: float,
     strictly positive, hypotheses satisfied) contradicts the minimum
     principle and is flagged as a pipeline inconsistency.
     """
-    if defect > minimality_threshold:
+    if defect > tol:
         return ProbeStatus.REFUSED_NOT_MINIMAL
     if global_min >= -tol:
         return ProbeStatus.PASS
@@ -528,7 +529,7 @@ def interior_minimum_probe(mapfield: MapField, field_name: str,
     pde_bound = float(-hypotheses.sigma * interior_min
                       * (1.0 - interior_min ** 2))
     status = _probe_decision(global_min, interior_min, lap, pde_bound,
-                             defect, threshold, threshold,
+                             defect, threshold,
                              check_hypotheses(mapfield, hypotheses).ok)
     if status in (ProbeStatus.PASS, ProbeStatus.VIOLATION):
         return MinimumProbe(status, field_name, interior_min, interior_at,

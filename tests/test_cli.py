@@ -401,24 +401,41 @@ def test_refine_reports_mean_curvature_per_grid(tmp_path):
         "minimality_defect"] == norms[2]
 
 
+# a perturbed Moebius map: not minimal, so every identity check warns
+PERTURBED_MOBIUS = textwrap.dedent("""\
+    [source]
+    metric = poincare_disc
+    [target]
+    metric = poincare_disc
+    [map]
+    spec = mobius:0.3
+    perturb = 0.01
+    [grid]
+    nx = 17
+    half_width = 0.45
+""")
+
+
+def test_verify_records_identity_warnings(tmp_path, capsys):
+    # each identity's warning goes to the summary once, sorted, not stderr
+    cfgfile = tmp_path / "verify.ini"
+    cfgfile.write_text(PERTURBED_MOBIUS)
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    notes = [line for line in (out / "summary.txt").read_text().splitlines()
+             if line.startswith("warning = ")]
+    assert [line.split(":")[0] for line in notes] == [
+        "warning = form_laplacian", "warning = gradients",
+        "warning = jacobians", "warning = pullback"]
+    assert all(": map is not numerically minimal " in line for line in notes)
+
+
 def test_refine_records_identity_warnings(tmp_path, capsys):
-    # a perturbed map is not minimal: the identity checks warn on every
-    # grid, and the refine summary keeps each distinct warning once per grid
+    # the identity checks warn on every grid, and the refine summary keeps
+    # each distinct warning once per grid
     cfgfile = tmp_path / "refine.ini"
-    cfgfile.write_text(textwrap.dedent("""\
-        [source]
-        metric = poincare_disc
-        [target]
-        metric = poincare_disc
-        [map]
-        spec = mobius:0.3
-        perturb = 0.01
-        [grid]
-        nx = 17
-        half_width = 0.45
-        [refine]
-        grids = 17, 33, 65
-    """))
+    cfgfile.write_text(PERTURBED_MOBIUS + "[refine]\ngrids = 17, 33, 65\n")
     out = tmp_path / "run"
     assert main(["refine", "--config", str(cfgfile), "--out", str(out)]) == 0
     assert "not numerically minimal" not in capsys.readouterr().err

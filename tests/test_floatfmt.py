@@ -79,7 +79,7 @@ def test_exact_ties_round_half_even_on_the_fast_path():
     # 10 * (1e15 + k/4) ends in .5 for odd k, and 10^1 is a double, so the
     # fast path must settle these ties itself
     ties = 1e15 + np.arange(1, 4001, 2) * 0.25
-    _, _, ok = floatfmt._decimal(ties)
+    _, _, _, ok = floatfmt._sorted_decimal(ties)
     assert ok.all()
     assert format_block(ties[:, None]) == format_rows(ties[:, None])
 
@@ -110,6 +110,40 @@ def test_exact_scale_groups_match_per_value_writer():
     assert format_block(block) == format_rows(block)
 
 
+def test_inexact_scale_groups_match_per_value_writer():
+    # random mantissas for every X in -280 ... -7 and 17 ... 280, where
+    # 10^(16-X) is no double: the double-double product settles every one,
+    # so the one path leaves only near-ties and out-of-range values to Python
+    tens = np.array([float(f"1e{k}") for k in [*range(-280, -6),
+                                                *range(17, 281)]])
+    mantissas = np.random.default_rng(7).uniform(1.0, 10.0, (tens.size, 30))
+    flat = (mantissas * tens[:, None]).ravel()
+    _, _, _, ok = floatfmt._sorted_decimal(flat)
+    assert ok.all()
+    block = np.concatenate([flat, -flat]).reshape(-1, 2)
+    assert format_block(block) == format_rows(block)
+
+
+def test_block_scratch_does_not_depend_on_scale():
+    # every exponent group takes one product in the same scratch, so a
+    # block of machine-precision residuals (1e-15) or of huge values (1e20)
+    # needs no more writer memory than one of ordinary values (1e-3)
+    block = np.random.default_rng(3).uniform(1.0, 10.0,
+                                             (floatfmt._BLOCK_VALUES, 1))
+    format_block(1e20 * block)                   # fill the lazy tables
+    peaks = {}
+    for scale in (1e-3, 1e-15, 1e20):
+        scaled = scale * block
+        tracemalloc.start()
+        try:
+            floatfmt._block_text(scaled, ",")
+            peaks[scale] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1e-15] < 1.05 * peaks[1e-3]
+    assert peaks[1e20] < 1.05 * peaks[1e-3]
+
+
 def test_write_table_memory_does_not_grow_with_the_table(tmp_path):
     # write_table streams: 16 blocks of a 7-column table need the scratch
     # of 4 blocks, not four times as much
@@ -134,7 +168,7 @@ def test_ties_under_an_inexact_scale_go_to_python():
     # have 18 digits ending in 5, and neither 10^24 nor 10^23 is a double:
     # the product cannot prove these ties
     ties = np.array([[2.0 ** -25], [3 * 2.0 ** -24]])
-    _, _, ok = floatfmt._decimal(ties.ravel())
+    _, _, _, ok = floatfmt._sorted_decimal(ties.ravel())
     assert not ok.any()
     assert format_block(ties) == b"2.9802322387695312e-08\n1.7881393432617188e-07\n"
 

@@ -482,7 +482,7 @@ def test_probe_rejects_unknown_field(z2_33):
 
 
 def test_probe_decision_table():
-    kw = dict(minimality_threshold=1e-3, tol=1e-6)
+    kw = dict(tol=1e-3)
     # certified interior violation: negative min, vanishing Laplacian,
     # strictly positive PDE right-hand side
     assert _probe_decision(-0.5, -0.5, 0.0, 0.3, 1e-9, **kw) \

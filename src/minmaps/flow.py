@@ -52,7 +52,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import stencils
 from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import open_fresh, write_table
 from .graph_geometry import induced_metric_arrays, pullback_products
@@ -137,7 +136,8 @@ def tension_pass(mapfield: MapField) -> TensionPass:
 
         (I + k df df^T) tau = b - df a,     det = det g / rhoM^4,
 
-    and |H|^2 = rhoM^2 k^2 |df^T tau|^2 + rhoN^2 |tau|^2.
+    and |H|^2 = rhoM^2 k^2 |df^T tau|^2 + rhoN^2 |tau|^2. A tau or monitor
+    that is not finite inside the stencils' reach raises NumericalError.
     """
     # unrolled 2x2 component arithmetic throughout: the trailing dimensions
     # are tiny, so generic tensor contractions spend their time on overhead
@@ -159,17 +159,25 @@ def tension_pass(mapfield: MapField) -> TensionPass:
 
     # a factor with u = log rho traces to g^{ij} Gamma(v_i, v_j) =
     # (ux (q11 - q22) + 2 uy q12, -uy (q11 - q22) + 2 ux q12), with
-    # q_ab = g^{ij} v^a_i v^b_j: q = g^-1 for the source (v = id)
-    a1 = uMx * (gi11 - gi22) + 2.0 * uMy * gi12
-    a2 = -uMy * (gi11 - gi22) + 2.0 * uMx * gi12
-    q11 = gi11 * f1x * f1x + 2.0 * gi12 * f1x * f1y + gi22 * f1y * f1y
-    q22 = gi11 * f2x * f2x + 2.0 * gi12 * f2x * f2y + gi22 * f2y * f2y
-    q12 = gi11 * f1x * f2x + gi12 * (f1x * f2y + f1y * f2x) + gi22 * f1y * f2y
-    b1 = (gi11 * grid.d_xx(f1) + 2.0 * gi12 * grid.d_xy(f1) + gi22 * grid.d_yy(f1)
-          + uNx * (q11 - q22) + 2.0 * uNy * q12)
-    b2 = (gi11 * grid.d_xx(f2) + 2.0 * gi12 * grid.d_xy(f2) + gi22 * grid.d_yy(f2)
-          - uNy * (q11 - q22) + 2.0 * uNx * q12)
-    del q11, q12, q22
+    # q_ab = g^{ij} v^a_i v^b_j: q = g^-1 for the source (v = id). Shared
+    # products are taken once, each in the order of the sum it enters, so
+    # every bit matches the sums as written
+    dg = gi11 - gi22
+    tg12 = 2.0 * gi12
+    a1 = uMx * dg + 2.0 * uMy * gi12
+    a2 = -uMy * dg + 2.0 * uMx * gi12
+    g11f1x, g22f1y = gi11 * f1x, gi22 * f1y
+    q11 = g11f1x * f1x + tg12 * f1x * f1y + g22f1y * f1y
+    q22 = gi11 * f2x * f2x + tg12 * f2x * f2y + gi22 * f2y * f2y
+    q12 = g11f1x * f2x + gi12 * (f1x * f2y + f1y * f2x) + g22f1y * f2y
+    del g11f1x, g22f1y
+    dq = q11 - q22
+    del q11, q22
+    b1 = (gi11 * grid.d_xx(f1) + tg12 * grid.d_xy(f1) + gi22 * grid.d_yy(f1)
+          + uNx * dq + 2.0 * uNy * q12)
+    b2 = (gi11 * grid.d_xx(f2) + tg12 * grid.d_xy(f2) + gi22 * grid.d_yy(f2)
+          - uNy * dq + 2.0 * uNx * q12)
+    del dq, q12, tg12
 
     # tau = adj(I + k df df^T) (b - df a) rhoM^4 / det g
     r1 = b1 - (f1x * a1 + f1y * a2)
@@ -194,25 +202,30 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     hM2 = f1y * tau1 + f2y * tau2
     normH2 = (rhoM2 * k * k * (hM1 * hM1 + hM2 * hM2)
               + rhoN2 * (tau1 * tau1 + tau2 * tau2))
-    norm_H = float(np.sqrt(stencils.finite_abs_max(normH2)))
 
-    # area monitors through the certificate's kernel
+    # area monitors through the certificate's kernel. The stencils leave
+    # them NaN on the Dirichlet ring only, so like tau they must be finite
+    # on the interior, where a NaN would otherwise drop out of the extrema
     _, _, jf, phi, theta = area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, detg)
-    min_phi = float(np.nanmin(phi))
-    min_theta = float(np.nanmin(theta))
-    max_jf = stencils.finite_abs_max(jf)
+    normH2, jf, phi, theta = (a[_INTERIOR] for a in (normH2, jf, phi, theta))
+    bad = ~(np.isfinite(normH2) & np.isfinite(jf) & np.isfinite(phi)
+            & np.isfinite(theta))
+    if bad.any():
+        raise NumericalError(
+            f"flow monitors (|H|, J_f, phi, theta) are not finite at "
+            f"{int(bad.sum())} points inside the stencil's reach")
 
     # largest eigenvalue of ginv: the solver's coefficient
     tr = gi11 + gi22
-    disc = np.sqrt(np.clip((gi11 - gi22) ** 2 + 4.0 * gi12 ** 2, 0.0, None))
+    disc = np.sqrt(np.clip(dg ** 2 + 4.0 * gi12 ** 2, 0.0, None))
     eig_max = float(np.max((0.5 * (tr + disc))[_INTERIOR]))
     return TensionPass(
         tau=tau,
         norm_tau=float(np.max(np.abs(tau_in))),
-        norm_H=norm_H,
-        min_phi=min_phi,
-        min_theta=min_theta,
-        max_abs_jf=max_jf,
+        norm_H=float(np.sqrt(np.max(np.abs(normH2)))),
+        min_phi=float(np.min(phi)),
+        min_theta=float(np.min(theta)),
+        max_abs_jf=float(np.max(np.abs(jf))),
         eig_max=eig_max,
     )
 
@@ -286,13 +299,19 @@ def _anderson(r: np.ndarray, dxs: list[np.ndarray],
     memory, a solve about 0.25 MB."""
     # einsum, not a BLAS dot: its summation order does not change with the
     # BLAS thread count, and neither do the bytes of the solver's output
-    gram = np.array([[np.einsum("i,i", a, b) for b in drs] for a in drs])
-    gram += (_SECANT_RIDGE * gram.trace() + np.finfo(float).tiny) * np.eye(len(drs))
+    # gram is symmetric to the bit (the products commute exactly and the
+    # summation order is the same), so one triangle is computed
+    k = len(drs)
+    gram = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            gram[i, j] = gram[j, i] = np.einsum("i,i", drs[i], drs[j])
+    gram += (_SECANT_RIDGE * gram.trace() + np.finfo(float).tiny) * np.eye(k)
     gamma = np.linalg.solve(gram, np.array([np.einsum("i,i", d, r) for d in drs]))
     out = r.copy()
     for g, dx, dr in zip(gamma, dxs, drs):
         out -= g * (dx + dr)
-    return out, len(drs)
+    return out, k
 
 
 def _take_secants(state: FlowState, r: np.ndarray):
@@ -360,18 +379,19 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
 # ------------------------------------------------------- fast Laplacian solve
 
-def _sine_transform(v: np.ndarray, axis: int) -> np.ndarray:
-    """Type-I discrete sine transform along one axis,
-    S_k = sum_j v_j sin(pi j k / (m + 1)) for j, k = 1..m, from the real
-    FFT of the odd extension (0, v, 0, -reversed v). Applied twice it gives
-    (m + 1) / 2 times the identity."""
-    v = np.moveaxis(v, axis, 0)
-    m = v.shape[0]
-    ext = np.zeros((2 * (m + 1),) + v.shape[1:])
-    ext[1:m + 1] = v
-    ext[m + 2:] = -v[::-1]
-    out = -0.5 * np.fft.rfft(ext, axis=0)[1:m + 1].imag
-    return np.moveaxis(out, 0, axis)
+def _sine_lines(v: np.ndarray) -> np.ndarray:
+    """Type-I discrete sine transform along the second-to-last axis of v,
+    S_k = sum_j v_j sin(pi j k / (m + 1)) for j, k = 1..m, returned as the
+    last axis. It is the real FFT of the odd extension (0, v, 0, -reversed
+    v), built in one transposed copy so that the FFT runs along contiguous
+    rows. Applied twice it gives (m + 1) / 2 times the identity, with both
+    axes back in place."""
+    m = v.shape[-2]
+    ext = np.empty(v.shape[:-2] + (v.shape[-1], 2 * (m + 1)))
+    ext[..., 0] = ext[..., m + 1] = 0.0
+    ext[..., 1:m + 1] = np.swapaxes(v, -1, -2)
+    np.negative(ext[..., m:0:-1], out=ext[..., m + 2:])
+    return np.fft.rfft(ext)[..., 1:m + 1].imag * -0.5
 
 
 @functools.lru_cache(maxsize=8)
@@ -393,11 +413,12 @@ def solve_laplacian(rhs: np.ndarray, coef: float, grid: GridChart) -> np.ndarray
     hx, hy; rhs and u cover the interior [1:-1, 1:-1] and u is zero on the
     ring. Trailing axes of rhs are independent components.
     """
-    denom = coef * _symbol_sum(grid.nx, grid.ny, grid.hx, grid.hy)
-    denom = denom.reshape(denom.shape + (1,) * (rhs.ndim - 2))
-    spec = _sine_transform(_sine_transform(rhs, 0), 1) / denom
+    # the grid axes go last; each pair of transforms runs x, then y
+    v = np.moveaxis(rhs, (0, 1), (-2, -1))
+    spec = _sine_lines(_sine_lines(v)) / (
+        coef * _symbol_sum(grid.nx, grid.ny, grid.hx, grid.hy))
     scale = 4.0 / ((grid.nx - 1) * (grid.ny - 1))
-    return scale * _sine_transform(_sine_transform(spec, 0), 1)
+    return np.moveaxis(scale * _sine_lines(_sine_lines(spec)), (-2, -1), (0, 1))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from minmaps import (ConformalMetric, FlowConfig, GridChart,
                      MapExpr, MapField, TheoremHypotheses, floatfmt, flow,
                      presets)
 from minmaps.errors import ConfigError, NumericalError
+
+import flow_oracle
 
 EUC = ConformalMetric.euclidean()
 
@@ -125,6 +128,33 @@ def test_nan_inside_stencil_reach_is_a_numerical_error():
     state.map = mf
     with pytest.raises(NumericalError, match="not finite"):
         flow.step(state, cfg)
+
+
+@pytest.mark.parametrize("plane", [2, 3, 4], ids=["jf", "phi", "theta"])
+def test_monitor_nan_inside_stencil_reach_is_a_numerical_error(monkeypatch, plane):
+    # a NaN in one area monitor at one interior point must not drop out of
+    # the extrema, while the NaN ring that the stencils leave on every map
+    # changes nothing
+    mf = presets.sine_bump(presets.z_squared_field(n=17), 0.01)
+    clean = flow.tension_pass(mf)
+    real, was_nan = flow.area_cosines, []
+
+    def poisoned(point):
+        def cosines(*args):
+            out = real(*args)
+            was_nan.append(bool(np.isnan(out[plane][point])))
+            out[plane][point] = np.nan
+            return out
+        return cosines
+
+    monkeypatch.setattr(flow, "area_cosines", poisoned((0, 7)))
+    ring = flow.tension_pass(mf)
+    assert was_nan == [True]
+    for name in ("min_phi", "min_theta", "max_abs_jf", "norm_H"):
+        assert getattr(ring, name) == getattr(clean, name), name
+    monkeypatch.setattr(flow, "area_cosines", poisoned((5, 7)))
+    with pytest.raises(NumericalError, match="not finite at 1 points"):
+        flow.tension_pass(mf)
 
 
 # ------------------------------------------------------------------ stepping
@@ -289,6 +319,20 @@ def test_anderson_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_anderson_matches_the_full_gram_oracle_bitwise(depth):
+    # one triangle of the Gram matrix gives the bytes of the full matrix
+    rng = np.random.default_rng(depth)
+    scales = 10.0 ** rng.uniform(-8, 0, size=2 * depth)
+    r = rng.standard_normal(7938)
+    dxs = [s * rng.standard_normal(7938) for s in scales[:depth]]
+    drs = [s * rng.standard_normal(7938) for s in scales[depth:]]
+    out, got = flow._anderson(r, dxs, drs)
+    ref, want = flow_oracle.anderson(r, dxs, drs)
+    assert got == want == depth
+    assert out.tobytes() == ref.tobytes()
+
+
 def test_anderson_halves_the_iterations_on_an_anisotropic_map(monkeypatch):
     # hyperbolic(0.5) over a stretched image: g^-1 is far from isotropic,
     # so a = max eig(g^-1) over-damps the plain iteration
@@ -431,6 +475,43 @@ def test_laplacian_solve_residual():
         for k in range(2):
             lap = grid.d_xx(u[..., k]) + grid.d_yy(u[..., k])
             assert np.abs(-coef * lap[interior] - rhs[..., k]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 6), (4, 3), (33, 20)])
+@pytest.mark.parametrize("components", [(), (2,)], ids=["2d", "3d"])
+def test_laplacian_solve_matches_the_oracle_bitwise(nx, ny, components):
+    # contiguous-row transforms give the bytes of the transforms across
+    # lines. The solve reads only the grid's shape and spacings, so grids
+    # below GridChart's minimum size come as plain namespaces
+    grid = SimpleNamespace(nx=nx, ny=ny, hx=1.0 / (nx - 1), hy=2.5 / (ny - 1))
+    rhs = np.random.default_rng(nx).standard_normal((nx - 2, ny - 2) + components)
+    for coef in (0.37, 2.5):
+        u = flow.solve_laplacian(rhs, coef, grid)
+        ref = flow_oracle.solve_laplacian(rhs, coef, grid)
+        assert u.shape == ref.shape == rhs.shape
+        assert u.tobytes() == ref.tobytes()
+
+
+def test_relaxation_matches_the_oracle_solver_bitwise(monkeypatch, tmp_path):
+    # D-mild (poincare_disc to hyperbolic(1.5)) relaxed to 1e-10 reaches
+    # the full Anderson depth; with the oracle's solve and Gram matrix it
+    # takes the same steps to the same final map bytes
+    grid = GridChart(-0.4, 0.4, -0.4, 0.4, 33, 33)
+    start = MapField.from_expr(grid, ConformalMetric.poincare_disc(),
+                               ConformalMetric.hyperbolic(1.5),
+                               MapExpr.parse("1.2*x + 0.3*y^2, 0.9*y - 0.2*x*y"))
+    cfg = FlowConfig(stop_tension=1e-10)
+    runs = []
+    for name in ("shipped", "oracle"):
+        if name == "oracle":
+            monkeypatch.setattr(flow, "solve_laplacian", flow_oracle.solve_laplacian)
+            monkeypatch.setattr(flow, "_anderson", flow_oracle.anderson)
+        result = flow.run_to_minimal(start, cfg)
+        assert result.converged
+        flow.write_snapshot(result.state.map, str(tmp_path / name))
+        runs.append((result.state.steps, (tmp_path / name).read_bytes()))
+        assert max(r.depth for r in result.state.monitors) == flow.ANDERSON_DEPTH
+    assert runs[0] == runs[1]
 
 
 def test_symbol_cache_keeps_no_chart_alive():

@@ -18,24 +18,26 @@ image.
 ``step`` (iterated by ``run_to_minimal``) is one iteration of a
 Laplacian-preconditioned fixed-point solver for tau(f) = 0:
 
-    delta = (-a Lap_h)^-1 tau(f),    f <- f + delta,
+    delta = (-Lap_h)^-1 (tau(f) / a),    f <- f + delta,
 
-per component, with Lap_h the 5-point Laplacian and a = max eig(g^-1)
-over the grid. It is the dt -> inf limit of the linearly implicit step
-(I - dt a Lap_h) delta = dt tau, which treats the constant-coefficient
-majorant a Lap_h of the principal part g^{ij} d_ij f implicitly (the
-stabilized splitting of Smereka 2003, applied to graph mean-curvature flow
-as in Deckelnick, Dziuk & Elliott 2005). Every caller wants the minimal
-map, not a time-accurate path, so the limit drops dt altogether. The solve
-is direct, by a type-I sine transform; the Dirichlet ring stays pinned
-(delta = 0 there). The iteration count to a given tension drop does not
-grow with the grid.
+per component, with Lap_h the 5-point Laplacian and a(x) = max eig(g^-1)
+at each interior point. It is the dt -> inf limit of the linearly implicit
+step (I - dt a Lap_h) delta = dt tau, which treats the majorant a Lap_h of
+the principal part g^{ij} d_ij f implicitly with a frozen at each point
+(the stabilized splitting of Smereka 2003, applied to graph mean-curvature
+flow as in Deckelnick, Dziuk & Elliott 2005); dividing by a before a fast
+Poisson solve preconditions the nonseparable operator as in Concus & Golub
+(SIAM J. Numer. Anal. 10, 1973). Every caller wants the minimal map, not a
+time-accurate path, so the limit drops dt altogether. The solve is direct,
+by a type-I sine transform; the Dirichlet ring stays pinned (delta = 0
+there). The iteration count to a given tension drop does not grow with
+the grid.
 
 Type-II Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni, SIAM J.
 Numer. Anal. 49, 2011) accelerates the iteration where g^-1 is far from
-isotropic and a over-damps the weaker directions. Its secant history
-belongs to the map it ends at: once a caller assigns `state.map`, the
-next step is plain.
+isotropic, which a scalar coefficient at each point cannot capture. Its
+secant history belongs to the map it ends at: once a caller assigns
+`state.map`, the next step is plain.
 
 A guard rejects a candidate whose image leaves the target chart or whose
 tension norm jumps by more than 10x. ``step`` then clears the history and
@@ -122,7 +124,8 @@ class TensionPass:
     min_phi: float
     min_theta: float
     max_abs_jf: float
-    eig_max: float             # max eig(g^-1): the solver's a
+    eig_max: np.ndarray        # (nx-2, ny-2): max eig(g^-1) at each
+                               # interior point, the solver's a(x)
 
 
 def tension_pass(mapfield: MapField) -> TensionPass:
@@ -215,10 +218,11 @@ def tension_pass(mapfield: MapField) -> TensionPass:
             f"flow monitors (|H|, J_f, phi, theta) are not finite at "
             f"{int(bad.sum())} points inside the stencil's reach")
 
-    # largest eigenvalue of ginv: the solver's coefficient
+    # largest eigenvalue of ginv at each interior point: the solver's
+    # coefficient
     tr = gi11 + gi22
     disc = np.sqrt(np.clip(dg ** 2 + 4.0 * gi12 ** 2, 0.0, None))
-    eig_max = float(np.max((0.5 * (tr + disc))[_INTERIOR]))
+    eig_max = (0.5 * (tr + disc))[_INTERIOR]
     return TensionPass(
         tau=tau,
         norm_tau=float(np.max(np.abs(tau_in))),
@@ -330,8 +334,9 @@ def _take_secants(state: FlowState, r: np.ndarray):
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one accepted solver iteration (rejections retry inside).
 
-    r = (-a Lap_h)^-1 tau with a = max eig(g^-1) is added on the structural
-    interior, so Dirichlet boundary values are carried over bit-identically.
+    r = (-Lap_h)^-1 (tau / a), with a = max eig(g^-1) at each point, is
+    added on the structural interior, so Dirichlet boundary values are
+    carried over bit-identically.
     With secant pairs from earlier steps of this map the first candidate is
     Anderson-mixed. A candidate is accepted when its image stays in the
     target chart and its tension norm grows at most 10x; each rejection
@@ -341,7 +346,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     current = state.map
     tp = current.tension
     shape = current.values[_INTERIOR].shape
-    r = solve_laplacian(tp.tau[_INTERIOR], tp.eig_max, current.grid).reshape(-1)
+    r = solve_laplacian(tp.tau[_INTERIOR] / tp.eig_max[..., None],
+                        current.grid).reshape(-1)
     dxs, drs = _take_secants(state, r)
     # a full plain step is r itself
     mixed, depth = _anderson(r, dxs, drs) if dxs else (r, 0)
@@ -407,16 +413,16 @@ def _symbol_sum(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
     return lsum
 
 
-def solve_laplacian(rhs: np.ndarray, coef: float, grid: GridChart) -> np.ndarray:
-    """Solve -coef Lap_h u = rhs on the structural interior: the solver's
+def solve_laplacian(rhs: np.ndarray, grid: GridChart) -> np.ndarray:
+    """Solve -Lap_h u = rhs on the structural interior: the solver's
     preconditioner. Lap_h is the 5-point Laplacian with the grid's spacings
     hx, hy; rhs and u cover the interior [1:-1, 1:-1] and u is zero on the
     ring. Trailing axes of rhs are independent components.
     """
     # the grid axes go last; each pair of transforms runs x, then y
     v = np.moveaxis(rhs, (0, 1), (-2, -1))
-    spec = _sine_lines(_sine_lines(v)) / (
-        coef * _symbol_sum(grid.nx, grid.ny, grid.hx, grid.hy))
+    spec = _sine_lines(_sine_lines(v)) / _symbol_sum(grid.nx, grid.ny,
+                                                     grid.hx, grid.hy)
     scale = 4.0 / ((grid.nx - 1) * (grid.ny - 1))
     return np.moveaxis(scale * _sine_lines(_sine_lines(spec)), (-2, -1), (0, 1))
 

@@ -34,17 +34,18 @@ with np.stack(..., axis=-1) or np.empty(shape + comps), and spell out
 reductions over component axes.
 
 Caching: a `MapField` keeps its factor samples, df, the induced metric
-(g, det g; g^-1 on first use) and its passes. `PointwiseGrid` keeps df,
-lam, mu, s, alpha2, beta2 and the area cosines; alpha1 and beta1 are
-turned from alpha2 and beta2 on each read, since only the graph frame reads
-them. df^T df lives only while the metric is built.
+(g, det g; g^-1 on first use), its area cosines (`area`, which the
+certificate reads) and its passes. `PointwiseGrid` keeps df, lam, mu, s,
+alpha2, beta2 and the field's area cosines; alpha1 and beta1 are turned
+from alpha2 and beta2 on each read, since only the graph frame reads them.
+df^T df lives only while the metric is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +57,7 @@ if TYPE_CHECKING:
     from .graph_geometry import GraphGrid, InducedMetric
 
 __all__ = [
-    "FactorSamples", "MapField", "PointwiseGrid",
+    "AreaCosines", "FactorSamples", "MapField", "PointwiseGrid",
     "singular_decomposition", "area_cosines", "pointwise_grid",
 ]
 
@@ -190,6 +191,15 @@ class MapField:
             self.source_samples.rho2, self.target_samples.rho2)
 
     @cached_property
+    def area(self) -> "AreaCosines":
+        """The area cosines of df over the grid (NaN where df is)."""
+        df = self.df_field
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return area_cosines(df[..., 0, 0], df[..., 0, 1], df[..., 1, 0],
+                                df[..., 1, 1], self.source_samples.rho2,
+                                self.target_samples.rho2, self.metric.det)
+
+    @cached_property
     def pointwise(self) -> "PointwiseGrid":
         return pointwise_grid(self)
 
@@ -320,7 +330,15 @@ def _orientation(s: np.ndarray) -> np.ndarray:
     return np.where(s < 0, -1.0, 1.0)
 
 
-def area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, det):
+class AreaCosines(NamedTuple):
+    u1: np.ndarray
+    u2: np.ndarray
+    jf: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
+
+
+def area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, det) -> AreaCosines:
     """(u1, u2, jf, phi, theta) by determinant ratios, from df's components
     (f1x = d f^1 / dx, ...), the squared factors and det g of the induced
     metric: u1 = sqrt(rhoM^4 / det g), u2 = det df sqrt(rhoN^4 / det g)."""
@@ -328,7 +346,7 @@ def area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, det):
     u2 = (f1x * f2y - f1y * f2x) * np.sqrt(rhoN2 ** 2 / det)
     with np.errstate(invalid="ignore", divide="ignore"):
         jf = u2 / u1
-    return u1, u2, jf, u1 - u2, u1 + u2
+    return AreaCosines(u1, u2, jf, u1 - u2, u1 + u2)
 
 
 @dataclass(frozen=True)
@@ -359,13 +377,10 @@ class PointwiseGrid:
 
 
 def pointwise_grid(mapfield: MapField) -> PointwiseGrid:
-    """Run the pointwise algebra over every grid point (vectorised)."""
+    """Run the pointwise algebra over every grid point (vectorised); the
+    area cosines are the field's `area`."""
     df = mapfield.df_field
-    rhoM2, rhoN2 = mapfield.source_samples.rho2, mapfield.target_samples.rho2
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam, mu, s, a2, b2 = _singular_data(df, rhoM2, rhoN2)
-        u1, u2, jf, phi, theta = area_cosines(
-            df[..., 0, 0], df[..., 0, 1], df[..., 1, 0], df[..., 1, 1],
-            rhoM2, rhoN2, mapfield.metric.det)
-    return PointwiseGrid(mapfield.grid, df, lam, mu, s, a2, b2,
-                         u1, u2, jf, phi, theta)
+        lam, mu, s, a2, b2 = _singular_data(df, mapfield.source_samples.rho2,
+                                            mapfield.target_samples.rho2)
+    return PointwiseGrid(mapfield.grid, df, lam, mu, s, a2, b2, *mapfield.area)

@@ -413,11 +413,12 @@ def _argext(a: np.ndarray, grid, pick_min: bool) -> tuple[float, tuple[float, fl
 def area_decreasing_certificate(mapfield: MapField,
                                 hypotheses: Optional[TheoremHypotheses] = None,
                                 *, tol: float = 0.0) -> Certificate:
-    """Certify phi >= -tol and theta >= -tol (equivalently |J_f| <= 1) on the grid."""
-    pw = mapfield.pointwise
-    min_phi, at_phi = _argext(pw.phi, mapfield.grid, True)
-    min_theta, at_theta = _argext(pw.theta, mapfield.grid, True)
-    max_jf, at_jf = _argext(np.abs(pw.jf), mapfield.grid, False)
+    """Certify phi >= -tol and theta >= -tol (equivalently |J_f| <= 1) on
+    the grid, from the field's area cosines alone."""
+    area = mapfield.area
+    min_phi, at_phi = _argext(area.phi, mapfield.grid, True)
+    min_theta, at_theta = _argext(area.theta, mapfield.grid, True)
+    max_jf, at_jf = _argext(np.abs(area.jf), mapfield.grid, False)
     hyp_ok = None
     if hypotheses is not None:
         hyp_ok = check_hypotheses(mapfield, hypotheses).ok

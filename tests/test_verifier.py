@@ -421,6 +421,19 @@ def test_certificate_tolerance_reclassifies():
     assert loose.area_decreasing
 
 
+def test_certificate_reads_the_area_cosines_without_the_singular_data():
+    # the certificate needs phi, theta and J_f only: on a fresh field it
+    # builds the area cosines and no pointwise grid, and a later pointwise
+    # grid holds those same planes
+    mf = presets.z_squared_field(n=33)
+    cert = area_decreasing_certificate(mf)
+    assert "area" in vars(mf) and "pointwise" not in vars(mf)
+    assert cert.min_phi == np.nanmin(mf.area.phi)
+    pw = mf.pointwise
+    for name in ("u1", "u2", "jf", "phi", "theta"):
+        assert getattr(pw, name) is getattr(mf.area, name), name
+
+
 # ------------------------------------------------------------- minimum probe
 
 HYP_POINCARE = TheoremHypotheses(1.0, 1.0)

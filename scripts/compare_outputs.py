@@ -11,6 +11,12 @@ final_map.txt on a grid whose spacings differ) is left out. `refine` takes
 no size (it runs its own ladder), so it runs once; with several sizes the
 other files are named by their size (`verify/z_squared/n129/verify.csv`).
 
+A preset's map is already minimal, so `flow` starts from it bumped by
+PERTURB (`[map] perturb` of a config on the preset's chart and grid), so
+that the solver steps. Each flow run prints its step count in both trees,
+and `not converged` where a tree's flow stopped short of its tolerance
+(which counts as a failed run).
+
 Usage: python scripts/compare_outputs.py OLD_TREE [NEW_TREE] [--n 65 ...]
                                          [--preset NAME ...]
 
@@ -35,16 +41,29 @@ COMMANDS = (("analyze", ("analysis.csv", "summary.txt")),
             ("flow", ("monitors.csv", "final_map.txt", "summary.txt")))
 
 
-def run_tree(tree: Path, out: Path, command: str, preset: str, n: int) -> int:
+PERTURB = 0.01
+
+
+def flow_config(path: Path, preset: str, n: int) -> Path:
+    """A flow config of the preset's map on its chart with n points per
+    axis, bumped by PERTURB."""
+    source, target, spec, chart, _ = presets.SCENARIO_SPECS[preset]
+    corners = [f"{k} = {v!r}" for k, v in zip(("x0", "x1", "y0", "y1"), chart)]
+    path.write_text("\n".join([
+        "[source]", f"metric = {source}", "[target]", f"metric = {target}",
+        "[map]", f"spec = {spec}", f"perturb = {PERTURB!r}",
+        "[grid]", f"nx = {n}", *corners]) + "\n")
+    return path
+
+
+def run_tree(tree: Path, out: Path, command: str, scenario: list) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    size = [] if command == "refine" else ["--grid", str(n)]
     proc = subprocess.run(
-        [sys.executable, "-m", "minmaps", command, "--preset", preset,
-         *size, "--out", str(out)],
+        [sys.executable, "-m", "minmaps", command, *scenario, "--out", str(out)],
         env=env, capture_output=True, text=True)
     if proc.returncode:
-        print(f"{tree}: {command} {preset} exited {proc.returncode}: "
-              f"{proc.stderr.strip()}")
+        print(f"{tree}: {command} {' '.join(scenario)} exited "
+              f"{proc.returncode}: {proc.stderr.strip()}")
     return proc.returncode
 
 
@@ -53,6 +72,14 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     with open(path) as fh:
         names = fh.readlines()[1].strip().split(",")
     return names, np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+
+
+def flow_steps(out: Path) -> tuple[str, bool]:
+    """The step count of a flow run and whether it converged."""
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines()
+                   if " = " in line)
+    return summary["steps"], summary["converged"] == "true"
 
 
 def text_report(old: Path, new: Path) -> list[str]:
@@ -98,7 +125,15 @@ def main():
             if command != "refine" and len(args.n) > 1:
                 run += f"/n{n}"
             outs = [Path(tmp) / side / run for side in ("old", "new")]
-            codes = [run_tree(tree.resolve(), out, command, preset, n)
+            if command == "flow":
+                cfg = Path(tmp) / "configs" / run.replace("/", "_")
+                cfg.parent.mkdir(exist_ok=True)
+                scenario = ["--config", str(flow_config(cfg, preset, n))]
+            else:
+                scenario = ["--preset", preset]
+                if command != "refine":
+                    scenario += ["--grid", str(n)]
+            codes = [run_tree(tree.resolve(), out, command, scenario)
                      for tree, out in zip((args.old, args.new), outs)]
             if any(codes):
                 failed = True
@@ -121,6 +156,14 @@ def main():
                 report = csv_report if name.endswith(".csv") else text_report
                 for line in report(old, new):
                     print(line)
+            if command == "flow":
+                (old, done_old), (new, done_new) = map(flow_steps, outs)
+                stopped = [side for side, done in (("old", done_old),
+                                                   ("new", done_new))
+                           if not done]
+                print(f"{run}: steps old {old}, new {new}"
+                      + "".join(f", not converged in {s}" for s in stopped))
+                failed = failed or bool(stopped)
     print(f"{same} of {total} files identical")
     return 1 if failed else 2 if same < total else 0
 

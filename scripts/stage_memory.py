@@ -3,8 +3,9 @@
 
 Runs the stages of a `verify` pass of one preset field in order: building
 the field with its pointwise pass, the graph pass, each identity, then the
-write of verify.csv, which holds only the residual planes and X, Y (as
-`minmaps verify` does, the field and the reports are dropped first). For
+write of verify.csv, which holds only the residual planes and the grid
+(as `minmaps verify` does: the field and the reports are dropped first,
+and x and y come from the grid's axes). For
 each stage it prints the memory the stage keeps (its cached passes and its
 residual fields) and the transient memory above that at the stage's peak;
 the last line is the peak of the whole pass. All figures come from
@@ -60,7 +61,8 @@ def main():
 
     mf = report("field", build)
     report("graph", lambda: mf.graph)
-    columns, fields = ["x", "y"], list(mf.grid.mesh())
+    grid = mf.grid
+    columns, fields = ["x", "y"], []
     for name, check in IDENTITY_CHECKS:
         comps = report(name, lambda c=check: c(mf)).components
         columns += [f"{name}.{comp}" for comp in comps]
@@ -68,7 +70,7 @@ def main():
     del mf, comps               # the write keeps only what it writes
     with tempfile.TemporaryDirectory() as tmp:
         report("write", lambda: _write_table(Path(tmp) / "verify.csv", "verify",
-                                             columns, fields))
+                                             columns, fields, grid))
     tracemalloc.stop()
     print(f"{'pass':<16} peak  {(pass_peak - start) / plane:6.1f}")
 

@@ -19,7 +19,9 @@ printf floating point conversion", OOPSLA 2019), instead of one bignum
 * a value whose product lies outside [1e16, 1e17) moves one decade and is
   grouped again;
 * the product is rounded half to even to a 17-digit integer. Under an
-  exact scale it is exact, so ties round as ``%.17g`` rounds them.
+  exact scale it is exact, so ties round as ``%.17g`` rounds them. The
+  groups only take their products: the range test and the rounding run
+  once per block, over every group's product at once.
 
 Python's own ``%.17g`` takes what the argument does not cover: values
 within 2^-30 of a rounding tie under an inexact scale, |X| > 280 (where
@@ -27,16 +29,20 @@ the Dekker split could overflow) and subnormals. So the output never rests
 on the error bound alone. nan, +-inf and +-0 are fixed words; a nan prints
 ``nan`` whatever its sign bit.
 
-The text is laid out in an ``(m*c, W + 1)`` byte buffer, one row per value
-and one separator byte at the end. Values sharing a decimal exponent share
-a layout, so each exponent group is filled with whole-row writes. Unused
-bytes are 0 in that buffer, and one compaction drops the zero bytes: no
-byte of ASCII text is 0. The templates pad with 0, a positive value's sign
-byte is zeroed, and the digits come with their trailing zeros as 0 bytes:
-the last nonzero quad (four digits) is read from a table of 0000 ... 9999
-whose trailing zeros are 0 bytes, and the zero quads after it are 0. Each
-group then fixes two bytes: the '.' goes where no digit follows it, and a
-value such as 120 gets the zeros of its integer part back.
+The text is laid out in an ``(m*(k+c), W + 1)`` byte buffer, one row per
+field and one separator byte at the end. A line may start with k fields
+formatted earlier (``write_table``'s axes: a grid's x and y, formatted once
+per table rather than once per point): value i of a c-column block goes to
+row i + k*(i // c + 1), and the k rows before each line's values take the
+lead's text. Values sharing a decimal exponent share a layout, so each
+exponent group is filled with whole-row writes. Unused bytes are 0 in that
+buffer, and one compaction drops the zero bytes: no byte of ASCII text is
+0. The templates pad with 0, a positive value's sign byte is zeroed, and
+the digits come with their trailing zeros as 0 bytes: the last nonzero
+quad (four digits) is read from a table of 0000 ... 9999 whose trailing
+zeros are 0 bytes, and the zero quads after it are 0. Each group then
+fixes two bytes: the '.' goes where no digit follows it, and a value such
+as 120 gets the zeros of its integer part back.
 """
 
 from __future__ import annotations
@@ -209,11 +215,10 @@ def _sorted_decimal(a: np.ndarray, X: np.ndarray | None = None,
     order = np.argsort(X, kind="stable")                     # radix
     a, X = a[order], X[order]
     tens, rests = _pow10()
-    D = np.empty(a.size, np.int64)
     # one scratch for every group's product: temporaries sized by group
     # would leave the heap fragmented and the process's resident set larger
     scratch = np.empty((5, a.size))
-    moved, unsure = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    unsure = [np.empty(0, np.intp)]
     for lo, hi in _groups(X):
         s = 16 - int(X[lo])
         p, q = _exact_product(a[lo:hi], float(tens[s - _S_MIN]),
@@ -224,19 +229,18 @@ def _sorted_decimal(a: np.ndarray, X: np.ndarray | None = None,
             # tie it cannot say which way the digits round
             unsure.append(lo + np.flatnonzero(
                 np.abs(np.abs(q - np.rint(q)) - 0.5) < _TIE_MARGIN))
-        low, high = _off(p, q)
-        # p >= 2^53 is an even integer, so rint settles exact ties half to
-        # even. Under an exact scale no D carries to 10^17: below 10^(X+1)
-        # the nearest double's product is at least 8 under 1e17
-        D[lo:hi] = p.astype(np.int64) + np.rint(q).astype(np.int64)
-        moved.append(lo + np.flatnonzero(low | high))
-    moved = np.concatenate(moved)
+    # scratch rows 0 and 1 now hold every value's p and q: one rounding
+    # pass over the block. p >= 2^53 is an even integer, so rint settles
+    # exact ties half to even. Under an exact scale no D carries to 10^17:
+    # below 10^(X+1) the nearest double's product is at least 8 under 1e17
+    p, q = scratch[0], scratch[1]
+    low, high = _off(p, q)
+    D = p.astype(np.int64) + np.rint(q).astype(np.int64)
+    moved = np.flatnonzero(low | high)
     ok = np.ones(a.size, bool)
     ok[np.concatenate(unsure)] = False
     if moved.size:
-        # scratch rows 0 and 1 still hold each value's p and q
-        low, high = _off(scratch[0, moved], scratch[1, moved])
-        X[moved] += high.astype(X.dtype) - low
+        X[moved] += high[moved].astype(X.dtype) - low[moved]
         if rounds > 1:
             at, d, x, sure = _sorted_decimal(a[moved], X[moved], rounds - 1)
             at = moved[at]
@@ -287,12 +291,39 @@ def format_block(block, sep: str = ",") -> bytes:
     return _block_text(np.asarray(block, dtype=np.float64), sep).tobytes()
 
 
-def _block_text(v: np.ndarray, sep: str) -> np.ndarray:
-    """The bytes of format_block(v, sep) as a uint8 array."""
+def _block_text(v: np.ndarray, sep: str,
+                lead: np.ndarray | None = None) -> np.ndarray:
+    """The bytes of format_block(v, sep) as a uint8 array. lead, an
+    (m, k, _WIDTH + 1) array of text rows, puts k fields, already
+    formatted, at the start of each line."""
     m, c = v.shape
-    if c == 0:
+    k = 0 if lead is None else lead.shape[1]
+    if c + k == 0:
         return np.full(m, ord("\n"), np.uint8)
-    flat = v.ravel()
+    buf = _text_buffer(v.ravel(), m * (c + k), k, c)
+    if k:
+        buf.reshape(m, c + k, -1)[:, :k] = lead
+    ends = buf[:, _WIDTH].reshape(m, c + k)
+    ends[:, :-1] = ord(sep)
+    ends[:, -1] = ord("\n")
+    return buf[buf != 0]
+
+
+def _slot(i: np.ndarray, k: int, c: int) -> np.ndarray:
+    """Line-buffer rows i + k * (i // c + 1) of values i, computed in i:
+    c values to a line, each line led by k rows."""
+    if k:
+        lines = i // c
+        lines += 1
+        lines *= k
+        i += lines
+    return i
+
+
+def _text_buffer(flat: np.ndarray, size: int, k: int = 0,
+                 c: int = 1) -> np.ndarray:
+    """A (size, _WIDTH + 1) buffer holding the text of flat[i] in row
+    _slot(i, k, c), with dropped bytes and the separator byte 0."""
     a, neg = np.abs(flat), np.signbit(flat)
 
     in_range = (a >= 10.0 ** -_MAX_EXP) & (a < 10.0 ** _MAX_EXP)
@@ -300,26 +331,26 @@ def _block_text(v: np.ndarray, sep: str) -> np.ndarray:
     rows, text, slow = _text_rows(a[fast])
     at = fast[rows]
     text[:, 0] *= neg[at]     # the sign byte: "-", or 0 when positive
-    buf = np.zeros((flat.size, _WIDTH + 1), np.uint8)
-    _rows(buf)[at] = _rows(text)
+    # allocated once the text rows exist: the line buffer and the
+    # product's scratch are never held at once
+    buf = np.zeros((size, _WIDTH + 1), np.uint8)
+    _rows(buf)[_slot(at, k, c)] = _rows(text)
     del text                  # scratch: free it before the compaction
 
     # outside the range: nan, +-inf, +-0, and subnormal or huge values
     out = np.flatnonzero(~in_range)
     r, sign = a[out], neg[out]
     nan, inf, zero = np.isnan(r), np.isinf(r), r == 0.0
+    python = np.concatenate([fast[slow], out[~(nan | inf | zero)]])
+    words = [f"{x:.17g}".encode() for x in flat[python].tolist()]
+    out, python = _slot(out, k, c), _slot(python, k, c)
     for word, where in ((b"nan", nan), (b"inf", inf & ~sign),
                         (b"-inf", inf & sign), (b"0", zero & ~sign),
                         (b"-0", zero & sign)):
         buf[out[where], :len(word)] = np.frombuffer(word, np.uint8)
-    for i in np.concatenate([fast[slow], out[~(nan | inf | zero)]]).tolist():
-        word = f"{flat[i]:.17g}".encode()
+    for i, word in zip(python.tolist(), words):
         buf[i, :len(word)] = np.frombuffer(word, np.uint8)
-
-    ends = buf[:, _WIDTH].reshape(m, c)
-    ends[:, :-1] = ord(sep)
-    ends[:, -1] = ord("\n")
-    return buf[buf != 0]
+    return buf
 
 
 def open_fresh(path):
@@ -333,14 +364,29 @@ def open_fresh(path):
     return open(path, "wb")
 
 
-def write_table(path, head: str, columns, sep: str = ",") -> None:
+def write_table(path, head: str, columns, sep: str = ",",
+                axes=None) -> None:
     """Write ``head``, then one line per point of the columns (each
-    flattened in C order) joined by ``sep``. Streamed in blocks of about
-    _BLOCK_VALUES values: no whole table's text or stacked copy is held."""
+    flattened in C order) joined by ``sep``. With ``axes = (xs, ys)`` the
+    points are those of the grid xs x ys in C order, and each line starts
+    with its point's x and y; the two axes are formatted once, not once per
+    point. Streamed in blocks of about _BLOCK_VALUES values: no whole
+    table's text or stacked copy is held."""
     flat = [np.reshape(np.asarray(c, np.float64), -1) for c in columns]
-    rows = max(1, _BLOCK_VALUES // len(flat))
+    if axes is None:
+        k, points = 0, flat[0].size
+    else:
+        xs, ys = (np.asarray(x, np.float64) for x in axes)
+        # one text row per axis value, led into every line of its point
+        xtext, ytext = (_text_buffer(x, x.size) for x in (xs, ys))
+        k, points = 2, xs.size * ys.size
+    rows = max(1, _BLOCK_VALUES // (len(flat) + k))
     with open_fresh(path) as fh:
         fh.write(head.encode())
-        for i in range(0, flat[0].size, rows):
-            fh.write(_block_text(np.stack([c[i:i + rows] for c in flat],
-                                          axis=-1), sep))
+        for i in range(0, points, rows):
+            block = np.stack([c[i:i + rows] for c in flat], axis=-1)
+            lead = None
+            if k:
+                ix, iy = _divmod(np.arange(i, i + len(block)), ys.size)
+                lead = np.stack((xtext[ix], ytext[iy]), axis=1)
+            fh.write(_block_text(block, sep, lead))

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .errors import NumericalError
 from .expressions import MapExpr
 from .surface import ConformalMetric, FactorKind, GridChart
 
@@ -71,9 +72,11 @@ _TINY_DF, _TINY_SCALE = 2.0 ** -500, 2.0 ** 600
 @dataclass(eq=False)
 class FactorSamples:
     """A conformal factor's rho^2, grad log rho and curvature, each sampled
-    on first use and kept; `points` returns the sample points. A custom
-    factor's rho is evaluated once, for rho^2: that sample is its positivity
-    check and the r^2 of its curvature."""
+    on first use and kept; `points` returns the sample points, which the
+    owner has checked against the factor's domain (a MapField checks its
+    grid and its image once, when it is made). A custom factor's rho is
+    evaluated once, for rho^2: that sample is its positivity check and the
+    r^2 of its curvature."""
 
     metric: ConformalMetric
     points: Callable[[], tuple[np.ndarray, np.ndarray]]
@@ -81,7 +84,7 @@ class FactorSamples:
     @cached_property
     def rho2(self) -> np.ndarray:
         x, y = self.points()
-        return np.broadcast_to(self.metric.rho(x, y) ** 2, x.shape)
+        return np.broadcast_to(self.metric._rho(x, y) ** 2, x.shape)
 
     @property
     def _custom(self) -> bool:
@@ -92,17 +95,25 @@ class FactorSamples:
         x, y = self.points()
         if self._custom:
             self.rho2           # rho, checked positive where it is sampled
-            ux, uy = self.metric._custom_log_rho_grad(x, y)
-        else:
-            ux, uy = self.metric.log_rho_grad(x, y)
+        ux, uy = self.metric._log_rho_grad(x, y)
         return np.broadcast_to(ux, x.shape), np.broadcast_to(uy, x.shape)
 
     @cached_property
     def curvature(self) -> np.ndarray:
         x, y = self.points()
-        K = (self.metric._custom_curvature(x, y, self.rho2) if self._custom
-             else self.metric.curvature(x, y))
+        K = self.metric._curvature(x, y, self.rho2 if self._custom else None)
         return np.broadcast_to(K, x.shape)
+
+
+def _check_formula(values: np.ndarray, what: str, grid: GridChart) -> None:
+    """Raise NumericalError unless values, (nx, ny, ...) samples of a
+    formula on grid, are finite at every point."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        point = finite.all(axis=tuple(range(2, values.ndim)))
+        bad = int(np.count_nonzero(~point))
+        raise NumericalError(f"{what} is not finite at {bad} of "
+                             f"{grid.nx * grid.ny} grid points")
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,9 @@ class MapField:
     def from_expr(cls, grid: GridChart, source: ConformalMetric,
                   target: ConformalMetric, expr: MapExpr) -> "MapField":
         X, Y = grid.mesh()
-        return cls(grid, source, target, expr(X, Y), expr=expr)
+        values = expr(X, Y)
+        _check_formula(values, "map formula", grid)
+        return cls(grid, source, target, values, expr=expr)
 
     def with_values(self, values: np.ndarray) -> "MapField":
         """Same chart data, new map values (drops the analytic formula).
@@ -170,7 +183,9 @@ class MapField:
         """Jacobian field (nx, ny, 2, 2); df[..., a, i] = d f^a / d x^i."""
         if self.expr is not None:
             X, Y = self.grid.mesh()
-            return self.expr.jacobian(X, Y)
+            df = self.expr.jacobian(X, Y)
+            _check_formula(df, "map formula's Jacobian", self.grid)
+            return df
         g = self.grid
         f1, f2 = self.values[..., 0], self.values[..., 1]
         df = _empty_planes((g.nx, g.ny), (2, 2))

@@ -80,17 +80,28 @@ class ConformalMetric:
                 f"{what} leaves the chart domain (max r = {float(np.sqrt(np.max(r2))):.6g} >= 1)")
 
     # ----------------------------------------------------------- evaluation
+    # Each public query checks its points against the chart domain, then
+    # runs its kernel; the kernels (_rho, _log_rho_grad, _curvature) take
+    # points already checked, as the factor samples of a MapField are.
 
-    def rho(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _checked(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """x, y as float arrays, checked inside a disc chart's domain."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if self.disc_domain:
+            self.check_domain(x, y)
+        return x, y
+
+    def rho(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._rho(*self._checked(x, y))
+
+    def _rho(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """rho at points inside the domain; a custom rho is checked positive."""
         if self.kind is FactorKind.EUCLIDEAN:
             return np.ones(np.broadcast(x, y).shape)
         if self.kind is FactorKind.POINCARE_DISC:
-            self.check_domain(x, y)
             return 2.0 / (1.0 - x * x - y * y)
         if self.kind is FactorKind.HYPERBOLIC_SCALED:
-            self.check_domain(x, y)
             return 2.0 / (math.sqrt(self.sigma) * (1.0 - x * x - y * y))
         if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
             return 2.0 / (1.0 + x * x + y * y)
@@ -101,23 +112,23 @@ class ConformalMetric:
 
     def log_rho_grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """(u_x, u_y) with u = log rho; closed form for presets."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = self._checked(x, y)
+        if self.kind is FactorKind.CUSTOM:
+            self._rho(x, y)  # positivity check
+        return self._log_rho_grad(x, y)
+
+    def _log_rho_grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(u_x, u_y) at points inside the domain, where a custom rho is
+        known positive."""
         if self.kind is FactorKind.EUCLIDEAN:
             z = np.zeros(np.broadcast(x, y).shape)
             return z, z.copy()
         if self.disc_domain:
-            self.check_domain(x, y)
             w = 1.0 - x * x - y * y
             return 2.0 * x / w, 2.0 * y / w
         if self.kind is FactorKind.SPHERE_STEREOGRAPHIC:
             w = 1.0 + x * x + y * y
             return -2.0 * x / w, -2.0 * y / w
-        self.rho(x, y)  # positivity check
-        return self._custom_log_rho_grad(x, y)
-
-    def _custom_log_rho_grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """(u_x, u_y) of a custom factor whose rho is known positive at (x, y)."""
         _, ux, uy, _ = self._programs
         return ux(x, y), uy(x, y)
 
@@ -135,17 +146,18 @@ class ConformalMetric:
     def curvature(self, x, y) -> np.ndarray:
         """Gauss curvature K = -rho^(-2) Laplace(log rho). A preset's constant
         K comes as a read-only broadcast, which stores a single value."""
+        return self._curvature(*self._checked(x, y))
+
+    def _curvature(self, x, y, rho2: Optional[np.ndarray] = None) -> np.ndarray:
+        """K at points inside the domain. A custom K reads rho2, the rho^2
+        sample at (x, y), evaluated here when not given."""
         constant = {FactorKind.EUCLIDEAN: 0.0, FactorKind.POINCARE_DISC: -1.0,
                     FactorKind.HYPERBOLIC_SCALED: -self.sigma,
                     FactorKind.SPHERE_STEREOGRAPHIC: 1.0}.get(self.kind)
         if constant is not None:
-            if self.disc_domain:
-                self.check_domain(x, y)
-            return np.broadcast_to(constant, np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        return self._custom_curvature(x, y, self.rho(x, y) ** 2)
-
-    def _custom_curvature(self, x, y, rho2: np.ndarray) -> np.ndarray:
-        """K of a custom factor from its rho^2 sample at (x, y)."""
+            return np.broadcast_to(constant, np.broadcast(x, y).shape)
+        if rho2 is None:
+            rho2 = self._rho(x, y) ** 2
         return -self._programs[3](x, y) / rho2
 
     def metric_tensor(self, x, y) -> np.ndarray:

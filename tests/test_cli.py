@@ -70,10 +70,13 @@ def test_point_tables_match_per_value_writer(tmp_path, monkeypatch, preset, n):
     expected, blocks = {}, {}
     write_table = cli._write_table
 
-    def spy(path, name, columns, fields):
-        expected[path.name] = table_bytes(name, columns, fields)
+    def spy(path, name, columns, fields, grid=None):
+        # the writer leads each line with the grid's x and y: the oracle
+        # formats them from the mesh, one value at a time
+        mesh = [] if grid is None else list(grid.mesh())
+        expected[path.name] = table_bytes(name, columns, mesh + list(fields))
         blocks[path.name] = divmod(n * n, floatfmt._BLOCK_VALUES // len(columns))
-        write_table(path, name, columns, fields)
+        write_table(path, name, columns, fields, grid)
 
     monkeypatch.setattr(cli, "_write_table", spy)
     for kind in ("analyze", "verify"):
@@ -157,13 +160,15 @@ def test_analyze_grid_override(tmp_path):
 
 def test_analyze_samples_no_log_rho_gradient(tmp_path, monkeypatch):
     # the pointwise pass and the certificate read rho^2 only; the gradient
-    # and curvature samples stay unevaluated
+    # and curvature samples stay unevaluated, through the public queries
+    # and through the kernels that the factor samples call
     from minmaps import ConformalMetric
 
     called = []
-    for name in ("log_rho_grad", "curvature"):
+    for name in ("log_rho_grad", "curvature", "_log_rho_grad", "_curvature"):
         monkeypatch.setattr(ConformalMetric, name,
-                            lambda self, x, y, _name=name: called.append(_name))
+                            lambda self, x, y, *rest, _name=name:
+                            called.append(_name))
     assert main(["analyze", "--preset", "z_squared", "--grid", "17",
                  "--out", str(tmp_path)]) == 0
     assert called == []
@@ -557,7 +562,37 @@ def test_flow_nan_sample_is_numerical_failure(tmp_path, capsys):
     with np.errstate(divide="ignore", invalid="ignore"):
         code = main(["flow", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
     assert code == 4
-    assert "tension is not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "map formula is not finite at 1 of 1089 grid points" in err
+    assert not (tmp_path / "run" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("kind", ["analyze", "verify"])
+@pytest.mark.parametrize("target, spec, half_width, bad", [
+    # 27 NaN rows of analysis.csv and a certificate that read true
+    ("euclidean", "sqrt(x + 0.5), y", 1, 18),
+    # a NaN image read as a chart-domain violation, "max r = nan >= 1"
+    ("poincare_disc", "sqrt(x + 0.1) * 0.5, y", 0.5, 36),
+], ids=["euclidean", "disc"])
+def test_formula_not_finite_on_the_grid_is_numerical_failure(
+        tmp_path, capsys, kind, target, spec, half_width, bad):
+    cfgfile = tmp_path / "nan.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = euclidean
+        [target]
+        metric = {target}
+        [map]
+        spec = expr:{spec}
+        [grid]
+        nx = 9
+        half_width = {half_width}
+    """))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        code = main([kind, "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert (f"map formula is not finite at {bad} of 81 grid points"
+            in capsys.readouterr().err)
     assert not (tmp_path / "run" / "summary.txt").exists()
 
 

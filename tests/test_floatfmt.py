@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from minmaps import floatfmt
 from minmaps.floatfmt import format_block, write_table
-from text_oracle import format_rows
+from text_oracle import format_rows, sorted_decimal_per_group, table_bytes
 
 
 def from_bits(bits):
@@ -265,3 +265,87 @@ def test_open_fresh_writes_into_a_fifo(tmp_path):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def assert_same_rounding(a):
+    """One rounding pass per block gives the per-group oracle's digits,
+    exponents, order and certainty, bit for bit."""
+    for got, want in zip(floatfmt._sorted_decimal(a),
+                         sorted_decimal_per_group(a)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def in_range(flat):
+    a = np.abs(flat)
+    return a[(a >= 10.0 ** -floatfmt._MAX_EXP) & (a < 10.0 ** floatfmt._MAX_EXP)]
+
+
+def test_one_rounding_pass_on_random_bit_patterns():
+    bits = np.random.default_rng(11).integers(0, 2 ** 64, 400_000,
+                                              dtype=np.uint64)
+    assert_same_rounding(in_range(bits.view(np.float64)))
+
+
+def test_one_rounding_pass_on_powers_of_ten():
+    # 10^k and both neighbours, where log10 misjudges X and values move
+    tens = np.array([float(f"1e{k}") for k in range(-280, 280)])
+    assert_same_rounding(in_range(np.concatenate(
+        [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])))
+
+
+def test_one_rounding_pass_on_every_block_of_the_point_tables():
+    # the blocks write_table cuts from analysis.csv and verify.csv of
+    # z_squared at n=257, and the two axes
+    from minmaps import presets
+    from minmaps.cli import IDENTITY_CHECKS
+
+    mf = presets.z_squared_field(n=257)
+    pw = mf.pointwise
+    tables = [[pw.lam, pw.mu, pw.s, pw.u1, pw.u2, pw.jf, pw.phi, pw.theta]]
+    tables.append([v for _, check in IDENTITY_CHECKS
+                   for v in check(mf).components.values()])
+    assert_same_rounding(in_range(np.concatenate([mf.grid.xs, mf.grid.ys])))
+    for columns in tables:
+        rows = floatfmt._BLOCK_VALUES // (len(columns) + 2)
+        flat = np.stack([c.ravel() for c in columns], axis=-1)
+        for i in range(0, flat.shape[0], rows):
+            assert_same_rounding(in_range(flat[i:i + rows].ravel()))
+
+
+def divisors(k):
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["below", "at", "above"]),
+       st.sampled_from([1e-8, 0.1, 0.25, 3e19]), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_write_table_with_axes_matches_the_mesh_columns(
+        tmp_path_factory, ncols, edge, step, seed, data):
+    # a block holds _BLOCK_VALUES // (ncols + 2) lines, x and y included:
+    # one line under, at and over a whole block, on any grid of that many
+    # points. The axes hold -0.0, and steps of 1e-8 and 3e19 are scaled by
+    # a 10^s that is no double
+    lines = floatfmt._BLOCK_VALUES // (ncols + 2)
+    points = {"below": lines - 1, "at": lines, "above": lines + 1}[edge]
+    ny = data.draw(st.sampled_from(divisors(points)), label="ny")
+    nx = points // ny
+    xs = (np.arange(nx) - nx // 2) * step
+    ys = (np.arange(ny) - ny // 3) * step / 3.0
+    xs[xs == 0.0] = -0.0
+    ys[ys == 0.0] = -0.0
+    rng = np.random.default_rng(seed)
+    shape = (ncols, nx, ny)
+    pick = rng.integers(0, 3, shape)
+    columns = np.select(
+        [pick == 0, pick == 1],
+        [rng.integers(0, 2 ** 64, shape, dtype=np.uint64).view(np.float64),
+         rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)],
+        rng.choice(np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+                             -2.2e-310, 1e300, -1e300]), shape))
+    path = tmp_path_factory.mktemp("axes") / "table.csv"
+    names = ["x", "y"] + [f"c{k}" for k in range(ncols)]
+    write_table(path, f"# minmaps t csv v1\n{','.join(names)}\n", columns,
+                axes=(xs, ys))
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    assert path.read_bytes() == table_bytes("t", names, [X, Y, *columns])

@@ -379,19 +379,21 @@ def test_stop_below_roundoff_never_reads_converged():
 
 def test_flow_samples_the_source_factor_once(monkeypatch):
     # each step's candidate shares the source samples of the current map,
-    # and the closing certificate reads them too
+    # and the closing certificate reads them too. The samples call the
+    # metric's unchecked kernels: the field checked its grid once
     mf = perturbed_z2()
     X, _ = mf.grid.mesh()
     sampled = []
-    for name in ("rho", "log_rho_grad", "curvature"):
-        def spy(self, x, y, _real=getattr(ConformalMetric, name), _name=name):
+    for name in ("_rho", "_log_rho_grad", "_curvature"):
+        def spy(self, x, y, *rest, _real=getattr(ConformalMetric, name),
+                _name=name):
             if np.array_equal(x, X):
                 sampled.append(_name)
-            return _real(self, x, y)
+            return _real(self, x, y, *rest)
         monkeypatch.setattr(ConformalMetric, name, spy)
     result = flow.run_to_minimal(mf, FlowConfig(stop_tension=1e-30, max_steps=5))
     assert result.state.steps == 5
-    assert sorted(sampled) == ["log_rho_grad", "rho"]
+    assert sorted(sampled) == ["_log_rho_grad", "_rho"]
 
 
 def test_flow_stall_raises():

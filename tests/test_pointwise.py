@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minmaps import ConformalMetric, GridChart, MapExpr, MapField, flow, presets
-from minmaps.errors import ChartDomainError
+from minmaps.errors import ChartDomainError, NumericalError
 from minmaps.pointwise import area_cosines, singular_decomposition
 
 from crosscheck_oracle import classification_masks
@@ -76,6 +76,43 @@ def test_with_values_checks_only_the_image(monkeypatch):
     checked.clear()
     MapField(mf.grid, mf.source, mf.target, mf.values)
     assert checked == ["grid", "map image"]
+
+
+def test_a_field_checks_the_chart_domain_once_per_sample_set(monkeypatch):
+    # the grid and the image are checked when the field is made; the factor
+    # samples that the graph pass and the four identities read (rho^2,
+    # grad log rho and K of both disc factors) call the unchecked kernels
+    from minmaps.cli import IDENTITY_CHECKS
+
+    checked = []
+    real = ConformalMetric.check_domain
+    monkeypatch.setattr(ConformalMetric, "check_domain",
+                        lambda self, x, y, what="point":
+                        checked.append(what) or real(self, x, y, what))
+    mf = presets.z_squared_field(n=33)
+    mf.graph
+    for _, check in IDENTITY_CHECKS:
+        check(mf)
+    assert checked == ["grid", "map image"]
+    for samples in (mf.source_samples, mf.target_samples):
+        assert {"rho2", "log_rho_grad", "curvature"} <= set(vars(samples))
+    # the public queries still check their points
+    with pytest.raises(ChartDomainError):
+        mf.source.rho(np.array(0.8), np.array(0.8))
+
+
+@pytest.mark.parametrize("text, what, bad", [
+    ("sqrt(x + 0.5), y", "map formula", 18),          # x = -1, -0.75
+    ("sqrt(x + 1), y", "map formula's Jacobian", 9),  # d/dx at x = -1
+])
+def test_a_formula_that_is_not_finite_on_the_grid_is_a_numerical_error(
+        text, what, bad):
+    # a NaN sample of an exact map would otherwise drop out of every
+    # extremum of the certificate
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(NumericalError,
+                           match=f"{what} is not finite at {bad} of 81 grid"):
+            euclidean_field(text).df_field
 
 
 def test_custom_factor_samples_rho_once_per_field():

@@ -31,12 +31,19 @@ def test_sweep_certificates():
 
 
 def test_compare_outputs_of_a_tree_with_itself():
+    # the flow starts from the preset bumped by 0.01, so the solver steps
     out = run_script("compare_outputs.py", str(ROOT), "--n", "17",
                      "--preset", "z_squared")
     assert out[-1] == "9 of 9 files identical"
-    assert len(out) == 10 and all(line.endswith(": identical") for line in out[:-1])
-    assert [line.split("/")[0] for line in out[:-1]] == (
+    files, flows = out[:9], out[9:-1]
+    assert all(line.endswith(": identical") for line in files)
+    assert [line.split("/")[0] for line in files] == (
         ["analyze"] * 2 + ["verify"] * 2 + ["refine"] * 2 + ["flow"] * 3)
+    assert len(flows) == 1
+    run, _, report = flows[0].partition(": ")
+    assert run == "flow/z_squared"
+    old, new = (int(word.rstrip(",")) for word in report.split()[2::2])
+    assert report == f"steps old {old}, new {new}" and old == new > 0
 
 
 def test_compare_outputs_exits_2_when_a_file_differs(tmp_path):

@@ -13,9 +13,12 @@ other files are named by their size (`verify/z_squared/n129/verify.csv`).
 
 A preset's map is already minimal, so `flow` starts from it bumped by
 PERTURB (`[map] perturb` of a config on the preset's chart and grid), so
-that the solver steps. Each flow run prints its step count in both trees,
-and `not converged` where a tree's flow stopped short of its tolerance
-(which counts as a failed run).
+that the solver steps. `flow-start` runs `flow --preset` on the preset
+itself: it takes few steps or none, and its first monitor row is the
+only flow output computed from the preset's formula (a bumped map has
+none). Each flow run prints its step count in both trees, and
+`not converged` where a tree's flow stopped short of its tolerance (which
+counts as a failed run).
 
 Usage: python scripts/compare_outputs.py OLD_TREE [NEW_TREE] [--n 65 ...]
                                          [--preset NAME ...]
@@ -35,10 +38,13 @@ import numpy as np
 
 from minmaps import presets
 
-COMMANDS = (("analyze", ("analysis.csv", "summary.txt")),
-            ("verify", ("verify.csv", "summary.txt")),
-            ("refine", ("refine.csv", "summary.txt")),
-            ("flow", ("monitors.csv", "final_map.txt", "summary.txt")))
+FLOW_FILES = ("monitors.csv", "final_map.txt", "summary.txt")
+# (run label, subcommand, files)
+COMMANDS = (("analyze", "analyze", ("analysis.csv", "summary.txt")),
+            ("verify", "verify", ("verify.csv", "summary.txt")),
+            ("refine", "refine", ("refine.csv", "summary.txt")),
+            ("flow-start", "flow", FLOW_FILES),
+            ("flow", "flow", FLOW_FILES))
 
 
 PERTURB = 0.01
@@ -113,19 +119,19 @@ def main():
     args = ap.parse_args()
 
     # refine runs its own ladder: once
-    runs = [(preset, command, files, n)
+    runs = [(preset, label, command, files, n)
             for preset in args.preset or sorted(presets.SCENARIOS)
-            for command, files in COMMANDS
+            for label, command, files in COMMANDS
             for n in (args.n[:1] if command == "refine" else args.n)]
     failed = False
     same = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for preset, command, files, n in runs:
-            run = f"{command}/{preset}"
+        for preset, label, command, files, n in runs:
+            run = f"{label}/{preset}"
             if command != "refine" and len(args.n) > 1:
                 run += f"/n{n}"
             outs = [Path(tmp) / side / run for side in ("old", "new")]
-            if command == "flow":
+            if label == "flow":
                 cfg = Path(tmp) / "configs" / run.replace("/", "_")
                 cfg.parent.mkdir(exist_ok=True)
                 scenario = ["--config", str(flow_config(cfg, preset, n))]

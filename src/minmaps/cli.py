@@ -80,7 +80,7 @@ from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import open_fresh, write_table
 from .flow import (MONITOR_COLUMNS, FlowConfig, run_to_minimal, write_monitors_csv,
                    write_snapshot)
-from .pointwise import MapField
+from .pointwise import FactorSamples, MapField
 from .surface import GridChart
 from .verifier import (area_decreasing_certificate, check_ladder,
                        convergence_study, verify_form_laplacian,
@@ -298,9 +298,8 @@ def _certificate_items(cert) -> list[tuple[str, object]]:
 def _run_curvature(cfg: ScenarioConfig) -> None:
     metric = presets.parse_metric_spec(cfg.source)
     grid = _grid_from_config(cfg)
-    X, Y = grid.mesh()
-    metric.check_domain(X, Y, what="grid")
-    K = np.broadcast_to(metric._curvature(X, Y), X.shape)
+    metric.check_domain(*grid.mesh(), what="grid")
+    K = FactorSamples(metric, grid.mesh).curvature
     _write_table(cfg.out / "curvature.csv", "curvature", CURVATURE_COLUMNS,
                  [K], grid)
     _write_summary(cfg.out / "summary.txt", "curvature", [

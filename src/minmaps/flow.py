@@ -10,8 +10,11 @@ stencils reach: only the Dirichlet ring is frozen. Moving f by tau rather
 than the embedding by H differs only by tangential reparametrization, so
 the stationary points agree while the chart stays fixed.
 
-The tension pass is cached on the map (`MapField.tension`) and reads the
-field's factor samples. A step's candidate shares the current map's source
+The tension pass is cached on the map (`MapField.tension`). It reads the
+field's factor samples, df, induced metric and area cosines, the planes
+that `graph_grid` and the certificate read, so every map has one mean
+curvature and the closing certificate reads what the last pass cached.
+A step's candidate shares the current map's source
 samples, so a step samples only the target factor, at the candidate's
 image.
 
@@ -56,8 +59,7 @@ import numpy as np
 
 from .errors import ChartDomainError, ConfigError, NumericalError
 from .floatfmt import open_fresh, write_table
-from .graph_geometry import induced_metric_arrays, pullback_products
-from .pointwise import MapField, area_cosines
+from .pointwise import MapField
 from .surface import GridChart
 from .verifier import Certificate, area_decreasing_certificate
 
@@ -139,26 +141,23 @@ def tension_pass(mapfield: MapField) -> TensionPass:
 
         (I + k df df^T) tau = b - df a,     det = det g / rhoM^4,
 
-    and |H|^2 = rhoM^2 k^2 |df^T tau|^2 + rhoN^2 |tau|^2. A tau or monitor
-    that is not finite inside the stencils' reach raises NumericalError.
+    and |H|^2 = rhoM^2 k^2 |df^T tau|^2 + rhoN^2 |tau|^2. df, g and the area
+    monitors are the field's (`df_field`, `metric`, `area`), so sup |H| is
+    `mapfield.graph.max_norm_H` to rounding. A tau or monitor that is not
+    finite inside the stencils' reach raises NumericalError.
     """
     # unrolled 2x2 component arithmetic throughout: the trailing dimensions
     # are tiny, so generic tensor contractions spend their time on overhead
     grid = mapfield.grid
     f1, f2 = mapfield.values[..., 0], mapfield.values[..., 1]
-    f1x, f1y = grid.d_x(f1), grid.d_y(f1)
-    f2x, f2y = grid.d_x(f2), grid.d_y(f2)
+    df = mapfield.df_field
+    f1x, f1y, f2x, f2y = df[..., 0, 0], df[..., 0, 1], df[..., 1, 0], df[..., 1, 1]
     rhoM2 = mapfield.source_samples.rho2
     uMx, uMy = mapfield.source_samples.log_rho_grad
     rhoN2 = mapfield.target_samples.rho2
     uNx, uNy = mapfield.target_samples.log_rho_grad
-
-    p11, p12, p22 = pullback_products(f1x, f1y, f2x, f2y)
-    m = induced_metric_arrays(p11, p12, p22, rhoM2, rhoN2)
-    detg, (gi11, gi12, gi22) = m.det, m.inverse()
-    # each `del` drops dead planes: a candidate's pass runs while the
-    # solver's secant history is live
-    del m, p11, p12, p22
+    detg = mapfield.metric.det
+    gi11, gi12, gi22 = mapfield.metric.inverse()
 
     # a factor with u = log rho traces to g^{ij} Gamma(v_i, v_j) =
     # (ux (q11 - q22) + 2 uy q12, -uy (q11 - q22) + 2 ux q12), with
@@ -173,6 +172,8 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     q11 = g11f1x * f1x + tg12 * f1x * f1y + g22f1y * f1y
     q22 = gi11 * f2x * f2x + tg12 * f2x * f2y + gi22 * f2y * f2y
     q12 = g11f1x * f2x + gi12 * (f1x * f2y + f1y * f2x) + g22f1y * f2y
+    # each `del` drops dead planes: a candidate's pass runs while the
+    # solver's secant history is live
     del g11f1x, g22f1y
     dq = q11 - q22
     del q11, q22
@@ -206,11 +207,12 @@ def tension_pass(mapfield: MapField) -> TensionPass:
     normH2 = (rhoM2 * k * k * (hM1 * hM1 + hM2 * hM2)
               + rhoN2 * (tau1 * tau1 + tau2 * tau2))
 
-    # area monitors through the certificate's kernel. The stencils leave
-    # them NaN on the Dirichlet ring only, so like tau they must be finite
-    # on the interior, where a NaN would otherwise drop out of the extrema
-    _, _, jf, phi, theta = area_cosines(f1x, f1y, f2x, f2y, rhoM2, rhoN2, detg)
-    normH2, jf, phi, theta = (a[_INTERIOR] for a in (normH2, jf, phi, theta))
+    # area monitors: the field's area cosines, which the certificate reads.
+    # Like tau they must be finite on the interior, where a NaN would
+    # otherwise drop out of the extrema
+    area = mapfield.area
+    normH2, jf, phi, theta = (a[_INTERIOR] for a in (normH2, area.jf, area.phi,
+                                                      area.theta))
     bad = ~(np.isfinite(normH2) & np.isfinite(jf) & np.isfinite(phi)
             & np.isfinite(theta))
     if bad.any():
@@ -470,10 +472,10 @@ def write_monitors_csv(state: FlowState, path: str) -> None:
       chart_exits    candidates rejected because the image left the chart
       tension_jumps  candidates rejected because norm_tau grew over 10x
 
-    The area columns share the certificate's kernel, `area_cosines`;
-    norm_H is the normal part of the same ambient Hessian that `graph_grid`
-    projects, so on a map without a formula it equals `verify`'s
-    minimality_defect to rounding.
+    The area columns are the field's area cosines, which the certificate
+    reads; norm_H is the normal part of the same ambient Hessian, from the
+    same df and metric, that `graph_grid` projects, so on every map it
+    equals `verify`'s minimality_defect to rounding.
     """
     lines = ["# minmaps flow monitors v2", ",".join(MONITOR_COLUMNS)]
     for r in state.monitors:   # MonitorRow's fields in order: ints, %.17g floats

@@ -28,8 +28,9 @@ and the factor samples. It stores no frame: `frame_rows` builds a row
 block's frame rows from that block's pointwise data where they are read,
 and keeps the last block built. H is the trace of A, summed on each read;
 R(e1, e2, e3, e4), max |H| and the identities' one Laplacian pair (Delta u1,
-Delta u2) are computed on first read and kept. `InducedMetric` keeps g and
-det g only: g^-1 and sqrt(det g) are formed per row block where read.
+Delta u2) are computed on first read and kept. The metric is the field's
+(`MapField.metric`, g and det g only): g^-1 and sqrt(det g) are formed per
+row block where read.
 
 Each pointwise sum of the graph pass, of the scalar operators and of the
 identities (`verifier`) is one numpy expression in the operation order of
@@ -51,12 +52,12 @@ from functools import cached_property
 import numpy as np
 
 from . import stencils
-from .pointwise import MapField, PointwiseGrid, _empty_planes, _orientation
+from .pointwise import (InducedMetric, MapField, PointwiseGrid, _empty_planes,
+                        _orientation)
 from .surface import GridChart
 
 __all__ = [
-    "GraphGrid", "InducedMetric", "graph_grid", "pullback_products",
-    "induced_metric_arrays",
+    "GraphGrid", "graph_grid",
     "ambient_curvature", "laplace_beltrami_array", "gradient_norm_sq_array",
     "pullback_form", "form_on_frame",
 ]
@@ -91,41 +92,6 @@ def pullback_form(which: int, X: np.ndarray, Y: np.ndarray,
                                                - X[..., b] * Y[..., a])
 
 
-@dataclass(frozen=True)
-class InducedMetric:
-    """The graph's induced metric g = rhoM^2 I + rhoN^2 df^T df by components:
-    g and det g only; g^-1 (`inverse`) is formed on each read."""
-
-    g11: np.ndarray
-    g12: np.ndarray
-    g22: np.ndarray
-    det: np.ndarray
-
-    def inverse(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
-        """(g^11, g^12, g^22) over the rows, formed on each call."""
-        det = self.det[rows]
-        return self.g22[rows] / det, -self.g12[rows] / det, self.g11[rows] / det
-
-
-def pullback_products(f1x, f1y, f2x, f2y):
-    """(p11, p12, p22) of df^T df, from the four components of df
-    (f1x = d f^1 / dx, ...)."""
-    p11 = f1x * f1x + f2x * f2x
-    p12 = f1x * f1y + f2x * f2y
-    p22 = f1y * f1y + f2y * f2y
-    return p11, p12, p22
-
-
-def induced_metric_arrays(p11, p12, p22, rhoM2, rhoN2) -> InducedMetric:
-    """Induced metric of the graph and its determinant, from df^T df
-    (`pullback_products`) and the squared factors."""
-    g11 = rhoM2 + rhoN2 * p11
-    g12 = rhoN2 * p12
-    g22 = rhoM2 + rhoN2 * p22
-    det = g11 * g22 - g12 * g12
-    return InducedMetric(g11, g12, g22, det)
-
-
 # ---------------------------------------------------------------- grid pass
 
 @dataclass(frozen=True)
@@ -151,13 +117,9 @@ class GraphGrid:
         """(nx, ny, 2): (H^3, H^4), the trace of A."""
         return self.A[..., 0, 0] + self.A[..., 1, 1]
 
-    @property
-    def frame(self) -> np.ndarray:
-        """(nx, ny, 4, 4), frame[..., a, :] = e_{a+1}, built on each read."""
-        return _adapted_frame_arrays(self.pw)
-
     def frame_rows(self, rows: slice) -> np.ndarray:
-        """frame[rows] from the pointwise data of those rows; the last block
+        """(rows, ny, 4, 4), frame[..., a, :] = e_{a+1}, from the pointwise
+        data of those rows (`slice(None)`: the whole grid); the last block
         built is kept in _last_rows, so the readers of a block build it once."""
         last = self._last_rows
         if last[0] != rows:
@@ -353,8 +315,8 @@ def gradient_norm_sq_array(u: np.ndarray, metric: InducedMetric,
 
 def form_on_frame(gg: GraphGrid, which: int, a: int, b: int,
                   rows: slice = slice(None)) -> np.ndarray:
-    """omega_which(e_a, e_b) over the grid (or over a row block, from
-    `frame_rows`), frame indices in 1..4."""
-    E = gg.frame if rows == slice(None) else gg.frame_rows(rows)
+    """omega_which(e_a, e_b) over a row block (default: the whole grid), from
+    `frame_rows`, frame indices in 1..4."""
+    E = gg.frame_rows(rows)
     return pullback_form(which, E[..., a - 1, :], E[..., b - 1, :],
                          gg.rhoM2[rows], gg.rhoN2[rows])

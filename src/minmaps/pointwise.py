@@ -20,8 +20,8 @@ scalar invariants of the graph of f at a point are functions of
 These define the quantities; `area_cosines` computes them without the
 singular values, by determinant ratios: the induced metric g has
 det g = rhoM^4 (1 + lambda^2)(1 + mu^2), so u1 = sqrt(rhoM^4 / det g) and
-u2 = det df sqrt(rhoN^4 / det g). The certificate and the flow's monitors
-share it.
+u2 = det df sqrt(rhoN^4 / det g). A field's `area` is the one call per
+map: the certificate and the flow's monitors both read it.
 
 Conventions: (alpha1, alpha2) is positively oriented in the source chart, so
 the area form of the source evaluates to +1 on it; the beta frame inherits
@@ -34,11 +34,12 @@ with np.stack(..., axis=-1) or np.empty(shape + comps), and spell out
 reductions over component axes.
 
 Caching: a `MapField` keeps its factor samples, df, the induced metric
-(g, det g; g^-1 on first use), its area cosines (`area`, which the
-certificate reads) and its passes. `PointwiseGrid` keeps df, lam, mu, s,
-alpha2, beta2 and the field's area cosines; alpha1 and beta1 are turned
-from alpha2 and beta2 on each read, since only the graph frame reads them.
-df^T df lives only while the metric is built.
+(g and det g; g^-1 is formed where it is read), its area cosines (`area`)
+and its passes; the graph pass, the tension pass and the certificate all
+read these. `PointwiseGrid` keeps df, lam, mu, s, alpha2, beta2 and the
+field's area cosines; alpha1 and beta1 are turned from alpha2 and beta2 on
+each read, since only the graph frame reads them. df^T df lives only
+while the metric is built.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ from .surface import ConformalMetric, FactorKind, GridChart
 
 if TYPE_CHECKING:
     from .flow import TensionPass
-    from .graph_geometry import GraphGrid, InducedMetric
+    from .graph_geometry import GraphGrid
 
 __all__ = [
-    "AreaCosines", "FactorSamples", "MapField", "PointwiseGrid",
+    "AreaCosines", "FactorSamples", "InducedMetric", "MapField", "PointwiseGrid",
     "singular_decomposition", "area_cosines", "pointwise_grid",
 ]
 
@@ -76,7 +77,8 @@ class FactorSamples:
     owner has checked against the factor's domain (a MapField checks its
     grid and its image once, when it is made). A custom factor's rho is
     evaluated once, for rho^2: that sample is its positivity check and the
-    r^2 of its curvature."""
+    r^2 of its curvature. A rho^2 that is not finite and positive (rho
+    overflowing or underflowing when squared) raises NumericalError."""
 
     metric: ConformalMetric
     points: Callable[[], tuple[np.ndarray, np.ndarray]]
@@ -84,7 +86,14 @@ class FactorSamples:
     @cached_property
     def rho2(self) -> np.ndarray:
         x, y = self.points()
-        return np.broadcast_to(self.metric._rho(x, y) ** 2, x.shape)
+        with np.errstate(over="ignore", under="ignore"):
+            rho2 = np.broadcast_to(self.metric._rho(x, y) ** 2, x.shape)
+        bad = np.count_nonzero(~(np.isfinite(rho2) & (rho2 > 0)))
+        if bad:
+            raise NumericalError(
+                f"the {self.metric.kind.value} factor's rho^2 is not finite "
+                f"and positive at {bad} of {rho2.size} sample points")
+        return rho2
 
     @property
     def _custom(self) -> bool:
@@ -114,6 +123,22 @@ def _check_formula(values: np.ndarray, what: str, grid: GridChart) -> None:
         bad = int(np.count_nonzero(~point))
         raise NumericalError(f"{what} is not finite at {bad} of "
                              f"{grid.nx * grid.ny} grid points")
+
+
+@dataclass(frozen=True)
+class InducedMetric:
+    """The graph's induced metric g = rhoM^2 I + rhoN^2 df^T df by components:
+    g and det g only; g^-1 (`inverse`) is formed on each read."""
+
+    g11: np.ndarray
+    g12: np.ndarray
+    g22: np.ndarray
+    det: np.ndarray
+
+    def inverse(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """(g^11, g^12, g^22) over the rows, formed on each call."""
+        det = self.det[rows]
+        return self.g22[rows] / det, -self.g12[rows] / det, self.g11[rows] / det
 
 
 @dataclass(frozen=True)
@@ -196,14 +221,16 @@ class MapField:
         return df
 
     @cached_property
-    def metric(self) -> "InducedMetric":
-        # imported here: graph_geometry and flow import this module
-        from .graph_geometry import induced_metric_arrays, pullback_products
-        df = self.df_field
-        return induced_metric_arrays(
-            *pullback_products(df[..., 0, 0], df[..., 0, 1],
-                               df[..., 1, 0], df[..., 1, 1]),
-            self.source_samples.rho2, self.target_samples.rho2)
+    def metric(self) -> InducedMetric:
+        """The graph's induced metric rhoM^2 I + rhoN^2 df^T df and det g."""
+        df, rhoM2, rhoN2 = (self.df_field, self.source_samples.rho2,
+                            self.target_samples.rho2)
+        f1x, f1y, f2x, f2y = (df[..., 0, 0], df[..., 0, 1], df[..., 1, 0],
+                              df[..., 1, 1])
+        g11 = rhoM2 + rhoN2 * (f1x * f1x + f2x * f2x)
+        g12 = rhoN2 * (f1x * f1y + f2x * f2y)
+        g22 = rhoM2 + rhoN2 * (f1y * f1y + f2y * f2y)
+        return InducedMetric(g11, g12, g22, g11 * g22 - g12 * g12)
 
     @cached_property
     def area(self) -> "AreaCosines":

@@ -96,7 +96,7 @@ def parse_metric_spec(text: str) -> ConformalMetric:
         return ConformalMetric.poincare_disc()
     if text == "sphere":
         return ConformalMetric.sphere()
-    if text.startswith("hyperbolic"):
+    if text == "hyperbolic" or text.startswith("hyperbolic:"):
         _, _, tail = text.partition(":")
         if not tail:
             raise ConfigError("hyperbolic metric needs a curvature scale, e.g. hyperbolic:2")

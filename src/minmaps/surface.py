@@ -56,8 +56,10 @@ class ConformalMetric:
     expr: Optional[Node] = None
 
     def __post_init__(self):
-        if self.kind is FactorKind.HYPERBOLIC_SCALED and not self.sigma > 0:
-            raise ConfigError("hyperbolic_scaled requires sigma > 0")
+        if (self.kind is FactorKind.HYPERBOLIC_SCALED
+                and not (math.isfinite(self.sigma) and self.sigma > 0)):
+            raise ConfigError("hyperbolic_scaled requires a finite sigma > 0 "
+                              f"(got {self.sigma!r})")
         if self.kind is FactorKind.CUSTOM and self.expr is None:
             raise ConfigError("custom factor needs an expression")
 

@@ -35,10 +35,10 @@ import numpy as np
 from . import stencils
 from .errors import ConfigError
 from .graph_geometry import (
-    GraphGrid, InducedMetric, _row_blocks, _rows_stencil, ambient_curvature,
-    form_on_frame, gradient_norm_sq_array,
+    GraphGrid, _row_blocks, _rows_stencil, ambient_curvature, form_on_frame,
+    gradient_norm_sq_array,
 )
-from .pointwise import MapField, _empty_planes
+from .pointwise import InducedMetric, MapField, _empty_planes
 from .surface import TheoremHypotheses
 
 __all__ = [

@@ -30,8 +30,8 @@ def kahler_angle_crosscheck(gg) -> tuple[np.ndarray, np.ndarray]:
     J2 rotates both. Pairing J e1 with e2 under the product metric must
     reproduce u1 -/+ u2.
     """
-    e1 = gg.frame[..., 0, :]
-    e2 = gg.frame[..., 1, :]
+    frame = gg.frame_rows(slice(None))
+    e1, e2 = frame[..., 0, :], frame[..., 1, :]
     rotM = _rot(e1[..., 0:2])
     rotN = _rot(e1[..., 2:4])
     j1e1 = np.concatenate([rotM, -rotN], axis=-1)

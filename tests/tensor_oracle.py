@@ -265,7 +265,7 @@ def stored_planes(pw, gg):
     beta1[..., 0] = sgn * pw.beta2[..., 1]
     beta1[..., 1] = -sgn * pw.beta2[..., 0]
     H = gg.A[..., 0, 0] + gg.A[..., 1, 1]
-    E = gg.frame
+    E = gg.frame_rows(slice(None))
     rt = ambient_curvature(E[..., 0, :], E[..., 1, :], E[..., 2, :], E[..., 3, :],
                            gg.rhoM2, gg.rhoN2, gg.sigmaM, gg.sigmaN)
     return alpha1, beta1, H, rt

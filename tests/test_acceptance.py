@@ -123,12 +123,12 @@ def test_criterion_5_pointwise_crosschecks_every_fixture():
     worst = {"gram": 0.0, "ustar": 0.0, "angle": 0.0, "commutator": 0.0}
     for name in FIXTURES:
         gg = graph_grid(field(name))
-        pw = gg.pw
-        okf = np.all(np.isfinite(gg.frame), axis=(-2, -1))
+        pw, frame = gg.pw, gg.frame_rows(slice(None))
+        okf = np.all(np.isfinite(frame), axis=(-2, -1))
         for a in range(4):
             for b in range(4):
-                gram = product_inner(gg.rhoM2, gg.rhoN2, gg.frame[..., a, :],
-                                     gg.frame[..., b, :])
+                gram = product_inner(gg.rhoM2, gg.rhoN2, frame[..., a, :],
+                                     frame[..., b, :])
                 err = np.abs(gram[okf] - (1.0 if a == b else 0.0)).max()
                 worst["gram"] = max(worst["gram"], float(err))
         w1 = form_on_frame(gg, 1, 1, 2)

@@ -596,6 +596,58 @@ def test_formula_not_finite_on_the_grid_is_numerical_failure(
     assert not (tmp_path / "run" / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("kind", ["analyze", "verify", "flow"])
+@pytest.mark.parametrize("target, code, message", [
+    # certified area_decreasing = true with max_abs_jf = 0
+    ("hyperbolic:inf", 2, "config error: hyperbolic_scaled requires a finite "
+                          "sigma > 0 (got inf)"),
+    # a NaN certificate, and a verify whose every norm read 0
+    ("custom:exp(1000)", 4, "numerical failure: the custom factor's rho^2 is "
+                            "not finite and positive at 289 of 289 sample points"),
+    # rho^2 = 4 / (sigma (1 - r^2)^2) overflows
+    ("hyperbolic:1e-320", 4, "numerical failure: the hyperbolic_scaled "
+                             "factor's rho^2 is not finite and positive at "
+                             "289 of 289 sample points"),
+    ("hyperbolicXYZ:2", 2, "config error: unknown metric 'hyperbolicXYZ:2'"),
+], ids=["sigma_inf", "rho_overflow", "sigma_subnormal", "misspelled"])
+def test_target_factor_not_finite_is_a_failure(tmp_path, capsys, kind, target,
+                                                code, message):
+    cfgfile = tmp_path / "factor.ini"
+    cfgfile.write_text(textwrap.dedent(f"""\
+        [source]
+        metric = poincare_disc
+        [target]
+        metric = {target}
+        [map]
+        spec = z_squared
+        [grid]
+        nx = 17
+        half_width = {Z2_HALF!r}
+    """))
+    out = tmp_path / "run"
+    assert main([kind, "--config", str(cfgfile), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("metric, code, message", [
+    # K.min read -inf
+    ("hyperbolic:inf", 2, "config error: hyperbolic_scaled requires a finite "
+                          "sigma > 0 (got inf)"),
+    # rho^2 underflowed to 0: every K read nan, and the run exited 0
+    ("custom:exp(-400)", 4, "numerical failure: the custom factor's rho^2 is "
+                            "not finite and positive at 4225 of 4225 sample "
+                            "points"),
+], ids=["sigma_inf", "rho_underflow"])
+def test_curvature_of_a_factor_not_finite_is_a_failure(tmp_path, capsys, metric,
+                                                       code, message):
+    with np.errstate(under="ignore"):
+        assert main(["curvature", "--preset", metric,
+                     "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("section,line", [("tolerances", "stop_tension = nan")])
 def test_flow_bad_step_settings_are_config_errors(tmp_path, capsys, section, line):
     cfgfile = tmp_path / "flow.ini"

@@ -15,7 +15,7 @@ import pytest
 
 from minmaps import (ConformalMetric, FlowConfig, GridChart,
                      MapExpr, MapField, TheoremHypotheses, floatfmt, flow,
-                     presets)
+                     pointwise, presets)
 from minmaps.errors import ConfigError, NumericalError
 
 import flow_oracle
@@ -104,13 +104,70 @@ def test_tension_queries_share_one_pass(monkeypatch):
 
 
 def test_tension_pass_monitors_match_pointwise_route(z2_33):
-    # monitor extrema and the pointwise pass share one kernel; on the same
-    # stencil-limited map (no formula: finite-difference df) they are equal
-    tp = flow.tension_pass(z2_33)
-    bare = MapField(z2_33.grid, z2_33.source, z2_33.target, z2_33.values).pointwise
-    assert tp.min_phi == np.nanmin(bare.phi)
-    assert tp.min_theta == np.nanmin(bare.theta)
-    assert tp.max_abs_jf == np.nanmax(np.abs(bare.jf))
+    # the monitors are interior extrema of the field's own area planes, the
+    # ones the pointwise pass (and so the certificate) reads: on a map with
+    # a formula (exact df) and on one without (finite-difference df)
+    bare = MapField(z2_33.grid, z2_33.source, z2_33.target, z2_33.values)
+    for mf in (z2_33, bare):
+        tp, pw = flow.tension_pass(mf), mf.pointwise
+        assert pw.phi is mf.area.phi
+        inner = np.s_[1:-1, 1:-1]
+        assert tp.min_phi == np.min(pw.phi[inner])
+        assert tp.min_theta == np.min(pw.theta[inner])
+        assert tp.max_abs_jf == np.max(np.abs(pw.jf[inner]))
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("name", sorted(presets.SCENARIOS))
+def test_tension_and_graph_mean_curvature_agree_on_every_map(name, n):
+    # the tension pass and graph_grid read one df and one metric, so sup |H|
+    # agrees to rounding on a preset (exact df from its formula) as on a
+    # bumped map (finite-difference df); below 1e-10 both are rounding
+    for eps in (0.0, 0.05):
+        mf = presets.sine_bump(presets.SCENARIOS[name](n=n), eps)
+        want, got = mf.graph.max_norm_H, flow.tension_pass(mf).norm_H
+        if want > 1e-10:
+            assert abs(got - want) <= 1e-10 * want, eps
+        else:
+            assert got <= 1e-10, eps
+
+
+def test_run_to_minimal_takes_one_area_pass_per_evaluated_map(monkeypatch):
+    # each map whose tension is evaluated (the start, every accepted and
+    # every tension-jump candidate) computes its area cosines once, and the
+    # closing certificate reads the last map's cached planes: no call
+    real_area, real_tension = pointwise.area_cosines, flow.tension_pass
+    real_cert = flow.area_decreasing_certificate
+    calls, evaluated, at_cert = [], [], []
+
+    def area(*args):
+        calls.append(len(evaluated))
+        return real_area(*args)
+
+    def tension(mf):
+        evaluated.append(mf)
+        return real_tension(mf)
+
+    def cert(mf, *args, **kwargs):
+        at_cert.append(len(calls))
+        out = real_cert(mf, *args, **kwargs)
+        at_cert.append(len(calls))
+        return out
+
+    start = presets.sine_bump(presets.z_squared_field(n=33), 0.05)
+    # the stop is read off a copy, which leaves the start's planes uncached
+    copy = start.with_values(start.values)
+    cfg = FlowConfig(stop_tension=copy.tension.norm_tau / 1000.0)
+    monkeypatch.setattr(pointwise, "area_cosines", area)
+    monkeypatch.setattr(flow, "tension_pass", tension)
+    monkeypatch.setattr(flow, "area_decreasing_certificate", cert)
+    result = flow.run_to_minimal(start, cfg)
+    state = result.state
+    assert result.converged and state.steps >= 3
+    k = 1 + state.steps + sum(r.tension_jumps for r in state.monitors)
+    assert len(evaluated) == k and len({id(m) for m in evaluated}) == k
+    assert calls == list(range(1, k + 1))
+    assert at_cert == [k, k]
 
 
 def test_last_monitor_row_equals_the_certificate(z2_65):
@@ -148,7 +205,7 @@ def test_monitor_nan_inside_stencil_reach_is_a_numerical_error(monkeypatch, plan
     # changes nothing
     mf = presets.sine_bump(presets.z_squared_field(n=17), 0.01)
     clean = flow.tension_pass(mf)
-    real, was_nan = flow.area_cosines, []
+    real, was_nan = pointwise.area_cosines, []
 
     def poisoned(point):
         def cosines(*args):
@@ -158,14 +215,16 @@ def test_monitor_nan_inside_stencil_reach_is_a_numerical_error(monkeypatch, plan
             return out
         return cosines
 
-    monkeypatch.setattr(flow, "area_cosines", poisoned((0, 7)))
-    ring = flow.tension_pass(mf)
+    # the tension pass reads the field's area cosines: each pass below runs
+    # on a fresh copy of the map, whose area planes are not cached yet
+    monkeypatch.setattr(pointwise, "area_cosines", poisoned((0, 7)))
+    ring = flow.tension_pass(mf.with_values(mf.values))
     assert was_nan == [True]
     for name in ("min_phi", "min_theta", "max_abs_jf", "norm_H"):
         assert getattr(ring, name) == getattr(clean, name), name
-    monkeypatch.setattr(flow, "area_cosines", poisoned((5, 7)))
+    monkeypatch.setattr(pointwise, "area_cosines", poisoned((5, 7)))
     with pytest.raises(NumericalError, match="not finite at 1 points"):
-        flow.tension_pass(mf)
+        flow.tension_pass(mf.with_values(mf.values))
 
 
 # ------------------------------------------------------------------ stepping

@@ -59,11 +59,12 @@ ALL_FIXTURES = ["z2_33", "z2_mixed_33", "paper_33", "identity_33",
 def test_frame_is_product_orthonormal(name, request):
     mf = request.getfixturevalue(name)
     gg = graph_grid(mf)
-    ok = np.all(np.isfinite(gg.frame), axis=(-2, -1))
+    frame = gg.frame_rows(slice(None))
+    ok = np.all(np.isfinite(frame), axis=(-2, -1))
     assert ok.any()
     for a in range(4):
         for b in range(4):
-            got = product_inner(gg.rhoM2, gg.rhoN2, gg.frame[..., a, :], gg.frame[..., b, :])
+            got = product_inner(gg.rhoM2, gg.rhoN2, frame[..., a, :], frame[..., b, :])
             want = 1.0 if a == b else 0.0
             assert np.abs(got[ok] - want).max() <= 1e-12
 
@@ -73,7 +74,7 @@ def test_frame_positively_oriented_across_sign_change(paper_33):
     # signed fourth leg keeps the frame orientation constant anyway
     gg = graph_grid(paper_33)
     assert float(gg.pw.jf.min()) < 0 < float(gg.pw.jf.max())
-    dets = np.linalg.det(gg.frame)
+    dets = np.linalg.det(gg.frame_rows(slice(None)))
     assert dets.min() > 0
 
 
@@ -94,7 +95,7 @@ def test_conformal_kernel_matches_tensor_oracle(name, request):
     for got, want in ((pw.lam, ref.lam), (pw.mu, ref.mu),
                       (pw.alpha1, ref.alpha1), (pw.alpha2, ref.alpha2),
                       (pw.beta1, ref.beta1), (pw.beta2, ref.beta2),
-                      (gg.frame, ref.frame), (gg.A, ref.A),
+                      (gg.frame_rows(slice(None)), ref.frame), (gg.A, ref.A),
                       (gg.rtilde_1234, ref.rtilde_1234)):
         ok = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), ok)
@@ -106,7 +107,7 @@ def test_conformal_kernel_matches_tensor_oracle(name, request):
 @pytest.mark.parametrize("n", [33, 65])
 def test_graph_and_tension_routes_agree_on_mean_curvature(n):
     # |H| from the second fundamental form against the flow's tension pass;
-    # both build g^-1 through induced_metric_arrays
+    # both read the field's df and metric
     mf = presets.sine_bump(presets.z_squared_field(n=n), 0.01)
     want = flow.tension_pass(mf).norm_H
     assert want > 0.1
@@ -117,8 +118,8 @@ def test_graph_and_tension_routes_agree_on_mean_curvature(n):
     # k = rhoN^2 / rhoM^2 (a curved target, so k is not constant)
     mf = presets.sine_bump(presets.z_squared_mixed_field(n=n), 0.01)
     gg, tau = mf.graph, mf.tension.tau
-    H = (gg.H[..., 0, None] * gg.frame[..., 2, :]
-         + gg.H[..., 1, None] * gg.frame[..., 3, :])
+    frame = gg.frame_rows(slice(None))
+    H = gg.H[..., 0, None] * frame[..., 2, :] + gg.H[..., 1, None] * frame[..., 3, :]
     k = gg.rhoN2 / gg.rhoM2
     source = -k[..., None] * np.einsum("...ai,...a->...i", gg.pw.df, tau)
     for got, want in ((H[..., 2:], tau), (H[..., :2], source)):
@@ -293,7 +294,7 @@ def test_laplace_beltrami_against_symbolic_oracle():
 def test_pullback_forms_reproduce_projection_jacobians(name, request):
     gg = graph_grid(request.getfixturevalue(name))
     pw = gg.pw
-    ok = np.all(np.isfinite(gg.frame), axis=(-2, -1))
+    ok = np.all(np.isfinite(gg.frame_rows(slice(None))), axis=(-2, -1))
     w1 = form_on_frame(gg, 1, 1, 2)
     w2 = form_on_frame(gg, 2, 1, 2)
     assert np.abs(w1[ok] - pw.u1[ok]).max() <= 1e-10
@@ -316,7 +317,7 @@ def test_kahler_angle_crosscheck_fixtures(name, request):
     gg = graph_grid(request.getfixturevalue(name))
     pw = gg.pw
     phi, theta = kahler_angle_crosscheck(gg)
-    ok = np.all(np.isfinite(gg.frame), axis=(-2, -1))
+    ok = np.all(np.isfinite(gg.frame_rows(slice(None))), axis=(-2, -1))
     assert np.abs(phi[ok] - pw.phi[ok]).max() <= 1e-10
     assert np.abs(theta[ok] - pw.theta[ok]).max() <= 1e-10
 
@@ -360,7 +361,8 @@ def test_vector_and_tensor_fields_are_stored_as_planes(case):
     nx, ny = mf.grid.nx, mf.grid.ny
     fields = {"df": (pw.df, (2, 2)), "alpha1": (pw.alpha1, (2,)),
               "alpha2": (pw.alpha2, (2,)), "beta1": (pw.beta1, (2,)),
-              "beta2": (pw.beta2, (2,)), "frame": (gg.frame, (4, 4)),
+              "beta2": (pw.beta2, (2,)),
+              "frame": (gg.frame_rows(slice(None)), (4, 4)),
               "A": (gg.A, (2, 2, 2)), "H": (gg.H, (2,))}
     for name, (arr, comps) in fields.items():
         assert arr.shape == (nx, ny) + comps, name
@@ -399,7 +401,7 @@ def test_block_frames_match_the_whole_grid_frame(case, n):
     from minmaps.graph_geometry import _row_blocks
 
     gg = block_frame_field(case, n).graph
-    frame = gg.frame
+    frame = gg.frame_rows(slice(None))
     if case == "reversing_affine":
         assert np.all(gg.pw.s < 0)
     if case == "grid_only":

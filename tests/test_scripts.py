@@ -31,19 +31,26 @@ def test_sweep_certificates():
 
 
 def test_compare_outputs_of_a_tree_with_itself():
-    # the flow starts from the preset bumped by 0.01, so the solver steps
+    # flow-start runs the preset itself; the flow starts from the preset
+    # bumped by 0.01, so the solver steps
     out = run_script("compare_outputs.py", str(ROOT), "--n", "17",
                      "--preset", "z_squared")
-    assert out[-1] == "9 of 9 files identical"
-    files, flows = out[:9], out[9:-1]
-    assert all(line.endswith(": identical") for line in files)
+    assert out[-1] == "12 of 12 files identical"
+    lines = out[:-1]
+    files = [line for line in lines if line.endswith(": identical")]
     assert [line.split("/")[0] for line in files] == (
-        ["analyze"] * 2 + ["verify"] * 2 + ["refine"] * 2 + ["flow"] * 3)
-    assert len(flows) == 1
-    run, _, report = flows[0].partition(": ")
-    assert run == "flow/z_squared"
-    old, new = (int(word.rstrip(",")) for word in report.split()[2::2])
-    assert report == f"steps old {old}, new {new}" and old == new > 0
+        ["analyze"] * 2 + ["verify"] * 2 + ["refine"] * 2
+        + ["flow-start"] * 3 + ["flow"] * 3)
+    flows = [line for line in lines if line not in files]
+    assert [line.partition(": ")[0] for line in flows] == [
+        "flow-start/z_squared", "flow/z_squared"]
+    steps = []
+    for line in flows:
+        report = line.partition(": ")[2]
+        old, new = (int(word.rstrip(",")) for word in report.split()[2::2])
+        assert report == f"steps old {old}, new {new}" and old == new
+        steps.append(old)
+    assert steps[1] > 0
 
 
 def test_compare_outputs_exits_2_when_a_file_differs(tmp_path):
@@ -57,7 +64,7 @@ def test_compare_outputs_exits_2_when_a_file_differs(tmp_path):
     cli.write_text(text.replace('CSV_VERSION = "v1"', 'CSV_VERSION = "v0"'))
     out = run_script("compare_outputs.py", str(ROOT), str(tmp_path), "--n", "17",
                      "--preset", "z_squared", code=2)
-    assert out[-1] == "6 of 9 files identical"
+    assert out[-1] == "9 of 12 files identical"
     differs = [line.split(":")[0] for line in out if line.endswith(": differs")]
     assert differs == ["analyze/z_squared/analysis.csv",
                        "verify/z_squared/verify.csv",
